@@ -238,7 +238,6 @@ def cmd_transform(scene: Scene, out: Path, json_mode: bool, pole_flip: bool) -> 
 
     res = run.result
     dal = RB.dalpha_components(res)
-    pw = RB.pointwise_residuals(res)
     cols = {
         "tau": res.tau.value,
         "a": res.a.value,
@@ -247,9 +246,9 @@ def cmd_transform(scene: Scene, out: Path, json_mode: bool, pole_flip: bool) -> 
         "alpha_u": res.alpha.value[..., 0],
         "alpha_v": res.alpha.value[..., 1],
         "dalpha_abs": np.abs(dal[..., 0]),
-        "res_eq6": pw["eq6"],
-        "res_eq9": pw["eq9"],
-        "res_eq13": pw["eq13"],
+        "res_eq6": run.pointwise["eq6"],
+        "res_eq9": run.pointwise["eq9"],
+        "res_eq13": run.pointwise["eq13"],
     }
     G.write_fields_csv(out / "fields.csv", grid, cols)
     _emit(report, out, "report.json", json_mode)
@@ -276,29 +275,32 @@ def cmd_demoulin(scene: Scene, out: Path, json_mode: bool) -> int:
             norm=family.bianchi.commutator_max,
         )
     dual = D.dual_family_step(family) if scene.dual else None
-    report = D.family_report(family, scene.thetas, dual=dual)
+    # per-theta artifacts: representative-function grids and member meshes
+    member_cols: dict[str, np.ndarray] = {}
+    meshes = {}
+
+    def keep(member):
+        k = len(meshes)
+        member_cols[f"tau_theta_{k}"] = member.values.data[..., 0]
+        fh4 = member.result.f_hat.value[:, :4].reshape(grid.shape + (4,))
+        drop = member.mask | member.result.metric.singular
+        meshes[f"fhat_theta_{k}.obj"] = (np.where(np.isnan(fh4), 2.0, fh4), drop)
+
+    report = D.family_report(
+        family,
+        scene.thetas,
+        dual=dual,
+        closedness_rel_tol=scene.tolerances.member_closedness,
+        each=keep,
+    )
     ps = D.parallel_sections(family)
     report["parallel_residual"] = ps["residual"]
 
-    # per-theta artifacts: representative-function grids and member meshes
     out.mkdir(parents=True, exist_ok=True)
-    member_cols: dict[str, np.ndarray] = {}
-    mesh_files = {}
-    for k, theta in enumerate(scene.thetas):
-        member = D.demoulin_tau(family, float(theta))
-        member_cols[f"tau_theta_{k}"] = member.values.data[..., 0]
-        res = RB.transform(
-            family.frame, member.tau_jet, on_singular="nan"
-        )
-        fh4 = res.f_hat.value[:, :4].reshape(grid.shape + (4,))
-        name = f"fhat_theta_{k}.obj"
-        G.export_obj(
-            out / name, np.where(np.isnan(fh4), 2.0, fh4), grid,
-            drop=member.mask | res.metric.singular,
-        )
-        mesh_files[name] = float(theta)
+    for name, (fh4, drop) in meshes.items():
+        G.export_obj(out / name, fh4, grid, drop=drop)
     G.write_fields_csv(out / "family_fields.csv", grid, member_cols)
-    report["theta_meshes"] = mesh_files
+    report["theta_meshes"] = dict(zip(meshes, map(float, scene.thetas)))
 
     ok = True
     checks = [
@@ -318,8 +320,7 @@ def cmd_demoulin(scene: Scene, out: Path, json_mode: bool) -> int:
         checks.append(
             (
                 f"member theta={rec['theta']:.4f}",
-                rec["max_dalpha"]
-                < scene.tolerances.member_closedness * (1.0 + rec["max_alpha"]),
+                rec["ribaucour"],
                 f"max |dalpha| = {rec['max_dalpha']:.3e}, "
                 f"masked = {rec['masked_fraction']:.1%}",
             )

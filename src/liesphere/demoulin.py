@@ -28,6 +28,7 @@ chart whose transforms exist, this module builds:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from .errors import (
 )
 from .gridio import Grid, GridField
 from .jets import Jet2
-from .liegeom import lie_inner, t0_jet, t1_jet
+from .liegeom import lie_inner, t0_jet
 
 HALF_PI = np.pi / 2.0
 
@@ -172,6 +173,8 @@ class ROperator:
     entries: np.ndarray  # (..., m, m)
     relation_residual: float
     metric_symmetry_residual: float
+    # rows d_j f_hat - (f_hat + t0) alpha_hat_j of the transformed frame
+    hat_differential: np.ndarray | None = None
 
 
 def r_operator(frame: L.LegendreFrame, result: RB.TransformResult) -> ROperator:
@@ -182,31 +185,10 @@ def r_operator(frame: L.LegendreFrame, result: RB.TransformResult) -> ROperator:
     (df, df), so well-posedness is the immersion condition.
     """
     m = frame.m
-    t0 = t0_jet(m)
-    ah = RB.alpha_hat(result)
-    B = [
-        (frame.f.deriv(i) + (-result.alpha.take(i).vec()) * (frame.f + t0)).value
-        for i in range(m)
-    ]
-    Rhs = [
-        (result.f_hat.deriv(j) + (-ah.take(j).vec()) * (result.f_hat + t0)).value
-        for j in range(m)
-    ]
-    w = L.metric_weights(m)
-    gram = np.stack(
-        [
-            np.stack([np.sum(B[i] * B[k] * w, axis=-1) for k in range(m)], axis=-1)
-            for i in range(m)
-        ],
-        axis=-2,
-    )
-    rhs = np.stack(
-        [
-            np.stack([np.sum(B[i] * Rhs[j] * w, axis=-1) for j in range(m)], axis=-1)
-            for i in range(m)
-        ],
-        axis=-2,
-    )
+    B = RB.corrected_differential(frame.f, result.alpha)
+    Bh = RB.corrected_differential(result.f_hat, RB.alpha_hat(result))
+    gram = L.pairing(B, B)
+    rhs = L.pairing(B, Bh)
     dets = np.linalg.det(gram)
     scale = np.max(np.abs(gram), axis=(-2, -1))
     if np.any(np.abs(dets) < 1e-12 * np.maximum(scale, 1e-300) ** m):
@@ -216,11 +198,11 @@ def r_operator(frame: L.LegendreFrame, result: RB.TransformResult) -> ROperator:
     # verify the defining relation columnwise, plain component norm
     rel = 0.0
     for j in range(m):
-        recon = sum(B[k] * entries[..., k, j][..., None] for k in range(m))
-        rel = max(rel, float(np.max(np.abs(recon - Rhs[j]))))
+        recon = sum(B[..., k, :] * entries[..., k, j][..., None] for k in range(m))
+        rel = max(rel, float(np.max(np.abs(recon - Bh[..., j, :]))))
     sym = gram @ entries
     sym_res = float(np.max(np.abs(sym - np.swapaxes(sym, -1, -2))))
-    return ROperator(entries, rel, sym_res)
+    return ROperator(entries, rel, sym_res, Bh)
 
 
 @dataclass
@@ -229,42 +211,19 @@ class BianchiReport:
     wedge_max: float | None
 
 
-def bianchi_check(
-    r0: ROperator,
-    r1: ROperator,
-    results: tuple[RB.TransformResult, RB.TransformResult] | None = None,
-) -> BianchiReport:
+def bianchi_check(r0: ROperator, r1: ROperator) -> BianchiReport:
     """Max commutator norm of the two operators, plus the equivalent wedge form.
 
     The wedge form pairs the 1-form slots of the two corrected differentials
-    d f_hat_i - (f_hat_i + t0) alpha_hat_i and takes the ambient inner
-    product on the vector slots; both vanish exactly when permutability
-    holds.
+    d f_hat_i - (f_hat_i + t0) alpha_hat_i (kept by :func:`r_operator`) and
+    takes the ambient inner product on the vector slots; both vanish exactly
+    when permutability holds.
     """
     comm = r0.entries @ r1.entries - r1.entries @ r0.entries
     cmax = float(np.max(np.sqrt(np.sum(comm * comm, axis=(-2, -1)))))
     wedge = None
-    if results is not None:
-        res0, res1 = results
-        m = res0.frame.m
-        t0 = t0_jet(m)
-        ah0, ah1 = RB.alpha_hat(res0), RB.alpha_hat(res1)
-        C0 = [
-            (res0.f_hat.deriv(i) + (-ah0.take(i).vec()) * (res0.f_hat + t0)).value
-            for i in range(m)
-        ]
-        C1 = [
-            (res1.f_hat.deriv(i) + (-ah1.take(i).vec()) * (res1.f_hat + t0)).value
-            for i in range(m)
-        ]
-        w = L.metric_weights(m)
-        wedge = 0.0
-        for i in range(m):
-            for j in range(i + 1, m):
-                val = np.sum(C0[i] * C1[j] * w, axis=-1) - np.sum(
-                    C0[j] * C1[i] * w, axis=-1
-                )
-                wedge = max(wedge, float(np.max(np.abs(val))))
+    if r0.hat_differential is not None and r1.hat_differential is not None:
+        wedge = float(np.max(np.abs(RB.wedge(r0.hat_differential, r1.hat_differential))))
     return BianchiReport(cmax, wedge)
 
 
@@ -276,7 +235,7 @@ class FamilyMember:
     theta: float
     values: GridField
     mask: np.ndarray  # True where the denominator (or regularity) fails
-    tau_jet: Jet2  # assembled on the flattened grid; garbage under the mask
+    result: RB.TransformResult  # on the flattened grid; garbage under the mask
     denominator_masked: int = 0
     regularity_masked: int = 0
 
@@ -382,7 +341,7 @@ def build_family(
 
     r0 = r_operator(frame, result0)
     r1 = r_operator(frame, result1)
-    bianchi = bianchi_check(r0, r1, (result0, result1))
+    bianchi = bianchi_check(r0, r1)
 
     return DemoulinFamily(
         chart, grid, tau0_expr, tau1_expr, frame, tau0, tau1,
@@ -399,32 +358,25 @@ def _snap_trig(theta: float) -> tuple[float, float]:
 
 
 def demoulin_tau(family: DemoulinFamily, theta: float) -> FamilyMember:
-    """Member of the family at angle theta, with singular points masked.
+    """Member of the family at angle theta, with its transform; singular points masked.
 
-    theta = 0 returns tau0 bit-for-bit and theta = pi/2 returns tau1; other
-    angles combine the generators through the potentials.  Points where the
-    denominator falls under the scale-aware threshold are masked, as are
-    points where the member itself destroys regularity; a member masked on
-    more than half the grid raises :class:`FullyMasked`.
+    theta = 0 returns tau0 bit-for-bit and theta = pi/2 returns tau1, each
+    with the generator's transform; other angles combine the generators
+    through the potentials.  Points where the denominator falls under the
+    scale-aware threshold are masked, as are points where the member itself
+    destroys regularity; a member masked on more than half the grid raises
+    :class:`FullyMasked`.
     """
     grid = family.grid
     n = grid.nu * grid.nv
     c, s = _snap_trig(float(theta))
 
-    if s == 0.0:
-        values = np.array(family.tau0.value, copy=True)
-        member = FamilyMember(
-            theta, GridField(grid, values.reshape(grid.shape)), np.zeros(n, bool),
-            family.tau0,
+    if s == 0.0 or c == 0.0:
+        res = family.result0 if s == 0.0 else family.result1
+        values = np.array(res.tau.value, copy=True)
+        return FamilyMember(
+            theta, GridField(grid, values.reshape(grid.shape)), np.zeros(n, bool), res
         )
-        return member
-    if c == 0.0:
-        values = np.array(family.tau1.value, copy=True)
-        member = FamilyMember(
-            theta, GridField(grid, values.reshape(grid.shape)), np.zeros(n, bool),
-            family.tau1,
-        )
-        return member
 
     t0j = family.tilde_jet(0)
     t1j = family.tilde_jet(1)
@@ -442,11 +394,9 @@ def demoulin_tau(family: DemoulinFamily, theta: float) -> FamilyMember:
     )
     tau_theta = num / den_patched
 
-    den_count = int(masked.sum())
-    # regularity of the member itself: reuse the metric screen
-    met = RB.minus_metric(family.frame, tau_theta, on_singular="nan")
-    reg_masked = met.singular & ~masked
-    mask = masked | met.singular
+    # regularity of the member itself: the transform's metric screen
+    res = RB.transform(family.frame, tau_theta, on_singular="nan")
+    mask = masked | res.metric.singular
     if mask.mean() > 0.5:
         raise FullyMasked(
             f"family member theta={theta!r} singular on {mask.mean():.0%} of the grid"
@@ -456,26 +406,25 @@ def demoulin_tau(family: DemoulinFamily, theta: float) -> FamilyMember:
         theta,
         GridField(grid, values.reshape(grid.shape)),
         mask,
-        tau_theta,
-        denominator_masked=den_count,
-        regularity_masked=int(reg_masked.sum()),
+        res,
+        denominator_masked=int(masked.sum()),
+        regularity_masked=int((res.metric.singular & ~masked).sum()),
     )
 
 
-def member_closedness(family: DemoulinFamily, member: FamilyMember) -> dict:
+def member_closedness(
+    member: FamilyMember, rel_tol: float = RB.CLOSEDNESS_REL_TOL
+) -> dict:
     """Closedness re-verification of one member on its unmasked set."""
-    sel = ~member.mask
-    frame = family.frame.subset(sel)
-    tau = member.tau_jet.batch(sel)
-    res = RB.transform(frame, tau, on_singular="nan")
-    maxd, _, _ = RB.ribaucour_residual(frame, tau, result=res, on_singular="nan")
+    res = member.result.subset(~member.mask)
+    maxd, _, _ = RB.ribaucour_residual(res.frame, res.tau, result=res, on_singular="nan")
     maxa = RB.max_abs_alpha(res)
     return {
         "theta": float(member.theta),
         "masked_fraction": member.masked_fraction,
         "max_dalpha": maxd,
         "max_alpha": maxa,
-        "ribaucour": RB.classify_ribaucour(maxd, maxa),
+        "ribaucour": RB.classify_ribaucour(maxd, maxa, rel_tol),
     }
 
 
@@ -490,7 +439,7 @@ def parallel_sections(family: DemoulinFamily) -> dict:
     (d sigma_i, f_hat_j + t0) = 0 for the complementary index j.
     """
     m = family.frame.m
-    t0, t1 = t0_jet(m), t1_jet(m)
+    t0 = t0_jet(m)
     taus = (family.tau0, family.tau1)
     tildes = (family.tilde_jet(0), family.tilde_jet(1))
     hats = (family.result0.f_hat, family.result1.f_hat)
@@ -499,12 +448,7 @@ def parallel_sections(family: DemoulinFamily) -> dict:
     for i in (0, 1):
         j = 1 - i
         ui = J.exp(tildes[j]) / (taus[i] - taus[j])
-        body = (
-            family.frame.xi
-            - taus[i].vec() * family.frame.f
-            - taus[i].vec() * t0
-            + t1
-        )
+        body = L.light_cone_section(family.frame.f, family.frame.xi, taus[i])
         sigma = ui.vec() * body
         worst = 0.0
         for k in range(m):
@@ -549,15 +493,14 @@ class _DualFields:
         res0 = RB.transform(frame, tau0, on_singular="raise")
         res1 = RB.transform(frame, tau1, on_singular="raise")
         m = frame.m
-        t0 = t0_jet(m)
         ah0 = RB.alpha_hat(res0)
 
         # gamma from the pairing with the second transform's point sphere
         factor = (tau1.value - tau0.value) * (res1.a.value - 1.0)
-        gamma = np.empty(flat.shape[:-1] + (m,))
-        for i in range(m):
-            Ci = res0.f_hat.deriv(i) + (-ah0.take(i).vec()) * (res0.f_hat + t0)
-            gamma[..., i] = lie_inner(Ci, res1.f_hat + t0).value / factor
+        point = res1.f_hat.value + t0_jet(m).value
+        gamma = L.inner_value(
+            RB.corrected_differential(res0.f_hat, ah0), point[..., None, :]
+        ) / factor[..., None]
 
         dlog = (tau1.grad - tau0.grad) / (tau1.value - tau0.value)[..., None]
         drive = res1.alpha.value - ah0.value + dlog
@@ -621,19 +564,18 @@ def dual_family_step(
     family: DemoulinFamily,
     patch: Grid | None = None,
     *,
-    base: tuple[int, int] = (0, 0),
     w_init: float = 0.0,
     fd_step: float = 1e-4,
-    consistency_tol: float | None = 1e-5,
 ) -> DualResult:
     """Integrate the dual-family system on a simply connected patch.
 
     The scalar w = ln(tau0 - tau_hat0) satisfies
     d w = (alpha_{tau1} - alpha_hat_{tau0}) + d ln|tau1 - tau0| + e^w gamma,
-    and -d ln v = d w + alpha_hat_{tau0}.  Both are marched with RK4 along
-    rows then columns, and along columns then rows; the two grids must agree
-    (path independence of the integrable system).  The closedness of
-    (tau0 - tau_hat0) gamma is verified from the expansion
+    and -d ln v = d w + alpha_hat_{tau0}.  Both are marched with RK4 from the
+    (0, 0) corner along rows then columns, and along columns then rows; the
+    largest disagreement of the two grids (path independence of the
+    integrable system) is returned as ``consistency`` for the caller to gate.
+    The closedness of (tau0 - tau_hat0) gamma is verified from the expansion
     d((tau0-tau_hat0) gamma) = d(tau0-tau_hat0) ^ gamma + (tau0-tau_hat0) dgamma
     with the exact differential of the first factor and a small-step central
     difference for dgamma.
@@ -651,47 +593,32 @@ def dual_family_step(
     umids = fields(pts[:-1, :, :] + np.array([patch.hu / 2.0, 0.0]))
     vmids = fields(pts[:, :-1, :] + np.array([0.0, patch.hv / 2.0]))
 
-    i0, j0 = base
-    if (i0, j0) != (0, 0):
-        raise ValueError("dual-family integration starts at the (0, 0) corner")
-
-    def take_u_nodes(f, k):
+    def take_u(f, k):
         return {key: val[k] for key, val in f.items()}
 
-    def take_v_nodes(f, k):
+    def take_v(f, k):
         return {key: val[:, k] for key, val in f.items()}
 
     # row-first: march u along the base row, then v upward for all columns
-    row_nodes = {key: val[:, j0] for key, val in nodes.items()}
-    row_mids = {key: val[:, j0] for key, val in umids.items()}
     w_base, lv_base = _sweep(
-        np.array(w_init), np.array(0.0), row_nodes, row_mids, patch.hu, 0, patch.nu,
-        lambda f, k: {key: val[k] for key, val in f.items()},
+        np.array(w_init), np.array(0.0), take_v(nodes, 0), take_v(umids, 0),
+        patch.hu, 0, patch.nu, take_u,
     )
     w_row, lv_row = _sweep(
-        w_base, lv_base, nodes, vmids, patch.hv, 1, patch.nv, take_v_nodes
+        w_base, lv_base, nodes, vmids, patch.hv, 1, patch.nv, take_v
     )
     w_row = np.swapaxes(w_row, 0, 1)
     lv_row = np.swapaxes(lv_row, 0, 1)
 
     # column-first
-    col_nodes = {key: val[i0, :] for key, val in nodes.items()}
-    col_mids = {key: val[i0, :] for key, val in vmids.items()}
     w_base2, lv_base2 = _sweep(
-        np.array(w_init), np.array(0.0), col_nodes, col_mids, patch.hv, 1, patch.nv,
-        lambda f, k: {key: val[k] for key, val in f.items()},
+        np.array(w_init), np.array(0.0), take_u(nodes, 0), take_u(vmids, 0),
+        patch.hv, 1, patch.nv, take_u,
     )
-    w_col, lv_col = _sweep(
-        w_base2, lv_base2, nodes, umids, patch.hu, 0, patch.nu, take_u_nodes
+    w_col, _ = _sweep(
+        w_base2, lv_base2, nodes, umids, patch.hu, 0, patch.nu, take_u
     )
-
     consistency = float(np.max(np.abs(w_row - w_col)))
-    if consistency_tol is not None and consistency > consistency_tol:
-        raise PathDependence(
-            f"row-first and column-first integrations disagree by "
-            f"{consistency:.3e} (> {consistency_tol:.1e})",
-            residual=consistency,
-        )
 
     # fields of the reported solution (row-first grid)
     tau0_grid = E.eval_at(family.tau0_expr, pts)
@@ -738,25 +665,28 @@ def family_report(
     thetas,
     *,
     dual: DualResult | None = None,
+    closedness_rel_tol: float = RB.CLOSEDNESS_REL_TOL,
+    each: Callable[[FamilyMember], None] | None = None,
 ) -> dict:
+    """JSON-ready family report; members are classified at ``closedness_rel_tol``.
+
+    Each member is built once and handed to ``each(member)`` when given; only
+    its record is kept, so members are not all held at once.
+    """
     members = []
     endpoints_ok = True
     for theta in thetas:
         member = demoulin_tau(family, float(theta))
-        rec = member_closedness(family, member)
-        if member.theta == 0.0:
-            same = np.array_equal(
-                member.values.data[..., 0].reshape(-1), family.tau0.value
-            )
-            rec["endpoint"] = "tau0"
-            endpoints_ok &= same
-        elif member.theta == HALF_PI:
-            same = np.array_equal(
-                member.values.data[..., 0].reshape(-1), family.tau1.value
-            )
-            rec["endpoint"] = "tau1"
-            endpoints_ok &= same
+        rec = member_closedness(member, closedness_rel_tol)
+        for label, at, tau in (("tau0", 0.0, family.tau0), ("tau1", HALF_PI, family.tau1)):
+            if member.theta == at:
+                rec["endpoint"] = label
+                endpoints_ok &= np.array_equal(
+                    member.values.data[..., 0].reshape(-1), tau.value
+                )
         members.append(rec)
+        if each is not None:
+            each(member)
     rep = {
         "tau0_src": E.to_source(family.tau0_expr),
         "tau1_src": E.to_source(family.tau1_expr),

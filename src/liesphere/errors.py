@@ -12,7 +12,7 @@ class DivisionByZeroJet(LieSphereError, ZeroDivisionError):
 
 
 class DomainErrorJet(LieSphereError, ValueError):
-    """Elementary function applied outside its domain (sqrt/ln of <= 0)."""
+    """Elementary function applied outside its domain (e.g. ln of <= 0)."""
 
 
 class SingularMatrix(LieSphereError):

@@ -252,15 +252,6 @@ def ln(x: Jet2) -> Jet2:
     return _chain(x, np.log(v), inv, -inv * inv)
 
 
-def sqrt(x: Jet2) -> Jet2:
-    v = x.value
-    if np.any(v <= 0.0):
-        raise DomainErrorJet("sqrt of a non-positive value")
-    s = np.sqrt(v)
-    fp = 0.5 / s
-    return _chain(x, s, fp, -0.25 / (v * s))
-
-
 def powj(x: Jet2, y: Jet2) -> Jet2:
     """General power x**y for jet exponents, via exp(y ln x); needs x > 0."""
     return exp(y * ln(x))
@@ -271,12 +262,11 @@ _ELEMENTARY: dict[str, Callable[[Jet2], Jet2]] = {
     "cos": cos,
     "exp": exp,
     "ln": ln,
-    "sqrt": sqrt,
 }
 
 
 def apply(name: str, x: Jet2) -> Jet2:
-    """Dispatch an elementary function by name (sin, cos, exp, ln, sqrt)."""
+    """Dispatch an elementary function by name (sin, cos, exp, ln)."""
     try:
         fn = _ELEMENTARY[name]
     except KeyError:
@@ -347,15 +337,6 @@ def mat_vec(A: Jet2, x: Jet2) -> Jet2:
 def mat_mul(A: Jet2, B: Jet2) -> Jet2:
     """Matrix product; A is ``(..., n, k)``, B is ``(..., k, p)``."""
     return jsum(A.expand(-1) * B.expand(-3), axis=-2)
-
-
-def mat_transpose(A: Jet2) -> Jet2:
-    return Jet2(
-        np.swapaxes(A.value, -1, -2),
-        np.swapaxes(A.grad, -2, -3),
-        np.swapaxes(A.hess, -2, -3),
-        A.m,
-    )
 
 
 def mat_identity(n: int, m: int) -> Jet2:

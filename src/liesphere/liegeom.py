@@ -34,6 +34,16 @@ def lie_inner(x: Jet2, y: Jet2) -> Jet2:
     return J.jsum(x * y, axis=-1, weights=metric_weights(x.m))
 
 
+def inner_value(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The inner product on plain component arrays (last axis), broadcasting."""
+    return np.sum(x * y * metric_weights(x.shape[-1] - 4), axis=-1)
+
+
+def pairing(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Matrix of inner products (X_i, Y_j) of two stacks of vectors (..., k, m+4)."""
+    return inner_value(X[..., :, None, :], Y[..., None, :, :])
+
+
 def t0_jet(m: int) -> Jet2:
     e = np.zeros(m + 4)
     e[m + 2] = 1.0
@@ -52,28 +62,6 @@ def spatial_vector(components: list[Jet2]) -> Jet2:
     m = comps[0].m
     zero = Jet2.constant(np.zeros(comps[0].value.shape), m)
     return J.stack(comps + [zero, zero], axis=-1)
-
-
-@dataclass
-class LieVector:
-    """Plain value-level vector, used at serialization boundaries."""
-
-    spatial: np.ndarray
-    c0: float = 0.0
-    c1: float = 0.0
-
-    def to_array(self) -> np.ndarray:
-        return np.concatenate([np.asarray(self.spatial, float), [self.c0, self.c1]])
-
-    @staticmethod
-    def from_array(arr: np.ndarray) -> "LieVector":
-        arr = np.asarray(arr, dtype=float)
-        return LieVector(arr[:-2].copy(), float(arr[-2]), float(arr[-1]))
-
-    def inner(self, other: "LieVector") -> float:
-        return float(
-            np.dot(self.spatial, other.spatial) - self.c0 * other.c0 - self.c1 * other.c1
-        )
 
 
 @dataclass
@@ -171,13 +159,17 @@ class SphereCongruence:
     cert: dict = field(default_factory=dict)
 
 
-def sphere_congruence(frame: LegendreFrame, tau: Jet2) -> SphereCongruence:
-    """Lift tau to the light-cone section sigma = xi - tau f - tau t0 + t1."""
-    m = frame.m
+def light_cone_section(f: Jet2, xi: Jet2, tau: Jet2) -> Jet2:
+    """The sphere tau lifted to the light cone: sigma = xi - tau f - tau t0 + t1."""
     tv = tau.vec()
-    t0, t1 = t0_jet(m), t1_jet(m)
-    sigma = frame.xi - tv * frame.f - tv * t0 + t1
-    span_res = sigma - ((frame.xi + t1) - tv * (frame.f + t0))
+    return xi - tv * f - tv * t0_jet(f.m) + t1_jet(f.m)
+
+
+def sphere_congruence(frame: LegendreFrame, tau: Jet2) -> SphereCongruence:
+    """Lift tau to the light-cone section sigma; certify it null, in span(xi+t1, f+t0)."""
+    m = frame.m
+    sigma = light_cone_section(frame.f, frame.xi, tau)
+    span_res = sigma - ((frame.xi + t1_jet(m)) - tau.vec() * (frame.f + t0_jet(m)))
     cert = {
         "light_cone": float(np.max(np.abs(lie_inner(sigma, sigma).value))),
         "span": float(np.max(np.abs(span_res.value))),

@@ -13,9 +13,16 @@ machinery around them:
   xi_hat = xi - tau f + tau f_hat;
 * alpha(d_i) = (d_i f, -f_check), stored with exact first partials so the
   exterior derivative needs no finite differencing;
-* reconstruction (the construction is an involution), the hypersurface
-  shape-operator route to f_check, and the curvature-form identity
-  (beta wedge beta) = (1 - a) d alpha.
+* the closedness gate max |d alpha| < rel_tol (1 + max |alpha|), with
+  rel_tol supplied by the caller (a scene's tolerance, or the default);
+* the identity suite: eq6, eq9, eq13 and their supporting checks are
+  evaluated pointwise once per transform, so reports take maxima of the
+  same arrays that field dumps write;
+* the corrected differential d f - (f + t0) alpha, shared with the
+  permutability machinery, and the curvature-form identity
+  (beta wedge beta) = (1 - a) d alpha built from it;
+* reconstruction (the construction is an involution) and the hypersurface
+  shape-operator route to f_check.
 
 All operations are batched: a frame evaluated on N grid points transforms in
 one vectorized pass.
@@ -23,7 +30,7 @@ one vectorized pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +40,7 @@ from . import jets as J
 from . import liegeom as L
 from .errors import InvolutionFailure, NotHypersurface, NotRegular
 from .jets import Jet2
-from .liegeom import LegendreFrame, lie_inner, t0_jet, t1_jet
+from .liegeom import LegendreFrame, lie_inner, t0_jet
 
 # Scale-aware regularity screen, |det G| < DET_REL_TOL * (max |G entry|)^m.
 DET_REL_TOL = 1e-10
@@ -80,7 +87,6 @@ class TransformResult:
     f_hat: Jet2
     xi_hat: Jet2
     alpha: Jet2  # components along the last value axis; grads are exact
-    residuals: dict = field(default_factory=dict)
 
     @property
     def regular_mask(self) -> np.ndarray:
@@ -241,8 +247,7 @@ def classify_ribaucour(
 # ---------- verification suite ----------
 
 
-def _vmax(x) -> float:
-    arr = x.value if isinstance(x, Jet2) else np.asarray(x)
+def _vmax(arr: np.ndarray) -> float:
     return float(np.nanmax(np.abs(arr))) if arr.size else 0.0
 
 
@@ -260,122 +265,91 @@ def alpha_hat(result: TransformResult) -> Jet2:
     )
 
 
-def residual_suite(result: TransformResult) -> dict:
-    """Pointwise identity residuals of one transform.
+def corrected_differential(f: Jet2, alpha: Jet2) -> np.ndarray:
+    """Values of d f - (f + t0) alpha; row i (axis -2) is the d_i slot."""
+    f_t0 = f.value + t0_jet(f.m).value
+    return np.swapaxes(f.grad, -1, -2) - alpha.value[..., None] * f_t0[..., None, :]
+
+
+def wedge(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """(X_i, Y_j) - (X_j, Y_i) for i < j, pairing two vector-valued 1-forms."""
+    P = L.pairing(X, Y)
+    m = P.shape[-1]
+    return np.stack(
+        [P[..., i, j] - P[..., j, i] for i in range(m) for j in range(i + 1, m)],
+        axis=-1,
+    )
+
+
+def pointwise_residuals(result: TransformResult, ah: Jet2) -> dict[str, np.ndarray]:
+    """Per-point magnitude of every identity of one transform (``ah`` = alpha_hat).
 
     Keys group the unit/orthogonality relations of the transformed frame
     (eq6), the differential identity relating the two congruence forms (eq9),
     and the sum rule alpha + alpha_hat = d ln(1-a) (eq13), plus supporting
-    orthogonality/normalization checks.
+    orthogonality/normalization checks.  ``hat_abs_det`` is |det| of the
+    metric induced by the transformed frame.
     """
-    m = result.frame.m
-    f, xi = result.frame.f, result.frame.xi
-    fh, xh = result.f_hat, result.xi_hat
-    a, b, mu2, fc = result.a, result.b, result.mu2, result.f_check
-    V = result.metric.V
-    tau = result.tau
+    f, xi = result.frame.f.value, result.frame.xi.value
+    fh, xh = result.f_hat.value, result.xi_hat.value
+    a, fc, tau = result.a, result.f_check.value, result.tau
+    V = np.stack([v.value for v in result.metric.V], axis=-2)  # rows (-dxi+tau df)(d_i)
+    inner = L.inner_value
 
-    res = {}
-    res["eq6_unit_fhat"] = _vmax(lie_inner(fh, fh) - 1.0)
-    res["eq6_unit_xihat"] = _vmax(lie_inner(xh, xh) - 1.0)
-    res["eq6_orth"] = _vmax(lie_inner(fh, xh))
-    fourth = []
-    for i in range(m):
-        term = (
-            b.grad[..., i]
-            - tau.value * a.grad[..., i]
-            + (1.0 - a.value) * lie_inner(V[i], fc).value
-        )
-        fourth.append(np.abs(term))
-    res["eq6_fourth"] = float(np.nanmax(np.stack(fourth))) if fourth else 0.0
-    res["eq6"] = max(
-        res["eq6_unit_fhat"], res["eq6_unit_xihat"], res["eq6_orth"], res["eq6_fourth"]
+    pw = {
+        "eq6_unit_fhat": np.abs(inner(fh, fh) - 1.0),
+        "eq6_unit_xihat": np.abs(inner(xh, xh) - 1.0),
+        "eq6_orth": np.abs(inner(fh, xh)),
+    }
+    fourth = (
+        result.b.grad
+        - tau.value[..., None] * a.grad
+        + (1.0 - a.value)[..., None] * inner(V, fc[..., None, :])
     )
+    pw["eq6_fourth"] = np.max(np.abs(fourth), axis=-1)
+    pw["eq6"] = np.maximum.reduce(list(pw.values()))  # the four parts above
 
-    res["fcheck_orth_f"] = _vmax(lie_inner(fc, f))
-    res["fcheck_orth_xi"] = _vmax(lie_inner(fc, xi))
-    res["mu2_match"] = _vmax(lie_inner(fc, fc) - mu2)
+    pw["fcheck_orth_f"] = np.abs(inner(fc, f))
+    pw["fcheck_orth_xi"] = np.abs(inner(fc, xi))
+    pw["mu2_match"] = np.abs(inner(fc, fc) - result.mu2.value)
 
     # The congruence section is enveloped by the new frame.
-    t0, t1 = t0_jet(m), t1_jet(m)
-    tv = tau.vec()
-    sigma = xi - tv * f - tv * t0 + t1
-    res["envelope"] = _vmax(sigma - ((xh + t1) - tv * (fh + t0)))
+    envelope = L.light_cone_section(result.frame.f, result.frame.xi, tau) - (
+        L.light_cone_section(result.f_hat, result.xi_hat, tau)
+    )
+    pw["envelope"] = np.max(np.abs(envelope.value), axis=-1)
 
     # eq9: -dxi_hat + tau df_hat = -dxi + tau df + (f - f_hat) dtau.
-    eq9 = 0.0
-    hat_rows = []
-    for i in range(m):
-        Vh_i = (-xh.deriv(i)) + tv * fh.deriv(i)
-        rhs_val = V[i].value + tau.grad[..., i, None] * (f.value - fh.value)
-        eq9 = max(eq9, _vmax(Vh_i.value - rhs_val))
-        hat_rows.append(Vh_i)
-    res["eq9"] = eq9
+    dfh = np.swapaxes(result.f_hat.grad, -1, -2)  # rows d_i f_hat
+    Vh = -np.swapaxes(result.xi_hat.grad, -1, -2) + tau.value[..., None, None] * dfh
+    rhs = V + tau.grad[..., None] * (f - fh)[..., None, :]
+    pw["eq9"] = np.max(np.abs(Vh - rhs), axis=(-2, -1))
 
     # The transformed frame induces the same congruence metric.
-    Ghat = np.stack(
-        [
-            np.stack(
-                [lie_inner(hat_rows[i], hat_rows[k]).value for k in range(m)], axis=-1
-            )
-            for i in range(m)
-        ],
-        axis=-2,
-    )
-    res["metric_match"] = _vmax(Ghat - result.metric.G.value)
-    res["hat_min_abs_det"] = float(np.nanmin(np.abs(np.linalg.det(Ghat))))
+    Ghat = L.pairing(Vh, Vh)
+    pw["metric_match"] = np.max(np.abs(Ghat - result.metric.G.value), axis=(-2, -1))
+    pw["hat_abs_det"] = np.abs(np.linalg.det(Ghat))
 
     # eq13: alpha + alpha_hat = d ln(1 - a), using (f, f_hat) = a.
-    ah = alpha_hat(result)
-    one_minus_a = 1.0 - a.value
-    dln = -a.grad / one_minus_a[..., None]
-    res["eq13"] = _vmax(result.alpha.value + ah.value - dln)
+    alpha = result.alpha.value
+    dln = -a.grad / (1.0 - a.value)[..., None]
+    pw["eq13"] = np.max(np.abs(alpha + ah.value - dln), axis=-1)
 
     # Consistency of the quotient expressions for both 1-forms.
-    inv_am1 = 1.0 / (a.value - 1.0)
-    res["alpha_forms"] = max(
-        max(
-            _vmax(lie_inner(f.deriv(i), fh).value * inv_am1 - result.alpha.value[..., i])
-            for i in range(m)
-        ),
-        max(
-            _vmax(lie_inner(fh.deriv(i), f).value * inv_am1 - ah.value[..., i])
-            for i in range(m)
-        ),
+    inv_am1 = (1.0 / (a.value - 1.0))[..., None]
+    df = np.swapaxes(result.frame.f.grad, -1, -2)
+    pw["alpha_forms"] = np.maximum(
+        np.max(np.abs(inner(df, fh[..., None, :]) * inv_am1 - alpha), axis=-1),
+        np.max(np.abs(inner(dfh, f[..., None, :]) * inv_am1 - ah.value), axis=-1),
     )
+    return pw
+
+
+def residual_suite(pointwise: dict[str, np.ndarray]) -> dict:
+    """Batch maxima of :func:`pointwise_residuals` (the minimum of ``hat_abs_det``)."""
+    res = {k: _vmax(v) for k, v in pointwise.items() if k != "hat_abs_det"}
+    res["hat_min_abs_det"] = float(np.nanmin(pointwise["hat_abs_det"]))
     return res
-
-
-def pointwise_residuals(result: TransformResult) -> dict[str, np.ndarray]:
-    """Per-point residual magnitudes of the main identities (for field dumps)."""
-    m = result.frame.m
-    f, xi = result.frame.f, result.frame.xi
-    fh, xh = result.f_hat, result.xi_hat
-    a, b, fc = result.a, result.b, result.f_check
-    tau, V = result.tau, result.metric.V
-    tv = tau.vec()
-
-    eq6 = np.abs(lie_inner(fh, fh).value - 1.0)
-    eq6 = np.maximum(eq6, np.abs(lie_inner(xh, xh).value - 1.0))
-    eq6 = np.maximum(eq6, np.abs(lie_inner(fh, xh).value))
-    for i in range(m):
-        fourth = (
-            b.grad[..., i]
-            - tau.value * a.grad[..., i]
-            + (1.0 - a.value) * lie_inner(V[i], fc).value
-        )
-        eq6 = np.maximum(eq6, np.abs(fourth))
-
-    eq9 = np.zeros_like(eq6)
-    for i in range(m):
-        Vh_i = (-xh.deriv(i)) + tv * fh.deriv(i)
-        rhs = V[i].value + tau.grad[..., i, None] * (f.value - fh.value)
-        eq9 = np.maximum(eq9, np.max(np.abs(Vh_i.value - rhs), axis=-1))
-
-    ah = alpha_hat(result)
-    dln = -a.grad / (1.0 - a.value)[..., None]
-    eq13 = np.max(np.abs(result.alpha.value + ah.value - dln), axis=-1)
-    return {"eq6": eq6, "eq9": eq9, "eq13": eq13}
 
 
 def reconstruct(
@@ -431,7 +405,7 @@ def shape_operator_path(
         [[-lie_inner(df[i], dxi[k]) for k in range(m)] for i in range(m)]
     )
     A = J.mat_mul(ginv, S)
-    M = A + Jet2.constant(np.eye(m), m) * tau.vec().vec()
+    M = A + J.mat_identity(m, m) * tau.vec().vec()
     if np.any(J.singular_mask(M, det_rel_tol)):
         _raise_not_regular(J.singular_mask(M, det_rel_tol), frame.points, "A + tau Id")
     Minv = J.mat_inverse(M, rel_tol=det_rel_tol, on_singular="raise")
@@ -443,50 +417,26 @@ def shape_operator_path(
     return out
 
 
-def curvature_identity(result: TransformResult) -> dict:
+def curvature_identity(result: TransformResult, ah: Jet2) -> dict:
     """Compare (beta(f+t0) wedge beta(f_hat+t0)) against (1-a) d alpha.
 
-    beta psi = d psi - psi * (its connection form); the wedge pairs the
-    1-form slots and takes the ambient inner product on the vector slots.
-    Also reports the sum-rule residual alpha + alpha_hat - d ln(1-a).
+    beta psi = d psi - psi * (its connection form), see
+    :func:`corrected_differential`; the wedge pairs the 1-form slots and takes
+    the ambient inner product on the vector slots.  ``ah`` is alpha_hat.
     """
-    m = result.frame.m
-    f, fh = result.frame.f, result.f_hat
-    t0 = t0_jet(m)
-    ah = alpha_hat(result)
-    B = [
-        f.deriv(i) - result.alpha.take(i).vec() * (f + t0) for i in range(m)
-    ]
-    Bh = [
-        fh.deriv(i) - ah.take(i).vec() * (fh + t0) for i in range(m)
-    ]
-    one_minus_a = 1.0 - result.a.value
-    dal = dalpha_components(result)
-    diffs = []
-    lhs_mag = []
-    k = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            lhs = lie_inner(B[i], Bh[j]).value - lie_inner(B[j], Bh[i]).value
-            rhs = one_minus_a * dal[..., k]
-            diffs.append(np.abs(lhs - rhs))
-            lhs_mag.append(np.abs(lhs) + np.abs(rhs))
-            k += 1
-    diff = np.stack(diffs, axis=-1)
-    mag = np.stack(lhs_mag, axis=-1)
+    lhs = wedge(
+        corrected_differential(result.frame.f, result.alpha),
+        corrected_differential(result.f_hat, ah),
+    )
+    rhs = (1.0 - result.a.value)[..., None] * dalpha_components(result)
+    diff = np.abs(lhs - rhs)
+    mag = np.abs(lhs) + np.abs(rhs)
     if result.metric.singular.any():
         diff = np.where(result.metric.singular[..., None], np.nan, diff)
         mag = np.where(result.metric.singular[..., None], np.nan, mag)
     abs_res = float(np.nanmax(diff)) if diff.size else 0.0
     scale = float(np.nanmax(mag)) if mag.size else 0.0
-    dln = -result.a.grad / one_minus_a[..., None]
-    sum_rule = _vmax(result.alpha.value + ah.value - dln)
-    return {
-        "abs": abs_res,
-        "rel": abs_res / scale if scale > 0 else 0.0,
-        "scale": scale,
-        "sum_rule": sum_rule,
-    }
+    return {"abs": abs_res, "rel": abs_res / scale if scale > 0 else 0.0, "scale": scale}
 
 
 # ---------- grid-level runner ----------
@@ -507,6 +457,7 @@ class GridRun:
     max_alpha: float
     ribaucour: bool
     residuals: dict
+    pointwise: dict[str, np.ndarray]  # eq6/eq9/eq13 per point of the full grid
     curvature: dict
     reconstruction: dict
 
@@ -541,10 +492,16 @@ def run_grid(
     # Map the argmax back to the original (unmasked) flat index.
     orig_flat = int(np.flatnonzero(reg)[arg[0]])
     max_al = max_abs_alpha(clean)
-    suite = residual_suite(clean)
-    curv = curvature_identity(clean)
+    ah = alpha_hat(clean)
+    pw = pointwise_residuals(clean, ah)
+    suite = residual_suite(pw)
+    curv = curvature_identity(clean, ah)
+    pointwise = {}
+    for key in ("eq6", "eq9", "eq13"):
+        pointwise[key] = np.full(reg.shape, np.nan)
+        pointwise[key][reg] = pw[key]
+    del pw, ah  # would otherwise stay live through reconstruct's peak
     _, recon = reconstruct(clean, tol=involution_tol)
-    result.residuals = dict(suite)
     return GridRun(
         chart=chart,
         tau_src=E.to_source(tau_expr),
@@ -557,6 +514,7 @@ def run_grid(
         max_alpha=max_al,
         ribaucour=classify_ribaucour(max_da, max_al, closedness_rel_tol),
         residuals=suite,
+        pointwise=pointwise,
         curvature=curv,
         reconstruction=recon,
     )

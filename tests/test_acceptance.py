@@ -57,7 +57,7 @@ def test_criterion_02_parametrization_identities():
     for src in TAU_LIST:
         tau = E.eval_at(E.parse_tau(src), frame.points)
         res = RB.transform(frame, tau)
-        suite = RB.residual_suite(res)
+        suite = RB.residual_suite(RB.pointwise_residuals(res, RB.alpha_hat(res)))
         _cache[src] = (res, suite)
         worst = max(worst, suite["eq6_unit_fhat"], suite["eq6_unit_xihat"],
                     suite["eq6_orth"], suite["eq6_fourth"])
@@ -121,7 +121,7 @@ def test_criterion_06_identity_suite():
         res, suite = _cache[src]
         worst13 = max(worst13, suite["eq13"])
         worst9 = max(worst9, suite["eq9"])
-        worstcv = max(worstcv, RB.curvature_identity(res)["abs"])
+        worstcv = max(worstcv, RB.curvature_identity(res, RB.alpha_hat(res))["abs"])
     ok = worst13 < 1e-8 and worst9 < 1e-9 and worstcv < 1e-8
     _report(6, ok, f"sum rule {worst13:.2e} < 1e-8, differential identity "
                    f"{worst9:.2e} < 1e-9, curvature identity {worstcv:.2e} < 1e-8")
@@ -162,7 +162,7 @@ def test_criterion_08_bianchi_and_family():
     endpoints = True
     for k in range(8):
         member = D.demoulin_tau(family, k * np.pi / 8.0)
-        rec = D.member_closedness(family, member)
+        rec = D.member_closedness(member)
         worst_member = max(worst_member, rec["max_dalpha"])
         if k == 0:
             endpoints &= np.array_equal(

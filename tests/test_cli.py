@@ -1,6 +1,8 @@
 """Scene handling, command dispatch, exit codes, and report determinism."""
 
+import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -213,3 +215,69 @@ def test_export_command(tmp_path):
 def test_bad_grid_flag(tmp_path):
     scene = _scene(tmp_path)
     assert cli.main(["check", "--scene", str(scene), "--grid", "banana"]) == 2
+
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
+
+
+def _shipped_scene(tmp_path, name, **overrides):
+    obj = json.loads((SCENES / name).read_text(encoding="utf-8"))
+    obj.update(overrides)
+    path = tmp_path / name
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("name", ["check_custom.json", "check_sinu.json"])
+def test_field_residuals_peak_at_the_reported_values(tmp_path, name):
+    out = tmp_path / "out"
+    assert cli.main(["transform", "--scene", str(SCENES / name), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    with open(out / "fields.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for key in ("eq6", "eq9", "eq13"):
+        column = [float(row[f"res_{key}"]) for row in rows]
+        assert max(column) == report["residuals"][key]
+
+
+def test_demoulin_builds_each_member_once(tmp_path, monkeypatch):
+    from liesphere import demoulin as D
+    from liesphere import ribaucour as RB
+
+    calls = {"demoulin_tau": 0, "transform": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(D, "demoulin_tau")
+    counting(RB, "transform")
+    scene = _shipped_scene(tmp_path, "demoulin_dual_2d.json", dual=False)
+    assert cli.main(["demoulin", "--scene", str(scene), "--out", str(tmp_path / "o")]) == 0
+    # 8 members; two generator transforms plus one per member off the endpoints
+    assert calls == {"demoulin_tau": 8, "transform": 8}
+
+
+def test_member_verdict_uses_scene_tolerance(tmp_path, capsys):
+    scene = _shipped_scene(
+        tmp_path,
+        "demoulin_dual_2d.json",
+        dual=False,
+        tolerances={"member_closedness": 1e-30},
+    )
+    out = tmp_path / "out"
+    assert cli.main(["demoulin", "--scene", str(scene), "--out", str(out)]) == 1
+    fails = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("FAIL  member theta=")
+    ]
+    members = json.loads((out / "family.json").read_text())["members"]
+    verdicts = [rec["ribaucour"] for rec in members]
+    assert len(fails) == verdicts.count(False) == 6
+    # the exactly closed generators still pass
+    assert [rec.get("endpoint") for rec in members if rec["ribaucour"]] == ["tau0", "tau1"]

@@ -173,7 +173,7 @@ def test_family_quarter_turn_closed_form(family_64):
 def test_family_members_stay_closed(family_64):
     for k in range(8):
         member = D.demoulin_tau(family_64, k * np.pi / 8.0)
-        rec = D.member_closedness(family_64, member)
+        rec = D.member_closedness(member)
         assert rec["max_dalpha"] < 1e-7 * (1.0 + rec["max_alpha"])
         assert rec["masked_fraction"] <= 0.5
 
@@ -250,17 +250,12 @@ def test_parallel_sections_general(family_64):
 
 def test_parallel_sections_negative_control(family_64):
     # dropping the exponential factor from u_1 breaks parallelism
-    from liesphere.liegeom import lie_inner, t0_jet, t1_jet
+    from liesphere.liegeom import lie_inner, light_cone_section, t0_jet
 
     fam = family_64
-    t0, t1 = t0_jet(2), t1_jet(2)
+    t0 = t0_jet(2)
     u1_wrong = 1.0 / (fam.tau1 - fam.tau0)  # misses e^{tau_tilde_0}
-    body = (
-        fam.frame.xi
-        - fam.tau1.vec() * fam.frame.f
-        - fam.tau1.vec() * t0
-        + t1
-    )
+    body = light_cone_section(fam.frame.f, fam.frame.xi, fam.tau1)
     sigma = u1_wrong.vec() * body
     worst = 0.0
     for k in range(2):
@@ -318,3 +313,16 @@ def test_family_report_schema(family_64):
     assert len(rep["members"]) == 3
     for rec in rep["members"]:
         assert {"theta", "masked_fraction", "max_dalpha"} <= set(rec.keys())
+
+
+def test_dual_step_leaves_consistency_to_the_gate(square_torus):
+    # a coarse patch disagrees between the two routes by ~8.8e-4, well above
+    # the default dual_consistency tolerance; the step reports it, the CLI gates
+    grid = G.Grid(48, 48, square_torus.domain)
+    fam = D.build_family(
+        square_torus, E.parse_tau("0.3*sin(u)"), E.parse_tau("2 + 0.2*cos(v)"), grid
+    )
+    lo, hi = 0.1, 2.0 * np.pi - 0.1
+    patch = G.Grid(8, 8, Domain((lo, hi), (lo, hi), (False, False)))
+    dual = D.dual_family_step(fam, patch)
+    assert 1e-4 < dual.consistency < 1e-2

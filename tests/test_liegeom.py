@@ -119,11 +119,3 @@ def test_congruence_jet_matches_fd_oracle(square_torus):
     assert np.max(np.abs(orac.grad - sigma.grad[0])) < 1e-6
     assert np.max(np.abs(orac.hess - sigma.hess[0])) < 1e-5
 
-
-def test_lievector_array_roundtrip():
-    vec = L.LieVector(np.array([1.0, 2.0, 3.0, 4.0]), -1.0, 0.5)
-    arr = vec.to_array()
-    assert arr.shape == (6,)
-    back = L.LieVector.from_array(arr)
-    np.testing.assert_array_equal(back.to_array(), arr)
-    assert vec.inner(vec) == pytest.approx(1 + 4 + 9 + 16 - 1 - 0.25)

@@ -126,12 +126,31 @@ def test_alpha_against_fd_built_frame(square_torus):
     assert np.max(np.abs(res_fd.f_hat.value - res.f_hat.value)) < 1e-6
 
 
+def test_value_helpers_match_jet_arithmetic(square_torus, random_points):
+    # the array forms reproduce the per-slot jet expressions bit for bit
+    frame, tau = _frame_and_tau(square_torus, "0.2*sin(u)+0.1*cos(v)", random_points)
+    res = RB.transform(frame, tau)
+    f, t0 = frame.f, L.t0_jet(2)
+    B = RB.corrected_differential(f, res.alpha)
+    for i in range(2):
+        jet_row = f.deriv(i) - res.alpha.take(i).vec() * (f + t0)
+        assert np.array_equal(B[..., i, :], jet_row.value)
+        for k in range(2):
+            jet_inner = L.lie_inner(f.deriv(i), res.f_hat.deriv(k))
+            assert np.array_equal(
+                L.inner_value(f.grad[..., i], res.f_hat.grad[..., k]), jet_inner.value
+            )
+            pair = L.inner_value(B[..., i, :], B[..., k, :])
+            assert np.array_equal(L.pairing(B, B)[..., i, k], pair)
+
+
 def test_identity_suite_at_round_off(square_torus, random_points):
     frame, tau = _frame_and_tau(
         square_torus, "0.2*sin(u)+0.1*cos(v)", random_points
     )
     res = RB.transform(frame, tau)
-    suite = RB.residual_suite(res)
+    pw = RB.pointwise_residuals(res, RB.alpha_hat(res))
+    suite = RB.residual_suite(pw)
     assert suite["eq6"] < 1e-12
     assert suite["eq9"] < 1e-12
     assert suite["eq13"] < 1e-12
@@ -145,8 +164,7 @@ def test_identity_suite_at_round_off(square_torus, random_points):
     assert suite["hat_min_abs_det"] == pytest.approx(
         res.metric.min_abs_det, rel=1e-9
     )
-    pw = RB.pointwise_residuals(res)
-    assert max(np.max(v) for v in pw.values()) < 1e-12
+    assert max(np.max(pw[k]) for k in ("eq6", "eq9", "eq13")) < 1e-12
 
 
 # ---------- closedness ----------
@@ -252,7 +270,7 @@ def test_dual_route_agreement(r, src, random_points):
 def test_curvature_identity_constant_tau(square_torus, random_points):
     frame, tau = _frame_and_tau(square_torus, "2", random_points)
     res = RB.transform(frame, tau)
-    curv = RB.curvature_identity(res)
+    curv = RB.curvature_identity(res, RB.alpha_hat(res))
     assert curv["abs"] < 1e-14
     assert curv["scale"] < 1e-14  # both sides vanish
 
@@ -261,7 +279,7 @@ def test_curvature_identity_on_grid(square_torus, torus_frame_32):
     _, frame = torus_frame_32
     tau = E.eval_at(E.parse_tau("0.3*sin(u)"), frame.points)
     res = RB.transform(frame, tau)
-    curv = RB.curvature_identity(res)
+    curv = RB.curvature_identity(res, RB.alpha_hat(res))
     assert curv["abs"] < 1e-8
 
 
@@ -271,7 +289,7 @@ def test_curvature_identity_off_the_closed_locus(square_torus):
     frame = CH.eval_chart(square_torus, grid.points().reshape(-1, 2))
     tau = E.eval_at(E.parse_tau("sin(u)*sin(v)"), frame.points)
     res = RB.transform(frame, tau, on_singular="nan")
-    curv = RB.curvature_identity(res)
+    curv = RB.curvature_identity(res, RB.alpha_hat(res))
     assert curv["scale"] > 1e-2  # genuinely nonzero sides
     assert curv["rel"] < 1e-6
 
