@@ -162,6 +162,14 @@ def clifford_torus_exprs(r: float) -> tuple[tuple[str, ...], tuple[str, ...]]:
 # ---------- JSON round trip for scene files ----------
 
 
+def number_from_json(value, key: str) -> float:
+    """A scene number as a float; otherwise a :class:`SceneError` naming ``key``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise SceneError(f"{key!r} must be a number, got {value!r}") from None
+
+
 def chart_from_json(obj: dict) -> ChartSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SceneError("chart must be an object with a 'kind' key")
@@ -170,11 +178,11 @@ def chart_from_json(obj: dict) -> ChartSpec:
     if kind == "clifford_torus":
         if "r" not in obj:
             raise SceneError("clifford_torus chart needs 'r'")
-        return CliffordTorus(float(obj["r"]), dom or Domain())
+        return CliffordTorus(number_from_json(obj["r"], "r"), dom or Domain())
     if kind == "parallel_of":
         if "base" not in obj or "c" not in obj:
             raise SceneError("parallel_of chart needs 'base' and 'c'")
-        return ParallelOf(chart_from_json(obj["base"]), float(obj["c"]))
+        return ParallelOf(chart_from_json(obj["base"]), number_from_json(obj["c"], "c"))
     if kind == "custom":
         for key in ("f", "xi"):
             if key not in obj:
@@ -182,8 +190,8 @@ def chart_from_json(obj: dict) -> ChartSpec:
         try:
             f = tuple(E.parse_tau(s) for s in obj["f"])
             xi = tuple(E.parse_tau(s) for s in obj["xi"])
-        except E.ParseError as exc:
-            raise SceneError(f"bad chart component expression: {exc}") from exc
+        except (E.ParseError, TypeError) as exc:
+            raise SceneError(f"bad 'f'/'xi' component expression: {exc}") from exc
         return CustomChart(f, xi, dom or Domain(periodic=(False, False)))
     raise SceneError(f"unknown chart kind {kind!r}")
 
@@ -209,9 +217,11 @@ def _domain_from_json(obj) -> Domain | None:
     try:
         u = (float(obj["u"][0]), float(obj["u"][1]))
         v = (float(obj["v"][0]), float(obj["v"][1]))
-        per = tuple(bool(p) for p in obj.get("periodic", (True, True)))
-    except (KeyError, TypeError, IndexError) as exc:
-        raise SceneError(f"bad domain spec: {obj!r}") from exc
+        per = tuple(obj.get("periodic", (True, True)))
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        raise SceneError(f"bad 'domain' spec: {obj!r}") from exc
+    if len(per) != 2 or not all(isinstance(p, bool) for p in per):
+        raise SceneError(f"'periodic' must be two booleans, got {obj['periodic']!r}")
     if u[1] <= u[0] or v[1] <= v[0]:
         raise SceneError("domain rectangle is empty")
     return Domain(u, v, per)  # type: ignore[arg-type]

@@ -66,10 +66,12 @@ class Tolerances:
         tol = Tolerances()
         if not obj:
             return tol
+        if not isinstance(obj, dict):
+            raise SceneError(f"'tolerances' must be an object, got {obj!r}")
         for key, val in obj.items():
             if not hasattr(tol, key):
                 raise SceneError(f"unknown tolerance key {key!r}")
-            setattr(tol, key, float(val))
+            setattr(tol, key, CH.number_from_json(val, f"tolerances.{key}"))
         return tol
 
 
@@ -117,10 +119,13 @@ def scene_from_json(obj: dict) -> Scene:
             tau1 = E.parse_tau(obj["tau1"])
         except ParseError as exc:
             raise SceneError(f"tau1 does not parse: {exc}") from exc
-    grid = tuple(int(x) for x in obj.get("grid", DEFAULT_GRID))
-    if len(grid) != 2 or grid[0] < 4 or grid[1] < 4:
-        raise SceneError(f"grid must be at least 4x4, got {grid}")
-    thetas = tuple(float(t) for t in obj.get("thetas", DEFAULT_THETAS))
+    grid = _checked_grid(obj.get("grid", DEFAULT_GRID), "grid")
+    thetas = obj.get("thetas", DEFAULT_THETAS)
+    if not isinstance(thetas, (list, tuple)):
+        raise SceneError(f"'thetas' must be a list of numbers, got {thetas!r}")
+    thetas = tuple(CH.number_from_json(t, "thetas") for t in thetas)
+    if not isinstance(obj.get("dual", False), bool):
+        raise SceneError(f"'dual' must be true or false, got {obj['dual']!r}")
     return Scene(
         chart=chart,
         tau=tau,
@@ -130,8 +135,16 @@ def scene_from_json(obj: dict) -> Scene:
         grid=grid,  # type: ignore[arg-type]
         thetas=thetas,
         tolerances=Tolerances.from_json(obj.get("tolerances")),
-        dual=bool(obj.get("dual", False)),
+        dual=obj.get("dual", False),
     )
+
+
+def _checked_grid(grid, key: str) -> tuple[int, int]:
+    if not isinstance(grid, (list, tuple)) or not all(isinstance(n, int) for n in grid):
+        raise SceneError(f"{key!r} must be a list of two integers, got {grid!r}")
+    if len(grid) != 2 or grid[0] < 4 or grid[1] < 4:
+        raise SceneError(f"{key!r} must be at least 4x4, got {tuple(grid)}")
+    return tuple(grid)
 
 
 def _grid(scene: Scene) -> G.Grid:
@@ -471,9 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_grid_flag(text: str) -> tuple[int, int]:
     try:
         nu, nv = text.lower().split("x")
-        return (int(nu), int(nv))
+        grid = [int(nu), int(nv)]
     except ValueError as exc:
         raise SceneError(f"bad --grid value {text!r}, expected NxM") from exc
+    return _checked_grid(grid, "--grid")
 
 
 def main(argv=None) -> int:
@@ -487,7 +501,8 @@ def main(argv=None) -> int:
             scene.grid = _parse_grid_flag(args.grid)
         if args.command == "demoulin":
             if args.theta:
-                scene.thetas = tuple(float(t) for t in args.theta.split(","))
+                thetas = args.theta.split(",")
+                scene.thetas = tuple(CH.number_from_json(t, "--theta") for t in thetas)
             if args.dual:
                 scene.dual = True
             return cmd_demoulin(scene, out, args.json)

@@ -24,7 +24,7 @@ from typing import Union
 import numpy as np
 
 from . import jets as J
-from .errors import ParseError
+from .errors import DomainErrorJet, ParseError
 
 # ---------- AST ----------
 
@@ -186,7 +186,9 @@ class _Parser:
 
 def parse_tau(src: str) -> TauExpr:
     """Parse an expression in u, v into its AST."""
-    if not src or not src.strip():
+    if not isinstance(src, str):
+        raise ParseError(f"expected an expression string, got {src!r}", 0)
+    if not src.strip():
         raise ParseError("empty expression", 0, expected=("expression",))
     return _Parser(src).parse()
 
@@ -297,7 +299,21 @@ def _const_value(node: TauExpr) -> float | None:
 
 
 def eval_at(node: TauExpr, points: np.ndarray) -> J.Jet2:
-    """Evaluate at parameter points of shape ``(..., 2)`` as 2-jets."""
+    """Evaluate at parameter points of shape ``(..., 2)`` as 2-jets.
+
+    Raises :class:`DomainErrorJet` at the first point where the value,
+    gradient or Hessian is not finite (overflow or an invalid operation).
+    """
     pts = np.asarray(points, dtype=float)
     u, v = J.seed(pts)
-    return eval_jet(node, {"u": u, "v": v})
+    with np.errstate(all="ignore"):
+        jet = eval_jet(node, {"u": u, "v": v})
+    finite = np.isfinite(jet.value)
+    finite &= np.isfinite(jet.grad).all(axis=-1) & np.isfinite(jet.hess).all(axis=-1)
+    if not finite.all():
+        pt = pts[tuple(np.argwhere(~finite)[0])]
+        raise DomainErrorJet(
+            f"{to_source(node)} is not finite at parameter point "
+            f"{np.round(pt, 6).tolist()}"
+        )
+    return jet

@@ -11,10 +11,12 @@ Shapes: ``value`` may be an array of any shape ``S``; then ``grad`` has shape
 broadcast over ``S``, which is how whole parameter grids and vector-valued
 quantities are processed in single vectorized calls.
 
-Jets produced by :meth:`Jet2.deriv` have NaN Hessian slots: those entries
-would require third derivatives of the original inputs.  Jet arithmetic is
-triangular in the slots (values depend on values, gradients on values and
-gradients), so the NaN marker can never leak into a value or gradient.
+A jet has an order: 2 (value, gradient, Hessian), 1 (``hess`` is None) or
+0 (``grad`` is None too).  :meth:`Jet2.deriv` lowers the order by one, since
+the derivative's top slot would need derivatives the input does not carry.
+Jet arithmetic is triangular in the slots (values depend on values, gradients
+on values and gradients), so every operation returns the lowest order of its
+operands and never computes a slot that order cannot know.
 """
 
 from __future__ import annotations
@@ -50,15 +52,23 @@ def packed_index(i: int, j: int, m: int) -> int:
 
 
 class Jet2:
-    """Value, gradient and packed Hessian of a quantity of m variables."""
+    """Value, gradient and packed Hessian of a quantity of m variables.
+
+    ``grad`` and ``hess`` are None above the jet's :attr:`order`.
+    """
 
     __slots__ = ("value", "grad", "hess", "m")
 
     def __init__(self, value, grad, hess, m: int):
         self.value = np.asarray(value, dtype=float)
-        self.grad = np.asarray(grad, dtype=float)
-        self.hess = np.asarray(hess, dtype=float)
+        self.grad = None if grad is None else np.asarray(grad, dtype=float)
+        self.hess = None if hess is None else np.asarray(hess, dtype=float)
         self.m = int(m)
+
+    @property
+    def order(self) -> int:
+        """2 with a Hessian, 1 with a gradient only, 0 for a bare value."""
+        return 0 if self.grad is None else 1 if self.hess is None else 2
 
     # ---------- constructors ----------
 
@@ -82,6 +92,11 @@ class Jet2:
             return other
         return Jet2.constant(other, self.m)
 
+    def _map(self, on_value, on_derivs) -> "Jet2":
+        """Apply ``on_value`` to the value and ``on_derivs`` to each slot present."""
+        g, h = (None if a is None else on_derivs(a) for a in (self.grad, self.hess))
+        return Jet2(on_value(self.value), g, h, self.m)
+
     # ---------- shape helpers ----------
 
     @property
@@ -92,11 +107,8 @@ class Jet2:
         """Insert a broadcast axis at (negative) value position ``axis``."""
         if axis >= 0:
             raise ValueError("expand wants a negative axis")
-        return Jet2(
-            np.expand_dims(self.value, axis),
-            np.expand_dims(self.grad, axis - 1),
-            np.expand_dims(self.hess, axis - 1),
-            self.m,
+        return self._map(
+            lambda a: np.expand_dims(a, axis), lambda a: np.expand_dims(a, axis - 1)
         )
 
     def vec(self) -> "Jet2":
@@ -105,77 +117,65 @@ class Jet2:
 
     def take(self, key) -> "Jet2":
         """Select along the last value axis (component selection)."""
-        return Jet2(
-            self.value[..., key], self.grad[..., key, :], self.hess[..., key, :], self.m
-        )
+        return self._map(lambda a: a[..., key], lambda a: a[..., key, :])
 
     def batch(self, key) -> "Jet2":
         """Index leading (batch) axes."""
-        return Jet2(self.value[key], self.grad[key], self.hess[key], self.m)
+        return self._map(lambda a: a[key], lambda a: a[key])
 
     def reshape_batch(self, shape) -> "Jet2":
         """Reshape the value axes to ``shape`` (derivative axes follow)."""
         shape = tuple(shape)
-        return Jet2(
-            self.value.reshape(shape),
-            self.grad.reshape(shape + (self.m,)),
-            self.hess.reshape(shape + (packed_len(self.m),)),
-            self.m,
+        return self._map(
+            lambda a: a.reshape(shape), lambda a: a.reshape(shape + a.shape[-1:])
         )
-
-    def unpack_hess(self) -> np.ndarray:
-        """Full symmetric Hessian, shape ``S + (m, m)``."""
-        rows, cols = _tri(self.m)
-        out = np.empty(self.value.shape + (self.m, self.m))
-        out[..., rows, cols] = self.hess
-        out[..., cols, rows] = self.hess
-        return out
 
     def deriv(self, i: int) -> "Jet2":
-        """Jet of the i-th first partial.
+        """Jet of the i-th first partial, one order below this jet.
 
-        The result's Hessian is NaN: it would need third derivatives of the
-        inputs.  Values and gradients of anything computed from it stay exact.
+        Its gradient is row i of the Hessian; an order-0 jet has no partials.
         """
-        full = self.unpack_hess()
-        return Jet2(
-            self.grad[..., i],
-            full[..., i, :],
-            np.full(self.value.shape + (packed_len(self.m),), np.nan),
-            self.m,
-        )
+        if self.grad is None:
+            raise ValueError("an order-0 jet carries no derivatives")
+        row = [packed_index(i, k, self.m) for k in range(self.m)]
+        hess_row = None if self.hess is None else self.hess[..., row]
+        return Jet2(self.grad[..., i], hess_row, None, self.m)
 
     # ---------- arithmetic ----------
 
-    def __add__(self, other):
+    def _zip(self, other, op, reflected: bool = False) -> "Jet2":
+        """Slotwise ``op(self, other)`` (``op(other, self)`` when reflected)."""
         o = self._lift(other)
-        return Jet2(self.value + o.value, self.grad + o.grad, self.hess + o.hess, self.m)
+        x, y = (o, self) if reflected else (self, o)
+        grad, hess = lambda: op(x.grad, y.grad), lambda: op(x.hess, y.hess)
+        return _combine((x, y), op(x.value, y.value), grad, hess)
+
+    def __add__(self, other):
+        return self._zip(other, np.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
-        return Jet2(self.value - o.value, self.grad - o.grad, self.hess - o.hess, self.m)
+        return self._zip(other, np.subtract)
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        return Jet2(o.value - self.value, o.grad - self.grad, o.hess - self.hess, self.m)
+        return self._zip(other, np.subtract, reflected=True)
 
     def __neg__(self):
-        return Jet2(-self.value, -self.grad, -self.hess, self.m)
+        return self._map(np.negative, np.negative)
 
     def __mul__(self, other):
         o = self._lift(other)
         rows, cols = _tri(self.m)
         va, vb = self.value, o.value
-        return Jet2(
+        return _combine(
+            (self, o),
             va * vb,
-            self.grad * vb[..., None] + o.grad * va[..., None],
-            self.hess * vb[..., None]
+            lambda: self.grad * vb[..., None] + o.grad * va[..., None],
+            lambda: self.hess * vb[..., None]
             + o.hess * va[..., None]
             + self.grad[..., rows] * o.grad[..., cols]
             + self.grad[..., cols] * o.grad[..., rows],
-            self.m,
         )
 
     __rmul__ = __mul__
@@ -207,7 +207,18 @@ class Jet2:
         return _chain(self, v**n, n * v ** (n - 1.0), n * (n - 1.0) * v ** (n - 2.0))
 
     def __repr__(self):  # pragma: no cover - debugging aid
-        return f"Jet2(m={self.m}, value={self.value!r})"
+        return f"Jet2(m={self.m}, order={self.order}, value={self.value!r})"
+
+
+def _combine(operands, value, grad, hess) -> Jet2:
+    """Jet at the lowest order of ``operands``; ``grad``/``hess`` build the slots."""
+    order = min(x.order for x in operands)
+    return Jet2(
+        value,
+        grad() if order > 0 else None,
+        hess() if order > 1 else None,
+        operands[0].m,
+    )
 
 
 def _recip(x: Jet2) -> Jet2:
@@ -219,13 +230,14 @@ def _recip(x: Jet2) -> Jet2:
 
 
 def _chain(x: Jet2, f: np.ndarray, fp: np.ndarray, fpp: np.ndarray) -> Jet2:
-    """2-jet of an elementary function composed with x (Faa di Bruno, order 2)."""
+    """Jet of an elementary function composed with x (Faa di Bruno, order 2)."""
     rows, cols = _tri(x.m)
-    return Jet2(
+    return _combine(
+        (x,),
         f,
-        fp[..., None] * x.grad,
-        fp[..., None] * x.hess + fpp[..., None] * (x.grad[..., rows] * x.grad[..., cols]),
-        x.m,
+        lambda: fp[..., None] * x.grad,
+        lambda: fp[..., None] * x.hess
+        + fpp[..., None] * (x.grad[..., rows] * x.grad[..., cols]),
     )
 
 
@@ -290,17 +302,18 @@ def stack(jets: Sequence[Jet2], axis: int = -1) -> Jet2:
     if axis >= 0:
         raise ValueError("stack wants a negative axis")
     m = jets[0].m
-    vals = [j.value for j in jets]
     # Broadcast all operands to a common batch shape before stacking.
-    shape = np.broadcast_shapes(*(v.shape for v in vals))
-    vals = [np.broadcast_to(v, shape) for v in vals]
-    grads = [np.broadcast_to(j.grad, shape + (m,)) for j in jets]
-    hesss = [np.broadcast_to(j.hess, shape + (packed_len(m),)) for j in jets]
-    return Jet2(
-        np.stack(vals, axis=axis),
-        np.stack(grads, axis=axis - 1),
-        np.stack(hesss, axis=axis - 1),
-        m,
+    shape = np.broadcast_shapes(*(j.value.shape for j in jets))
+
+    def slot(name: str, tail: tuple) -> np.ndarray:
+        parts = [np.broadcast_to(getattr(j, name), shape + tail) for j in jets]
+        return np.stack(parts, axis=axis - len(tail))
+
+    return _combine(
+        jets,
+        slot("value", ()),
+        lambda: slot("grad", (m,)),
+        lambda: slot("hess", (packed_len(m),)),
     )
 
 
@@ -308,13 +321,11 @@ def jsum(x: Jet2, axis: int = -1, weights: np.ndarray | None = None) -> Jet2:
     """Sum (optionally weighted) over a (negative) value axis."""
     if axis >= 0:
         raise ValueError("jsum wants a negative axis")
-    v, g, h = x.value, x.grad, x.hess
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        v = v * w
-        g = g * w[..., None]
-        h = h * w[..., None]
-    return Jet2(v.sum(axis=axis), g.sum(axis=axis - 1), h.sum(axis=axis - 1), x.m)
+    w = None if weights is None else np.asarray(weights, dtype=float)
+    return x._map(
+        lambda a: (a if w is None else a * w).sum(axis=axis),
+        lambda a: (a if w is None else a * w[..., None]).sum(axis=axis - 1),
+    )
 
 
 # ---------- small dense matrices over jets ----------
@@ -322,7 +333,7 @@ def jsum(x: Jet2, axis: int = -1, weights: np.ndarray | None = None) -> Jet2:
 
 def mat_el(A: Jet2, i: int, j: int) -> Jet2:
     """Entry (i, j) of a matrix jet (last two value axes are the matrix)."""
-    return Jet2(A.value[..., i, j], A.grad[..., i, j, :], A.hess[..., i, j, :], A.m)
+    return A._map(lambda a: a[..., i, j], lambda a: a[..., i, j, :])
 
 
 def mat_from_rows(rows: Sequence[Sequence[Jet2]]) -> Jet2:
@@ -359,10 +370,10 @@ def singular_mask(A: Jet2, rel_tol: float = 1e-10) -> np.ndarray:
 def _nan_where(x: Jet2, bad: np.ndarray) -> Jet2:
     if not np.any(bad):
         return x
-    v = np.where(bad, np.nan, x.value)
-    g = np.where(bad[..., None], np.nan, x.grad)
-    h = np.where(bad[..., None], np.nan, x.hess)
-    return Jet2(v, g, h, x.m)
+    return x._map(
+        lambda a: np.where(bad, np.nan, a),
+        lambda a: np.where(bad[..., None], np.nan, a),
+    )
 
 
 def mat_inverse(A: Jet2, *, rel_tol: float = 1e-10, on_singular: str = "raise") -> Jet2:
@@ -445,10 +456,4 @@ def _gauss_jordan(A: Jet2) -> Jet2:
                 M[r] = [M[r][k] - factor * M[col][k] for k in range(n)]
                 E[r] = [E[r][k] - factor * E[col][k] for k in range(n)]
         mats.append(mat_from_rows(E))
-    out = Jet2(
-        np.stack([m_.value for m_ in mats]),
-        np.stack([m_.grad for m_ in mats]),
-        np.stack([m_.hess for m_ in mats]),
-        A.m,
-    )
-    return out.reshape_batch(batch + (n, n))
+    return stack(mats, axis=-3).reshape_batch(batch + (n, n))

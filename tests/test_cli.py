@@ -215,6 +215,9 @@ def test_export_command(tmp_path):
 def test_bad_grid_flag(tmp_path):
     scene = _scene(tmp_path)
     assert cli.main(["check", "--scene", str(scene), "--grid", "banana"]) == 2
+    assert cli.main(["check", "--scene", str(scene), "--grid", "2x2"]) == 2
+    scene = _scene(tmp_path, tau1="2")
+    assert cli.main(["demoulin", "--scene", str(scene), "--theta", "0,x"]) == 2
 
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -281,3 +284,55 @@ def test_member_verdict_uses_scene_tolerance(tmp_path, capsys):
     assert len(fails) == verdicts.count(False) == 6
     # the exactly closed generators still pass
     assert [rec.get("endpoint") for rec in members if rec["ribaucour"]] == ["tau0", "tau1"]
+
+
+@pytest.mark.parametrize(
+    "key, overrides",
+    [
+        ("eq6", {"tolerances": {"eq6": "x"}}),
+        ("grid", {"grid": "ab"}),
+        ("grid", {"grid": [8.7, 8]}),
+        ("'r'", {"chart": {"kind": "clifford_torus", "r": "x"}}),
+        ("tau", {"tau": 3}),
+        ("thetas", {"thetas": "x"}),
+        ("dual", {"dual": "no"}),
+        (
+            "domain",
+            {
+                "chart": {
+                    "kind": "clifford_torus",
+                    "r": SQUARE_R,
+                    "domain": {"u": ["a", 1.0], "v": [0.0, 1.0]},
+                }
+            },
+        ),
+        (
+            "periodic",
+            {
+                "chart": {
+                    "kind": "clifford_torus",
+                    "r": SQUARE_R,
+                    "domain": {"u": [0.0, 1.0], "v": [0.0, 1.0], "periodic": "xyz"},
+                }
+            },
+        ),
+    ],
+)
+def test_malformed_scene_values_exit_2(tmp_path, capsys, key, overrides):
+    scene = _scene(tmp_path, **overrides)
+    assert cli.main(["check", "--scene", str(scene), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_tau_is_a_domain_error(tmp_path, capsys):
+    # the chart certifies; tau overflows, which names tau's point, not the frame
+    scene = _shipped_scene(
+        tmp_path, "check_sinu.json", tau="exp(exp(exp(u)))", grid=[16, 16]
+    )
+    assert cli.main(["check", "--scene", str(scene), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "DomainErrorJet" in err
+    assert "parameter point [" in err
+    assert "ContactViolation" not in err

@@ -93,18 +93,42 @@ def test_integer_power_of_negative_base():
         u**0.5
 
 
-def test_deriv_marks_unknown_second_order():
+def test_deriv_lowers_order():
     u, v = J.seed(np.array([0.4, 0.9]))
     f = J.exp(u) * J.cos(v)
+    assert f.order == 2
     d = f.deriv(0)
+    assert d.order == 1 and d.hess is None
     assert d.value == pytest.approx(f.grad[0])
-    np.testing.assert_allclose(d.grad, f.unpack_hess()[0, :])
-    assert np.isnan(d.hess).all()
+    hess_row = f.hess[[J.packed_index(0, k, 2) for k in range(2)]]
+    np.testing.assert_array_equal(d.grad, hess_row)
+    dd = d.deriv(1)
+    assert dd.order == 0 and dd.grad is None
+    assert dd.value == hess_row[1]
+    with pytest.raises(ValueError):
+        dd.deriv(0)
     # downstream values and gradients stay clean
     g = d * d + J.sin(v)
+    assert g.order == 1
     assert np.isfinite(g.value)
     assert np.isfinite(g.grad).all()
-    assert np.isnan(g.hess).any()
+
+
+def test_products_take_the_lowest_order():
+    u, v = J.seed(np.array([[0.4, 0.9], [1.1, -0.3]]))
+    f = J.sin(u) * v
+    first = J.cos(v).deriv(1)
+    prod = f * first
+    assert (f.order, first.order, prod.order) == (2, 1, 1)
+    assert prod.hess is None
+    np.testing.assert_array_equal(prod.value, f.value * first.value)
+    np.testing.assert_array_equal(
+        prod.grad, f.grad * first.value[..., None] + first.grad * f.value[..., None]
+    )
+    assert (f * first.deriv(0)).order == 0
+    # structural operations keep the lowest order of their operands
+    assert J.stack([f, first], axis=-1).order == 1
+    assert J.stack([f, first], axis=-1).take(0).batch(1).order == 1
 
 
 def test_identity_matrix_inverse():

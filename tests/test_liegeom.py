@@ -1,5 +1,8 @@
 """Inner product signature, frames, and the congruence lift."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from liesphere import charts as CH
 from liesphere import exprs as E
 from liesphere import liegeom as L
 from liesphere.errors import ContactViolation, NotImmersed
-from liesphere.gridio import fd_jet_oracle
+from liesphere.gridio import Grid, fd_jet_oracle
 from liesphere.jets import Jet2
 
 
@@ -55,6 +58,51 @@ def test_torus_frame_certifies(random_points, square_torus):
     frame = CH.eval_chart(square_torus, random_points)
     for key in ("unit_f", "unit_xi", "orthogonality", "contact_df", "contact_dxi"):
         assert frame.cert[key] < 1e-12
+
+
+def _frame_residuals_from_jets(f, xi):
+    """The relations as lie_inner products of derivative jets (reference form)."""
+    m = f.m
+
+    def _amax(jet):
+        return float(np.max(np.abs(jet.value)))
+
+    res = {
+        "unit_f": _amax(L.lie_inner(f, f) - 1.0),
+        "unit_xi": _amax(L.lie_inner(xi, xi) - 1.0),
+        "orthogonality": _amax(L.lie_inner(f, xi)),
+        "contact_df": max(_amax(L.lie_inner(f.deriv(i), xi)) for i in range(m)),
+        "contact_dxi": max(_amax(L.lie_inner(f, xi.deriv(i))) for i in range(m)),
+    }
+    gram = np.stack(
+        [
+            np.stack(
+                [
+                    L.lie_inner(f.deriv(i), f.deriv(k)).value
+                    + L.lie_inner(xi.deriv(i), xi.deriv(k)).value
+                    for k in range(m)
+                ],
+                axis=-1,
+            )
+            for i in range(m)
+        ],
+        axis=-2,
+    )
+    res["immersion_min"] = float(np.min(np.linalg.eigvalsh(gram)[..., 0]))
+    return res
+
+
+@pytest.mark.parametrize("scene", ["torus", "check_custom.json"])
+def test_value_frame_residuals_match_jet_form(scene, square_torus):
+    if scene == "torus":
+        spec = square_torus
+    else:
+        path = Path(__file__).resolve().parent.parent / "scenes" / scene
+        spec = CH.chart_from_json(json.loads(path.read_text())["chart"])
+    frame = CH.eval_chart(spec, Grid(24, 20, spec.domain).points().reshape(-1, 2))
+    assert L.frame_residuals(frame.f, frame.xi) == _frame_residuals_from_jets(
+        frame.f, frame.xi
+    )
 
 
 def test_duplicate_lift_violates_contact(random_points, square_torus):

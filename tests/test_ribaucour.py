@@ -144,6 +144,17 @@ def test_value_helpers_match_jet_arithmetic(square_torus, random_points):
             assert np.array_equal(L.pairing(B, B)[..., i, k], pair)
 
 
+def test_jet_orders_through_the_transform(torus_frame_16):
+    # tau is order 2, so alpha keeps its exact gradient; f_hat is order 1,
+    # so alpha_hat = (d f_hat, -f_check_hat) carries values only
+    _, frame = torus_frame_16
+    tau = E.eval_at(E.parse_tau("0.3*sin(u)"), frame.points)
+    res = RB.transform(frame, tau)
+    assert res.alpha.order == 1 and res.alpha.grad is not None
+    assert res.f_hat.order == 1 and res.metric.G.order == 1
+    assert RB.alpha_hat(res).grad is None
+
+
 def test_identity_suite_at_round_off(square_torus, random_points):
     frame, tau = _frame_and_tau(
         square_torus, "0.2*sin(u)+0.1*cos(v)", random_points
