@@ -121,32 +121,43 @@ def _torus_lift(spec: CliffordTorus, pts: np.ndarray) -> tuple[Jet2, Jet2]:
     return f, xi
 
 
+def default_contact_tol(spec: ChartSpec) -> float:
+    """The chart kind's certification tolerance."""
+    if isinstance(spec, ParallelOf):
+        return default_contact_tol(spec.base)
+    return CUSTOM_CONTACT_TOL if isinstance(spec, CustomChart) else BUILTIN_CONTACT_TOL
+
+
 def eval_chart(
-    spec: ChartSpec, points: np.ndarray, *, contact_tol: float | None = None
+    spec: ChartSpec,
+    points: np.ndarray,
+    *,
+    contact_tol: float | None = None,
+    judge: bool = True,
 ) -> L.LegendreFrame:
     """Evaluate a chart at parameter points ``(..., 2)`` as a certified frame.
 
-    ``contact_tol`` overrides the per-kind certification tolerance.
+    ``contact_tol`` overrides the per-kind certification tolerance;
+    ``judge=False`` records the residuals without judging them (see
+    :func:`liegeom.lift_frame`).  Custom components that are not finite raise
+    :class:`DomainErrorJet` naming the expression and the point.
     """
     pts = spec.domain.wrap(np.asarray(points, dtype=float))
-    f, xi, tol = _eval_lift(spec, pts)
-    return L.lift_frame(f, xi, pts, contact_tol=contact_tol if contact_tol else tol)
+    f, xi = _eval_lift(spec, pts)
+    tol = contact_tol if contact_tol else default_contact_tol(spec)
+    return L.lift_frame(f, xi, pts, contact_tol=tol, judge=judge)
 
 
-def _eval_lift(spec: ChartSpec, pts: np.ndarray) -> tuple[Jet2, Jet2, float]:
+def _eval_lift(spec: ChartSpec, pts: np.ndarray) -> tuple[Jet2, Jet2]:
     if isinstance(spec, CliffordTorus):
-        f, xi = _torus_lift(spec, pts)
-        return f, xi, BUILTIN_CONTACT_TOL
+        return _torus_lift(spec, pts)
     if isinstance(spec, ParallelOf):
-        fb, xib, tol = _eval_lift(spec.base, pts)
+        fb, xib = _eval_lift(spec.base, pts)
         c, s = float(np.cos(spec.c)), float(np.sin(spec.c))
-        return c * fb + s * xib, (-s) * fb + c * xib, tol
+        return c * fb + s * xib, (-s) * fb + c * xib
     if isinstance(spec, CustomChart):
-        u, v = J.seed(pts)
-        env = {"u": u, "v": v}
-        f = L.spatial_vector([E.eval_jet(e, env) for e in spec.f_exprs])
-        xi = L.spatial_vector([E.eval_jet(e, env) for e in spec.xi_exprs])
-        return f, xi, CUSTOM_CONTACT_TOL
+        comps = E.eval_all(spec.f_exprs + spec.xi_exprs, pts)
+        return L.spatial_vector(comps[:4]), L.spatial_vector(comps[4:])
     raise TypeError(f"unknown chart spec {spec!r}")
 
 

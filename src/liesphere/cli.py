@@ -207,13 +207,13 @@ def cmd_check(scene: Scene, out: Path, json_mode: bool) -> int:
     )
     report = RB.diagnostic_report(run)
     report["tau_src"] = scene.tau_src
-    report["frame_cert"] = run.frame.cert
+    report["frame_cert"] = run.frame_cert
     gates = [
         (
             "frame certification",
             True,
             f"max contact residual = "
-            f"{max(run.frame.cert['contact_df'], run.frame.cert['contact_dxi']):.3e}",
+            f"{max(run.frame_cert['contact_df'], run.frame_cert['contact_dxi']):.3e}",
         )
     ] + _gates(report, scene.tolerances)
     ok = _print_gates(gates, json_mode)
@@ -239,8 +239,8 @@ def cmd_transform(scene: Scene, out: Path, json_mode: bool, pole_flip: bool) -> 
 
     out.mkdir(parents=True, exist_ok=True)
     shape = grid.shape
-    f4 = run.frame.f.value[:, :4].reshape(shape + (4,))
-    fhat4 = run.result.f_hat.value[:, :4].reshape(shape + (4,))
+    f4 = run.f[:, :4].reshape(shape + (4,))
+    fhat4 = run.f_hat[:, :4].reshape(shape + (4,))
     mesh_f = G.export_obj(out / "f.obj", f4, grid, pole_flip=pole_flip)
     mesh_fh = G.export_obj(out / "f_hat.obj", fhat4, grid, pole_flip=pole_flip)
     report["meshes"] = {
@@ -249,20 +249,7 @@ def cmd_transform(scene: Scene, out: Path, json_mode: bool, pole_flip: bool) -> 
         "clipped": mesh_f.clipped + mesh_fh.clipped,
     }
 
-    res = run.result
-    dal = RB.dalpha_components(res)
-    cols = {
-        "tau": res.tau.value,
-        "a": res.a.value,
-        "b": res.b.value,
-        "mu2": res.mu2.value,
-        "alpha_u": res.alpha.value[..., 0],
-        "alpha_v": res.alpha.value[..., 1],
-        "dalpha_abs": np.abs(dal[..., 0]),
-        "res_eq6": run.pointwise["eq6"],
-        "res_eq9": run.pointwise["eq9"],
-        "res_eq13": run.pointwise["eq13"],
-    }
+    cols = dict(run.fields, **{f"res_{k}": v for k, v in run.pointwise.items()})
     G.write_fields_csv(out / "fields.csv", grid, cols)
     _emit(report, out, "report.json", json_mode)
     if not json_mode:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -304,16 +304,32 @@ def eval_at(node: TauExpr, points: np.ndarray) -> J.Jet2:
     Raises :class:`DomainErrorJet` at the first point where the value,
     gradient or Hessian is not finite (overflow or an invalid operation).
     """
+    return eval_all((node,), points)[0]
+
+
+def eval_all(nodes: Sequence[TauExpr], points: np.ndarray) -> list[J.Jet2]:
+    """:func:`eval_at` for several expressions at the same points.
+
+    The :class:`DomainErrorJet` names the first point (in batch order) where
+    any of them is not finite, and the first expression failing there, so a
+    batch split into blocks reports what the whole batch would.
+    """
     pts = np.asarray(points, dtype=float)
     u, v = J.seed(pts)
     with np.errstate(all="ignore"):
-        jet = eval_jet(node, {"u": u, "v": v})
-    finite = np.isfinite(jet.value)
-    finite &= np.isfinite(jet.grad).all(axis=-1) & np.isfinite(jet.hess).all(axis=-1)
-    if not finite.all():
-        pt = pts[tuple(np.argwhere(~finite)[0])]
+        jets = [eval_jet(node, {"u": u, "v": v}) for node in nodes]
+    bad = np.stack([_not_finite(jet) for jet in jets])
+    if bad.any():
+        first = tuple(np.argwhere(bad.any(axis=0))[0])
+        node = nodes[int(np.argmax(bad[(slice(None),) + first]))]
         raise DomainErrorJet(
             f"{to_source(node)} is not finite at parameter point "
-            f"{np.round(pt, 6).tolist()}"
+            f"{np.round(pts[first], 6).tolist()}"
         )
-    return jet
+    return jets
+
+
+def _not_finite(jet: J.Jet2) -> np.ndarray:
+    finite = np.isfinite(jet.value)
+    finite &= np.isfinite(jet.grad).all(axis=-1) & np.isfinite(jet.hess).all(axis=-1)
+    return ~finite

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -245,8 +245,21 @@ def _pad_cells(cells: np.ndarray, grid: Grid) -> np.ndarray:
 # ---------- OBJ / CSV / JSON exporters ----------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+# Rows per formatting pass of the text exporters.  It bounds one format string
+# and its argument tuple, not any jet, so it need not follow ribaucour.BLOCK;
+# the value is that of the first version and was not tuned.
+_ROWS = 4096
+
+
+def _format_rows(fmt: str, rows: np.ndarray) -> Iterator[str]:
+    """``fmt`` (one row's %-format) applied to every row, a block of rows at a time.
+
+    ``%.17g`` writes the same digits as ``f"{x:.17g}"``, including ``nan``,
+    ``inf``, ``-0`` and subnormals.
+    """
+    for start in range(0, len(rows), _ROWS):
+        block = rows[start : start + _ROWS]
+        yield (fmt * len(block)) % tuple(block.ravel().tolist())
 
 
 @dataclass
@@ -295,15 +308,12 @@ def mesh_from_grid(
         bad = bad | np.asarray(drop, dtype=bool).reshape(-1)
     per_u, per_v = grid.domain.periodic
 
-    faces = []
-    ncu = nu if per_u else nu - 1
-    ncv = nv if per_v else nv - 1
-    for i in range(ncu):
-        i1 = (i + 1) % nu
-        for j in range(ncv):
-            j1 = (j + 1) % nv
-            faces.append((i * nv + j, i1 * nv + j, i1 * nv + j1, i * nv + j1))
-    faces = np.asarray(faces, dtype=int)
+    i = np.arange(nu if per_u else nu - 1)[:, None]
+    j = np.arange(nv if per_v else nv - 1)[None, :]
+    row0, row1 = i * nv, (i + 1) % nu * nv
+    col0, col1 = j, (j + 1) % nv
+    corners = (row0 + col0, row1 + col0, row1 + col1, row0 + col1)
+    faces = np.stack(corners, axis=-1).reshape(-1, 4)
 
     clipped = int(bad.sum())
     if clipped:
@@ -326,13 +336,15 @@ def mesh_from_grid(
     return MeshExport(verts, faces, scalars, clipped)
 
 
+def _obj_chunks(mesh: MeshExport) -> Iterator[str]:
+    yield from _format_rows("v %.17g %.17g %.17g\n", mesh.vertices)
+    yield from _format_rows("f %d %d %d %d\n", mesh.faces + 1)
+    if not len(mesh.vertices) and not len(mesh.faces):
+        yield "\n"  # an empty mesh is one empty line
+
+
 def obj_text(mesh: MeshExport) -> str:
-    lines = []
-    for x, y, z in mesh.vertices:
-        lines.append(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}")
-    for a, b, c, d in mesh.faces:
-        lines.append(f"f {a + 1} {b + 1} {c + 1} {d + 1}")
-    return "\n".join(lines) + "\n"
+    return "".join(_obj_chunks(mesh))
 
 
 def export_obj(
@@ -345,7 +357,7 @@ def export_obj(
 ) -> MeshExport:
     mesh = mesh_from_grid(points4, grid, pole_flip=pole_flip, drop=drop)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(obj_text(mesh))
+        fh.writelines(_obj_chunks(mesh))
     return mesh
 
 
@@ -365,14 +377,14 @@ def parse_obj(text: str) -> tuple[np.ndarray, np.ndarray]:
 
 def write_fields_csv(path, grid: Grid, columns: dict[str, np.ndarray]) -> None:
     """One row per grid point (row-major), deterministic formatting."""
-    pts = grid.points().reshape(-1, 2)
     names = list(columns.keys())
-    cols = [np.asarray(columns[n], dtype=float).reshape(-1) for n in names]
+    table = np.column_stack(
+        [grid.points().reshape(-1, 2)]
+        + [np.asarray(columns[n], dtype=float).reshape(-1) for n in names]
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(["u", "v"] + names) + "\n")
-        for k in range(len(pts)):
-            row = [_fmt(pts[k, 0]), _fmt(pts[k, 1])] + [_fmt(c[k]) for c in cols]
-            fh.write(",".join(row) + "\n")
+        fh.writelines(_format_rows(",".join(["%.17g"] * table.shape[1]) + "\n", table))
 
 
 def canonical_json(obj) -> str:

@@ -359,10 +359,16 @@ def mat_det_value(A: Jet2) -> np.ndarray:
     return np.linalg.det(A.value)
 
 
-def singular_mask(A: Jet2, rel_tol: float = 1e-10) -> np.ndarray:
-    """Scale-aware singularity screen: |det| < rel_tol * (max|entry|)^n."""
+def singular_mask(
+    A: Jet2, rel_tol: float = 1e-10, det: np.ndarray | None = None
+) -> np.ndarray:
+    """Scale-aware singularity screen: |det| < rel_tol * (max|entry|)^n.
+
+    ``det`` is :func:`mat_det_value` of ``A`` when the caller already has it.
+    """
     n = A.value.shape[-1]
-    det = mat_det_value(A)
+    if det is None:
+        det = mat_det_value(A)
     scale = np.max(np.abs(A.value), axis=(-2, -1))
     return np.abs(det) < rel_tol * np.maximum(scale, _ZERO_EPS) ** n
 
@@ -376,17 +382,25 @@ def _nan_where(x: Jet2, bad: np.ndarray) -> Jet2:
     )
 
 
-def mat_inverse(A: Jet2, *, rel_tol: float = 1e-10, on_singular: str = "raise") -> Jet2:
+def mat_inverse(
+    A: Jet2,
+    *,
+    rel_tol: float = 1e-10,
+    on_singular: str = "raise",
+    singular: np.ndarray | None = None,
+) -> Jet2:
     """Inverse of a square matrix jet.
 
     Cofactor formulas for n <= 3 (the hot path), jet Gauss-Jordan otherwise.
     ``on_singular='raise'`` raises :class:`SingularMatrix` at the first point
     failing the scale-aware screen; ``'nan'`` poisons those points instead.
+    ``singular`` is that screen's :func:`singular_mask` when the caller
+    already has it.
     """
     n = A.value.shape[-1]
     if A.value.shape[-2] != n:
         raise ValueError("matrix jet is not square")
-    bad = singular_mask(A, rel_tol)
+    bad = singular_mask(A, rel_tol) if singular is None else singular
     if np.any(bad):
         if on_singular == "raise":
             idx = np.argwhere(bad)[0]

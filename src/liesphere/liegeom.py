@@ -117,20 +117,30 @@ def lift_frame(
     *,
     contact_tol: float = 1e-12,
     immersion_tol: float = 1e-20,
+    judge: bool = True,
 ) -> LegendreFrame:
-    """Certify (f, xi) as a Legendre frame; raises on violations."""
+    """Certify (f, xi) as a Legendre frame; raises on violations.
+
+    With ``judge=False`` the residuals are only recorded in ``cert``; a caller
+    that evaluates a batch in blocks merges them with :func:`merge_certs` and
+    judges the merged record with :func:`judge_frame`.
+    """
     res = frame_residuals(f, xi)
-    worst = max(
-        res["unit_f"], res["unit_xi"], res["orthogonality"], res["contact_df"],
-        res["contact_dxi"],
-    )
+    if judge:
+        judge_frame(res, contact_tol, immersion_tol)
+    return LegendreFrame(f, xi, np.asarray(points, float), f.m, res)
+
+
+_RELATIONS = ("unit_f", "unit_xi", "orthogonality", "contact_df", "contact_dxi")
+
+
+def judge_frame(res: dict, contact_tol: float, immersion_tol: float = 1e-20) -> None:
+    """Raise on a :func:`frame_residuals` record that fails certification."""
+    worst = float(np.max([res[k] for k in _RELATIONS]))  # NaN anywhere is NaN
     if not np.isfinite(worst):
         raise ContactViolation("frame residuals are not finite")
     if worst > contact_tol:
-        offender = max(
-            ("unit_f", "unit_xi", "orthogonality", "contact_df", "contact_dxi"),
-            key=lambda k: res[k],
-        )
+        offender = max(_RELATIONS, key=lambda k: res[k])
         raise ContactViolation(
             f"frame relation {offender} residual {res[offender]:.3e} > {contact_tol:.1e}"
         )
@@ -138,7 +148,13 @@ def lift_frame(
         raise NotImmersed(
             f"combined differential degenerates (min eigenvalue {res['immersion_min']:.3e})"
         )
-    return LegendreFrame(f, xi, np.asarray(points, float), f.m, res)
+
+
+def merge_certs(certs: list[dict]) -> dict:
+    """The :func:`frame_residuals` record of the union of the certified blocks."""
+    merged = {k: float(np.max([c[k] for c in certs])) for k in certs[0]}
+    merged["immersion_min"] = float(np.min([c["immersion_min"] for c in certs]))
+    return merged
 
 
 @dataclass

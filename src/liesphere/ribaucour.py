@@ -38,7 +38,14 @@ from . import charts as CH
 from . import exprs as E
 from . import jets as J
 from . import liegeom as L
-from .errors import InvolutionFailure, NotHypersurface, NotRegular
+from .errors import (
+    ContactViolation,
+    DomainErrorJet,
+    InvolutionFailure,
+    NotHypersurface,
+    NotImmersed,
+    NotRegular,
+)
 from .jets import Jet2
 from .liegeom import LegendreFrame, lie_inner, t0_jet
 
@@ -57,11 +64,6 @@ class MinusMetric:
     det: np.ndarray
     singular: np.ndarray  # boolean mask of points failing the screen
     V: list[Jet2]  # (-dxi + tau df)(d_i), reused by the transform
-
-    @property
-    def min_abs_det(self) -> float:
-        d = np.abs(self.det)
-        return float(np.nanmin(d)) if d.size else float("nan")
 
     def subset(self, key) -> "MinusMetric":
         return MinusMetric(
@@ -135,13 +137,13 @@ def minus_metric(
     V = [(-frame.xi.deriv(i)) + tv * frame.f.deriv(i) for i in range(m)]
     G = J.mat_from_rows([[lie_inner(V[i], V[k]) for k in range(m)] for i in range(m)])
     det = J.mat_det_value(G)
-    singular = J.singular_mask(G, det_rel_tol)
+    singular = J.singular_mask(G, det_rel_tol, det)
     if np.any(singular):
         if on_singular == "raise":
             _raise_not_regular(singular, frame.points, "congruence metric")
         elif on_singular != "nan":
             raise ValueError(f"unknown on_singular mode {on_singular!r}")
-    Ginv = J.mat_inverse(G, rel_tol=det_rel_tol, on_singular="nan")
+    Ginv = J.mat_inverse(G, on_singular="nan", singular=singular)
     return MinusMetric(G, Ginv, det, singular, V)
 
 
@@ -352,34 +354,50 @@ def residual_suite(pointwise: dict[str, np.ndarray]) -> dict:
     return res
 
 
-def reconstruct(
-    result: TransformResult, *, tol: float = 1e-8, contact_tol: float = 1e-8
-) -> tuple[LegendreFrame, dict]:
+def reconstruct(result: TransformResult) -> tuple[LegendreFrame, dict]:
     """Transform the transformed frame with the same tau; must return home.
 
     Returns the reconstructed frame plus diagnostics: the sup-norm frame
     discrepancy, the residual of the reverse normal component identity
-    f_check_hat = f_check + mu^2 (f - f_hat), and the length check
-    |f_check_hat| = mu.  Raises :class:`InvolutionFailure` above ``tol``.
+    f_check_hat = f_check + mu^2 (f - f_hat), the length check
+    |f_check_hat| = mu, the transformed frame's certificate ``hat_cert`` and
+    the mask ``back_singular`` of points where the reverse transform
+    degenerates.  Nothing is judged here: :func:`judge_reconstruction` raises
+    on the diagnostics, once those of every block are merged.
     """
     frame = result.frame
-    hat_frame = L.lift_frame(
-        result.f_hat, result.xi_hat, frame.points, contact_tol=contact_tol
-    )
-    back = transform(hat_frame, result.tau, on_singular="raise")
+    hat_frame = L.lift_frame(result.f_hat, result.xi_hat, frame.points, judge=False)
+    back = transform(hat_frame, result.tau, on_singular="nan")
     inv_f = _vmax(back.f_hat.value - frame.f.value)
     inv_xi = _vmax(back.xi_hat.value - frame.xi.value)
     diag = {
         "involution": max(inv_f, inv_xi),
         "eq10": _vmax(back.f_check.value - f_check_hat(result).value),
         "mu_match": _vmax(lie_inner(back.f_check, back.f_check).value - result.mu2.value),
+        "hat_cert": hat_frame.cert,
+        "back_singular": back.metric.singular,
     }
+    recon = LegendreFrame(back.f_hat, back.xi_hat, frame.points, frame.m)
+    return recon, diag
+
+
+def judge_reconstruction(
+    diag: dict, points: np.ndarray, *, tol: float = 1e-8, contact_tol: float = 1e-8
+) -> None:
+    """Raise on :func:`reconstruct` diagnostics, in the order they arise.
+
+    The transformed frame must certify at ``contact_tol``, the reverse
+    transform must be regular (:class:`NotRegular` names the first point of
+    ``points``, the batch that was transformed), and the frame discrepancy
+    must stay within ``tol`` (:class:`InvolutionFailure`).
+    """
+    L.judge_frame(diag["hat_cert"], contact_tol)
+    if diag["back_singular"].any():
+        _raise_not_regular(diag["back_singular"], points, "congruence metric")
     if diag["involution"] > tol:
         raise InvolutionFailure(
             f"frame discrepancy {diag['involution']:.3e} exceeds {tol:.1e}"
         )
-    recon = LegendreFrame(back.f_hat, back.xi_hat, frame.points, frame.m)
-    return recon, diag
 
 
 def shape_operator_path(
@@ -441,25 +459,100 @@ def curvature_identity(result: TransformResult, ah: Jet2) -> dict:
 
 # ---------- grid-level runner ----------
 
+# Points per block of run_grid.  A block's jets are dropped once its values and
+# maxima are kept, so peak memory does not grow with the grid.
+BLOCK = 4096
+
+# fields.csv columns kept from each block (tau comes from the whole-grid pass)
+_FIELDS = ("a", "b", "mu2", "alpha_u", "alpha_v", "dalpha_abs")
+_POINTWISE = ("eq6", "eq9", "eq13")
+
 
 @dataclass
 class GridRun:
-    """One chart/tau evaluation over a full grid, with derived diagnostics."""
+    """One chart/tau evaluation over a full grid, with derived diagnostics.
+
+    Per-point data are values on the flattened (row-major) grid; no jets are
+    kept.
+    """
 
     chart: CH.ChartSpec
     tau_src: str
     grid_shape: tuple[int, int]
-    frame: LegendreFrame
-    tau: Jet2
-    result: TransformResult
+    points: np.ndarray  # (N, 2) parameter points, wrapped into the domain
+    frame_cert: dict
+    singular: np.ndarray  # (N,) points failing the regularity screen
+    min_det: float
+    f: np.ndarray  # (N, m+4) values of f
+    f_hat: np.ndarray  # (N, m+4) values of f_hat, NaN at singular points
+    fields: dict[str, np.ndarray]  # tau and the _FIELDS columns of fields.csv
+    pointwise: dict[str, np.ndarray]  # eq6/eq9/eq13, NaN at singular points
     max_dalpha: float
     dalpha_argmax: tuple
     max_alpha: float
     ribaucour: bool
     residuals: dict
-    pointwise: dict[str, np.ndarray]  # eq6/eq9/eq13 per point of the full grid
     curvature: dict
     reconstruction: dict
+
+
+@dataclass
+class _Block:
+    """What one block of :func:`run_grid` keeps: values and merged-to-be maxima."""
+
+    values: dict[str, np.ndarray]
+    dalpha: tuple[float, int | None] | None = None  # None: no regular point
+    max_alpha: float = 0.0
+    suite: dict | None = None
+    curvature: dict | None = None
+    reconstruction: dict | None = None
+
+
+def _run_block(
+    frame: LegendreFrame, tau: Jet2, start: int, det_rel_tol: float
+) -> _Block:
+    """Transform and verify one block; ``start`` is its first flat grid index."""
+    res = transform(frame, tau, det_rel_tol=det_rel_tol, on_singular="nan")
+    reg = res.regular_mask
+    block = _Block(
+        {
+            "points": frame.points,
+            "singular": res.metric.singular,
+            "det": res.metric.det,
+            "f": frame.f.value,
+            "f_hat": res.f_hat.value,
+            "a": res.a.value,
+            "b": res.b.value,
+            "mu2": res.mu2.value,
+            "alpha_u": res.alpha.value[..., 0],
+            "alpha_v": res.alpha.value[..., 1],
+            "dalpha_abs": np.abs(dalpha_components(res)[..., 0]),  # the _FIELDS
+        }
+    )
+    for key in _POINTWISE:
+        block.values[key] = np.full(reg.shape, np.nan)
+    if not reg.any():
+        return block
+    # Degenerate points (a curvature-sphere crossing of tau) are masked out of
+    # the diagnostics; the report carries regular=False when any exist.
+    clean = res if reg.all() else res.subset(reg)
+    try:
+        max_da, arg, _ = ribaucour_residual(
+            clean.frame, clean.tau, result=clean, on_singular="nan"
+        )
+        block.dalpha = (max_da, start + int(np.flatnonzero(reg)[arg[0]]))
+    except NotRegular:  # no finite d alpha here; judged on the merged blocks
+        block.dalpha = (-np.inf, None)
+    block.max_alpha = max_abs_alpha(clean)
+    ah = alpha_hat(clean)
+    pw = pointwise_residuals(clean, ah)
+    block.suite = residual_suite(pw)
+    block.curvature = curvature_identity(clean, ah)
+    for key in _POINTWISE:
+        block.values[key][reg] = pw[key]
+    del pw, ah  # would otherwise stay live through reconstruct's peak
+    _, block.reconstruction = reconstruct(clean)
+    return block
 
 
 def run_grid(
@@ -472,50 +565,97 @@ def run_grid(
     involution_tol: float = 1e-8,
     contact_tol: float | None = None,
 ) -> GridRun:
-    """Evaluate, transform, and verify a scene on a batch of points."""
+    """Evaluate, transform, and verify a scene on a batch of points.
+
+    The chart and everything after tau run in blocks of :data:`BLOCK` points;
+    tau (one value, gradient and Hessian per point) is evaluated for the whole
+    batch first, so no block is transformed before tau is known finite.  The
+    blocks merge exactly: maxima by max, minima by min, the closedness argmax
+    keeps the first index on ties, and every check is judged on merged values
+    in the order of a single pass (chart, certification, tau, regularity,
+    reconstruction), so an error names the offender, value or point that the
+    whole batch would.  Once an error is certain, later blocks are only
+    evaluated and certified.
+    """
     pts = np.asarray(points, dtype=float)
     grid_shape = tuple(int(n) for n in pts.shape[:-1])
-    frame = CH.eval_chart(
-        chart, pts.reshape(-1, pts.shape[-1]), contact_tol=contact_tol
+    flat = pts.reshape(-1, pts.shape[-1])
+    contact_tol = contact_tol or CH.default_contact_tol(chart)
+    error = None
+    try:
+        tau = E.eval_at(tau_expr, chart.domain.wrap(flat))
+    except DomainErrorJet as exc:
+        error = exc  # raised once the chart has certified, as in a single pass
+    frame_cert = None  # the certificate of the blocks so far, merged
+    blocks: list[_Block] = []
+    for start in range(0, len(flat), BLOCK):
+        key = slice(start, start + BLOCK)
+        frame = CH.eval_chart(chart, flat[key], contact_tol=contact_tol, judge=False)
+        frame_cert = (
+            frame.cert if frame_cert is None else L.merge_certs([frame_cert, frame.cert])
+        )
+        if error is None:
+            try:
+                L.judge_frame(frame_cert, contact_tol)
+            except (ContactViolation, NotImmersed) as exc:
+                error = exc  # the whole grid's record fails too
+        if error is None:
+            blocks.append(_run_block(frame, tau.batch(key), start, det_rel_tol))
+        del frame  # its jets would otherwise live through the next block's chart
+
+    L.judge_frame(frame_cert, contact_tol)
+    if error is not None:
+        raise error
+    # pop: each block's copy is freed as soon as its column is joined
+    keys = list(blocks[0].values)
+    v = {k: np.concatenate([b.values.pop(k) for b in blocks]) for k in keys}
+    if v["singular"].all():
+        _raise_not_regular(v["singular"], v["points"], "congruence metric")
+    checked = [b for b in blocks if b.dalpha is not None]
+    max_da, argmax = -np.inf, None
+    for b in checked:
+        if b.dalpha[0] > max_da:
+            max_da, argmax = b.dalpha
+    if argmax is None:
+        raise NotRegular("no regular points in the batch")
+
+    recon = {
+        k: max(b.reconstruction[k] for b in checked)
+        for k in ("involution", "eq10", "mu_match")
+    }
+    recon["hat_cert"] = L.merge_certs([b.reconstruction["hat_cert"] for b in checked])
+    recon["back_singular"] = np.concatenate(
+        [b.reconstruction["back_singular"] for b in checked]
     )
-    tau = E.eval_at(tau_expr, frame.points)
-    result = transform(frame, tau, det_rel_tol=det_rel_tol, on_singular="nan")
-    reg = result.regular_mask
-    if not reg.any():
-        _raise_not_regular(result.metric.singular, frame.points, "congruence metric")
-    # Degenerate points (a curvature-sphere crossing of tau) are masked out of
-    # the diagnostics; the report carries regular=False when any exist.
-    clean = result if reg.all() else result.subset(reg)
-    max_da, arg, _ = ribaucour_residual(
-        clean.frame, clean.tau, result=clean, on_singular="nan"
-    )
-    # Map the argmax back to the original (unmasked) flat index.
-    orig_flat = int(np.flatnonzero(reg)[arg[0]])
-    max_al = max_abs_alpha(clean)
-    ah = alpha_hat(clean)
-    pw = pointwise_residuals(clean, ah)
-    suite = residual_suite(pw)
-    curv = curvature_identity(clean, ah)
-    pointwise = {}
-    for key in ("eq6", "eq9", "eq13"):
-        pointwise[key] = np.full(reg.shape, np.nan)
-        pointwise[key][reg] = pw[key]
-    del pw, ah  # would otherwise stay live through reconstruct's peak
-    _, recon = reconstruct(clean, tol=involution_tol)
+    judge_reconstruction(recon, v["points"][~v["singular"]], tol=involution_tol)
+
+    suite = {k: max(b.suite[k] for b in checked) for k in checked[0].suite}
+    suite["hat_min_abs_det"] = min(b.suite["hat_min_abs_det"] for b in checked)
+    curv_abs = max(b.curvature["abs"] for b in checked)
+    scale = max(b.curvature["scale"] for b in checked)
+    max_al = max(b.max_alpha for b in checked)
     return GridRun(
         chart=chart,
         tau_src=E.to_source(tau_expr),
         grid_shape=grid_shape,
-        frame=frame,
-        tau=tau,
-        result=result,
+        points=v["points"],
+        frame_cert=frame_cert,
+        singular=v["singular"],
+        min_det=float(np.nanmin(np.abs(v["det"]))),
+        f=v["f"],
+        f_hat=v["f_hat"],
+        fields={"tau": tau.value, **{k: v[k] for k in _FIELDS}},
+        pointwise={k: v[k] for k in _POINTWISE},
         max_dalpha=max_da,
-        dalpha_argmax=(orig_flat,),
+        dalpha_argmax=(argmax,),
         max_alpha=max_al,
         ribaucour=classify_ribaucour(max_da, max_al, closedness_rel_tol),
         residuals=suite,
-        pointwise=pointwise,
-        curvature=curv,
+        curvature={
+            "abs": curv_abs,
+            "rel": curv_abs / scale if scale > 0 else 0.0,
+            "scale": scale,
+        },
         reconstruction=recon,
     )
 
@@ -526,10 +666,10 @@ def diagnostic_report(run: GridRun) -> dict:
         "chart": CH.chart_to_json(run.chart),
         "tau_src": run.tau_src,
         "grid": list(run.grid_shape),
-        "regular": not bool(run.result.metric.singular.any()),
-        "min_det": run.result.metric.min_abs_det,
+        "regular": not bool(run.singular.any()),
+        "min_det": run.min_det,
         "max_dalpha": run.max_dalpha,
-        "max_dalpha_at": [float(x) for x in run.frame.points[run.dalpha_argmax[0]]],
+        "max_dalpha_at": [float(x) for x in run.points[run.dalpha_argmax[0]]],
         "max_alpha": run.max_alpha,
         "ribaucour": run.ribaucour,
         "residuals": {

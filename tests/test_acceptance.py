@@ -72,7 +72,8 @@ def test_criterion_03_involution():
     worst_eq10 = 0.0
     for src in TAU_LIST:
         res, _ = _cache[src]
-        _, diag = RB.reconstruct(res, tol=1e-8)
+        _, diag = RB.reconstruct(res)
+        RB.judge_reconstruction(diag, res.frame.points, tol=1e-8)
         worst_inv = max(worst_inv, diag["involution"])
         worst_eq10 = max(worst_eq10, diag["eq10"], diag["mu_match"])
     ok = worst_inv < 1e-8 and worst_eq10 < 1e-9

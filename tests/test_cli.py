@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -335,4 +336,22 @@ def test_non_finite_tau_is_a_domain_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "DomainErrorJet" in err
     assert "parameter point [" in err
+    assert "ContactViolation" not in err
+
+
+def test_non_finite_custom_chart_is_a_domain_error(tmp_path, capsys):
+    # a custom component overflows: the chart names it and its first point
+    chart = json.loads((SCENES / "check_custom.json").read_text(encoding="utf-8"))["chart"]
+    chart["f"][0] = "exp(exp(exp(u)))"
+    scene = _shipped_scene(tmp_path, "check_custom.json", chart=chart, grid=[8, 8])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["check", "--scene", str(scene), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert (
+        "DomainErrorJet: exp(exp(exp(u))) is not finite at parameter point [2.356194, 0.0]"
+        in err
+    )
+    assert "Warning" not in err
     assert "ContactViolation" not in err

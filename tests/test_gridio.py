@@ -196,3 +196,67 @@ def test_canonical_json_deterministic(tmp_path):
     assert s1 == s2
     with pytest.raises(ValueError):
         G.canonical_json({"x": float("nan")})
+
+
+# Special values the exporters must write exactly as f"{x:.17g}" does.
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-310, 1e300, -1.5, 0.1, 1 / 3]
+
+
+def _ref_obj(mesh):
+    lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices]
+    lines += [f"f {a + 1} {b + 1} {c + 1} {d + 1}" for a, b, c, d in mesh.faces]
+    return "\n".join(lines) + "\n"
+
+
+def _special_values(rng, n):
+    vals = rng.standard_normal(n)
+    vals[rng.integers(0, n, size=n // 3)] = rng.choice(SPECIAL, size=n // 3)
+    return vals
+
+
+def test_obj_text_matches_per_value_formatting():
+    rng = np.random.default_rng(3)
+    verts = _special_values(rng, 3 * 5000).reshape(-1, 3)  # more than one block
+    faces = rng.integers(0, 5000, size=(4500, 4))
+    mesh = G.MeshExport(verts, faces, {})
+    assert G.obj_text(mesh) == _ref_obj(mesh)
+    empty = G.MeshExport(np.zeros((0, 3)), np.zeros((0, 4), dtype=int), {})
+    assert G.obj_text(empty) == _ref_obj(empty) == "\n"
+
+
+def test_export_obj_writes_obj_text(tmp_path, square_torus):
+    grid = G.Grid(70, 66, square_torus.domain)  # 4620 vertices: two blocks
+    f4 = CH.eval_chart(square_torus, grid.points().reshape(-1, 2)).f.value[:, :4]
+    mesh = G.export_obj(tmp_path / "f.obj", f4.reshape(70, 66, 4), grid)
+    assert (tmp_path / "f.obj").read_text(encoding="utf-8") == _ref_obj(mesh)
+    clipped = G.export_obj(
+        tmp_path / "none.obj", f4.reshape(70, 66, 4), grid, drop=np.ones((70, 66), bool)
+    )
+    assert len(clipped.vertices) == len(clipped.faces) == 0
+    assert (tmp_path / "none.obj").read_text(encoding="utf-8") == "\n"
+
+
+@pytest.mark.parametrize("periodic", [(True, True), (False, True), (False, False)])
+def test_mesh_faces_match_the_cell_loop(periodic):
+    grid = G.Grid(6, 5, Domain((0, 1), (0, 1), periodic))
+    pts4 = np.zeros((6, 5, 4))
+    pts4[..., 0] = 1.0
+    faces = []
+    for i in range(6 if periodic[0] else 5):
+        for j in range(5 if periodic[1] else 4):
+            i1, j1 = (i + 1) % 6, (j + 1) % 5
+            faces.append((i * 5 + j, i1 * 5 + j, i1 * 5 + j1, i * 5 + j1))
+    np.testing.assert_array_equal(G.mesh_from_grid(pts4, grid).faces, faces)
+
+
+def test_csv_matches_per_value_formatting(tmp_path):
+    rng = np.random.default_rng(5)
+    grid = G.Grid(80, 64, Domain())  # 5120 rows: more than one block
+    cols = {"x": _special_values(rng, 5120), "y": _special_values(rng, 5120)}
+    G.write_fields_csv(tmp_path / "f.csv", grid, cols)
+    pts = grid.points().reshape(-1, 2)
+    rows = ["u,v,x,y"] + [
+        ",".join(f"{val:.17g}" for val in (*pts[k], cols["x"][k], cols["y"][k]))
+        for k in range(5120)
+    ]
+    assert (tmp_path / "f.csv").read_text(encoding="utf-8") == "\n".join(rows) + "\n"

@@ -1,13 +1,24 @@
 """The transform engine: metric, parametrization, closedness, involution."""
 
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from liesphere import charts as CH
+from liesphere import cli
 from liesphere import exprs as E
 from liesphere import liegeom as L
 from liesphere import ribaucour as RB
-from liesphere.errors import InvolutionFailure, NotRegular
+from liesphere.errors import (
+    ContactViolation,
+    DomainErrorJet,
+    InvolutionFailure,
+    LieSphereError,
+    NotRegular,
+)
 from liesphere.gridio import Grid, fd_jet_oracle
 
 
@@ -173,7 +184,7 @@ def test_identity_suite_at_round_off(square_torus, random_points):
     assert suite["alpha_forms"] < 1e-12
     # the transform preserves regularity for the same representative
     assert suite["hat_min_abs_det"] == pytest.approx(
-        res.metric.min_abs_det, rel=1e-9
+        np.nanmin(np.abs(res.metric.det)), rel=1e-9
     )
     assert max(np.max(pw[k]) for k in ("eq6", "eq9", "eq13")) < 1e-12
 
@@ -225,6 +236,7 @@ def test_double_antipode_reconstruction(square_torus, random_points):
     frame, tau = _frame_and_tau(square_torus, "0", random_points)
     res = RB.transform(frame, tau)
     recon, diag = RB.reconstruct(res)
+    RB.judge_reconstruction(diag, frame.points)
     assert diag["involution"] == 0.0
     np.testing.assert_array_equal(recon.f.value, frame.f.value)
 
@@ -234,6 +246,7 @@ def test_involution_on_grid(square_torus, torus_frame_32):
     tau = E.eval_at(E.parse_tau("0.3*sin(u)"), frame.points)
     res = RB.transform(frame, tau)
     _, diag = RB.reconstruct(res)
+    RB.judge_reconstruction(diag, frame.points)
     assert diag["involution"] < 1e-9
     assert diag["eq10"] < 1e-9
     assert diag["mu_match"] < 1e-9
@@ -245,7 +258,7 @@ def test_involution_failure_detected(square_torus, random_points):
     # (-f_hat, xi_hat) is still a Legendre frame, but not the transform pair
     res.f_hat = -res.f_hat
     with pytest.raises(InvolutionFailure):
-        RB.reconstruct(res)
+        RB.judge_reconstruction(RB.reconstruct(res)[1], res.frame.points)
 
 
 # ---------- the hypersurface route ----------
@@ -333,3 +346,95 @@ def test_classification_stable_under_refinement(square_torus, n):
     assert run.ribaucour
     run2 = RB.run_grid(square_torus, E.parse_tau("sin(u)*sin(v)"), grid.points())
     assert not run2.ribaucour
+
+
+# ---------- blocks ----------
+
+SCENES = Path(__file__).resolve().parents[1] / "scenes"
+
+
+def _scene_run(name, monkeypatch, block, grid=(20, 19), **overrides):
+    """run_grid on a shipped scene with ``RB.BLOCK`` set to ``block``."""
+    obj = json.loads((SCENES / name).read_text(encoding="utf-8"))
+    obj.update(overrides)
+    scene = cli.scene_from_json(obj)
+    monkeypatch.setattr(RB, "BLOCK", block)
+    points = Grid(*grid, scene.chart.domain).points()
+    return RB.run_grid(scene.chart, scene.tau, points)
+
+
+@pytest.mark.parametrize("name", ["check_sinu.json", "check_sinusinv.json", "check_custom.json"])
+def test_blocks_cannot_change_results(name, monkeypatch):
+    # 20 x 19 = 380 points: ten blocks of 37 and a last one of 10
+    whole = _scene_run(name, monkeypatch, 380)
+    split = _scene_run(name, monkeypatch, 37)
+    assert RB.diagnostic_report(split) == RB.diagnostic_report(whole)
+    assert split.frame_cert == whole.frame_cert
+    assert split.residuals == whole.residuals
+    assert split.curvature == whole.curvature
+    for key in ("points", "singular", "f", "f_hat"):
+        np.testing.assert_array_equal(getattr(split, key), getattr(whole, key))
+    for cols in ("fields", "pointwise"):
+        a, b = getattr(split, cols), getattr(whole, cols)
+        assert list(a) == list(b)
+        for key in a:
+            np.testing.assert_array_equal(a[key], b[key])  # NaN == NaN here
+
+
+def _raised(name, monkeypatch, block, **overrides):
+    with pytest.raises(LieSphereError) as info:
+        _scene_run(name, monkeypatch, block, **overrides)
+    exc = info.value
+    return type(exc), str(exc), getattr(exc, "index", None), getattr(exc, "point", None)
+
+
+LATE_CONTACT = ["0.6*cos(u) + 1e-3*exp(3*(u-6))", "0.6*sin(u)", "0.8*cos(v)", "0.8*sin(v)"]
+LATE_OVERFLOW = "0.6*cos(u) + 1e-300*exp(exp(exp(u-4)))"
+
+
+@pytest.mark.parametrize(
+    "name, overrides, kind",
+    [
+        # every point is singular: the first point of the grid is named
+        ("check_sinu.json", {"tau": "1"}, NotRegular),
+        # tau overflows only in the last rows of u
+        ("check_sinu.json", {"tau": "exp(exp(exp(u-4)))"}, DomainErrorJet),
+        # a custom component overflows
+        ("check_custom.json", {"chart": "exp(exp(exp(u)))"}, DomainErrorJet),
+        # ... only in the last row of u, after earlier blocks were transformed
+        ("check_custom.json", {"chart": LATE_OVERFLOW}, DomainErrorJet),
+        # the frame fails only in a later block; its residual is the whole grid's
+        ("check_custom.json", {"chart": LATE_CONTACT}, ContactViolation),
+        # ... and certification still comes before a tau error in an earlier block
+        ("check_custom.json", {"chart": LATE_CONTACT, "tau": "exp(exp(exp(u)))"},
+         ContactViolation),
+    ],
+)
+def test_blocks_raise_what_the_whole_grid_raises(name, overrides, kind, monkeypatch):
+    overrides = dict(overrides)
+    if "chart" in overrides:
+        chart = json.loads((SCENES / name).read_text(encoding="utf-8"))["chart"]
+        f = overrides["chart"]
+        chart["f"] = f if isinstance(f, list) else [f] + chart["f"][1:]
+        overrides["chart"] = chart
+    whole = _raised(name, monkeypatch, 380, **overrides)
+    split = _raised(name, monkeypatch, 37, **overrides)
+    assert whole[0] is kind
+    assert split[:3] == whole[:3]
+    np.testing.assert_array_equal(split[3], whole[3])
+
+
+def test_run_grid_memory_does_not_grow_with_the_grid(square_torus):
+    tau = E.parse_tau("0.3*sin(u)")
+
+    def peak(n):
+        points = Grid(n, n, square_torus.domain).points()
+        tracemalloc.start()
+        try:
+            RB.run_grid(square_torus, tau, points)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(64), peak(128)  # one block against four
+    assert large < 1.5 * small
