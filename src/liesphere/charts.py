@@ -48,16 +48,6 @@ class Domain:
                 pts[..., axis] = lo + np.mod(pts[..., axis] - lo, hi - lo)
         return pts
 
-    def contains(self, points: np.ndarray, pad: float = 0.0) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        ok = np.ones(pts.shape[:-1], dtype=bool)
-        for axis, ((lo, hi), per) in enumerate(
-            zip((self.u, self.v), self.periodic)
-        ):
-            if not per:
-                ok &= (pts[..., axis] >= lo + pad) & (pts[..., axis] <= hi - pad)
-        return ok
-
 
 @dataclass(frozen=True)
 class CliffordTorus:
@@ -73,9 +63,6 @@ class CliffordTorus:
     @property
     def s(self) -> float:
         return float(np.sqrt(1.0 - self.r * self.r))
-
-    def principal_curvatures(self) -> tuple[float, float]:
-        return (self.s / self.r, -self.r / self.s)
 
 
 @dataclass(frozen=True)
@@ -161,24 +148,18 @@ def _eval_lift(spec: ChartSpec, pts: np.ndarray) -> tuple[Jet2, Jet2]:
     raise TypeError(f"unknown chart spec {spec!r}")
 
 
-def clifford_torus_exprs(r: float) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Text form of the product torus chart (for custom-chart cross checks)."""
-    r = float(r)
-    s = float(np.sqrt(1.0 - r * r))
-    f = (f"{r!r}*cos(u)", f"{r!r}*sin(u)", f"{s!r}*cos(v)", f"{s!r}*sin(v)")
-    xi = (f"-{s!r}*cos(u)", f"-{s!r}*sin(u)", f"{r!r}*cos(v)", f"{r!r}*sin(v)")
-    return f, xi
-
-
 # ---------- JSON round trip for scene files ----------
 
 
 def number_from_json(value, key: str) -> float:
-    """A scene number as a float; otherwise a :class:`SceneError` naming ``key``."""
+    """A finite scene number as a float, else a :class:`SceneError` naming ``key``."""
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise SceneError(f"{key!r} must be a number, got {value!r}") from None
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = np.nan
+    if not np.isfinite(number):
+        raise SceneError(f"{key!r} must be a finite number, got {value!r}")
+    return number
 
 
 def chart_from_json(obj: dict) -> ChartSpec:
@@ -229,10 +210,12 @@ def _domain_from_json(obj) -> Domain | None:
         u = (float(obj["u"][0]), float(obj["u"][1]))
         v = (float(obj["v"][0]), float(obj["v"][1]))
         per = tuple(obj.get("periodic", (True, True)))
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise SceneError(f"bad 'domain' spec: {obj!r}") from exc
     if len(per) != 2 or not all(isinstance(p, bool) for p in per):
         raise SceneError(f"'periodic' must be two booleans, got {obj['periodic']!r}")
+    if not np.isfinite([u[1] - u[0], v[1] - v[0]]).all():
+        raise SceneError(f"'domain' must have finite bounds and spans, got {obj!r}")
     if u[1] <= u[0] or v[1] <= v[0]:
         raise SceneError("domain rectangle is empty")
     return Domain(u, v, per)  # type: ignore[arg-type]

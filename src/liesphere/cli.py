@@ -62,16 +62,21 @@ class Tolerances:
     gamma_identity: float = 1e-5
 
     @staticmethod
-    def from_json(obj: dict | None) -> "Tolerances":
-        tol = Tolerances()
-        if not obj:
-            return tol
+    def from_json(obj) -> "Tolerances":
+        """Defaults overridden by a scene's ``tolerances`` object.
+
+        Each value must be a finite JSON number > 0.
+        """
         if not isinstance(obj, dict):
             raise SceneError(f"'tolerances' must be an object, got {obj!r}")
+        tol = Tolerances()
         for key, val in obj.items():
             if not hasattr(tol, key):
                 raise SceneError(f"unknown tolerance key {key!r}")
-            setattr(tol, key, CH.number_from_json(val, f"tolerances.{key}"))
+            what = f"tolerances.{key}"
+            if isinstance(val, (bool, str)) or CH.number_from_json(val, what) <= 0:
+                raise SceneError(f"{what!r} must be a finite number > 0, got {val!r}")
+            setattr(tol, key, float(val))
         return tol
 
 
@@ -134,7 +139,7 @@ def scene_from_json(obj: dict) -> Scene:
         tau1_src=obj.get("tau1"),
         grid=grid,  # type: ignore[arg-type]
         thetas=thetas,
-        tolerances=Tolerances.from_json(obj.get("tolerances")),
+        tolerances=Tolerances.from_json(obj.get("tolerances", {})),
         dual=obj.get("dual", False),
     )
 
@@ -194,17 +199,21 @@ def _emit(report: dict, out: Path, name: str, json_mode: bool):
         sys.stdout.write(G.canonical_json(report))
 
 
-def cmd_check(scene: Scene, out: Path, json_mode: bool) -> int:
-    grid = _grid(scene)
-    run = RB.run_grid(
+def _run_grid(scene: Scene) -> RB.GridRun:
+    tol = scene.tolerances
+    return RB.run_grid(
         scene.chart,
         scene.tau,
-        grid.points(),
-        closedness_rel_tol=scene.tolerances.closedness,
-        det_rel_tol=scene.tolerances.det_rel,
-        involution_tol=scene.tolerances.involution,
-        contact_tol=scene.tolerances.contact,
+        _grid(scene).points(),
+        closedness_rel_tol=tol.closedness,
+        det_rel_tol=tol.det_rel,
+        involution_tol=tol.involution,
+        contact_tol=tol.contact,
     )
+
+
+def cmd_check(scene: Scene, out: Path, json_mode: bool) -> int:
+    run = _run_grid(scene)
     report = RB.diagnostic_report(run)
     report["tau_src"] = scene.tau_src
     report["frame_cert"] = run.frame_cert
@@ -222,22 +231,14 @@ def cmd_check(scene: Scene, out: Path, json_mode: bool) -> int:
 
 
 def cmd_transform(scene: Scene, out: Path, json_mode: bool, pole_flip: bool) -> int:
-    grid = _grid(scene)
-    run = RB.run_grid(
-        scene.chart,
-        scene.tau,
-        grid.points(),
-        closedness_rel_tol=scene.tolerances.closedness,
-        det_rel_tol=scene.tolerances.det_rel,
-        involution_tol=scene.tolerances.involution,
-        contact_tol=scene.tolerances.contact,
-    )
+    run = _run_grid(scene)
     report = RB.diagnostic_report(run)
     report["tau_src"] = scene.tau_src
     gates = _gates(report, scene.tolerances)
     ok = _print_gates(gates, json_mode)
 
     out.mkdir(parents=True, exist_ok=True)
+    grid = _grid(scene)
     shape = grid.shape
     f4 = run.f[:, :4].reshape(shape + (4,))
     fhat4 = run.f_hat[:, :4].reshape(shape + (4,))
@@ -267,6 +268,8 @@ def cmd_demoulin(scene: Scene, out: Path, json_mode: bool) -> int:
         scene.tau1,
         grid,
         closedness_rel_tol=scene.tolerances.closedness,
+        contact_tol=scene.tolerances.contact,
+        det_rel_tol=scene.tolerances.det_rel,
     )
     if family.bianchi.commutator_max > scene.tolerances.bianchi:
         raise BianchiViolation(
@@ -412,14 +415,17 @@ def _random_expression(rng) -> str:
 
 def cmd_export(scene: Scene, out: Path, json_mode: bool, pole_flip: bool) -> int:
     grid = _grid(scene)
-    frame = CH.eval_chart(scene.chart, grid.points().reshape(-1, 2))
+    tol = scene.tolerances
+    frame = CH.eval_chart(
+        scene.chart, grid.points().reshape(-1, 2), contact_tol=tol.contact
+    )
     out.mkdir(parents=True, exist_ok=True)
     f4 = frame.f.value[:, :4].reshape(grid.shape + (4,))
     mesh = G.export_obj(out / "f.obj", f4, grid, pole_flip=pole_flip)
     tau = E.eval_at(scene.tau, frame.points)
     cols = {"tau": tau.value}
     try:
-        res = RB.transform(frame, tau, on_singular="raise")
+        res = RB.transform(frame, tau, det_rel_tol=tol.det_rel)
         fh4 = res.f_hat.value[:, :4].reshape(grid.shape + (4,))
         G.export_obj(out / "f_hat.obj", fh4, grid, pole_flip=pole_flip)
         cols["a"] = res.a.value

@@ -27,7 +27,7 @@ chart whose transforms exist, this module builds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -66,7 +66,6 @@ class Potential:
     to vanish at the base node."""
 
     values: GridField
-    base: tuple[int, int]
     loop_residual: float
     period_residuals: dict
 
@@ -76,32 +75,23 @@ class Potential:
 
 
 def _edge_integrals(
-    comp: np.ndarray, dcomp: np.ndarray | None, h: float, axis: int
+    comp: np.ndarray, dcomp: np.ndarray, h: float, axis: int
 ) -> np.ndarray:
     """Per-edge integrals of one 1-form component along one grid axis.
 
-    Trapezoid plus the Euler-Maclaurin end correction when the exact partial
-    ``dcomp`` is available (making each edge fourth order).
+    Trapezoid plus the Euler-Maclaurin end correction from the exact partial
+    ``dcomp``, which makes each edge fourth order.
     """
     nxt = np.roll(comp, -1, axis=axis)
-    out = 0.5 * h * (comp + nxt)
-    if dcomp is not None:
-        dn = np.roll(dcomp, -1, axis=axis)
-        out = out + (h * h / 12.0) * (dcomp - dn)
-    return out
+    dn = np.roll(dcomp, -1, axis=axis)
+    return 0.5 * h * (comp + nxt) + (h * h / 12.0) * (dcomp - dn)
 
 
-def integrate_potential(
-    alpha: GridField,
-    alpha_grad: GridField | None = None,
-    *,
-    base: tuple[int, int] = (0, 0),
-    loop_tol: float | None = None,
-) -> Potential:
-    """Integrate tau_tilde = -integral of alpha from the base node.
+def integrate_potential(alpha: GridField, alpha_grad: GridField) -> Potential:
+    """Integrate tau_tilde = -integral of alpha from the base node (0, 0).
 
-    ``alpha`` carries the components (a_u, a_v); ``alpha_grad``, when given,
-    carries the partials in layout (d_u a_u, d_v a_u, d_u a_v, d_v a_v).
+    ``alpha`` carries the components (a_u, a_v); ``alpha_grad`` carries the
+    partials in layout (d_u a_u, d_v a_u, d_u a_v, d_v a_v).
     The route is rows first (u direction along the base row), then columns.
     Elementary-cell circulations and, on periodic axes, the period
     circulations certify path independence; failure raises
@@ -111,56 +101,49 @@ def integrate_potential(
     if alpha.k != 2:
         raise ValueError("potential integration expects a 2-component 1-form")
     au, av = alpha.data[..., 0], alpha.data[..., 1]
-    if alpha_grad is not None:
-        dau_u = alpha_grad.data[..., 0]
-        dav_v = alpha_grad.data[..., 3]
-    else:
-        dau_u = dav_v = None
+    dau_u, dav_v = alpha_grad.data[..., 0], alpha_grad.data[..., 3]
     hu, hv = grid.hu, grid.hv
     per_u, per_v = grid.domain.periodic
 
-    Iu = _edge_integrals(au, dau_u, hu, axis=0)  # edge (i,j) -> (i+1,j)
-    Iv = _edge_integrals(av, dav_v, hv, axis=1)  # edge (i,j) -> (i,j+1)
+    # A grid step too large for h^2 overflows; the residuals are then not
+    # finite, and the gate below fails them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        Iu = _edge_integrals(au, dau_u, hu, axis=0)  # edge (i,j) -> (i+1,j)
+        Iv = _edge_integrals(av, dav_v, hv, axis=1)  # edge (i,j) -> (i,j+1)
 
-    # loop residuals: circulation around each elementary cell
-    ncu = grid.nu if per_u else grid.nu - 1
-    ncv = grid.nv if per_v else grid.nv - 1
-    circ = (
-        Iu
-        + np.roll(Iv, -1, axis=0)
-        - np.roll(Iu, -1, axis=1)
-        - Iv
-    )[:ncu, :ncv]
-    loop = float(np.max(np.abs(circ))) if circ.size else 0.0
+        # loop residuals: circulation around each elementary cell
+        ncu = grid.nu if per_u else grid.nu - 1
+        ncv = grid.nv if per_v else grid.nv - 1
+        circ = (
+            Iu
+            + np.roll(Iv, -1, axis=0)
+            - np.roll(Iu, -1, axis=1)
+            - Iv
+        )[:ncu, :ncv]
+        loop = float(np.max(np.abs(circ))) if circ.size else 0.0
 
-    periods = {}
-    if per_u:
-        periods["u"] = float(np.abs(Iu[:, base[1]].sum()))
-    if per_v:
-        periods["v"] = float(np.abs(Iv[base[0], :].sum()))
+        periods = {}
+        if per_u:
+            periods["u"] = float(np.abs(Iu[:, 0].sum()))
+        if per_v:
+            periods["v"] = float(np.abs(Iv[0, :].sum()))
 
     max_alpha = float(np.max(np.abs(alpha.data))) if alpha.data.size else 0.0
-    tol = loop_tol if loop_tol is not None else 1e-7 * (1.0 + max_alpha)
-    worst = max([loop] + list(periods.values()))
-    if worst > tol:
+    tol = 1e-7 * (1.0 + max_alpha)
+    worst = float(np.max([loop, *periods.values()]))  # NaN anywhere is NaN
+    if not worst <= tol:
         raise PathDependence(
             f"circulation residual {worst:.3e} exceeds {tol:.1e}; "
             "the 1-form is not closed on this grid (or has a period)",
             residual=worst,
         )
 
-    i0, j0 = base
     # prefix sums: along the base row (u direction), then along every column
-    Su = np.zeros(grid.nu)
-    Su[1:] = np.cumsum(Iu[:-1, j0])
-    U = Su - Su[i0]
-    Sv = np.zeros(grid.shape)
-    Sv[:, 1:] = np.cumsum(Iv[:, :-1], axis=1)
-    W = Sv - Sv[:, j0][:, None]
-
-    values = -(U[:, None] + W)
-    values = values - values[i0, j0]
-    return Potential(GridField(grid, values), (i0, j0), loop, periods)
+    U = np.zeros(grid.nu)
+    U[1:] = np.cumsum(Iu[:-1, 0])
+    W = np.zeros(grid.shape)
+    W[:, 1:] = np.cumsum(Iv[:, :-1], axis=1)
+    return Potential(GridField(grid, -(U[:, None] + W)), loop, periods)
 
 
 # ---------- connection operators and the permutability gate ----------
@@ -174,7 +157,7 @@ class ROperator:
     relation_residual: float
     metric_symmetry_residual: float
     # rows d_j f_hat - (f_hat + t0) alpha_hat_j of the transformed frame
-    hat_differential: np.ndarray | None = None
+    hat_differential: np.ndarray
 
 
 def r_operator(frame: L.LegendreFrame, result: RB.TransformResult) -> ROperator:
@@ -208,7 +191,7 @@ def r_operator(frame: L.LegendreFrame, result: RB.TransformResult) -> ROperator:
 @dataclass
 class BianchiReport:
     commutator_max: float
-    wedge_max: float | None
+    wedge_max: float
 
 
 def bianchi_check(r0: ROperator, r1: ROperator) -> BianchiReport:
@@ -221,10 +204,8 @@ def bianchi_check(r0: ROperator, r1: ROperator) -> BianchiReport:
     """
     comm = r0.entries @ r1.entries - r1.entries @ r0.entries
     cmax = float(np.max(np.sqrt(np.sum(comm * comm, axis=(-2, -1)))))
-    wedge = None
-    if r0.hat_differential is not None and r1.hat_differential is not None:
-        wedge = float(np.max(np.abs(RB.wedge(r0.hat_differential, r1.hat_differential))))
-    return BianchiReport(cmax, wedge)
+    wedge = RB.wedge(r0.hat_differential, r1.hat_differential)
+    return BianchiReport(cmax, float(np.max(np.abs(wedge))))
 
 
 # ---------- the family ----------
@@ -262,7 +243,9 @@ class DemoulinFamily:
     r0: ROperator
     r1: ROperator
     bianchi: BianchiReport
-    certification: dict = field(default_factory=dict)
+    certification: dict
+    contact_tol: float | None  # None: the chart kind's default
+    det_rel_tol: float
 
     def tilde_jet(self, which: int) -> Jet2:
         """2-jet of a potential: grid values, exact gradient -alpha, exact
@@ -298,16 +281,19 @@ def build_family(
     grid: Grid,
     *,
     closedness_rel_tol: float = RB.CLOSEDNESS_REL_TOL,
-    base: tuple[int, int] = (0, 0),
+    contact_tol: float | None = None,
+    det_rel_tol: float = RB.DET_REL_TOL,
 ) -> DemoulinFamily:
     """Certify both generators, integrate the potentials, gate permutability.
 
     Raises :class:`NotRibaucour` when a generator fails closedness,
     :class:`NotPointwiseDistinct` when tau0 and tau1 collide, and records the
-    commutator norm for the caller to gate on.
+    commutator norm for the caller to gate on.  ``contact_tol`` (frame
+    certification; None is the chart's default) and ``det_rel_tol`` (the
+    regularity screen) are kept on the family for the members and the dual step.
     """
     pts = grid.points().reshape(-1, 2)
-    frame = CH.eval_chart(chart, pts)
+    frame = CH.eval_chart(chart, pts, contact_tol=contact_tol)
     tau0 = E.eval_at(tau0_expr, frame.points)
     tau1 = E.eval_at(tau1_expr, frame.points)
 
@@ -321,8 +307,8 @@ def build_family(
     cert = {}
     results = []
     for label, expr, tau in (("tau0", tau0_expr, tau0), ("tau1", tau1_expr, tau1)):
-        res = RB.transform(frame, tau, on_singular="raise")
-        maxd, _, _ = RB.ribaucour_residual(frame, tau, result=res)
+        res = RB.transform(frame, tau, det_rel_tol=det_rel_tol)
+        maxd, _ = RB.ribaucour_residual(res)
         maxa = RB.max_abs_alpha(res)
         cert[label] = {"max_dalpha": maxd, "max_alpha": maxa}
         if not RB.classify_ribaucour(maxd, maxa, closedness_rel_tol):
@@ -336,8 +322,8 @@ def build_family(
 
     a0, g0 = _alpha_fields(result0, grid)
     a1, g1 = _alpha_fields(result1, grid)
-    tilde0 = integrate_potential(a0, g0, base=base)
-    tilde1 = integrate_potential(a1, g1, base=base)
+    tilde0 = integrate_potential(a0, g0)
+    tilde1 = integrate_potential(a1, g1)
 
     r0 = r_operator(frame, result0)
     r1 = r_operator(frame, result1)
@@ -346,6 +332,7 @@ def build_family(
     return DemoulinFamily(
         chart, grid, tau0_expr, tau1_expr, frame, tau0, tau1,
         result0, result1, tilde0, tilde1, r0, r1, bianchi, cert,
+        contact_tol, det_rel_tol,
     )
 
 
@@ -395,7 +382,9 @@ def demoulin_tau(family: DemoulinFamily, theta: float) -> FamilyMember:
     tau_theta = num / den_patched
 
     # regularity of the member itself: the transform's metric screen
-    res = RB.transform(family.frame, tau_theta, on_singular="nan")
+    res = RB.transform(
+        family.frame, tau_theta, det_rel_tol=family.det_rel_tol, on_singular="nan"
+    )
     mask = masked | res.metric.singular
     if mask.mean() > 0.5:
         raise FullyMasked(
@@ -417,7 +406,7 @@ def member_closedness(
 ) -> dict:
     """Closedness re-verification of one member on its unmasked set."""
     res = member.result.subset(~member.mask)
-    maxd, _, _ = RB.ribaucour_residual(res.frame, res.tau, result=res, on_singular="nan")
+    maxd, _ = RB.ribaucour_residual(res)
     maxa = RB.max_abs_alpha(res)
     return {
         "theta": float(member.theta),
@@ -469,8 +458,6 @@ class DualResult:
     gamma: GridField  # (nu, nv, 2)
     tau_hat0: GridField
     v: GridField
-    w_row: np.ndarray
-    w_col: np.ndarray
     consistency: float
     gamma_identity_residual: float
 
@@ -479,19 +466,19 @@ class _DualFields:
     """Pointwise evaluator of every 1-form the dual system needs."""
 
     def __init__(self, family: DemoulinFamily):
-        self.chart = family.chart
-        self.tau0_expr = family.tau0_expr
-        self.tau1_expr = family.tau1_expr
+        self.family = family
 
     def __call__(self, points: np.ndarray) -> dict[str, np.ndarray]:
         pts = np.asarray(points, dtype=float)
         shape = pts.shape[:-1]
-        flat = pts.reshape(-1, 2)
-        frame = CH.eval_chart(self.chart, flat)
-        tau0 = E.eval_at(self.tau0_expr, frame.points)
-        tau1 = E.eval_at(self.tau1_expr, frame.points)
-        res0 = RB.transform(frame, tau0, on_singular="raise")
-        res1 = RB.transform(frame, tau1, on_singular="raise")
+        fam = self.family
+        frame = CH.eval_chart(
+            fam.chart, pts.reshape(-1, 2), contact_tol=fam.contact_tol
+        )
+        tau0 = E.eval_at(fam.tau0_expr, frame.points)
+        tau1 = E.eval_at(fam.tau1_expr, frame.points)
+        res0 = RB.transform(frame, tau0, det_rel_tol=fam.det_rel_tol)
+        res1 = RB.transform(frame, tau1, det_rel_tol=fam.det_rel_tol)
         m = frame.m
         ah0 = RB.alpha_hat(res0)
 
@@ -650,8 +637,6 @@ def dual_family_step(
         GridField(patch, gamma),
         GridField(patch, tau_hat0),
         GridField(patch, v),
-        w_row,
-        w_col,
         consistency,
         gamma_identity,
     )
@@ -687,6 +672,10 @@ def family_report(
         members.append(rec)
         if each is not None:
             each(member)
+    periods = [
+        *family.tilde0.period_residuals.values(),
+        *family.tilde1.period_residuals.values(),
+    ]
     rep = {
         "tau0_src": E.to_source(family.tau0_expr),
         "tau1_src": E.to_source(family.tau1_expr),
@@ -696,6 +685,14 @@ def family_report(
         "endpoints_ok": bool(endpoints_ok),
         "potential_loop_residual": max(
             family.tilde0.loop_residual, family.tilde1.loop_residual
+        ),
+        # null when no axis is periodic
+        "potential_period_residual": max(periods) if periods else None,
+        "r_relation_residual": max(
+            family.r0.relation_residual, family.r1.relation_residual
+        ),
+        "r_symmetry_residual": max(
+            family.r0.metric_symmetry_residual, family.r1.metric_symmetry_residual
         ),
         "members": members,
     }

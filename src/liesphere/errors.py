@@ -15,14 +15,6 @@ class DomainErrorJet(LieSphereError, ValueError):
     """Elementary function applied outside its domain (e.g. ln of <= 0)."""
 
 
-class SingularMatrix(LieSphereError):
-    """Jet matrix whose value part fails the scale-aware determinant screen."""
-
-    def __init__(self, message: str, index=None):
-        super().__init__(message)
-        self.index = index
-
-
 class ParseError(LieSphereError, ValueError):
     """Expression syntax error, annotated with position and expected tokens."""
 
@@ -47,10 +39,6 @@ class NotRegular(LieSphereError):
         super().__init__(message)
         self.index = index
         self.point = point
-
-
-class NotHypersurface(LieSphereError):
-    """Induced metric of the spherical projection is singular."""
 
 
 class InvolutionFailure(LieSphereError):
@@ -95,10 +83,6 @@ class BianchiViolation(LieSphereError):
     def __init__(self, message: str, norm: float = float("nan")):
         super().__init__(message)
         self.norm = norm
-
-
-class StencilOutOfDomain(LieSphereError):
-    """Finite-difference stencil leaves a non-periodic domain."""
 
 
 class SceneError(LieSphereError):

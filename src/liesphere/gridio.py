@@ -2,9 +2,7 @@
 
 The finite-difference oracle is deliberately independent of the jet
 arithmetic: it approximates first and second partials with O(h^2) central
-stencils and exists to cross-validate the exact jets.  Grid-level exterior
-derivatives (plaquette circulations) provide the same kind of redundant
-check for the closedness tests.
+stencils and exists to cross-validate the exact jets.
 
 Exports are deterministic: identical inputs give byte-identical OBJ, CSV and
 JSON files.
@@ -20,7 +18,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .charts import Domain
-from .errors import PoleClipWarning, StencilOutOfDomain
+from .errors import PoleClipWarning
 from .jets import Jet2, packed_index, packed_len
 
 
@@ -93,36 +91,19 @@ class GridField:
 
 
 def fd_jet_oracle(
-    sampler: Callable[[np.ndarray], np.ndarray],
-    point: np.ndarray,
-    h: float | None = None,
-    *,
-    domain: Domain | None = None,
+    sampler: Callable[[np.ndarray], np.ndarray], point: np.ndarray, h: float
 ) -> Jet2:
     """O(h^2) central-difference 2-jet of a black-box sampler.
 
     ``sampler`` maps a parameter point (m,) to a scalar or a component
-    vector.  ``h`` defaults to 1e-3 times the domain span.  Raises
-    :class:`StencilOutOfDomain` when the stencil leaves a non-periodic
-    domain.
+    vector; ``h`` is the stencil step.
     """
     p = np.asarray(point, dtype=float)
     m = p.shape[-1]
     if m != 2:
         raise ValueError("the finite-difference oracle samples 2-d parameter domains")
-    if h is None:
-        span = max(domain.spans) if domain is not None else 2.0 * np.pi
-        h = 1e-3 * span
     if not (1e-6 <= h <= 1e-1):
         raise ValueError(f"oracle step h={h} outside [1e-6, 1e-1]")
-    if domain is not None:
-        corners = p + h * np.array(
-            [[du, dv] for du in (-1, 0, 1) for dv in (-1, 0, 1)]
-        )
-        if not domain.contains(corners).all():
-            raise StencilOutOfDomain(
-                f"stencil around {p.tolist()} leaves the non-periodic domain"
-            )
 
     def ev(du, dv):
         q = p.copy()
@@ -157,8 +138,6 @@ def convergence_orders(
     exact: Jet2,
     point: np.ndarray,
     steps=(1e-2, 5e-3, 2.5e-3),
-    *,
-    domain: Domain | None = None,
 ) -> list[float]:
     """Empirical convergence order of the oracle against exact jets.
 
@@ -167,7 +146,7 @@ def convergence_orders(
     """
     errs = []
     for h in steps:
-        approx = fd_jet_oracle(sampler, point, h, domain=domain)
+        approx = fd_jet_oracle(sampler, point, h)
         e = max(
             float(np.max(np.abs(approx.grad - exact.grad))),
             float(np.max(np.abs(approx.hess - exact.hess))),
@@ -180,66 +159,6 @@ def convergence_orders(
         else:
             orders.append(float(np.log2(e0 / e1)))
     return orders
-
-
-# ---------- grid exterior derivative ----------
-
-
-def grid_exterior_derivative(alpha: GridField) -> tuple[GridField, dict]:
-    """Plaquette circulations of a sampled 1-form, divided by cell area.
-
-    Returns the O(h^2) estimate of the exterior derivative on cells (placed
-    at the lower-left node of each cell) and, for periodic axes, the total
-    circulations around the two period generators.
-    """
-    grid = alpha.grid
-    if alpha.k != 2:
-        raise ValueError("exterior derivative expects a 2-component 1-form")
-    au = alpha.data[..., 0]
-    av = alpha.data[..., 1]
-    hu, hv = grid.hu, grid.hv
-    per_u, per_v = grid.domain.periodic
-
-    def shift(arr, axis):
-        rolled = np.roll(arr, -1, axis=axis)
-        return rolled
-
-    au1 = shift(au, 0)  # value at (i+1, j)
-    av1 = shift(av, 1)  # value at (i, j+1)
-    au_up = shift(au, 1)  # alpha_u at (i, j+1)
-    av_right = shift(av, 0)  # alpha_v at (i+1, j)
-
-    # trapezoid edge integrals around the cell with corner (i, j)
-    bottom = 0.5 * hu * (au + au1)
-    right = 0.5 * hv * (av_right + shift(av_right, 1))
-    top = 0.5 * hu * (au_up + shift(au1, 1))
-    left = 0.5 * hv * (av + av1)
-    circ = bottom + right - top - left
-
-    iu = grid.nu if per_u else grid.nu - 1
-    iv = grid.nv if per_v else grid.nv - 1
-    circ = circ[:iu, :iv]
-    dens = circ / (hu * hv)
-
-    periods = {}
-    if per_u:
-        periods["u"] = float(hu * au[:, 0].sum())
-    if per_v:
-        periods["v"] = float(hv * av[0, :].sum())
-
-    meta = {
-        "max_abs_density": float(np.max(np.abs(dens))) if dens.size else 0.0,
-        "max_abs_circulation": float(np.max(np.abs(circ))) if circ.size else 0.0,
-        "periods": periods,
-    }
-    return GridField(grid, _pad_cells(dens, grid)), meta
-
-
-def _pad_cells(cells: np.ndarray, grid: Grid) -> np.ndarray:
-    """Pad cell data back to node shape with trailing NaN rows (non-periodic)."""
-    out = np.full(grid.shape, np.nan)
-    out[: cells.shape[0], : cells.shape[1]] = cells
-    return out
 
 
 # ---------- OBJ / CSV / JSON exporters ----------
@@ -268,7 +187,6 @@ class MeshExport:
 
     vertices: np.ndarray  # (N, 3)
     faces: np.ndarray  # (F, 4), zero-based
-    scalars: dict[str, np.ndarray]
     clipped: int = 0
 
 
@@ -290,7 +208,6 @@ def mesh_from_grid(
     grid: Grid,
     *,
     pole_flip: bool = False,
-    scalars: dict[str, np.ndarray] | None = None,
     drop: np.ndarray | None = None,
 ) -> MeshExport:
     """Build the quad mesh of a (nu, nv, 4) sphere-valued field.
@@ -328,12 +245,7 @@ def mesh_from_grid(
         verts = verts[keep]
         face_ok = keep[faces].all(axis=1)
         faces = remap[faces[face_ok]]
-        scalars = {
-            k: np.asarray(v, float).reshape(-1)[keep] for k, v in (scalars or {}).items()
-        }
-    else:
-        scalars = {k: np.asarray(v, float).reshape(-1) for k, v in (scalars or {}).items()}
-    return MeshExport(verts, faces, scalars, clipped)
+    return MeshExport(verts, faces, clipped)
 
 
 def _obj_chunks(mesh: MeshExport) -> Iterator[str]:
@@ -341,10 +253,6 @@ def _obj_chunks(mesh: MeshExport) -> Iterator[str]:
     yield from _format_rows("f %d %d %d %d\n", mesh.faces + 1)
     if not len(mesh.vertices) and not len(mesh.faces):
         yield "\n"  # an empty mesh is one empty line
-
-
-def obj_text(mesh: MeshExport) -> str:
-    return "".join(_obj_chunks(mesh))
 
 
 def export_obj(
@@ -359,20 +267,6 @@ def export_obj(
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_obj_chunks(mesh))
     return mesh
-
-
-def parse_obj(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read back the v/f subset written by :func:`obj_text`."""
-    verts, faces = [], []
-    for line in text.splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "v":
-            verts.append([float(x) for x in parts[1:4]])
-        elif parts[0] == "f":
-            faces.append([int(x.split("/")[0]) - 1 for x in parts[1:]])
-    return np.asarray(verts, dtype=float), np.asarray(faces, dtype=int)
 
 
 def write_fields_csv(path, grid: Grid, columns: dict[str, np.ndarray]) -> None:

@@ -26,7 +26,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import DivisionByZeroJet, DomainErrorJet, SingularMatrix
+from .errors import DivisionByZeroJet, DomainErrorJet
 
 Scalar = Union[int, float, np.ndarray]
 
@@ -122,13 +122,6 @@ class Jet2:
     def batch(self, key) -> "Jet2":
         """Index leading (batch) axes."""
         return self._map(lambda a: a[key], lambda a: a[key])
-
-    def reshape_batch(self, shape) -> "Jet2":
-        """Reshape the value axes to ``shape`` (derivative axes follow)."""
-        shape = tuple(shape)
-        return self._map(
-            lambda a: a.reshape(shape), lambda a: a.reshape(shape + a.shape[-1:])
-        )
 
     def deriv(self, i: int) -> "Jet2":
         """Jet of the i-th first partial, one order below this jet.
@@ -345,30 +338,17 @@ def mat_vec(A: Jet2, x: Jet2) -> Jet2:
     return jsum(A * x.expand(-2), axis=-1)
 
 
-def mat_mul(A: Jet2, B: Jet2) -> Jet2:
-    """Matrix product; A is ``(..., n, k)``, B is ``(..., k, p)``."""
-    return jsum(A.expand(-1) * B.expand(-3), axis=-2)
-
-
-def mat_identity(n: int, m: int) -> Jet2:
-    return Jet2.constant(np.eye(n), m)
-
-
 def mat_det_value(A: Jet2) -> np.ndarray:
     """Determinant of the value part (regularity margin), any size."""
     return np.linalg.det(A.value)
 
 
-def singular_mask(
-    A: Jet2, rel_tol: float = 1e-10, det: np.ndarray | None = None
-) -> np.ndarray:
+def singular_mask(A: Jet2, rel_tol: float, det: np.ndarray) -> np.ndarray:
     """Scale-aware singularity screen: |det| < rel_tol * (max|entry|)^n.
 
-    ``det`` is :func:`mat_det_value` of ``A`` when the caller already has it.
+    ``det`` is :func:`mat_det_value` of ``A``.
     """
     n = A.value.shape[-1]
-    if det is None:
-        det = mat_det_value(A)
     scale = np.max(np.abs(A.value), axis=(-2, -1))
     return np.abs(det) < rel_tol * np.maximum(scale, _ZERO_EPS) ** n
 
@@ -382,92 +362,15 @@ def _nan_where(x: Jet2, bad: np.ndarray) -> Jet2:
     )
 
 
-def mat_inverse(
-    A: Jet2,
-    *,
-    rel_tol: float = 1e-10,
-    on_singular: str = "raise",
-    singular: np.ndarray | None = None,
-) -> Jet2:
-    """Inverse of a square matrix jet.
+def mat_inverse(A: Jet2, singular: np.ndarray) -> Jet2:
+    """Inverse of a 2x2 matrix jet by cofactors, NaN at the ``singular`` points.
 
-    Cofactor formulas for n <= 3 (the hot path), jet Gauss-Jordan otherwise.
-    ``on_singular='raise'`` raises :class:`SingularMatrix` at the first point
-    failing the scale-aware screen; ``'nan'`` poisons those points instead.
-    ``singular`` is that screen's :func:`singular_mask` when the caller
-    already has it.
+    ``singular`` is the caller's :func:`singular_mask` of ``A``.
     """
-    n = A.value.shape[-1]
-    if A.value.shape[-2] != n:
-        raise ValueError("matrix jet is not square")
-    bad = singular_mask(A, rel_tol) if singular is None else singular
-    if np.any(bad):
-        if on_singular == "raise":
-            idx = np.argwhere(bad)[0]
-            raise SingularMatrix(
-                f"matrix value part singular at batch index {tuple(idx)}", tuple(idx)
-            )
-        if on_singular != "nan":
-            raise ValueError(f"unknown on_singular mode {on_singular!r}")
-
-    if n == 1:
-        e = mat_el(A, 0, 0)
-        inv = 1.0 / _nan_where(e, bad)
-        return inv.expand(-1).expand(-1)
-
-    if n == 2:
-        a, b = mat_el(A, 0, 0), mat_el(A, 0, 1)
-        c, d = mat_el(A, 1, 0), mat_el(A, 1, 1)
-        det = _nan_where(a * d - b * c, bad)
-        adj = mat_from_rows([[d, -b], [-c, a]])
-        return adj * _recip(det).expand(-1).expand(-1)
-
-    if n == 3:
-        e = [[mat_el(A, i, j) for j in range(3)] for i in range(3)]
-        cof = [
-            [
-                e[(i + 1) % 3][(j + 1) % 3] * e[(i + 2) % 3][(j + 2) % 3]
-                - e[(i + 1) % 3][(j + 2) % 3] * e[(i + 2) % 3][(j + 1) % 3]
-                for j in range(3)
-            ]
-            for i in range(3)
-        ]
-        det = e[0][0] * cof[0][0] + e[0][1] * cof[0][1] + e[0][2] * cof[0][2]
-        det = _nan_where(det, bad)
-        adj = mat_from_rows([[cof[j][i] for j in range(3)] for i in range(3)])
-        return adj * _recip(det).expand(-1).expand(-1)
-
-    return _gauss_jordan(A)
-
-
-def _gauss_jordan(A: Jet2) -> Jet2:
-    """Slow generic inverse: per-batch-point elimination with partial pivoting."""
-    n = A.value.shape[-1]
-    batch = A.value.shape[:-2]
-    total = int(np.prod(batch, dtype=int)) if batch else 1
-    flatA = A.reshape_batch((total, n, n))
-    mats: list[Jet2] = []
-    for b in range(total):
-        sub = flatA.batch(b)
-        M = [[mat_el(sub, i, j) for j in range(n)] for i in range(n)]
-        E = [
-            [Jet2.constant(1.0 if i == j else 0.0, A.m) for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            piv = max(range(col, n), key=lambda r: abs(float(M[r][col].value)))
-            if abs(float(M[piv][col].value)) < _ZERO_EPS:
-                raise SingularMatrix("pivot vanished during jet elimination", (b,))
-            M[col], M[piv] = M[piv], M[col]
-            E[col], E[piv] = E[piv], E[col]
-            inv_p = _recip(M[col][col])
-            M[col] = [e * inv_p for e in M[col]]
-            E[col] = [e * inv_p for e in E[col]]
-            for r in range(n):
-                if r == col:
-                    continue
-                factor = M[r][col]
-                M[r] = [M[r][k] - factor * M[col][k] for k in range(n)]
-                E[r] = [E[r][k] - factor * E[col][k] for k in range(n)]
-        mats.append(mat_from_rows(E))
-    return stack(mats, axis=-3).reshape_batch(batch + (n, n))
+    if A.value.shape[-2:] != (2, 2):
+        raise ValueError("mat_inverse inverts 2x2 matrix jets")
+    a, b = mat_el(A, 0, 0), mat_el(A, 0, 1)
+    c, d = mat_el(A, 1, 0), mat_el(A, 1, 1)
+    det = _nan_where(a * d - b * c, singular)
+    adj = mat_from_rows([[d, -b], [-c, a]])
+    return adj * _recip(det).expand(-1).expand(-1)

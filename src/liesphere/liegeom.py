@@ -157,28 +157,7 @@ def merge_certs(certs: list[dict]) -> dict:
     return merged
 
 
-@dataclass
-class SphereCongruence:
-    """Enveloped sphere congruence: representative tau and its light-cone lift."""
-
-    tau: Jet2
-    sigma: Jet2
-    cert: dict = field(default_factory=dict)
-
-
 def light_cone_section(f: Jet2, xi: Jet2, tau: Jet2) -> Jet2:
     """The sphere tau lifted to the light cone: sigma = xi - tau f - tau t0 + t1."""
     tv = tau.vec()
     return xi - tv * f - tv * t0_jet(f.m) + t1_jet(f.m)
-
-
-def sphere_congruence(frame: LegendreFrame, tau: Jet2) -> SphereCongruence:
-    """Lift tau to the light-cone section sigma; certify it null, in span(xi+t1, f+t0)."""
-    m = frame.m
-    sigma = light_cone_section(frame.f, frame.xi, tau)
-    span_res = sigma - ((frame.xi + t1_jet(m)) - tau.vec() * (frame.f + t0_jet(m)))
-    cert = {
-        "light_cone": float(np.max(np.abs(lie_inner(sigma, sigma).value))),
-        "span": float(np.max(np.abs(span_res.value))),
-    }
-    return SphereCongruence(tau, sigma, cert)

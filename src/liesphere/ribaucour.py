@@ -21,8 +21,7 @@ machinery around them:
 * the corrected differential d f - (f + t0) alpha, shared with the
   permutability machinery, and the curvature-form identity
   (beta wedge beta) = (1 - a) d alpha built from it;
-* reconstruction (the construction is an involution) and the hypersurface
-  shape-operator route to f_check.
+* reconstruction (the construction is an involution).
 
 All operations are batched: a frame evaluated on N grid points transforms in
 one vectorized pass.
@@ -42,7 +41,6 @@ from .errors import (
     ContactViolation,
     DomainErrorJet,
     InvolutionFailure,
-    NotHypersurface,
     NotImmersed,
     NotRegular,
 )
@@ -143,7 +141,7 @@ def minus_metric(
             _raise_not_regular(singular, frame.points, "congruence metric")
         elif on_singular != "nan":
             raise ValueError(f"unknown on_singular mode {on_singular!r}")
-    Ginv = J.mat_inverse(G, on_singular="nan", singular=singular)
+    Ginv = J.mat_inverse(G, singular)
     return MinusMetric(G, Ginv, det, singular, V)
 
 
@@ -214,16 +212,8 @@ def dalpha_components(result: TransformResult) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def ribaucour_residual(
-    frame: LegendreFrame,
-    tau: Jet2,
-    *,
-    result: TransformResult | None = None,
-    on_singular: str = "raise",
-) -> tuple[float, tuple, np.ndarray]:
-    """Max |d alpha| over the batch, its location, and the raw entries."""
-    if result is None:
-        result = transform(frame, tau, on_singular=on_singular)
+def ribaucour_residual(result: TransformResult) -> tuple[float, tuple]:
+    """Max |d alpha| over the regular points of the batch, and its location."""
     d = np.abs(dalpha_components(result))
     if result.metric.singular.any():
         d = np.where(result.metric.singular[..., None], np.nan, d)
@@ -231,7 +221,7 @@ def ribaucour_residual(
     if not np.any(flat > -np.inf):
         raise NotRegular("no regular points in the batch")
     worst = np.unravel_index(np.argmax(flat), flat.shape)
-    return float(flat[worst]), tuple(int(k) for k in worst), d
+    return float(flat[worst]), tuple(int(k) for k in worst)
 
 
 def max_abs_alpha(result: TransformResult) -> float:
@@ -400,41 +390,6 @@ def judge_reconstruction(
         )
 
 
-def shape_operator_path(
-    frame: LegendreFrame,
-    tau: Jet2,
-    *,
-    det_rel_tol: float = DET_REL_TOL,
-) -> Jet2:
-    """f_check via the hypersurface route df o (A + tau Id)^(-1)(grad_f tau).
-
-    A is the shape operator (dxi = -df o A) and grad_f the gradient of the
-    induced metric (df, df); requires f to be an immersion.  Agrees with the
-    congruence-metric route at every regular point.
-    """
-    m = frame.m
-    df = [frame.f.deriv(i) for i in range(m)]
-    dxi = [frame.xi.deriv(i) for i in range(m)]
-    g = J.mat_from_rows([[lie_inner(df[i], df[k]) for k in range(m)] for i in range(m)])
-    if np.any(J.singular_mask(g, det_rel_tol)):
-        raise NotHypersurface("induced metric (df, df) is singular in the batch")
-    ginv = J.mat_inverse(g, rel_tol=det_rel_tol, on_singular="raise")
-    S = J.mat_from_rows(
-        [[-lie_inner(df[i], dxi[k]) for k in range(m)] for i in range(m)]
-    )
-    A = J.mat_mul(ginv, S)
-    M = A + J.mat_identity(m, m) * tau.vec().vec()
-    if np.any(J.singular_mask(M, det_rel_tol)):
-        _raise_not_regular(J.singular_mask(M, det_rel_tol), frame.points, "A + tau Id")
-    Minv = J.mat_inverse(M, rel_tol=det_rel_tol, on_singular="raise")
-    dtau_vec = J.stack([tau.deriv(i) for i in range(m)], axis=-1)
-    w = J.mat_vec(Minv, J.mat_vec(ginv, dtau_vec))
-    out = w.take(0).vec() * df[0]
-    for i in range(1, m):
-        out = out + w.take(i).vec() * df[i]
-    return out
-
-
 def curvature_identity(result: TransformResult, ah: Jet2) -> dict:
     """Compare (beta(f+t0) wedge beta(f_hat+t0)) against (1-a) d alpha.
 
@@ -537,9 +492,7 @@ def _run_block(
     # the diagnostics; the report carries regular=False when any exist.
     clean = res if reg.all() else res.subset(reg)
     try:
-        max_da, arg, _ = ribaucour_residual(
-            clean.frame, clean.tau, result=clean, on_singular="nan"
-        )
+        max_da, arg = ribaucour_residual(clean)
         block.dalpha = (max_da, start + int(np.flatnonzero(reg)[arg[0]]))
     except NotRegular:  # no finite d alpha here; judged on the merged blocks
         block.dalpha = (-np.inf, None)

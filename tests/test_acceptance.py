@@ -15,6 +15,7 @@ from liesphere import demoulin as D
 from liesphere import exprs as E
 from liesphere import gridio as G
 from liesphere import ribaucour as RB
+from reference import parse_obj, shape_operator_path
 
 SQUARE_R = 1.0 / np.sqrt(2.0)
 TAU_LIST = ("0", "2", "0.3*sin(u)", "0.1*cos(v)", "0.2*sin(u)+0.1*cos(v)")
@@ -93,7 +94,7 @@ def test_criterion_04_dual_route_normal_component():
                 continue  # constants: both routes vanish identically
             tau = E.eval_at(E.parse_tau(src), frame.points)
             res = RB.transform(frame, tau)
-            alt = RB.shape_operator_path(frame, tau)
+            alt = shape_operator_path(frame, tau)
             worst = max(worst, float(np.max(np.abs(alt.value - res.f_check.value))))
     ok = worst < 1e-10
     _report(4, ok, f"shape-operator route agreement {worst:.2e} < 1e-10")
@@ -248,7 +249,7 @@ def test_criterion_11_determinism_and_formats(tmp_path):
         (out1 / name).read_bytes() == (out2 / name).read_bytes()
         for name in ("report.json", "fields.csv", "f.obj", "f_hat.obj")
     )
-    verts, faces = G.parse_obj((out1 / "f.obj").read_text())
+    verts, faces = parse_obj((out1 / "f.obj").read_text())
     counts = len(verts) == 64 and len(faces) == 64 and faces.shape[1] == 4
     ok = identical and counts
     _report(11, ok, f"byte-identical reruns: {identical}; 8x8 periodic mesh has "

@@ -1,14 +1,20 @@
 """Scene handling, command dispatch, exit codes, and report determinism."""
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liesphere import cli
 from liesphere.errors import SceneError
+from reference import parse_obj
 
 SQUARE_R = 0.7071067811865476
 
@@ -156,14 +162,15 @@ def test_demoulin_family_run(tmp_path):
     assert report["bianchi_norm"] < 1e-8
     assert len(report["members"]) == 3
     assert report["parallel_residual"] < 1e-7
+    assert report["r_relation_residual"] < 1e-8
+    assert report["r_symmetry_residual"] < 1e-7
+    assert report["potential_period_residual"] < 1e-8
     # per-theta artifacts
     assert (out / "family_fields.csv").exists()
     header = (out / "family_fields.csv").read_text().splitlines()[0]
     assert header == "u,v,tau_theta_0,tau_theta_1,tau_theta_2"
-    from liesphere import gridio as G
-
     for k, theta in enumerate(report["theta_meshes"].values()):
-        verts, faces = G.parse_obj((out / f"fhat_theta_{k}.obj").read_text())
+        verts, faces = parse_obj((out / f"fhat_theta_{k}.obj").read_text())
         assert len(verts) > 0 and len(faces) > 0
 
 
@@ -288,6 +295,33 @@ def test_member_verdict_uses_scene_tolerance(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, name, tolerances, code, text",
+    [
+        # contact: the frame certification tolerance
+        ("check", "check_custom.json", {"contact": 1e-20}, 1, "ContactViolation"),
+        ("transform", "check_custom.json", {"contact": 1e-20}, 1, "ContactViolation"),
+        ("export", "check_custom.json", {"contact": 1e-20}, 1, "ContactViolation"),
+        ("demoulin", "demoulin_sinu.json", {"contact": 1e-20}, 1, "ContactViolation"),
+        # det_rel: the regularity screen
+        ("check", "check_sinu.json", {"det_rel": 0.5}, 1, "FAIL  regularity sweep"),
+        ("transform", "check_sinu.json", {"det_rel": 0.5}, 1, "FAIL  regularity sweep"),
+        ("export", "check_sinu.json", {"det_rel": 0.5}, 0, "exported f only"),
+        ("demoulin", "demoulin_sinu.json", {"det_rel": 0.5}, 1, "NotRegular"),
+    ],
+)
+def test_scene_tolerances_reach_every_command(
+    tmp_path, capsys, command, name, tolerances, code, text
+):
+    scene = _shipped_scene(tmp_path, name, tolerances=tolerances, grid=[8, 8])
+    out = tmp_path / "out"
+    assert cli.main([command, "--scene", str(scene), "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert text in captured.out + captured.err
+    if command == "export":
+        assert not (out / "f_hat.obj").exists()
+
+
+@pytest.mark.parametrize(
     "key, overrides",
     [
         ("eq6", {"tolerances": {"eq6": "x"}}),
@@ -314,6 +348,27 @@ def test_member_verdict_uses_scene_tolerance(tmp_path, capsys):
                     "kind": "clifford_torus",
                     "r": SQUARE_R,
                     "domain": {"u": [0.0, 1.0], "v": [0.0, 1.0], "periodic": "xyz"},
+                }
+            },
+        ),
+        ("tolerances", {"tolerances": []}),
+        ("tolerances", {"tolerances": 0}),
+        ("tolerances", {"tolerances": ""}),
+        ("tolerances", {"tolerances": None}),
+        ("tolerances.closedness", {"tolerances": {"closedness": "nan"}}),
+        ("tolerances.closedness", {"tolerances": {"closedness": -1}}),
+        ("tolerances.closedness", {"tolerances": {"closedness": True}}),
+        ("tolerances.closedness", {"tolerances": {"closedness": 10**400}}),
+        ("tolerances.contact", {"tolerances": {"contact": 0}}),
+        ("thetas", {"thetas": [float("inf")]}),
+        ("'r'", {"chart": {"kind": "clifford_torus", "r": 10**400}}),
+        (
+            "domain",
+            {
+                "chart": {
+                    "kind": "clifford_torus",
+                    "r": SQUARE_R,
+                    "domain": {"u": [-1e308, 1e308], "v": [0.0, 1.0]},
                 }
             },
         ),
@@ -355,3 +410,86 @@ def test_non_finite_custom_chart_is_a_domain_error(tmp_path, capsys):
     )
     assert "Warning" not in err
     assert "ContactViolation" not in err
+
+
+# ---------- the scene boundary ----------
+
+_BASE_CHARTS = (
+    {
+        "kind": "clifford_torus",
+        "r": SQUARE_R,
+        "domain": {"u": [0.0, 6.0], "v": [0.0, 6.0], "periodic": [False, False]},
+    },
+    {"kind": "parallel_of", "base": {"kind": "clifford_torus", "r": 0.6}, "c": 0.3},
+    json.loads((SCENES / "check_custom.json").read_text(encoding="utf-8"))["chart"],
+)
+_KEY_PATHS = (
+    (),
+    ("chart",),
+    ("chart", "kind"),
+    ("chart", "r"),
+    ("chart", "c"),
+    ("chart", "base"),
+    ("chart", "f"),
+    ("chart", "xi"),
+    ("chart", "domain"),
+    ("chart", "domain", "u"),
+    ("chart", "domain", "v"),
+    ("chart", "domain", "periodic"),
+    ("tau",),
+    ("tau1",),
+    ("grid",),
+    ("thetas",),
+    ("dual",),
+    ("tolerances",),
+    ("tolerances", "closedness"),
+    ("tolerances", "contact"),
+    ("tolerances", "det_rel"),
+)
+_EXPRESSIONS = (
+    "u", "0", "1", "1/u", "ln(u)", "exp(exp(exp(u)))", "sin(u)*sin(v)", "1e308*v"
+)
+_EXTREMES = (0, -1, 1e308, -1e308, 1e300, 5e-324, 10**400, [0, 1e300], [-1e308, 1e308])
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8)
+    | st.sampled_from(_EXPRESSIONS + _EXTREMES),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(chart=st.sampled_from(_BASE_CHARTS), path=st.sampled_from(_KEY_PATHS), value=_JSON)
+@settings(max_examples=60, deadline=None)
+def test_any_scene_value_exits_0_1_or_2(chart, path, value):
+    # any JSON value at any scene key: a verdict or a scene error, never a
+    # traceback or a leaked RuntimeWarning
+    obj = {
+        "chart": json.loads(json.dumps(chart)),
+        "tau": "0.3*sin(u)",
+        "tau1": "2",
+        "grid": [8, 8],
+        "thetas": [0.0, 0.3],
+        "tolerances": {"closedness": 1e-7},
+    }
+    if not path:
+        obj = value
+    else:
+        parent = obj
+        for key in path[:-1]:
+            parent = parent.setdefault(key, {})
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        scene = Path(tmp) / "scene.json"
+        scene.write_text(json.dumps(obj), encoding="utf-8")
+        for command in ("check", "export", "demoulin"):
+            # the flag replaces a valid scene grid, so a huge one is never run
+            argv = [command, "--scene", str(scene), "--out", tmp, "--grid", "8x8"]
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                warnings.simplefilter("error", RuntimeWarning)
+                assert cli.main(argv) in (0, 1, 2)

@@ -40,7 +40,7 @@ def const_family(square_torus):
 def test_zero_form_integrates_to_zero(square_torus):
     grid = G.Grid(16, 16, square_torus.domain)
     alpha = G.GridField(grid, np.zeros(grid.shape + (2,)))
-    pot = D.integrate_potential(alpha)
+    pot = D.integrate_potential(alpha, G.GridField(grid, np.zeros(grid.shape + (4,))))
     assert np.max(np.abs(pot.data)) == 0.0
     assert pot.loop_residual == 0.0
 
@@ -73,8 +73,10 @@ def test_non_closed_form_raises_path_dependence(square_torus):
     res = RB.transform(frame, tau, on_singular="nan")
     comps = np.where(res.metric.singular[..., None], 0.0, res.alpha.value)
     alpha = G.GridField(grid, comps.reshape(grid.shape + (2,)))
+    partials = np.where(res.metric.singular[..., None, None], 0.0, res.alpha.grad)
+    alpha_grad = G.GridField(grid, partials.reshape(grid.shape + (4,)))
     with pytest.raises(PathDependence) as exc:
-        D.integrate_potential(alpha)
+        D.integrate_potential(alpha, alpha_grad)
     assert exc.value.residual > 1e-3
 
 
@@ -83,8 +85,20 @@ def test_period_obstruction_raises(square_torus):
     grid = G.Grid(16, 16, square_torus.domain)
     data = np.zeros(grid.shape + (2,))
     data[..., 0] = 0.25
+    zero_partials = G.GridField(grid, np.zeros(grid.shape + (4,)))
     with pytest.raises(PathDependence):
-        D.integrate_potential(G.GridField(grid, data))
+        D.integrate_potential(G.GridField(grid, data), zero_partials)
+
+
+def test_overflowing_circulation_fails_the_gate():
+    # h^2 overflows on this grid: the residual is not finite and must fail
+    grid = G.Grid(8, 8, Domain((0.0, 1e300), (0.0, 1.0), (False, False)))
+    partials = np.zeros(grid.shape + (4,))
+    partials[..., 0] = np.arange(8.0)[:, None]
+    with pytest.raises(PathDependence):
+        D.integrate_potential(
+            G.GridField(grid, np.ones(grid.shape + (2,))), G.GridField(grid, partials)
+        )
 
 
 # ---------- connection operators ----------
@@ -130,7 +144,8 @@ def test_bianchi_negative_control():
     e12[0, 0, 1] = 1.0
     e21 = np.zeros((1, 2, 2))
     e21[0, 1, 0] = 1.0
-    rep = D.bianchi_check(D.ROperator(e12, 0, 0), D.ROperator(e21, 0, 0))
+    hat = np.zeros((1, 2, 6))
+    rep = D.bianchi_check(D.ROperator(e12, 0, 0, hat), D.ROperator(e21, 0, 0, hat))
     assert rep.commutator_max > 1.0
 
 
@@ -313,6 +328,25 @@ def test_family_report_schema(family_64):
     assert len(rep["members"]) == 3
     for rec in rep["members"]:
         assert {"theta", "masked_fraction", "max_dalpha"} <= set(rec.keys())
+
+
+def test_family_report_carries_operator_and_period_residuals(family_64, square_torus):
+    rep = D.family_report(family_64, [])
+    r0, r1 = family_64.r0, family_64.r1
+    assert rep["r_relation_residual"] == max(r0.relation_residual, r1.relation_residual)
+    assert rep["r_symmetry_residual"] == max(
+        r0.metric_symmetry_residual, r1.metric_symmetry_residual
+    )
+    periods = [
+        *family_64.tilde0.period_residuals.values(),
+        *family_64.tilde1.period_residuals.values(),
+    ]
+    assert len(periods) == 4  # both axes of both potentials
+    assert rep["potential_period_residual"] == max(periods) < 1e-8
+    # no periodic axis: no period residual
+    patch = G.Grid(16, 16, Domain((0.1, 6.1), (0.1, 6.1), (False, False)))
+    fam = D.build_family(square_torus, E.parse_tau("0.3*sin(u)"), E.parse_tau("2"), patch)
+    assert D.family_report(fam, [])["potential_period_residual"] is None
 
 
 def test_dual_step_leaves_consistency_to_the_gate(square_torus):

@@ -8,7 +8,8 @@ from liesphere import exprs as E
 from liesphere import gridio as G
 from liesphere import ribaucour as RB
 from liesphere.charts import Domain
-from liesphere.errors import PoleClipWarning, StencilOutOfDomain
+from liesphere.errors import PoleClipWarning
+from reference import grid_exterior_derivative, parse_obj
 
 
 def test_oracle_constant_field_is_exact():
@@ -43,10 +44,7 @@ def test_oracle_agrees_on_shipped_fields(src):
     assert np.max(np.abs(orac.hess - exact.hess)) < 1e-5
 
 
-def test_oracle_stencil_domain_check():
-    dom = Domain((0.0, 1.0), (0.0, 1.0), (False, False))
-    with pytest.raises(StencilOutOfDomain):
-        G.fd_jet_oracle(lambda p: p[0], np.array([0.0, 0.5]), 1e-2, domain=dom)
+def test_oracle_step_range_check():
     with pytest.raises(ValueError):
         G.fd_jet_oracle(lambda p: p[0], np.array([0.5, 0.5]), 1.0)
 
@@ -88,7 +86,7 @@ def test_exterior_derivative_of_exact_form_vanishes_at_second_order():
         fld = G.GridField(
             g, np.stack([au(p[..., 0], p[..., 1]), av(p[..., 0], p[..., 1])], axis=-1)
         )
-        _, meta = G.grid_exterior_derivative(fld)
+        _, meta = grid_exterior_derivative(fld)
         errs.append(meta["max_abs_density"])
     for e0, e1 in zip(errs, errs[1:]):
         assert 3.0 < e0 / e1 < 5.0  # second-order refinement
@@ -106,7 +104,7 @@ def test_exterior_derivative_flags_non_closed_form(square_torus):
         comps = np.where(
             res.metric.singular[..., None], 0.0, res.alpha.value
         ).reshape(grid.shape + (2,))
-        _, meta = G.grid_exterior_derivative(G.GridField(grid, comps))
+        _, meta = grid_exterior_derivative(G.GridField(grid, comps))
         assert meta["max_abs_density"] > 1e-2
         prev = meta["max_abs_density"]
     assert prev > 1e-2
@@ -117,22 +115,23 @@ def test_exterior_derivative_of_area_form():
     g = G.Grid(16, 16, dom)
     p = g.points()
     fld = G.GridField(g, np.stack([-p[..., 1] / 2.0, p[..., 0] / 2.0], axis=-1))
-    dens, _ = G.grid_exterior_derivative(fld)
+    dens, _ = grid_exterior_derivative(fld)
     assert np.nanmax(np.abs(dens.data[:15, :15, 0] - 1.0)) < 1e-12
 
 
-def test_obj_counts_and_roundtrip(square_torus):
+def test_obj_counts_and_roundtrip(tmp_path, square_torus):
     grid = G.Grid(8, 8, square_torus.domain)
     frame = CH.eval_chart(square_torus, grid.points().reshape(-1, 2))
     f4 = frame.f.value[:, :4].reshape(8, 8, 4)
-    mesh = G.mesh_from_grid(f4, grid)
-    text = G.obj_text(mesh)
-    verts, faces = G.parse_obj(text)
+    mesh = G.export_obj(tmp_path / "a.obj", f4, grid)
+    text = (tmp_path / "a.obj").read_text(encoding="utf-8")
+    verts, faces = parse_obj(text)
     assert len(verts) == 64
     assert len(faces) == 64
     assert faces.shape[1] == 4
     np.testing.assert_array_equal(verts, mesh.vertices)  # bit-identical round trip
-    assert G.obj_text(G.mesh_from_grid(f4, grid)) == text  # deterministic
+    G.export_obj(tmp_path / "b.obj", f4, grid)
+    assert (tmp_path / "b.obj").read_text(encoding="utf-8") == text  # deterministic
 
 
 def test_nonperiodic_mesh_face_count():
@@ -214,14 +213,14 @@ def _special_values(rng, n):
     return vals
 
 
-def test_obj_text_matches_per_value_formatting():
+def test_obj_text_matches_per_value_formatting(tmp_path):
     rng = np.random.default_rng(3)
-    verts = _special_values(rng, 3 * 5000).reshape(-1, 3)  # more than one block
-    faces = rng.integers(0, 5000, size=(4500, 4))
-    mesh = G.MeshExport(verts, faces, {})
-    assert G.obj_text(mesh) == _ref_obj(mesh)
-    empty = G.MeshExport(np.zeros((0, 3)), np.zeros((0, 4), dtype=int), {})
-    assert G.obj_text(empty) == _ref_obj(empty) == "\n"
+    grid = G.Grid(100, 50, Domain())  # 5000 vertices and faces: more than one block
+    pts4 = np.zeros((100, 50, 4))  # x4 = 0: the projection divides by exactly 1
+    pts4[..., :3] = _special_values(rng, 3 * 5000).reshape(100, 50, 3)
+    mesh = G.export_obj(tmp_path / "f.obj", pts4, grid)
+    np.testing.assert_array_equal(mesh.vertices, pts4[..., :3].reshape(-1, 3))
+    assert (tmp_path / "f.obj").read_text(encoding="utf-8") == _ref_obj(mesh)
 
 
 def test_export_obj_writes_obj_text(tmp_path, square_torus):

@@ -127,9 +127,9 @@ def test_constant_pair_is_not_immersed():
 def test_congruence_great_sphere_case(random_points, square_torus):
     frame = CH.eval_chart(square_torus, random_points)
     tau = E.eval_at(E.parse_tau("0"), frame.points)
-    sc = L.sphere_congruence(frame, tau)
+    sigma = L.light_cone_section(frame.f, frame.xi, tau)
     expected = frame.xi + L.t1_jet(2)
-    assert np.max(np.abs(sc.sigma.value - expected.value)) == 0.0
+    assert np.max(np.abs(sigma.value - expected.value)) == 0.0
 
 
 def test_congruence_constant_unit_vectors():
@@ -145,9 +145,11 @@ def test_congruence_constant_unit_vectors():
 def test_congruence_light_cone_on_torus(random_points, square_torus):
     frame = CH.eval_chart(square_torus, random_points)
     tau = E.eval_at(E.parse_tau("0.7"), frame.points)
-    sc = L.sphere_congruence(frame, tau)
-    assert sc.cert["light_cone"] < 1e-12
-    assert sc.cert["span"] < 1e-12
+    sigma = L.light_cone_section(frame.f, frame.xi, tau)
+    # null, and in span(xi + t1, f + t0)
+    span_res = sigma - ((frame.xi + L.t1_jet(2)) - tau.vec() * (frame.f + L.t0_jet(2)))
+    assert np.max(np.abs(L.lie_inner(sigma, sigma).value)) < 1e-12
+    assert np.max(np.abs(span_res.value)) < 1e-12
 
 
 def test_congruence_jet_matches_fd_oracle(square_torus):
@@ -158,11 +160,11 @@ def test_congruence_jet_matches_fd_oracle(square_torus):
     def sampler(p):
         fr = CH.eval_chart(square_torus, p[None, :])
         tau = E.eval_at(expr, fr.points)
-        return L.sphere_congruence(fr, tau).sigma.value[0]
+        return L.light_cone_section(fr.f, fr.xi, tau).value[0]
 
     frame = CH.eval_chart(square_torus, pt[None, :])
     tau = E.eval_at(expr, frame.points)
-    sigma = L.sphere_congruence(frame, tau).sigma
+    sigma = L.light_cone_section(frame.f, frame.xi, tau)
     orac = fd_jet_oracle(sampler, pt, 1e-3)
     assert np.max(np.abs(orac.grad - sigma.grad[0])) < 1e-6
     assert np.max(np.abs(orac.hess - sigma.hess[0])) < 1e-5
