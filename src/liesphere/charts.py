@@ -98,8 +98,8 @@ BUILTIN_CONTACT_TOL = 1e-12
 CUSTOM_CONTACT_TOL = 1e-8
 
 
-def _torus_lift(spec: CliffordTorus, pts: np.ndarray) -> tuple[Jet2, Jet2]:
-    u, v = J.seed(pts)
+def _torus_lift(spec: CliffordTorus, pts: np.ndarray, order: int) -> tuple[Jet2, Jet2]:
+    u, v = J.seed(pts, order=order)
     r, s = spec.r, spec.s
     cu, su = J.cos(u), J.sin(u)
     cv, sv = J.cos(v), J.sin(v)
@@ -121,29 +121,31 @@ def eval_chart(
     *,
     contact_tol: float | None = None,
     judge: bool = True,
+    order: int = 2,
 ) -> L.LegendreFrame:
     """Evaluate a chart at parameter points ``(..., 2)`` as a certified frame.
 
     ``contact_tol`` overrides the per-kind certification tolerance;
     ``judge=False`` records the residuals without judging them (see
-    :func:`liegeom.lift_frame`).  Custom components that are not finite raise
-    :class:`DomainErrorJet` naming the expression and the point.
+    :func:`liegeom.lift_frame`); ``order`` is the jet order of f and xi.
+    Custom components that are not finite raise :class:`DomainErrorJet`
+    naming the expression and the point.
     """
     pts = spec.domain.wrap(np.asarray(points, dtype=float))
-    f, xi = _eval_lift(spec, pts)
+    f, xi = _eval_lift(spec, pts, order)
     tol = contact_tol if contact_tol else default_contact_tol(spec)
     return L.lift_frame(f, xi, pts, contact_tol=tol, judge=judge)
 
 
-def _eval_lift(spec: ChartSpec, pts: np.ndarray) -> tuple[Jet2, Jet2]:
+def _eval_lift(spec: ChartSpec, pts: np.ndarray, order: int) -> tuple[Jet2, Jet2]:
     if isinstance(spec, CliffordTorus):
-        return _torus_lift(spec, pts)
+        return _torus_lift(spec, pts, order)
     if isinstance(spec, ParallelOf):
-        fb, xib = _eval_lift(spec.base, pts)
+        fb, xib = _eval_lift(spec.base, pts, order)
         c, s = float(np.cos(spec.c)), float(np.sin(spec.c))
         return c * fb + s * xib, (-s) * fb + c * xib
     if isinstance(spec, CustomChart):
-        comps = E.eval_all(spec.f_exprs + spec.xi_exprs, pts)
+        comps = E.eval_all(spec.f_exprs + spec.xi_exprs, pts, order)
         return L.spatial_vector(comps[:4]), L.spatial_vector(comps[4:])
     raise TypeError(f"unknown chart spec {spec!r}")
 

@@ -462,40 +462,64 @@ class DualResult:
     gamma_identity_residual: float
 
 
-class _DualFields:
-    """Pointwise evaluator of every 1-form the dual system needs."""
+# Points per block of the dual step's evaluations.  An order-3 point takes about twice
+# an order-2 point's memory, so in blocks the order-3 pass peaks below a 64x64 order-2 one.
+DUAL_BLOCK = 2048
 
-    def __init__(self, family: DemoulinFamily):
-        self.family = family
 
-    def __call__(self, points: np.ndarray) -> dict[str, np.ndarray]:
-        pts = np.asarray(points, dtype=float)
-        shape = pts.shape[:-1]
-        fam = self.family
-        frame = CH.eval_chart(
-            fam.chart, pts.reshape(-1, 2), contact_tol=fam.contact_tol
-        )
-        tau0 = E.eval_at(fam.tau0_expr, frame.points)
-        tau1 = E.eval_at(fam.tau1_expr, frame.points)
-        res0 = RB.transform(frame, tau0, det_rel_tol=fam.det_rel_tol)
-        res1 = RB.transform(frame, tau1, det_rel_tol=fam.det_rel_tol)
-        m = frame.m
-        ah0 = RB.alpha_hat(res0)
+def _dual_fields(family: DemoulinFamily, points: np.ndarray, order: int = 2) -> dict:
+    """Every 1-form the dual system needs, at parameter points ``(..., 2)``.
 
-        # gamma from the pairing with the second transform's point sphere
-        factor = (tau1.value - tau0.value) * (res1.a.value - 1.0)
-        point = res1.f_hat.value + t0_jet(m).value
-        gamma = L.inner_value(
-            RB.corrected_differential(res0.f_hat, ah0), point[..., None, :]
-        ) / factor[..., None]
+    ``order`` is the seed order of the chart and tau0.  At 2, gamma is a value;
+    ``order=3`` makes it an order-1 jet, whose exact partials come back as
+    ``dgamma``, laid out (..., component, derivative).  Points run in blocks
+    of :data:`DUAL_BLOCK`.
+    """
+    flat = points.reshape(-1, 2)
+    starts = range(0, len(flat), DUAL_BLOCK)
+    blocks = [_dual_block(family, flat[s : s + DUAL_BLOCK], order) for s in starts]
+    return {
+        k: np.concatenate([b[k] for b in blocks]).reshape(points.shape[:-1] + v.shape[1:])
+        for k, v in blocks[0].items()
+    }
 
-        dlog = (tau1.grad - tau0.grad) / (tau1.value - tau0.value)[..., None]
-        drive = res1.alpha.value - ah0.value + dlog
-        return {
-            "gamma": gamma.reshape(shape + (m,)),
-            "drive": drive.reshape(shape + (m,)),
-            "alpha_hat0": ah0.value.reshape(shape + (m,)),
-        }
+
+def _dual_block(family: DemoulinFamily, pts: np.ndarray, order: int) -> dict:
+    """:func:`_dual_fields` on a flat block of points.
+
+    The second transform is needed one order below the first, and so are its
+    seeds: f, xi and tau1.
+    """
+    frame = CH.eval_chart(family.chart, pts, contact_tol=family.contact_tol, order=order)
+    tau0 = E.eval_at(family.tau0_expr, frame.points, order)
+    tau1 = E.eval_at(family.tau1_expr, frame.points, order - 1)
+    f, xi = (J.Jet2(x.value, x.grad, x.hess if order > 2 else None, x.m)
+             for x in (frame.f, frame.xi))
+    res0 = RB.transform(frame, tau0, det_rel_tol=family.det_rel_tol)
+    res1 = RB.transform(
+        L.LegendreFrame(f, xi, frame.points), tau1, det_rel_tol=family.det_rel_tol
+    )
+    m = frame.m
+    ah0 = RB.alpha_hat(res0)
+
+    # gamma from the pairing with the second transform's point sphere
+    factor = (tau1.value - tau0.value) * (res1.a.value - 1.0)
+    point = res1.f_hat.value + t0_jet(m)
+    gamma = L.inner_value(
+        RB.corrected_differential(res0.f_hat, ah0), point[..., None, :]
+    ) / factor[..., None]
+
+    dlog = (tau1.grad - tau0.grad) / (tau1.value - tau0.value)[..., None]
+    drive = res1.alpha.value - ah0.value + dlog
+    out = {"gamma": gamma, "drive": drive, "alpha_hat0": ah0.value}
+    if order == 3:  # gamma once more, in jet arithmetic, for its partials
+        fh0, t0 = res0.f_hat, t0_jet(m)
+        rows = [
+            lie_inner(fh0.deriv(i) - ah0.take(i).vec() * (fh0 + t0), res1.f_hat + t0)
+            for i in range(m)
+        ]
+        out["dgamma"] = (J.stack(rows) / ((tau1 - tau0) * (res1.a - 1.0)).vec()).grad
+    return out
 
 
 def _sweep(
@@ -515,26 +539,18 @@ def _sweep(
     """
 
     def F(fields, k, w):
-        g = take(fields, k)
-        return g["drive"][..., comp] + np.exp(w) * g["gamma"][..., comp]
-
-    def Fv(fields, k, w):
-        g = take(fields, k)
+        g = take(fields, k)  # the slopes of w and of ln v at one RK4 stage
         dw = g["drive"][..., comp] + np.exp(w) * g["gamma"][..., comp]
-        return -dw - g["alpha_hat0"][..., comp]
+        return dw, -dw - g["alpha_hat0"][..., comp]
 
     w = [np.asarray(w0, dtype=float)]
     lv = [np.asarray(lv0, dtype=float)]
     for k in range(axis_len - 1):
         wk, lvk = w[-1], lv[-1]
-        k1 = F(nodes, k, wk)
-        k1v = Fv(nodes, k, wk)
-        k2 = F(mids, k, wk + 0.5 * h * k1)
-        k2v = Fv(mids, k, wk + 0.5 * h * k1)
-        k3 = F(mids, k, wk + 0.5 * h * k2)
-        k3v = Fv(mids, k, wk + 0.5 * h * k2)
-        k4 = F(nodes, k + 1, wk + h * k3)
-        k4v = Fv(nodes, k + 1, wk + h * k3)
+        k1, k1v = F(nodes, k, wk)
+        k2, k2v = F(mids, k, wk + 0.5 * h * k1)
+        k3, k3v = F(mids, k, wk + 0.5 * h * k2)
+        k4, k4v = F(nodes, k + 1, wk + h * k3)
         wn = wk + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         lvn = lvk + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         if np.any(np.abs(wn) > np.log(1e8)):
@@ -552,7 +568,6 @@ def dual_family_step(
     patch: Grid | None = None,
     *,
     w_init: float = 0.0,
-    fd_step: float = 1e-4,
 ) -> DualResult:
     """Integrate the dual-family system on a simply connected patch.
 
@@ -564,21 +579,24 @@ def dual_family_step(
     integrable system) is returned as ``consistency`` for the caller to gate.
     The closedness of (tau0 - tau_hat0) gamma is verified from the expansion
     d((tau0-tau_hat0) gamma) = d(tau0-tau_hat0) ^ gamma + (tau0-tau_hat0) dgamma
-    with the exact differential of the first factor and a small-step central
-    difference for dgamma.
+    with the exact differentials of both factors.  The default patch is the
+    64x64 chart domain with each axis inset by min(0.1, span/20).
     """
     if patch is None:
-        lo, hi = 0.1, 2.0 * np.pi - 0.1
-        patch = Grid(64, 64, CH.Domain((lo, hi), (lo, hi), (False, False)))
+        axes = []
+        for lo, hi in (family.chart.domain.u, family.chart.domain.v):
+            inset = min(0.1, (hi - lo) / 20.0)
+            axes.append((lo + inset, hi - inset))
+        patch = Grid(64, 64, CH.Domain(*axes, (False, False)))
     if patch.domain.periodic[0] or patch.domain.periodic[1]:
         raise ValueError("dual-family integration needs a non-periodic patch")
 
-    fields = _DualFields(family)
     pts = patch.points()
-    nodes = fields(pts)
+    nodes = _dual_fields(family, pts, order=3)
+    dgamma = nodes.pop("dgamma")  # (..., component, derivative)
 
-    umids = fields(pts[:-1, :, :] + np.array([patch.hu / 2.0, 0.0]))
-    vmids = fields(pts[:, :-1, :] + np.array([0.0, patch.hv / 2.0]))
+    umids = _dual_fields(family, pts[:-1, :, :] + np.array([patch.hu / 2.0, 0.0]))
+    vmids = _dual_fields(family, pts[:, :-1, :] + np.array([0.0, patch.hv / 2.0]))
 
     def take_u(f, k):
         return {key: val[k] for key, val in f.items()}
@@ -617,18 +635,11 @@ def dual_family_step(
     gamma = nodes["gamma"]
     dw = nodes["drive"] + sep[..., None] * gamma
     dsep = sep[..., None] * dw  # exact differential of tau0 - tau_hat0 given w
-    h = fd_step
-    gpu = fields(pts + np.array([h, 0.0]))["gamma"]
-    gmu = fields(pts - np.array([h, 0.0]))["gamma"]
-    gpv = fields(pts + np.array([0.0, h]))["gamma"]
-    gmv = fields(pts - np.array([0.0, h]))["gamma"]
-    dgam_u = (gpu - gmu) / (2.0 * h)  # d_u gamma components
-    dgam_v = (gpv - gmv) / (2.0 * h)
     two_form = (
         dsep[..., 0] * gamma[..., 1]
-        + sep * dgam_u[..., 1]
+        + sep * dgamma[..., 1, 0]
         - dsep[..., 1] * gamma[..., 0]
-        - sep * dgam_v[..., 0]
+        - sep * dgamma[..., 0, 1]
     )
     gamma_identity = float(np.max(np.abs(two_form)))
 

@@ -12,7 +12,7 @@ Binary +, -, *, / are left associative; '^' binds tighter than unary minus
 (so ``-u^2`` is ``-(u^2)``) and does not chain.  Parsing is total: any
 grammar-valid string produces an AST, and ``parse(print(ast)) == ast``.
 Evaluation happens in jet arithmetic, so every expression yields exact
-derivatives through order two.
+derivatives through order two, or three when asked.
 """
 
 from __future__ import annotations
@@ -260,7 +260,7 @@ def eval_jet(node: TauExpr, env: dict[str, J.Jet2]) -> J.Jet2:
 
 def _eval(node: TauExpr, env: dict[str, J.Jet2], sample: J.Jet2) -> J.Jet2:
     if isinstance(node, Num):
-        return J.Jet2.constant(np.full_like(sample.value, node.value), sample.m)
+        return J.Jet2.constant(np.full_like(sample.value, node.value), sample.m, sample.order)
     if isinstance(node, Var):
         try:
             return env[node.name]
@@ -298,16 +298,16 @@ def _const_value(node: TauExpr) -> float | None:
     return None
 
 
-def eval_at(node: TauExpr, points: np.ndarray) -> J.Jet2:
-    """Evaluate at parameter points of shape ``(..., 2)`` as 2-jets.
+def eval_at(node: TauExpr, points: np.ndarray, order: int = 2) -> J.Jet2:
+    """Evaluate at parameter points of shape ``(..., 2)`` as jets of ``order``.
 
-    Raises :class:`DomainErrorJet` at the first point where the value,
-    gradient or Hessian is not finite (overflow or an invalid operation).
+    Raises :class:`DomainErrorJet` at the first point where the value or a
+    derivative slot is not finite (overflow or an invalid operation).
     """
-    return eval_all((node,), points)[0]
+    return eval_all((node,), points, order)[0]
 
 
-def eval_all(nodes: Sequence[TauExpr], points: np.ndarray) -> list[J.Jet2]:
+def eval_all(nodes: Sequence[TauExpr], points: np.ndarray, order: int = 2) -> list[J.Jet2]:
     """:func:`eval_at` for several expressions at the same points.
 
     The :class:`DomainErrorJet` names the first point (in batch order) where
@@ -315,7 +315,7 @@ def eval_all(nodes: Sequence[TauExpr], points: np.ndarray) -> list[J.Jet2]:
     batch split into blocks reports what the whole batch would.
     """
     pts = np.asarray(points, dtype=float)
-    u, v = J.seed(pts)
+    u, v = J.seed(pts, order=order)
     with np.errstate(all="ignore"):
         jets = [eval_jet(node, {"u": u, "v": v}) for node in nodes]
     bad = np.stack([_not_finite(jet) for jet in jets])
@@ -331,5 +331,6 @@ def eval_all(nodes: Sequence[TauExpr], points: np.ndarray) -> list[J.Jet2]:
 
 def _not_finite(jet: J.Jet2) -> np.ndarray:
     finite = np.isfinite(jet.value)
-    finite &= np.isfinite(jet.grad).all(axis=-1) & np.isfinite(jet.hess).all(axis=-1)
+    for slot in (jet.grad, jet.hess, jet.third)[: jet.order]:
+        finite &= np.isfinite(slot).all(axis=-1)
     return ~finite

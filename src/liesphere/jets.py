@@ -1,18 +1,18 @@
-"""Truncated second-order jet arithmetic in m variables.
+"""Truncated jet arithmetic in m variables, through order three.
 
-A :class:`Jet2` stores the value, gradient and symmetric Hessian of a smooth
-quantity at a parameter point.  The Hessian is kept packed (upper triangle,
-mixed partials stored once).  Arithmetic propagates derivatives exactly
-through order two via Leibniz / chain rules, so first derivatives of any
-derived quantity carry no truncation error.
+A :class:`Jet2` stores the value, gradient, symmetric Hessian and optionally
+the symmetric third partials of a smooth quantity at a parameter point, packed
+(upper triangle; d_ijk for i <= j <= k).  Arithmetic propagates derivatives
+exactly via Leibniz / Faa di Bruno rules, so first derivatives of any derived
+quantity carry no truncation error.
 
 Shapes: ``value`` may be an array of any shape ``S``; then ``grad`` has shape
-``S + (m,)`` and ``hess`` shape ``S + (m(m+1)/2,)``.  Elementwise operations
-broadcast over ``S``, which is how whole parameter grids and vector-valued
-quantities are processed in single vectorized calls.
+``S + (m,)``, ``hess`` ``S + (m(m+1)/2,)`` and ``third`` ``S + (m(m+1)(m+2)/6,)``.
+Elementwise operations broadcast over ``S``, which is how whole parameter grids
+and vector-valued quantities are processed in single vectorized calls.
 
-A jet has an order: 2 (value, gradient, Hessian), 1 (``hess`` is None) or
-0 (``grad`` is None too).  :meth:`Jet2.deriv` lowers the order by one, since
+A jet has an order, the number of derivative slots present: 0 to 3, and 2 for
+a seed unless asked otherwise.  :meth:`Jet2.deriv` lowers the order by one, since
 the derivative's top slot would need derivatives the input does not carry.
 Jet arithmetic is triangular in the slots (values depend on values, gradients
 on values and gradients), so every operation returns the lowest order of its
@@ -22,6 +22,7 @@ operands and never computes a slot that order cannot know.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations_with_replacement, permutations
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -51,51 +52,70 @@ def packed_index(i: int, j: int, m: int) -> int:
     return i * m - i * (i - 1) // 2 + (j - i)
 
 
-class Jet2:
-    """Value, gradient and packed Hessian of a quantity of m variables.
+@lru_cache(maxsize=None)
+def _tri3(m: int):
+    """Packed third-slot tables: ``pos[i, j, k]`` is the position of d_ijk in
+    any index order; row s of ``pair``/``single`` splits each stored (i, j, k)
+    into a Hessian and a gradient index, (jk, i), (ik, j) and (ij, k)."""
+    triples = list(combinations_with_replacement(range(m), 3))
+    pos = np.empty((m, m, m), dtype=int)
+    for n, t in enumerate(triples):
+        for p in permutations(t):
+            pos[p] = n
+    splits = ((1, 2, 0), (0, 2, 1), (0, 1, 2))
+    pair = [[packed_index(t[a], t[b], m) for t in triples] for a, b, _ in splits]
+    return pos, np.array(pair), np.array([[t[c] for t in triples] for _, _, c in splits])
 
-    ``grad`` and ``hess`` are None above the jet's :attr:`order`.
+
+class Jet2:
+    """Value, gradient, packed Hessian and third partials of a quantity of m variables.
+
+    ``grad``, ``hess`` and ``third`` are None above the jet's :attr:`order`.
     """
 
-    __slots__ = ("value", "grad", "hess", "m")
+    __slots__ = ("value", "grad", "hess", "third", "m")
 
-    def __init__(self, value, grad, hess, m: int):
+    def __init__(self, value, grad, hess, m: int, third=None):
         self.value = np.asarray(value, dtype=float)
         self.grad = None if grad is None else np.asarray(grad, dtype=float)
         self.hess = None if hess is None else np.asarray(hess, dtype=float)
+        self.third = None if third is None else np.asarray(third, dtype=float)
         self.m = int(m)
 
     @property
     def order(self) -> int:
-        """2 with a Hessian, 1 with a gradient only, 0 for a bare value."""
-        return 0 if self.grad is None else 1 if self.hess is None else 2
+        """The number of derivative slots present: 0 to 3."""
+        return (self.grad is not None) + (self.hess is not None) + (self.third is not None)
 
     # ---------- constructors ----------
 
     @staticmethod
-    def constant(value: Scalar, m: int) -> "Jet2":
+    def constant(value: Scalar, m: int, order: int = 2) -> "Jet2":
         v = np.asarray(value, dtype=float)
-        return Jet2(v, np.zeros(v.shape + (m,)), np.zeros(v.shape + (packed_len(m),)), m)
+        lens = (m, packed_len(m), m * (m + 1) * (m + 2) // 6)
+        g, h, t = (np.zeros(v.shape + (n,)) if k < order else None for k, n in enumerate(lens))
+        return Jet2(v, g, h, m, t)
 
     @staticmethod
-    def variable(value: Scalar, index: int, m: int) -> "Jet2":
-        """Coordinate seed: unit gradient in slot ``index``, zero Hessian."""
-        v = np.asarray(value, dtype=float)
-        g = np.zeros(v.shape + (m,))
-        g[..., index] = 1.0
-        return Jet2(v, g, np.zeros(v.shape + (packed_len(m),)), m)
+    def variable(value: Scalar, index: int, m: int, order: int = 2) -> "Jet2":
+        """Coordinate seed: unit gradient in slot ``index``, zero higher slots."""
+        x = Jet2.constant(value, m, order)
+        x.grad[..., index] = 1.0
+        return x
 
     def _lift(self, other) -> "Jet2":
         if isinstance(other, Jet2):
             if other.m != self.m:
                 raise ValueError(f"jet dimension mismatch: {other.m} != {self.m}")
             return other
-        return Jet2.constant(other, self.m)
+        # at this jet's order, so that a number never lowers it
+        return Jet2.constant(other, self.m, self.order)
 
     def _map(self, on_value, on_derivs) -> "Jet2":
         """Apply ``on_value`` to the value and ``on_derivs`` to each slot present."""
-        g, h = (None if a is None else on_derivs(a) for a in (self.grad, self.hess))
-        return Jet2(on_value(self.value), g, h, self.m)
+        slots = (self.grad, self.hess, self.third)
+        g, h, t = (None if a is None else on_derivs(a) for a in slots)
+        return Jet2(on_value(self.value), g, h, self.m, t)
 
     # ---------- shape helpers ----------
 
@@ -126,13 +146,17 @@ class Jet2:
     def deriv(self, i: int) -> "Jet2":
         """Jet of the i-th first partial, one order below this jet.
 
-        Its gradient is row i of the Hessian; an order-0 jet has no partials.
+        Its gradient is row i of the Hessian and its Hessian row i of the
+        third slot; an order-0 jet has no partials.
         """
         if self.grad is None:
             raise ValueError("an order-0 jet carries no derivatives")
         row = [packed_index(i, k, self.m) for k in range(self.m)]
         hess_row = None if self.hess is None else self.hess[..., row]
-        return Jet2(self.grad[..., i], hess_row, None, self.m)
+        third_row = None
+        if self.third is not None:
+            third_row = self.third[..., _tri3(self.m)[0][i][_tri(self.m)]]
+        return Jet2(self.grad[..., i], hess_row, third_row, self.m)
 
     # ---------- arithmetic ----------
 
@@ -141,7 +165,8 @@ class Jet2:
         o = self._lift(other)
         x, y = (o, self) if reflected else (self, o)
         grad, hess = lambda: op(x.grad, y.grad), lambda: op(x.hess, y.hess)
-        return _combine((x, y), op(x.value, y.value), grad, hess)
+        third = lambda: op(x.third, y.third)  # noqa: E731
+        return _combine((x, y), op(x.value, y.value), grad, hess, third)
 
     def __add__(self, other):
         return self._zip(other, np.add)
@@ -160,6 +185,7 @@ class Jet2:
     def __mul__(self, other):
         o = self._lift(other)
         rows, cols = _tri(self.m)
+        _, pair, single = _tri3(self.m)
         va, vb = self.value, o.value
         return _combine(
             (self, o),
@@ -169,6 +195,10 @@ class Jet2:
             + o.hess * va[..., None]
             + self.grad[..., rows] * o.grad[..., cols]
             + self.grad[..., cols] * o.grad[..., rows],
+            lambda: self.third * vb[..., None]
+            + o.third * va[..., None]
+            + (self.hess[..., pair] * o.grad[..., single]).sum(axis=-2)
+            + (self.grad[..., single] * o.hess[..., pair]).sum(axis=-2),
         )
 
     __rmul__ = __mul__
@@ -186,7 +216,7 @@ class Jet2:
             return powj(self, p)
         n = float(p)
         if n == 0.0:
-            return Jet2.constant(np.ones_like(self.value), self.m)
+            return Jet2.constant(np.ones_like(self.value), self.m, self.order)
         if n == 1.0:
             return self
         v = self.value
@@ -197,20 +227,23 @@ class Jet2:
                 raise DivisionByZeroJet("negative power of zero")
             if n != int(n):
                 raise DomainErrorJet("fractional power of zero")
-        return _chain(self, v**n, n * v ** (n - 1.0), n * (n - 1.0) * v ** (n - 2.0))
+        n3 = n * (n - 1.0) * (n - 2.0)  # 0 at n = 2, where v**(n - 3) may not exist
+        fppp = lambda: n3 * v ** (n - 3.0) if n3 else np.zeros_like(v)  # noqa: E731
+        return _chain(self, v**n, n * v ** (n - 1.0), n * (n - 1.0) * v ** (n - 2.0), fppp)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Jet2(m={self.m}, order={self.order}, value={self.value!r})"
 
 
-def _combine(operands, value, grad, hess) -> Jet2:
-    """Jet at the lowest order of ``operands``; ``grad``/``hess`` build the slots."""
+def _combine(operands, value, grad, hess, third) -> Jet2:
+    """Jet at the lowest order of ``operands``; the callables build its slots."""
     order = min(x.order for x in operands)
     return Jet2(
         value,
         grad() if order > 0 else None,
         hess() if order > 1 else None,
         operands[0].m,
+        third() if order > 2 else None,
     )
 
 
@@ -219,34 +252,38 @@ def _recip(x: Jet2) -> Jet2:
     if np.any(np.abs(v) < _ZERO_EPS):
         raise DivisionByZeroJet("jet division by (machine) zero value part")
     inv = 1.0 / v
-    return _chain(x, inv, -inv * inv, 2.0 * inv * inv * inv)
+    return _chain(x, inv, -inv * inv, 2.0 * inv * inv * inv, lambda: -6.0 * inv**4)
 
 
-def _chain(x: Jet2, f: np.ndarray, fp: np.ndarray, fpp: np.ndarray) -> Jet2:
-    """Jet of an elementary function composed with x (Faa di Bruno, order 2)."""
+def _chain(x: Jet2, f: np.ndarray, fp: np.ndarray, fpp: np.ndarray, fppp) -> Jet2:
+    """Jet of an elementary function of x (Faa di Bruno); ``fppp()`` runs at order 3 only."""
     rows, cols = _tri(x.m)
+    _, pair, single = _tri3(x.m)
     return _combine(
         (x,),
         f,
         lambda: fp[..., None] * x.grad,
         lambda: fp[..., None] * x.hess
         + fpp[..., None] * (x.grad[..., rows] * x.grad[..., cols]),
+        lambda: fp[..., None] * x.third
+        + fpp[..., None] * (x.hess[..., pair] * x.grad[..., single]).sum(axis=-2)
+        + fppp()[..., None] * np.prod(x.grad[..., single], axis=-2),
     )
 
 
 def sin(x: Jet2) -> Jet2:
     s, c = np.sin(x.value), np.cos(x.value)
-    return _chain(x, s, c, -s)
+    return _chain(x, s, c, -s, lambda: -c)
 
 
 def cos(x: Jet2) -> Jet2:
     s, c = np.sin(x.value), np.cos(x.value)
-    return _chain(x, c, -s, -c)
+    return _chain(x, c, -s, -c, lambda: s)
 
 
 def exp(x: Jet2) -> Jet2:
     e = np.exp(x.value)
-    return _chain(x, e, e, e)
+    return _chain(x, e, e, e, lambda: e)
 
 
 def ln(x: Jet2) -> Jet2:
@@ -254,7 +291,7 @@ def ln(x: Jet2) -> Jet2:
     if np.any(v <= 0.0):
         raise DomainErrorJet("ln of a non-positive value")
     inv = 1.0 / v
-    return _chain(x, np.log(v), inv, -inv * inv)
+    return _chain(x, np.log(v), inv, -inv * inv, lambda: 2.0 * inv * inv * inv)
 
 
 def powj(x: Jet2, y: Jet2) -> Jet2:
@@ -282,12 +319,12 @@ def apply(name: str, x: Jet2) -> Jet2:
 # ---------- structural operations ----------
 
 
-def seed(points: np.ndarray, m: int | None = None) -> tuple[Jet2, ...]:
-    """Coordinate jets for parameter points of shape ``(..., m)``."""
+def seed(points: np.ndarray, m: int | None = None, order: int = 2) -> tuple[Jet2, ...]:
+    """Coordinate jets of ``order`` for parameter points of shape ``(..., m)``."""
     pts = np.asarray(points, dtype=float)
     if m is None:
         m = pts.shape[-1]
-    return tuple(Jet2.variable(pts[..., i], i, m) for i in range(m))
+    return tuple(Jet2.variable(pts[..., i], i, m, order) for i in range(m))
 
 
 def stack(jets: Sequence[Jet2], axis: int = -1) -> Jet2:
@@ -307,6 +344,7 @@ def stack(jets: Sequence[Jet2], axis: int = -1) -> Jet2:
         slot("value", ()),
         lambda: slot("grad", (m,)),
         lambda: slot("hess", (packed_len(m),)),
+        lambda: slot("third", jets[0].third.shape[-1:]),
     )
 
 

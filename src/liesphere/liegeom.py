@@ -44,23 +44,25 @@ def pairing(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return inner_value(X[..., :, None, :], Y[..., None, :, :])
 
 
-def t0_jet(m: int) -> Jet2:
+def t0_jet(m: int) -> np.ndarray:
+    """The time-like basis vector t0, a plain array: jets lift it at their own order."""
     e = np.zeros(m + 4)
     e[m + 2] = 1.0
-    return Jet2.constant(e, m)
+    return e
 
 
-def t1_jet(m: int) -> Jet2:
+def t1_jet(m: int) -> np.ndarray:
+    """The time-like basis vector t1, a plain array like :func:`t0_jet`."""
     e = np.zeros(m + 4)
     e[m + 3] = 1.0
-    return Jet2.constant(e, m)
+    return e
 
 
 def spatial_vector(components: list[Jet2]) -> Jet2:
     """Assemble a full vector jet from spatial parts, zero time components."""
     comps = list(components)
     m = comps[0].m
-    zero = Jet2.constant(np.zeros(comps[0].value.shape), m)
+    zero = Jet2.constant(np.zeros(comps[0].value.shape), m, comps[0].order)
     return J.stack(comps + [zero, zero], axis=-1)
 
 

@@ -259,7 +259,7 @@ def alpha_hat(result: TransformResult) -> Jet2:
 
 def corrected_differential(f: Jet2, alpha: Jet2) -> np.ndarray:
     """Values of d f - (f + t0) alpha; row i (axis -2) is the d_i slot."""
-    f_t0 = f.value + t0_jet(f.m).value
+    f_t0 = f.value + t0_jet(f.m)
     return np.swapaxes(f.grad, -1, -2) - alpha.value[..., None] * f_t0[..., None, :]
 
 
@@ -453,7 +453,7 @@ class GridRun:
 
 @dataclass
 class _Block:
-    """What one block of :func:`run_grid` keeps: values and merged-to-be maxima."""
+    """One block of :func:`run_grid`: values for the whole-grid arrays, and maxima to merge."""
 
     values: dict[str, np.ndarray]
     dalpha: tuple[float, int | None] | None = None  # None: no regular point
@@ -541,6 +541,7 @@ def run_grid(
         error = exc  # raised once the chart has certified, as in a single pass
     frame_cert = None  # the certificate of the blocks so far, merged
     blocks: list[_Block] = []
+    v = None  # whole-grid value arrays, shaped and typed like the first block's
     for start in range(0, len(flat), BLOCK):
         key = slice(start, start + BLOCK)
         frame = CH.eval_chart(chart, flat[key], contact_tol=contact_tol, judge=False)
@@ -553,15 +554,18 @@ def run_grid(
             except (ContactViolation, NotImmersed) as exc:
                 error = exc  # the whole grid's record fails too
         if error is None:
-            blocks.append(_run_block(frame, tau.batch(key), start, det_rel_tol))
+            block = _run_block(frame, tau.batch(key), start, det_rel_tol)
+            v = v or {
+                k: np.empty((len(flat),) + a.shape[1:], a.dtype) for k, a in block.values.items()
+            }
+            for k in v:  # pop: the block's own copy is freed at once
+                v[k][key] = block.values.pop(k)
+            blocks.append(block)
         del frame  # its jets would otherwise live through the next block's chart
 
     L.judge_frame(frame_cert, contact_tol)
     if error is not None:
         raise error
-    # pop: each block's copy is freed as soon as its column is joined
-    keys = list(blocks[0].values)
-    v = {k: np.concatenate([b.values.pop(k) for b in blocks]) for k in keys}
     if v["singular"].all():
         _raise_not_regular(v["singular"], v["points"], "congruence metric")
     checked = [b for b in blocks if b.dalpha is not None]

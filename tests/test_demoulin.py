@@ -1,11 +1,13 @@
 """Potentials, connection operators, the family, and the dual step."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from liesphere import charts as CH
+from liesphere import cli
 from liesphere import demoulin as D
 from liesphere import exprs as E
 from liesphere import gridio as G
@@ -18,6 +20,9 @@ from liesphere.errors import (
     NotRibaucour,
     PathDependence,
 )
+
+
+SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
 
 @pytest.fixture(scope="module")
@@ -360,3 +365,29 @@ def test_dual_step_leaves_consistency_to_the_gate(square_torus):
     patch = G.Grid(8, 8, Domain((lo, hi), (lo, hi), (False, False)))
     dual = D.dual_family_step(fam, patch)
     assert 1e-4 < dual.consistency < 1e-2
+
+
+def test_dual_closedness_is_exact_on_the_shipped_scene():
+    # dgamma comes from order-3 jets, so the residual is round-off, not a stencil's
+    scene = cli.load_scene(SCENES / "demoulin_dual_2d.json")
+    fam = D.build_family(
+        scene.chart, scene.tau, scene.tau1, G.Grid(*scene.grid, scene.chart.domain)
+    )
+    dual = D.dual_family_step(fam)
+    assert dual.consistency < 1e-5
+    assert dual.gamma_identity_residual <= 1e-12
+
+
+def test_default_dual_patch_lies_inside_the_domain(square_torus, family_64):
+    # each axis of a [0, 1] domain is inset by span/20, not by a fixed 0.1
+    chart = CH.CliffordTorus(square_torus.r, Domain((0.0, 1.0), (0.0, 1.0), (False, False)))
+    fam = D.build_family(
+        chart, E.parse_tau("0.3*sin(u)"), E.parse_tau("2 + 0.2*cos(v)"),
+        G.Grid(16, 16, chart.domain),
+    )
+    dual = D.dual_family_step(fam)
+    assert dual.patch.domain.u == dual.patch.domain.v == (0.05, 0.95)
+    pts = dual.patch.points()
+    assert pts.min() >= 0.0 and pts.max() <= 1.0
+    # the shipped [0, 2pi] domains keep the (0.1, 2pi - 0.1) patch
+    assert D.dual_family_step(family_64).patch.domain.u == (0.1, 2.0 * np.pi - 0.1)

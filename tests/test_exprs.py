@@ -156,3 +156,15 @@ def test_batched_evaluation_shapes():
     np.testing.assert_allclose(
         jet.value, np.sin(pts[..., 0]) + np.cos(pts[..., 1])
     )
+
+
+def test_third_slot_is_checked_finite():
+    # u^2.5 has finite partials through order two at u = 0, an infinite third
+    pt = np.array([[0.5, 1.0], [0.0, 1.0]])
+    src = E.parse_tau("u^2.5 + v")
+    assert E.eval_at(src, pt).order == 2
+    with pytest.raises(DomainErrorJet, match=r"\[0\.0, 1\.0\]"):
+        E.eval_at(src, pt, order=3)
+    jet = E.eval_at(E.parse_tau("2 + u*u*v"), pt, order=3)
+    assert jet.order == 3
+    np.testing.assert_array_equal(jet.third, [[0.0, 2.0, 0.0, 0.0]] * 2)

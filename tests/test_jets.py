@@ -9,6 +9,7 @@ from liesphere import jets as J
 from liesphere.errors import DivisionByZeroJet, DomainErrorJet
 from liesphere.gridio import fd_jet_oracle
 from liesphere.jets import Jet2
+from liesphere.liegeom import spatial_vector, t0_jet, t1_jet
 from reference import mat_mul
 
 
@@ -284,3 +285,70 @@ def test_fd_convergence_order_of_jets():
     orders = [np.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
     for order in orders:
         assert 1.7 <= order <= 2.3
+
+
+# ---------- order 3 ----------
+
+_THIRD_ORDER_CASES = {
+    "sin": lambda u, v: J.sin(u * v + u),
+    "cos": lambda u, v: J.cos(u - 2.0 * v * v),
+    "exp": lambda u, v: J.exp(u * v),
+    "ln": lambda u, v: J.ln(1.0 + u * u + v),
+    "reciprocal": lambda u, v: 1.0 / (2.0 + u * v),
+    "integer power": lambda u, v: (u * v + 1.0) ** 4,
+    "fractional power": lambda u, v: (1.0 + u * u + v) ** 2.5,
+    "negative fractional power": lambda u, v: (1.0 + u + v * v) ** -1.5,
+    "product and quotient": lambda u, v: J.sin(u) * J.exp(v) / (1.0 + u * v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_THIRD_ORDER_CASES))
+def test_third_partials_match_differences_of_exact_hessians(name):
+    # d_ijk against central differences of the order-2 Hessians in direction
+    # k; the observed order is about 2, as the oracle's is one order down
+    fn = _THIRD_ORDER_CASES[name]
+    pt = np.array([0.7, 0.4])
+    exact = fn(*J.seed(pt, order=3))
+    assert exact.order == 3 and exact.third.shape == (4,)
+    errs = []
+    for h in (1e-2, 5e-3, 2.5e-3):
+        err = 0.0
+        for k in range(2):
+            step = np.eye(2)[k] * h
+            fd = (fn(*J.seed(pt + step)).hess - fn(*J.seed(pt - step)).hess) / (2 * h)
+            err = max(err, np.max(np.abs(exact.deriv(k).hess - fd)))
+        errs.append(err)
+    for e0, e1 in zip(errs, errs[1:]):
+        assert 1.7 <= np.log2(e0 / e1) <= 2.3
+
+
+def test_deriv_lowers_order_three_to_zero():
+    u, v = J.seed(np.array([0.4, 0.9]), order=3)
+    f = J.exp(u) * J.cos(v)
+    assert f.order == 3
+    # packed third slot: d_uuu, d_uuv, d_uvv, d_vvv
+    np.testing.assert_array_equal(f.deriv(0).hess, f.third[[0, 1, 2]])
+    np.testing.assert_array_equal(f.deriv(1).hess, f.third[[1, 2, 3]])
+    d = f.deriv(1)
+    assert d.order == 2 and d.third is None
+    np.testing.assert_array_equal(d.grad, f.hess[[1, 2]])
+    dd = d.deriv(0)
+    assert dd.order == 1 and dd.hess is None
+    assert dd.deriv(1).order == 0
+    # the lower slots are those of the order-2 jet
+    u2, v2 = J.seed(np.array([0.4, 0.9]))
+    f2 = J.exp(u2) * J.cos(v2)
+    for slot in ("value", "grad", "hess"):
+        np.testing.assert_array_equal(getattr(f, slot), getattr(f2, slot))
+
+
+def test_constants_keep_order_three():
+    u, v = J.seed(np.array([[0.4, 0.9], [1.1, 0.3]]), order=3)
+    for jet in (2.0 * u, u + 1.0, 3.0 - v, 1.0 / (u + 2.0), u**0, u**1.5, u / 2.0):
+        assert jet.order == 3
+    f = spatial_vector([u, v, u * v, v - u])
+    assert f.order == 3
+    assert (f + t0_jet(2)).order == 3 and (f - t1_jet(2)).order == 3
+    assert J.stack([u, v], axis=-1).order == 3
+    # an order-2 operand still lowers the result
+    assert (u * J.seed(np.array([0.4, 0.9]))[1]).order == 2

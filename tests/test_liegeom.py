@@ -20,9 +20,9 @@ def _const_vec(arr):
 
 def test_time_like_basis():
     t0, t1 = L.t0_jet(2), L.t1_jet(2)
-    assert L.lie_inner(t0, t0).value == pytest.approx(-1.0)
-    assert L.lie_inner(t1, t1).value == pytest.approx(-1.0)
-    assert L.lie_inner(t0, t1).value == pytest.approx(0.0)
+    assert L.inner_value(t0, t0) == pytest.approx(-1.0)
+    assert L.inner_value(t1, t1) == pytest.approx(-1.0)
+    assert L.inner_value(t0, t1) == pytest.approx(0.0)
 
 
 def test_light_cone_lift_of_unit_vector():

@@ -20,6 +20,7 @@ from liesphere.errors import (
     NotRegular,
 )
 from liesphere.gridio import Grid, fd_jet_oracle
+from liesphere.jets import Jet2
 from reference import shape_operator_path
 
 
@@ -437,3 +438,19 @@ def test_run_grid_memory_does_not_grow_with_the_grid(square_torus):
 
     small, large = peak(64), peak(128)  # one block against four
     assert large < 1.5 * small
+
+
+def test_run_grid_carries_no_third_slot(monkeypatch):
+    # order 3 is seeded only by the dual step; the grid runner stays at order 2
+    scene = cli.load_scene(Path(__file__).resolve().parents[1] / "scenes/check_sinu.json")
+    orders = []
+    init = Jet2.__init__
+
+    def spy(self, value, grad, hess, m, third=None):
+        orders.append(third is not None)
+        init(self, value, grad, hess, m, third)
+
+    monkeypatch.setattr(Jet2, "__init__", spy)
+    grid = Grid(*scene.grid, scene.chart.domain)
+    assert RB.run_grid(scene.chart, scene.tau, grid.points()).ribaucour
+    assert len(orders) > 100 and not any(orders)
