@@ -253,23 +253,21 @@ class DemoulinFamily:
         pot = self.tilde0 if which == 0 else self.tilde1
         res = self.result0 if which == 0 else self.result1
         value = pot.data.reshape(-1)
-        grad = -res.alpha.value
-        ag = res.alpha.grad  # (..., comp i, deriv j)
+        grad = -np.moveaxis(res.alpha.value, -1, 0)
+        ag = res.alpha.grad  # ag[j][..., i] is d_j alpha_i
         m = self.frame.m
-        hess = np.empty(value.shape + (m * (m + 1) // 2,))
+        hess = np.empty((m * (m + 1) // 2,) + value.shape)
         for i in range(m):
             for j in range(i, m):
-                hess[..., J.packed_index(i, j, m)] = -0.5 * (
-                    ag[..., i, j] + ag[..., j, i]
-                )
+                hess[J.packed_index(i, j, m)] = -0.5 * (ag[j][..., i] + ag[i][..., j])
         return Jet2(value, grad, hess, m)
 
 
 def _alpha_fields(result: RB.TransformResult, grid: Grid) -> tuple[GridField, GridField]:
     comps = result.alpha.value.reshape(grid.shape + (-1,))
-    g = result.alpha.grad  # (..., comp, deriv)
+    g = result.alpha.grad  # g[j][..., i] is d_j alpha_i
     partials = np.stack(
-        [g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]], axis=-1
+        [g[0][..., 0], g[1][..., 0], g[0][..., 1], g[1][..., 1]], axis=-1
     ).reshape(grid.shape + (4,))
     return GridField(grid, comps), GridField(grid, partials)
 
@@ -472,7 +470,7 @@ def _dual_fields(family: DemoulinFamily, points: np.ndarray, order: int = 2) -> 
 
     ``order`` is the seed order of the chart and tau0.  At 2, gamma is a value;
     ``order=3`` makes it an order-1 jet, whose exact partials come back as
-    ``dgamma``, laid out (..., component, derivative).  Points run in blocks
+    ``dgamma``, laid out (..., derivative, component).  Points run in blocks
     of :data:`DUAL_BLOCK`.
     """
     flat = points.reshape(-1, 2)
@@ -509,7 +507,7 @@ def _dual_block(family: DemoulinFamily, pts: np.ndarray, order: int) -> dict:
         RB.corrected_differential(res0.f_hat, ah0), point[..., None, :]
     ) / factor[..., None]
 
-    dlog = (tau1.grad - tau0.grad) / (tau1.value - tau0.value)[..., None]
+    dlog = np.moveaxis((tau1.grad - tau0.grad) / (tau1.value - tau0.value), 0, -1)
     drive = res1.alpha.value - ah0.value + dlog
     out = {"gamma": gamma, "drive": drive, "alpha_hat0": ah0.value}
     if order == 3:  # gamma once more, in jet arithmetic, for its partials
@@ -518,7 +516,8 @@ def _dual_block(family: DemoulinFamily, pts: np.ndarray, order: int) -> dict:
             lie_inner(fh0.deriv(i) - ah0.take(i).vec() * (fh0 + t0), res1.f_hat + t0)
             for i in range(m)
         ]
-        out["dgamma"] = (J.stack(rows) / ((tau1 - tau0) * (res1.a - 1.0)).vec()).grad
+        dgamma = (J.stack(rows) / ((tau1 - tau0) * (res1.a - 1.0)).vec()).grad
+        out["dgamma"] = np.moveaxis(dgamma, 0, -2)
     return out
 
 
@@ -593,7 +592,7 @@ def dual_family_step(
 
     pts = patch.points()
     nodes = _dual_fields(family, pts, order=3)
-    dgamma = nodes.pop("dgamma")  # (..., component, derivative)
+    dgamma = nodes.pop("dgamma")  # (..., derivative, component)
 
     umids = _dual_fields(family, pts[:-1, :, :] + np.array([patch.hu / 2.0, 0.0]))
     vmids = _dual_fields(family, pts[:, :-1, :] + np.array([0.0, patch.hv / 2.0]))
@@ -637,9 +636,9 @@ def dual_family_step(
     dsep = sep[..., None] * dw  # exact differential of tau0 - tau_hat0 given w
     two_form = (
         dsep[..., 0] * gamma[..., 1]
-        + sep * dgamma[..., 1, 0]
+        + sep * dgamma[..., 0, 1]
         - dsep[..., 1] * gamma[..., 0]
-        - sep * dgamma[..., 0, 1]
+        - sep * dgamma[..., 1, 0]
     )
     gamma_identity = float(np.max(np.abs(two_form)))
 

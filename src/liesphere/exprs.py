@@ -332,5 +332,5 @@ def eval_all(nodes: Sequence[TauExpr], points: np.ndarray, order: int = 2) -> li
 def _not_finite(jet: J.Jet2) -> np.ndarray:
     finite = np.isfinite(jet.value)
     for slot in (jet.grad, jet.hess, jet.third)[: jet.order]:
-        finite &= np.isfinite(slot).all(axis=-1)
+        finite &= np.isfinite(slot).all(axis=0)
     return ~finite

@@ -127,9 +127,6 @@ def fd_jet_oracle(
     mp = ev(-1, 1)
     mm = ev(-1, -1)
     hess[packed_index(0, 1, m)] = (pp - pm - mp + mm) / (4.0 * h * h)
-    # move component axes in front of derivative axes
-    grad = np.moveaxis(grad, 0, -1)
-    hess = np.moveaxis(hess, 0, -1)
     return Jet2(value, grad, hess, m)
 
 

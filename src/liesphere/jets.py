@@ -6,10 +6,14 @@ the symmetric third partials of a smooth quantity at a parameter point, packed
 exactly via Leibniz / Faa di Bruno rules, so first derivatives of any derived
 quantity carry no truncation error.
 
-Shapes: ``value`` may be an array of any shape ``S``; then ``grad`` has shape
-``S + (m,)``, ``hess`` ``S + (m(m+1)/2,)`` and ``third`` ``S + (m(m+1)(m+2)/6,)``.
-Elementwise operations broadcast over ``S``, which is how whole parameter grids
-and vector-valued quantities are processed in single vectorized calls.
+Shapes: ``value`` may be an array of any shape ``S``; the slots are stored
+derivative-major, ``grad`` with shape ``(m,) + S``, ``hess`` ``(m(m+1)/2,) + S``
+and ``third`` ``(m(m+1)(m+2)/6,) + S``.  Slot ``k`` is then an array shaped like
+the value, so elementwise operations broadcast the value against whole slots
+and run over all points and components at once; this is how whole parameter
+grids and vector-valued quantities are processed in single vectorized calls.
+Value axes are addressed by negative positions, which mean the same axis in
+the value and in every slot.
 
 A jet has an order, the number of derivative slots present: 0 to 3, and 2 for
 a seed unless asked otherwise.  :meth:`Jet2.deriv` lowers the order by one, since
@@ -93,14 +97,14 @@ class Jet2:
     def constant(value: Scalar, m: int, order: int = 2) -> "Jet2":
         v = np.asarray(value, dtype=float)
         lens = (m, packed_len(m), m * (m + 1) * (m + 2) // 6)
-        g, h, t = (np.zeros(v.shape + (n,)) if k < order else None for k, n in enumerate(lens))
+        g, h, t = (np.zeros((n,) + v.shape) if k < order else None for k, n in enumerate(lens))
         return Jet2(v, g, h, m, t)
 
     @staticmethod
     def variable(value: Scalar, index: int, m: int, order: int = 2) -> "Jet2":
         """Coordinate seed: unit gradient in slot ``index``, zero higher slots."""
         x = Jet2.constant(value, m, order)
-        x.grad[..., index] = 1.0
+        x.grad[index] = 1.0
         return x
 
     def _lift(self, other) -> "Jet2":
@@ -111,8 +115,13 @@ class Jet2:
         # at this jet's order, so that a number never lowers it
         return Jet2.constant(other, self.m, self.order)
 
-    def _map(self, on_value, on_derivs) -> "Jet2":
-        """Apply ``on_value`` to the value and ``on_derivs`` to each slot present."""
+    def _map(self, on_value, on_derivs=None) -> "Jet2":
+        """Apply ``on_value`` to the value and ``on_derivs`` to each slot present.
+
+        ``on_derivs`` defaults to ``on_value``, right for any map that addresses
+        value axes by negative position.
+        """
+        on_derivs = on_derivs or on_value
         slots = (self.grad, self.hess, self.third)
         g, h, t = (None if a is None else on_derivs(a) for a in slots)
         return Jet2(on_value(self.value), g, h, self.m, t)
@@ -127,9 +136,7 @@ class Jet2:
         """Insert a broadcast axis at (negative) value position ``axis``."""
         if axis >= 0:
             raise ValueError("expand wants a negative axis")
-        return self._map(
-            lambda a: np.expand_dims(a, axis), lambda a: np.expand_dims(a, axis - 1)
-        )
+        return self._map(lambda a: np.expand_dims(a, axis))
 
     def vec(self) -> "Jet2":
         """Scalar jet made broadcastable against component-carrying jets."""
@@ -137,11 +144,12 @@ class Jet2:
 
     def take(self, key) -> "Jet2":
         """Select along the last value axis (component selection)."""
-        return self._map(lambda a: a[..., key], lambda a: a[..., key, :])
+        return self._map(lambda a: a[..., key])
 
     def batch(self, key) -> "Jet2":
         """Index leading (batch) axes."""
-        return self._map(lambda a: a[key], lambda a: a[key])
+        slot_key = (slice(None),) + (key if isinstance(key, tuple) else (key,))
+        return self._map(lambda a: a[key], lambda a: a[slot_key])
 
     def deriv(self, i: int) -> "Jet2":
         """Jet of the i-th first partial, one order below this jet.
@@ -152,18 +160,19 @@ class Jet2:
         if self.grad is None:
             raise ValueError("an order-0 jet carries no derivatives")
         row = [packed_index(i, k, self.m) for k in range(self.m)]
-        hess_row = None if self.hess is None else self.hess[..., row]
+        hess_row = None if self.hess is None else self.hess[row]
         third_row = None
         if self.third is not None:
-            third_row = self.third[..., _tri3(self.m)[0][i][_tri(self.m)]]
-        return Jet2(self.grad[..., i], hess_row, third_row, self.m)
+            third_row = self.third[_tri3(self.m)[0][i][_tri(self.m)]]
+        return Jet2(self.grad[i], hess_row, third_row, self.m)
 
     # ---------- arithmetic ----------
 
     def _zip(self, other, op, reflected: bool = False) -> "Jet2":
         """Slotwise ``op(self, other)`` (``op(other, self)`` when reflected)."""
-        o = self._lift(other)
-        x, y = (o, self) if reflected else (self, o)
+        x, y = _aligned(self, self._lift(other))
+        if reflected:
+            x, y = y, x
         grad, hess = lambda: op(x.grad, y.grad), lambda: op(x.hess, y.hess)
         third = lambda: op(x.third, y.third)  # noqa: E731
         return _combine((x, y), op(x.value, y.value), grad, hess, third)
@@ -180,25 +189,25 @@ class Jet2:
         return self._zip(other, np.subtract, reflected=True)
 
     def __neg__(self):
-        return self._map(np.negative, np.negative)
+        return self._map(np.negative)
 
     def __mul__(self, other):
-        o = self._lift(other)
+        x, y = _aligned(self, self._lift(other))
         rows, cols = _tri(self.m)
         _, pair, single = _tri3(self.m)
-        va, vb = self.value, o.value
+        va, vb = x.value, y.value
         return _combine(
-            (self, o),
+            (x, y),
             va * vb,
-            lambda: self.grad * vb[..., None] + o.grad * va[..., None],
-            lambda: self.hess * vb[..., None]
-            + o.hess * va[..., None]
-            + self.grad[..., rows] * o.grad[..., cols]
-            + self.grad[..., cols] * o.grad[..., rows],
-            lambda: self.third * vb[..., None]
-            + o.third * va[..., None]
-            + (self.hess[..., pair] * o.grad[..., single]).sum(axis=-2)
-            + (self.grad[..., single] * o.hess[..., pair]).sum(axis=-2),
+            lambda: x.grad * vb + y.grad * va,
+            lambda: x.hess * vb
+            + y.hess * va
+            + x.grad[rows] * y.grad[cols]
+            + x.grad[cols] * y.grad[rows],
+            lambda: x.third * vb
+            + y.third * va
+            + (x.hess[pair] * y.grad[single]).sum(axis=0)
+            + (x.grad[single] * y.hess[pair]).sum(axis=0),
         )
 
     __rmul__ = __mul__
@@ -247,6 +256,17 @@ def _combine(operands, value, grad, hess, third) -> Jet2:
     )
 
 
+def _aligned(*jets: Jet2) -> list[Jet2]:
+    """The jets with the slots of every lower-rank value padded by unit axes after
+    the derivative axis, so that slots broadcast against each other as values do."""
+    ndim = max(j.value.ndim for j in jets)
+
+    def pad(a: np.ndarray) -> np.ndarray:
+        return a.reshape(a.shape[:1] + (1,) * (ndim + 1 - a.ndim) + a.shape[1:])
+
+    return [j if j.value.ndim == ndim else j._map(lambda a: a, pad) for j in jets]
+
+
 def _recip(x: Jet2) -> Jet2:
     v = x.value
     if np.any(np.abs(v) < _ZERO_EPS):
@@ -262,12 +282,11 @@ def _chain(x: Jet2, f: np.ndarray, fp: np.ndarray, fpp: np.ndarray, fppp) -> Jet
     return _combine(
         (x,),
         f,
-        lambda: fp[..., None] * x.grad,
-        lambda: fp[..., None] * x.hess
-        + fpp[..., None] * (x.grad[..., rows] * x.grad[..., cols]),
-        lambda: fp[..., None] * x.third
-        + fpp[..., None] * (x.hess[..., pair] * x.grad[..., single]).sum(axis=-2)
-        + fppp()[..., None] * np.prod(x.grad[..., single], axis=-2),
+        lambda: fp * x.grad,
+        lambda: fp * x.hess + fpp * (x.grad[rows] * x.grad[cols]),
+        lambda: fp * x.third
+        + fpp * (x.hess[pair] * x.grad[single]).sum(axis=0)
+        + fppp() * np.prod(x.grad[single], axis=0),
     )
 
 
@@ -334,29 +353,42 @@ def stack(jets: Sequence[Jet2], axis: int = -1) -> Jet2:
     m = jets[0].m
     # Broadcast all operands to a common batch shape before stacking.
     shape = np.broadcast_shapes(*(j.value.shape for j in jets))
+    jets = _aligned(*jets)
 
-    def slot(name: str, tail: tuple) -> np.ndarray:
-        parts = [np.broadcast_to(getattr(j, name), shape + tail) for j in jets]
-        return np.stack(parts, axis=axis - len(tail))
+    def slot(name: str, lead: tuple = ()) -> np.ndarray:
+        parts = [np.broadcast_to(getattr(j, name), lead + shape) for j in jets]
+        return np.stack(parts, axis=axis)
 
     return _combine(
         jets,
-        slot("value", ()),
+        slot("value"),
         lambda: slot("grad", (m,)),
         lambda: slot("hess", (packed_len(m),)),
-        lambda: slot("third", jets[0].third.shape[-1:]),
+        lambda: slot("third", jets[0].third.shape[:1]),
     )
+
+
+def wsum(a: np.ndarray, axis: int = -1, weights: np.ndarray | None = None) -> np.ndarray:
+    """Sum of an array over ``axis``, optionally weighted by a 1-d ``weights``.
+
+    Terms are added one at a time in index order, each a full-length elementwise
+    operation; ``np.sum`` over a short axis loops per element, and it adds fewer
+    than 8 terms in this same order.
+    """
+    terms = iter(np.moveaxis(a, axis, 0))
+    if weights is not None:
+        terms = (t * w for t, w in zip(terms, np.asarray(weights, dtype=float)))
+    out = next(terms)
+    for t in terms:
+        out = out + t
+    return out
 
 
 def jsum(x: Jet2, axis: int = -1, weights: np.ndarray | None = None) -> Jet2:
-    """Sum (optionally weighted) over a (negative) value axis."""
+    """:func:`wsum` of a jet over a (negative) value axis."""
     if axis >= 0:
         raise ValueError("jsum wants a negative axis")
-    w = None if weights is None else np.asarray(weights, dtype=float)
-    return x._map(
-        lambda a: (a if w is None else a * w).sum(axis=axis),
-        lambda a: (a if w is None else a * w[..., None]).sum(axis=axis - 1),
-    )
+    return x._map(lambda a: wsum(a, axis, weights))
 
 
 # ---------- small dense matrices over jets ----------
@@ -364,7 +396,7 @@ def jsum(x: Jet2, axis: int = -1, weights: np.ndarray | None = None) -> Jet2:
 
 def mat_el(A: Jet2, i: int, j: int) -> Jet2:
     """Entry (i, j) of a matrix jet (last two value axes are the matrix)."""
-    return A._map(lambda a: a[..., i, j], lambda a: a[..., i, j, :])
+    return A._map(lambda a: a[..., i, j])
 
 
 def mat_from_rows(rows: Sequence[Sequence[Jet2]]) -> Jet2:
@@ -394,10 +426,7 @@ def singular_mask(A: Jet2, rel_tol: float, det: np.ndarray) -> np.ndarray:
 def _nan_where(x: Jet2, bad: np.ndarray) -> Jet2:
     if not np.any(bad):
         return x
-    return x._map(
-        lambda a: np.where(bad, np.nan, a),
-        lambda a: np.where(bad[..., None], np.nan, a),
-    )
+    return x._map(lambda a: np.where(bad, np.nan, a))
 
 
 def mat_inverse(A: Jet2, singular: np.ndarray) -> Jet2:

@@ -36,7 +36,7 @@ def lie_inner(x: Jet2, y: Jet2) -> Jet2:
 
 def inner_value(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The inner product on plain component arrays (last axis), broadcasting."""
-    return np.sum(x * y * metric_weights(x.shape[-1] - 4), axis=-1)
+    return J.wsum(x * y, -1, metric_weights(x.shape[-1] - 4))
 
 
 def pairing(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -93,8 +93,6 @@ def frame_residuals(f: Jet2, xi: Jet2) -> dict:
     Reads values and first partials only, so order-1 frames certify too.
     """
     fv, xv = f.value, xi.value
-    df = np.swapaxes(f.grad, -1, -2)  # rows d_i f
-    dxi = np.swapaxes(xi.grad, -1, -2)
 
     def _amax(arr: np.ndarray) -> float:
         return float(np.max(np.abs(arr))) if arr.size else 0.0
@@ -103,10 +101,12 @@ def frame_residuals(f: Jet2, xi: Jet2) -> dict:
         "unit_f": _amax(inner_value(fv, fv) - 1.0),
         "unit_xi": _amax(inner_value(xv, xv) - 1.0),
         "orthogonality": _amax(inner_value(fv, xv)),
-        "contact_df": _amax(inner_value(df, xv[..., None, :])),
-        "contact_dxi": _amax(inner_value(fv[..., None, :], dxi)),
+        "contact_df": _amax(inner_value(f.grad, xv)),
+        "contact_dxi": _amax(inner_value(fv, xi.grad)),
     }
     # Immersion screen: smallest eigenvalue of (df,df) + (dxi,dxi).
+    df = np.moveaxis(f.grad, 0, -2)  # rows d_i f
+    dxi = np.moveaxis(xi.grad, 0, -2)
     eig = np.linalg.eigvalsh(pairing(df, df) + pairing(dxi, dxi))
     res["immersion_min"] = float(np.min(eig[..., 0]))
     return res

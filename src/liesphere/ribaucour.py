@@ -203,12 +203,9 @@ def dalpha_components(result: TransformResult) -> np.ndarray:
     Read from the exact first partials carried by the alpha jets; shape
     ``batch + (m(m-1)/2,)``.
     """
-    g = result.alpha.grad  # (..., comp j, deriv i)
+    g = result.alpha.grad  # g[i][..., j] is d_i alpha_j
     m = result.frame.m
-    cols = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            cols.append(g[..., j, i] - g[..., i, j])
+    cols = [g[i][..., j] - g[j][..., i] for i in range(m) for j in range(i + 1, m)]
     return np.stack(cols, axis=-1)
 
 
@@ -260,7 +257,7 @@ def alpha_hat(result: TransformResult) -> Jet2:
 def corrected_differential(f: Jet2, alpha: Jet2) -> np.ndarray:
     """Values of d f - (f + t0) alpha; row i (axis -2) is the d_i slot."""
     f_t0 = f.value + t0_jet(f.m)
-    return np.swapaxes(f.grad, -1, -2) - alpha.value[..., None] * f_t0[..., None, :]
+    return np.moveaxis(f.grad, 0, -2) - alpha.value[..., None] * f_t0[..., None, :]
 
 
 def wedge(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -285,7 +282,8 @@ def pointwise_residuals(result: TransformResult, ah: Jet2) -> dict[str, np.ndarr
     f, xi = result.frame.f.value, result.frame.xi.value
     fh, xh = result.f_hat.value, result.xi_hat.value
     a, fc, tau = result.a, result.f_check.value, result.tau
-    V = np.stack([v.value for v in result.metric.V], axis=-2)  # rows (-dxi+tau df)(d_i)
+    # Per-derivative quantities carry the derivative index first, as jet slots do.
+    V = np.stack([v.value for v in result.metric.V])  # V[i] = (-dxi+tau df)(d_i)
     inner = L.inner_value
 
     pw = {
@@ -293,12 +291,8 @@ def pointwise_residuals(result: TransformResult, ah: Jet2) -> dict[str, np.ndarr
         "eq6_unit_xihat": np.abs(inner(xh, xh) - 1.0),
         "eq6_orth": np.abs(inner(fh, xh)),
     }
-    fourth = (
-        result.b.grad
-        - tau.value[..., None] * a.grad
-        + (1.0 - a.value)[..., None] * inner(V, fc[..., None, :])
-    )
-    pw["eq6_fourth"] = np.max(np.abs(fourth), axis=-1)
+    fourth = result.b.grad - tau.value * a.grad + (1.0 - a.value) * inner(V, fc)
+    pw["eq6_fourth"] = np.max(np.abs(fourth), axis=0)
     pw["eq6"] = np.maximum.reduce(list(pw.values()))  # the four parts above
 
     pw["fcheck_orth_f"] = np.abs(inner(fc, f))
@@ -312,27 +306,28 @@ def pointwise_residuals(result: TransformResult, ah: Jet2) -> dict[str, np.ndarr
     pw["envelope"] = np.max(np.abs(envelope.value), axis=-1)
 
     # eq9: -dxi_hat + tau df_hat = -dxi + tau df + (f - f_hat) dtau.
-    dfh = np.swapaxes(result.f_hat.grad, -1, -2)  # rows d_i f_hat
-    Vh = -np.swapaxes(result.xi_hat.grad, -1, -2) + tau.value[..., None, None] * dfh
-    rhs = V + tau.grad[..., None] * (f - fh)[..., None, :]
-    pw["eq9"] = np.max(np.abs(Vh - rhs), axis=(-2, -1))
+    dfh = result.f_hat.grad  # dfh[i] is d_i f_hat
+    Vh = -result.xi_hat.grad + tau.value[..., None] * dfh
+    rhs = V + tau.grad[..., None] * (f - fh)
+    pw["eq9"] = np.max(np.abs(Vh - rhs), axis=(0, -1))
 
     # The transformed frame induces the same congruence metric.
-    Ghat = L.pairing(Vh, Vh)
+    rows = np.moveaxis(Vh, 0, -2)  # row i is Vh[i], the layout of L.pairing
+    Ghat = L.pairing(rows, rows)
     pw["metric_match"] = np.max(np.abs(Ghat - result.metric.G.value), axis=(-2, -1))
     pw["hat_abs_det"] = np.abs(np.linalg.det(Ghat))
 
     # eq13: alpha + alpha_hat = d ln(1 - a), using (f, f_hat) = a.
-    alpha = result.alpha.value
-    dln = -a.grad / (1.0 - a.value)[..., None]
-    pw["eq13"] = np.max(np.abs(alpha + ah.value - dln), axis=-1)
+    alpha, alpha_h = (np.moveaxis(x.value, -1, 0) for x in (result.alpha, ah))
+    dln = -a.grad / (1.0 - a.value)
+    pw["eq13"] = np.max(np.abs(alpha + alpha_h - dln), axis=0)
 
     # Consistency of the quotient expressions for both 1-forms.
-    inv_am1 = (1.0 / (a.value - 1.0))[..., None]
-    df = np.swapaxes(result.frame.f.grad, -1, -2)
+    inv_am1 = 1.0 / (a.value - 1.0)
+    df = result.frame.f.grad
     pw["alpha_forms"] = np.maximum(
-        np.max(np.abs(inner(df, fh[..., None, :]) * inv_am1 - alpha), axis=-1),
-        np.max(np.abs(inner(dfh, f[..., None, :]) * inv_am1 - ah.value), axis=-1),
+        np.max(np.abs(inner(df, fh) * inv_am1 - alpha), axis=0),
+        np.max(np.abs(inner(dfh, f) * inv_am1 - alpha_h), axis=0),
     )
     return pw
 

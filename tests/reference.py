@@ -1,11 +1,14 @@
 """Independent references that tests compare the engine against.
 
-None of this is used by the engine itself: the hypersurface (shape-operator)
-route to f_check, plaquette circulations of a sampled 1-form, an OBJ reader,
-the product torus written as custom-chart text, and its principal curvatures.
+None of this is used by the engine itself: point-major jet arithmetic, the
+hypersurface (shape-operator) route to f_check, plaquette circulations of a
+sampled 1-form, an OBJ reader, the product torus written as custom-chart text,
+and its principal curvatures.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +23,193 @@ from liesphere.liegeom import LegendreFrame, lie_inner
 
 class NotHypersurface(LieSphereError):
     """Induced metric of the spherical projection is singular."""
+
+
+# ---------- point-major jets ----------
+#
+# Jet arithmetic in the layout the engine used before its slots went
+# derivative-major: the derivative axis last, ``grad`` shaped ``S + (m,)``.
+# Every value is combined through the same operations in the same order, so
+# the engine's jets must reproduce these bit for bit.
+
+
+@dataclass
+class PointMajor:
+    value: np.ndarray
+    grad: np.ndarray | None
+    hess: np.ndarray | None
+    third: np.ndarray | None
+    m: int
+
+    @staticmethod
+    def of(x: Jet2) -> "PointMajor":
+        """An engine jet in the point-major layout."""
+        slots = (None if a is None else np.moveaxis(a, 0, -1) for a in (x.grad, x.hess, x.third))
+        return PointMajor(x.value, *slots, x.m)
+
+    @property
+    def order(self) -> int:
+        return sum(a is not None for a in (self.grad, self.hess, self.third))
+
+    def _lift(self, other) -> "PointMajor":
+        if isinstance(other, PointMajor):
+            return other
+        return PointMajor.of(Jet2.constant(other, self.m, self.order))
+
+    def _map(self, on_value, on_derivs) -> "PointMajor":
+        slots = (None if a is None else on_derivs(a) for a in (self.grad, self.hess, self.third))
+        return PointMajor(on_value(self.value), *slots, self.m)
+
+    def _zip(self, other, op) -> "PointMajor":
+        o = self._lift(other)
+        return _pm_combine(
+            (self, o),
+            op(self.value, o.value),
+            lambda: op(self.grad, o.grad),
+            lambda: op(self.hess, o.hess),
+            lambda: op(self.third, o.third),
+        )
+
+    def __add__(self, other):
+        return self._zip(other, np.add)
+
+    def __sub__(self, other):
+        return self._zip(other, np.subtract)
+
+    def __neg__(self):
+        return self._map(np.negative, np.negative)
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        rows, cols = J._tri(self.m)
+        _, pair, single = J._tri3(self.m)
+        va, vb = self.value, o.value
+        return _pm_combine(
+            (self, o),
+            va * vb,
+            lambda: self.grad * vb[..., None] + o.grad * va[..., None],
+            lambda: self.hess * vb[..., None]
+            + o.hess * va[..., None]
+            + self.grad[..., rows] * o.grad[..., cols]
+            + self.grad[..., cols] * o.grad[..., rows],
+            lambda: self.third * vb[..., None]
+            + o.third * va[..., None]
+            + (self.hess[..., pair] * o.grad[..., single]).sum(axis=-2)
+            + (self.grad[..., single] * o.hess[..., pair]).sum(axis=-2),
+        )
+
+    def deriv(self, i: int) -> "PointMajor":
+        row = [J.packed_index(i, k, self.m) for k in range(self.m)]
+        hess_row = None if self.hess is None else self.hess[..., row]
+        third_row = None
+        if self.third is not None:
+            third_row = self.third[..., J._tri3(self.m)[0][i][J._tri(self.m)]]
+        return PointMajor(self.grad[..., i], hess_row, third_row, None, self.m)
+
+    def take(self, key) -> "PointMajor":
+        return self._map(lambda a: a[..., key], lambda a: a[..., key, :])
+
+    def batch(self, key) -> "PointMajor":
+        return self._map(lambda a: a[key], lambda a: a[key])
+
+    def expand(self, axis: int) -> "PointMajor":
+        return self._map(
+            lambda a: np.expand_dims(a, axis), lambda a: np.expand_dims(a, axis - 1)
+        )
+
+
+def _pm_combine(operands, value, grad, hess, third) -> PointMajor:
+    order = min(x.order for x in operands)
+    return PointMajor(
+        value,
+        grad() if order > 0 else None,
+        hess() if order > 1 else None,
+        third() if order > 2 else None,
+        operands[0].m,
+    )
+
+
+def pm_chain(x: PointMajor, f, fp, fpp, fppp) -> PointMajor:
+    """Jet of an elementary function of x; ``fppp()`` runs at order 3 only."""
+    rows, cols = J._tri(x.m)
+    _, pair, single = J._tri3(x.m)
+    return _pm_combine(
+        (x,),
+        f,
+        lambda: fp[..., None] * x.grad,
+        lambda: fp[..., None] * x.hess
+        + fpp[..., None] * (x.grad[..., rows] * x.grad[..., cols]),
+        lambda: fp[..., None] * x.third
+        + fpp[..., None] * (x.hess[..., pair] * x.grad[..., single]).sum(axis=-2)
+        + fppp()[..., None] * np.prod(x.grad[..., single], axis=-2),
+    )
+
+
+def pm_apply(name: str, x: PointMajor) -> PointMajor:
+    """sin, cos, exp, ln or the reciprocal ("recip") of a point-major jet."""
+    v = x.value
+    if name in ("sin", "cos"):
+        s, c = np.sin(v), np.cos(v)
+        derivs = (s, c, -s, lambda: -c) if name == "sin" else (c, -s, -c, lambda: s)
+    elif name == "exp":
+        e = np.exp(v)
+        derivs = (e, e, e, lambda: e)
+    else:
+        inv = 1.0 / v
+        if name == "ln":
+            derivs = (np.log(v), inv, -inv * inv, lambda: 2.0 * inv * inv * inv)
+        else:
+            derivs = (inv, -inv * inv, 2.0 * inv * inv * inv, lambda: -6.0 * inv**4)
+    return pm_chain(x, *derivs)
+
+
+def pm_power(x: PointMajor, n: float) -> PointMajor:
+    """x**n for a number n other than 0 and 1."""
+    v = x.value
+    n3 = n * (n - 1.0) * (n - 2.0)
+    fppp = lambda: n3 * v ** (n - 3.0) if n3 else np.zeros_like(v)  # noqa: E731
+    return pm_chain(x, v**n, n * v ** (n - 1.0), n * (n - 1.0) * v ** (n - 2.0), fppp)
+
+
+def pm_stack(jets, axis: int = -1) -> PointMajor:
+    m = jets[0].m
+    shape = np.broadcast_shapes(*(j.value.shape for j in jets))
+
+    def slot(name: str, tail: tuple) -> np.ndarray:
+        parts = [np.broadcast_to(getattr(j, name), shape + tail) for j in jets]
+        return np.stack(parts, axis=axis - len(tail))
+
+    return _pm_combine(
+        jets,
+        slot("value", ()),
+        lambda: slot("grad", (m,)),
+        lambda: slot("hess", (J.packed_len(m),)),
+        lambda: slot("third", jets[0].third.shape[-1:]),
+    )
+
+
+def pm_jsum(x: PointMajor, axis: int = -1, weights=None) -> PointMajor:
+    w = None if weights is None else np.asarray(weights, dtype=float)
+    return x._map(
+        lambda a: (a if w is None else a * w).sum(axis=axis),
+        lambda a: (a if w is None else a * w[..., None]).sum(axis=axis - 1),
+    )
+
+
+def pm_mat_inverse(A: PointMajor, singular: np.ndarray) -> PointMajor:
+    """2x2 inverse by cofactors, NaN at the ``singular`` points."""
+    a, b, c, d = (
+        A._map(lambda x: x[..., i, j], lambda x: x[..., i, j, :])
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))
+    )
+    det = a * d - b * c
+    if np.any(singular):
+        det = det._map(
+            lambda x: np.where(singular, np.nan, x),
+            lambda x: np.where(singular[..., None], np.nan, x),
+        )
+    adj = pm_stack([pm_stack([d, -b]), pm_stack([-c, a])], axis=-2)
+    return adj * pm_apply("recip", det).expand(-1).expand(-1)
 
 
 # ---------- small dense matrices over jets ----------

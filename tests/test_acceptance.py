@@ -138,7 +138,7 @@ def test_criterion_07_potential():
     g = res.alpha.grad
     partials = G.GridField(
         grid,
-        np.stack([g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]], axis=-1)
+        np.stack([g[0][..., 0], g[1][..., 0], g[0][..., 1], g[1][..., 1]], axis=-1)
         .reshape(grid.shape + (4,)),
     )
     pot = D.integrate_potential(comps, partials)

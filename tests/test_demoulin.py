@@ -78,7 +78,8 @@ def test_non_closed_form_raises_path_dependence(square_torus):
     res = RB.transform(frame, tau, on_singular="nan")
     comps = np.where(res.metric.singular[..., None], 0.0, res.alpha.value)
     alpha = G.GridField(grid, comps.reshape(grid.shape + (2,)))
-    partials = np.where(res.metric.singular[..., None, None], 0.0, res.alpha.grad)
+    partials = np.moveaxis(res.alpha.grad, 0, -1)  # (..., component, derivative)
+    partials = np.where(res.metric.singular[..., None, None], 0.0, partials)
     alpha_grad = G.GridField(grid, partials.reshape(grid.shape + (4,)))
     with pytest.raises(PathDependence) as exc:
         D.integrate_potential(alpha, alpha_grad)

@@ -152,7 +152,7 @@ def test_batched_evaluation_shapes():
     pts = np.random.default_rng(0).uniform(0.1, 6.0, size=(5, 7, 2))
     jet = E.eval_at(E.parse_tau("sin(u)+cos(v)"), pts)
     assert jet.value.shape == (5, 7)
-    assert jet.grad.shape == (5, 7, 2)
+    assert jet.grad.shape == (2, 5, 7)
     np.testing.assert_allclose(
         jet.value, np.sin(pts[..., 0]) + np.cos(pts[..., 1])
     )
@@ -167,4 +167,4 @@ def test_third_slot_is_checked_finite():
         E.eval_at(src, pt, order=3)
     jet = E.eval_at(E.parse_tau("2 + u*u*v"), pt, order=3)
     assert jet.order == 3
-    np.testing.assert_array_equal(jet.third, [[0.0, 2.0, 0.0, 0.0]] * 2)
+    np.testing.assert_array_equal(jet.third.T, [[0.0, 2.0, 0.0, 0.0]] * 2)

@@ -10,6 +10,7 @@ from liesphere.errors import DivisionByZeroJet, DomainErrorJet
 from liesphere.gridio import fd_jet_oracle
 from liesphere.jets import Jet2
 from liesphere.liegeom import spatial_vector, t0_jet, t1_jet
+import reference as R
 from reference import mat_mul
 
 
@@ -130,7 +131,7 @@ def test_products_take_the_lowest_order():
     assert prod.hess is None
     np.testing.assert_array_equal(prod.value, f.value * first.value)
     np.testing.assert_array_equal(
-        prod.grad, f.grad * first.value[..., None] + first.grad * f.value[..., None]
+        prod.grad, f.grad * first.value + first.grad * f.value
     )
     assert (f * first.deriv(0)).order == 0
     # structural operations keep the lowest order of their operands
@@ -208,9 +209,9 @@ def test_singular_matrix_poisons_its_index():
     singular = J.singular_mask(A, 1e-10, J.mat_det_value(A))
     assert np.flatnonzero(singular).tolist() == [2]
     Ai = J.mat_inverse(A, singular)
-    for slot in (Ai.value, Ai.grad, Ai.hess):
-        assert np.isnan(slot[2]).all()
-        assert np.isfinite(slot[[0, 1, 3]]).all()
+    for slot in ("value", "grad", "hess"):
+        assert np.isnan(getattr(Ai.batch(2), slot)).all()
+        assert np.isfinite(getattr(Ai.batch([0, 1, 3]), slot)).all()
     np.testing.assert_allclose(Ai.value[[0, 1, 3]], np.linalg.inv(vals[[0, 1, 3]]))
     with pytest.raises(ValueError):
         J.mat_inverse(Jet2.constant(np.eye(3), 2), np.zeros((), bool))
@@ -222,7 +223,7 @@ def test_stack_jsum_take_shapes():
     u, v = J.seed(pts)
     vecjet = J.stack([u, v, u * v], axis=-1)
     assert vecjet.value.shape == (6, 3)
-    assert vecjet.grad.shape == (6, 3, 2)
+    assert vecjet.grad.shape == (2, 6, 3)
     total = J.jsum(vecjet, axis=-1, weights=np.array([1.0, 1.0, -2.0]))
     np.testing.assert_allclose(
         total.value, pts[:, 0] + pts[:, 1] - 2 * pts[:, 0] * pts[:, 1]
@@ -352,3 +353,96 @@ def test_constants_keep_order_three():
     assert J.stack([u, v], axis=-1).order == 3
     # an order-2 operand still lowers the result
     assert (u * J.seed(np.array([0.4, 0.9]))[1]).order == 2
+
+
+# ---------- derivative-major slots against the point-major reference ----------
+
+
+def _assert_same_bits(jet, ref):
+    """Every slot of ``jet`` equals the point-major reference bit for bit."""
+    assert jet.order == ref.order
+    got = R.PointMajor.of(jet)
+    for name in ("value", "grad", "hess", "third"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert (a is None) == (b is None), name
+        if b is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def _seeded(order):
+    """Seeds on a 4x5 grid, as engine jets and as point-major references."""
+    pts = np.random.default_rng(3).uniform(0.2, 1.4, size=(4, 5, 2))
+    jets = J.seed(pts, order=max(order, 1))
+    if order == 0:  # seeds start at order 1; order 0 is a jet of values alone
+        jets = tuple(Jet2(x.value, None, None, x.m) for x in jets)
+    return jets, tuple(R.PointMajor.of(x) for x in jets)
+
+
+def _operands(u, v):
+    """A positive scalar jet and a 6-component vector jet, built the same way for
+    engine jets and point-major references (stack is the only function passed)."""
+    w = u * v * (u + 1.0) + 0.5
+    return w, w * u - v * v + 2.0
+
+
+_ENGINE_ELEMENTARY = {"sin": J.sin, "cos": J.cos, "exp": J.exp, "ln": J.ln, "recip": J._recip}
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", ["sin", "cos", "exp", "ln", "recip", 2.0, 3.0, 2.5, -1.5, 0.5])
+def test_elementary_functions_match_point_major_bits(order, name):
+    (u, v), (ru, rv) = _seeded(order)
+    (w, _), (rw, _) = _operands(u, v), _operands(ru, rv)
+    _assert_same_bits(w, rw)
+    if isinstance(name, str):
+        _assert_same_bits(_ENGINE_ELEMENTARY[name](w), R.pm_apply(name, rw))
+    else:
+        _assert_same_bits(w**name, R.pm_power(rw, name))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_structural_operations_match_point_major_bits(order):
+    (u, v), (ru, rv) = _seeded(order)
+    (w, z), (rw, rz) = _operands(u, v), _operands(ru, rv)
+    comps = [u, v, w, z, J.sin(w), J.exp(z)]
+    refs = [ru, rv, rw, rz, R.pm_apply("sin", rw), R.pm_apply("exp", rz)]
+    F, rF = J.stack(comps), R.pm_stack(refs)  # values (4, 5, 6)
+    _assert_same_bits(F, rF)
+    weights = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
+    _assert_same_bits(J.jsum(F * F, weights=weights), R.pm_jsum(rF * rF, weights=weights))
+    _assert_same_bits(F.take(2), rF.take(2))
+    _assert_same_bits(F.expand(-2), rF.expand(-2))
+    mask = np.arange(20).reshape(4, 5) % 3 == 0
+    for key in (slice(1, 3), mask, (slice(1, 3), 2), (2, 4)):
+        _assert_same_bits(F.batch(key), rF.batch(key))
+    if order > 0:
+        for i in range(2):
+            _assert_same_bits(z.deriv(i), rz.deriv(i))
+            _assert_same_bits(F.deriv(i), rF.deriv(i))
+    # values of differing rank: a 0-d constant, a vec()'d scalar, numbers, a plain array
+    c = Jet2.constant(2.5, 2, order)
+    rc = R.PointMajor.of(c)
+    _assert_same_bits(c * F, rc * rF)
+    _assert_same_bits(F * c, rF * rc)
+    _assert_same_bits(w.vec() * F, rw.expand(-1) * rF)
+    _assert_same_bits(3.0 * F, rF * 3.0)
+    _assert_same_bits(F - 0.25, rF - 0.25)
+    t0 = t0_jet(2)
+    _assert_same_bits(F + t0, rF + t0)
+    _assert_same_bits(w.vec() * t0, rw.expand(-1) * t0)
+    _assert_same_bits(J.stack([c, w]), R.pm_stack([rc, rw]))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_matrix_inverse_matches_point_major_bits(order):
+    (u, v), (ru, rv) = _seeded(order)
+    (w, z), (rw, rz) = _operands(u, v), _operands(ru, rv)
+    A = J.mat_from_rows([[w, u], [v, z]])
+    rA = R.pm_stack([R.pm_stack([rw, ru]), R.pm_stack([rv, rz])], axis=-2)
+    _assert_same_bits(A, rA)
+    singular = np.zeros((4, 5), bool)
+    singular[1, 2] = singular[3, 0] = True
+    for mask in (singular, np.zeros_like(singular)):
+        Ai = J.mat_inverse(A, mask)
+        _assert_same_bits(Ai, R.pm_mat_inverse(rA, mask))
+        assert np.isnan(Ai.value[mask]).all() and np.isfinite(Ai.value[~mask]).all()

@@ -24,3 +24,56 @@ def test_every_src_definition_is_used_in_src():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
     ]
     assert unused == []
+
+
+_SLOTS = {"grad", "hess", "third"}
+
+
+def _is_slot(node, aliases) -> bool:
+    """``node`` reads a jet slot: a ``.grad``/``.hess``/``.third`` attribute or a
+    name bound to one in the same function."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in _SLOTS
+    return isinstance(node, ast.Name) and node.id in aliases
+
+
+def _leading_ellipsis(index) -> bool:
+    # x[..., None] appends a value axis and reads the same in either layout
+    if not (isinstance(index, ast.Tuple) and index.elts):
+        return False
+    first, rest = index.elts[0], index.elts[1:]
+    is_none = [isinstance(e, ast.Constant) and e.value is None for e in rest]
+    return isinstance(first, ast.Constant) and first.value is Ellipsis and not all(is_none)
+
+
+def _point_major_lines(tree) -> list[int]:
+    """Lines that index a jet slot behind a leading ``...`` or swap a slot's axes."""
+    lines = set()
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    for scope in [tree, *functions]:
+        aliases = set()
+        if scope is not tree:
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Assign) and _is_slot(node.value, ()):
+                    aliases |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Subscript):
+                if _is_slot(node.value, aliases) and _leading_ellipsis(node.slice):
+                    lines.add(node.lineno)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                operands = [*node.args, node.func.value]
+                if node.func.attr == "swapaxes" and any(_is_slot(a, aliases) for a in operands):
+                    lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_jet_slots_are_read_derivative_major():
+    # slots carry the derivative axis first; x.grad[..., i] or
+    # np.swapaxes(x.grad, -1, -2) are the point-major idiom and read wrong axes
+    offenders = [
+        f"{p.name}:{line}"
+        for p in sorted(SRC.glob("*.py"))
+        if p.name != "jets.py"
+        for line in _point_major_lines(ast.parse(p.read_text(encoding="utf-8")))
+    ]
+    assert offenders == []
