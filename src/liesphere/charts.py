@@ -131,10 +131,16 @@ def eval_chart(
     Custom components that are not finite raise :class:`DomainErrorJet`
     naming the expression and the point.
     """
+    frame = lift(spec, points, order)
+    tol = contact_tol if contact_tol else default_contact_tol(spec)
+    return L.lift_frame(frame.f, frame.xi, frame.points, contact_tol=tol, judge=judge)
+
+
+def lift(spec: ChartSpec, points: np.ndarray, order: int = 2) -> L.LegendreFrame:
+    """:func:`eval_chart` without certification, for points already certified."""
     pts = spec.domain.wrap(np.asarray(points, dtype=float))
     f, xi = _eval_lift(spec, pts, order)
-    tol = contact_tol if contact_tol else default_contact_tol(spec)
-    return L.lift_frame(f, xi, pts, contact_tol=tol, judge=judge)
+    return L.LegendreFrame(f, xi, pts, f.m)
 
 
 def _eval_lift(spec: ChartSpec, pts: np.ndarray, order: int) -> tuple[Jet2, Jet2]:

@@ -35,7 +35,6 @@ from . import ribaucour as RB
 from .errors import (
     BianchiViolation,
     LieSphereError,
-    NotRegular,
     ParseError,
     SceneError,
 )
@@ -202,13 +201,8 @@ def _emit(report: dict, out: Path, name: str, json_mode: bool):
 def _run_grid(scene: Scene) -> RB.GridRun:
     tol = scene.tolerances
     return RB.run_grid(
-        scene.chart,
-        scene.tau,
-        _grid(scene).points(),
-        closedness_rel_tol=tol.closedness,
-        det_rel_tol=tol.det_rel,
-        involution_tol=tol.involution,
-        contact_tol=tol.contact,
+        scene.chart, scene.tau, _grid(scene).points(), closedness_rel_tol=tol.closedness,
+        det_rel_tol=tol.det_rel, involution_tol=tol.involution, contact_tol=tol.contact,
     )
 
 
@@ -262,87 +256,53 @@ def cmd_demoulin(scene: Scene, out: Path, json_mode: bool) -> int:
     if scene.tau1 is None:
         raise SceneError("demoulin needs 'tau1' in the scene")
     grid = _grid(scene)
+    tol = scene.tolerances
     family = D.build_family(
-        scene.chart,
-        scene.tau,
-        scene.tau1,
-        grid,
-        closedness_rel_tol=scene.tolerances.closedness,
-        contact_tol=scene.tolerances.contact,
-        det_rel_tol=scene.tolerances.det_rel,
+        scene.chart, scene.tau, scene.tau1, grid, closedness_rel_tol=tol.closedness,
+        contact_tol=tol.contact, det_rel_tol=tol.det_rel,
     )
-    if family.bianchi.commutator_max > scene.tolerances.bianchi:
+    norm = family.bianchi.commutator_max
+    if norm > tol.bianchi:
         raise BianchiViolation(
-            f"commutator norm {family.bianchi.commutator_max:.3e} exceeds "
-            f"{scene.tolerances.bianchi:.1e}; no permutability family",
-            norm=family.bianchi.commutator_max,
+            f"commutator norm {norm:.3e} exceeds {tol.bianchi:.1e}; no permutability family",
+            norm=norm,
         )
     dual = D.dual_family_step(family) if scene.dual else None
-    # per-theta artifacts: representative-function grids and member meshes
+    # per-theta artifacts: representative-function grids and member meshes; each
+    # mesh is written as its member is built, so meshes are not all held at once
+    out.mkdir(parents=True, exist_ok=True)
     member_cols: dict[str, np.ndarray] = {}
-    meshes = {}
 
-    def keep(member):
-        k = len(meshes)
+    def write(member):
+        k = len(member_cols)
         member_cols[f"tau_theta_{k}"] = member.values.data[..., 0]
-        fh4 = member.result.f_hat.value[:, :4].reshape(grid.shape + (4,))
-        drop = member.mask | member.result.metric.singular
-        meshes[f"fhat_theta_{k}.obj"] = (np.where(np.isnan(fh4), 2.0, fh4), drop)
+        fh4 = np.where(np.isnan(member.f_hat[:, :4]), 2.0, member.f_hat[:, :4])
+        drop = member.mask | member.singular
+        G.export_obj(out / f"fhat_theta_{k}.obj", fh4.reshape(grid.shape + (4,)), grid, drop=drop)
 
     report = D.family_report(
-        family,
-        scene.thetas,
-        dual=dual,
-        closedness_rel_tol=scene.tolerances.member_closedness,
-        each=keep,
+        family, scene.thetas, dual=dual, closedness_rel_tol=tol.member_closedness, each=write
     )
     ps = D.parallel_sections(family)
     report["parallel_residual"] = ps["residual"]
-
-    out.mkdir(parents=True, exist_ok=True)
-    for name, (fh4, drop) in meshes.items():
-        G.export_obj(out / name, fh4, grid, drop=drop)
     G.write_fields_csv(out / "family_fields.csv", grid, member_cols)
-    report["theta_meshes"] = dict(zip(meshes, map(float, scene.thetas)))
+    report["theta_meshes"] = {f"fhat_theta_{k}.obj": float(t) for k, t in enumerate(scene.thetas)}
 
-    ok = True
     checks = [
-        (
-            "bianchi commutator",
-            family.bianchi.commutator_max < scene.tolerances.bianchi,
-            f"norm = {family.bianchi.commutator_max:.3e}",
-        ),
+        ("bianchi commutator", norm < tol.bianchi, f"norm = {norm:.3e}"),
         ("family endpoints", report["endpoints_ok"], "bit-identical generators"),
-        (
-            "parallel sections",
-            ps["residual"] < scene.tolerances.parallel,
-            f"residual = {ps['residual']:.3e}",
-        ),
+        ("parallel sections", ps["residual"] < tol.parallel, f"residual = {ps['residual']:.3e}"),
     ]
     for rec in report["members"]:
-        checks.append(
-            (
-                f"member theta={rec['theta']:.4f}",
-                rec["ribaucour"],
-                f"max |dalpha| = {rec['max_dalpha']:.3e}, "
-                f"masked = {rec['masked_fraction']:.1%}",
-            )
-        )
+        detail = f"max |dalpha| = {rec['max_dalpha']:.3e}, masked = {rec['masked_fraction']:.1%}"
+        checks.append((f"member theta={rec['theta']:.4f}", rec["ribaucour"], detail))
     if dual is not None:
-        checks.append(
-            (
-                "dual consistency",
-                dual.consistency < scene.tolerances.dual_consistency,
-                f"row/col difference = {dual.consistency:.3e}",
-            )
-        )
-        checks.append(
-            (
-                "dual closedness",
-                dual.gamma_identity_residual < scene.tolerances.gamma_identity,
-                f"residual = {dual.gamma_identity_residual:.3e}",
-            )
-        )
+        consistency, gamma = dual.consistency, dual.gamma_identity_residual
+        checks += [
+            ("dual consistency", consistency < tol.dual_consistency,
+             f"row/col difference = {consistency:.3e}"),
+            ("dual closedness", gamma < tol.gamma_identity, f"residual = {gamma:.3e}"),
+        ]
     ok = _print_gates(checks, json_mode)
     _emit(report, out, "family.json", json_mode)
     return 0 if ok else 1
@@ -416,23 +376,26 @@ def _random_expression(rng) -> str:
 def cmd_export(scene: Scene, out: Path, json_mode: bool, pole_flip: bool) -> int:
     grid = _grid(scene)
     tol = scene.tolerances
-    frame = CH.eval_chart(
-        scene.chart, grid.points().reshape(-1, 2), contact_tol=tol.contact
+
+    def body(frame, taus, key):
+        res = RB.transform(frame, taus[0], det_rel_tol=tol.det_rel)
+        cols = {"a": res.a.value, "b": res.b.value, "singular": res.metric.singular}
+        return cols | {"f": frame.f.value[:, :4], "f_hat": res.f_hat.value[:, :4]}, None
+
+    run = RB.eval_blocks(
+        scene.chart, grid.points().reshape(-1, 2), lambda p: [E.eval_at(scene.tau, p)], body,
+        contact_tol=tol.contact,
     )
+    v = run.values
     out.mkdir(parents=True, exist_ok=True)
-    f4 = frame.f.value[:, :4].reshape(grid.shape + (4,))
-    mesh = G.export_obj(out / "f.obj", f4, grid, pole_flip=pole_flip)
-    tau = E.eval_at(scene.tau, frame.points)
-    cols = {"tau": tau.value}
-    try:
-        res = RB.transform(frame, tau, det_rel_tol=tol.det_rel)
-        fh4 = res.f_hat.value[:, :4].reshape(grid.shape + (4,))
-        G.export_obj(out / "f_hat.obj", fh4, grid, pole_flip=pole_flip)
-        cols["a"] = res.a.value
-        cols["b"] = res.b.value
-    except NotRegular:
-        if not json_mode:
-            print("transform is singular on this grid; exported f only")
+    shape = grid.shape + (4,)
+    mesh = G.export_obj(out / "f.obj", v["f"].reshape(shape), grid, pole_flip=pole_flip)
+    cols = {"tau": run.taus[0].value}
+    if not v["singular"].any():
+        G.export_obj(out / "f_hat.obj", v["f_hat"].reshape(shape), grid, pole_flip=pole_flip)
+        cols |= {"a": v["a"], "b": v["b"]}
+    elif not json_mode:
+        print("transform is singular on this grid; exported f only")
     G.write_fields_csv(out / "fields.csv", grid, cols)
     report = {
         "meshes": {"f": {"vertices": len(mesh.vertices), "faces": len(mesh.faces)}},

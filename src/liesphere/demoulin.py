@@ -23,6 +23,9 @@ chart whose transforms exist, this module builds:
 * the dual-family step: extraction of the 1-form gamma and integration of
   the coupled system for (tau_hat_0, v) along grid lines with RK4 stages
   evaluated exactly at mid-edge points.
+
+Each of these walks its grid in blocks of :func:`ribaucour.eval_blocks`; the
+family and its members keep per-point values, and no jet but tau0, tau1.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .errors import (
     FullyMasked,
     IllPosed,
     NotPointwiseDistinct,
+    NotRegular,
     NotRibaucour,
     PathDependence,
 )
@@ -216,7 +220,10 @@ class FamilyMember:
     theta: float
     values: GridField
     mask: np.ndarray  # True where the denominator (or regularity) fails
-    result: RB.TransformResult  # on the flattened grid; garbage under the mask
+    f_hat: np.ndarray  # (N, m+4) values of f_hat; garbage under the mask
+    singular: np.ndarray  # points failing the member's regularity screen
+    max_dalpha: float  # max |d alpha| off the mask; -inf when no point is left
+    max_alpha: float  # max |alpha| off the mask
     denominator_masked: int = 0
     regularity_masked: int = 0
 
@@ -227,49 +234,70 @@ class FamilyMember:
 
 @dataclass
 class DemoulinFamily:
-    """Everything shared by the members: charts, transforms, potentials."""
+    """What the members share; per-point data are indexed by generator, on the flat grid."""
 
     chart: CH.ChartSpec
     grid: Grid
     tau0_expr: E.TauExpr
     tau1_expr: E.TauExpr
-    frame: L.LegendreFrame  # flattened over the grid
     tau0: Jet2
     tau1: Jet2
-    result0: RB.TransformResult
-    result1: RB.TransformResult
+    alpha: tuple[np.ndarray, np.ndarray]  # (N, m) components of alpha
+    alpha_partials: tuple[np.ndarray, np.ndarray]  # (N, m, m); [:, i, j] is d_j alpha_i
+    f_hat: tuple[np.ndarray, np.ndarray]  # (N, m+4) values of f_hat
     tilde0: Potential
     tilde1: Potential
-    r0: ROperator
-    r1: ROperator
+    r_relation_residual: float  # both connection operators, merged by max
+    r_symmetry_residual: float
     bianchi: BianchiReport
     certification: dict
     contact_tol: float | None  # None: the chart kind's default
     det_rel_tol: float
 
-    def tilde_jet(self, which: int) -> Jet2:
-        """2-jet of a potential: grid values, exact gradient -alpha, exact
-        Hessian -(symmetrized d alpha)."""
+    def tilde_jet(self, which: int, key: slice) -> Jet2:
+        """2-jet of a potential at the flat grid points ``key``: grid values,
+        exact gradient -alpha, exact Hessian -(symmetrized d alpha)."""
         pot = self.tilde0 if which == 0 else self.tilde1
-        res = self.result0 if which == 0 else self.result1
-        value = pot.data.reshape(-1)
-        grad = -np.moveaxis(res.alpha.value, -1, 0)
-        ag = res.alpha.grad  # ag[j][..., i] is d_j alpha_i
-        m = self.frame.m
+        value = pot.data.reshape(-1)[key]
+        grad = -np.moveaxis(self.alpha[which][key], -1, 0)
+        P = self.alpha_partials[which][key]
+        m = self.tau0.m
         hess = np.empty((m * (m + 1) // 2,) + value.shape)
         for i in range(m):
             for j in range(i, m):
-                hess[J.packed_index(i, j, m)] = -0.5 * (ag[j][..., i] + ag[i][..., j])
+                hess[J.packed_index(i, j, m)] = -0.5 * (P[:, i, j] + P[:, j, i])
         return Jet2(value, grad, hess, m)
 
 
-def _alpha_fields(result: RB.TransformResult, grid: Grid) -> tuple[GridField, GridField]:
-    comps = result.alpha.value.reshape(grid.shape + (-1,))
-    g = result.alpha.grad  # g[j][..., i] is d_j alpha_i
-    partials = np.stack(
-        [g[0][..., 0], g[1][..., 0], g[0][..., 1], g[1][..., 1]], axis=-1
-    ).reshape(grid.shape + (4,))
-    return GridField(grid, comps), GridField(grid, partials)
+def _generators_block(frame: L.LegendreFrame, taus: list[Jet2], det_rel_tol: float):
+    """Both generators on one block: their values, and maxima to merge.
+
+    The operators are left out where a generator is singular, since a
+    :class:`NotRegular` is then certain; an :class:`IllPosed` is kept, to be
+    raised in its turn.
+    """
+    results = [RB.transform(frame, tau, det_rel_tol=det_rel_tol) for tau in taus]
+    values, maxima = {}, {}
+    for k, res in enumerate(results):
+        values[f"singular{k}"] = res.metric.singular
+        values[f"f_hat{k}"] = res.f_hat.value
+        values[f"alpha{k}"] = res.alpha.value
+        values[f"partials{k}"] = np.moveaxis(res.alpha.grad, 0, -1)
+        maxima[f"dalpha{k}"] = RB.ribaucour_residual(res)[0]
+        maxima[f"alpha{k}"] = RB.max_abs_alpha(res)
+    if any(res.metric.singular.any() for res in results):
+        return values, maxima
+    try:
+        r0, r1 = (r_operator(frame, res) for res in results)
+    except IllPosed as exc:
+        return values, maxima | {"ill_posed": exc}
+    bianchi = bianchi_check(r0, r1)
+    return values, maxima | {
+        "relation": max(r0.relation_residual, r1.relation_residual),
+        "symmetry": max(r0.metric_symmetry_residual, r1.metric_symmetry_residual),
+        "commutator": bianchi.commutator_max,
+        "wedge": bianchi.wedge_max,
+    }
 
 
 def build_family(
@@ -284,16 +312,25 @@ def build_family(
 ) -> DemoulinFamily:
     """Certify both generators, integrate the potentials, gate permutability.
 
-    Raises :class:`NotRibaucour` when a generator fails closedness,
-    :class:`NotPointwiseDistinct` when tau0 and tau1 collide, and records the
-    commutator norm for the caller to gate on.  ``contact_tol`` (frame
-    certification; None is the chart's default) and ``det_rel_tol`` (the
-    regularity screen) are kept on the family for the members and the dual step.
+    Both generators, their connection operators and the commutator run in one
+    pass of :func:`ribaucour.eval_blocks` and are judged on the merged values,
+    in the order of a single pass.  Raises :class:`NotRibaucour` when a
+    generator fails closedness, :class:`NotPointwiseDistinct` when tau0 and
+    tau1 collide, and records the commutator norm for the caller to gate on.
+    ``contact_tol`` (frame certification; None is the chart's default) and
+    ``det_rel_tol`` (the regularity screen) are kept on the family for the
+    members and the dual step.
     """
-    pts = grid.points().reshape(-1, 2)
-    frame = CH.eval_chart(chart, pts, contact_tol=contact_tol)
-    tau0 = E.eval_at(tau0_expr, frame.points)
-    tau1 = E.eval_at(tau1_expr, frame.points)
+    run = RB.eval_blocks(
+        chart, grid.points().reshape(-1, 2),
+        lambda p: [E.eval_at(tau0_expr, p), E.eval_at(tau1_expr, p)],
+        lambda frame, taus, key: _generators_block(frame, taus, det_rel_tol),
+        contact_tol=contact_tol,
+    )
+    (tau0, tau1), v = run.taus, run.values
+
+    def merged(key):
+        return max(block[key] for block in run.extras)
 
     diff = np.abs(tau0.value - tau1.value)
     scale = 1.0 + max(float(np.max(np.abs(tau0.value))), float(np.max(np.abs(tau1.value))))
@@ -303,11 +340,9 @@ def build_family(
         )
 
     cert = {}
-    results = []
-    for label, expr, tau in (("tau0", tau0_expr, tau0), ("tau1", tau1_expr, tau1)):
-        res = RB.transform(frame, tau, det_rel_tol=det_rel_tol)
-        maxd, _ = RB.ribaucour_residual(res)
-        maxa = RB.max_abs_alpha(res)
+    for k, (label, expr) in enumerate((("tau0", tau0_expr), ("tau1", tau1_expr))):
+        RB._raise_not_regular(v[f"singular{k}"], run.points, "congruence metric")
+        maxd, maxa = merged(f"dalpha{k}"), merged(f"alpha{k}")
         cert[label] = {"max_dalpha": maxd, "max_alpha": maxa}
         if not RB.classify_ribaucour(maxd, maxa, closedness_rel_tol):
             raise NotRibaucour(
@@ -315,22 +350,22 @@ def build_family(
                 f"max |dalpha| = {maxd:.3e}",
                 max_dalpha=maxd,
             )
-        results.append(res)
-    result0, result1 = results
 
-    a0, g0 = _alpha_fields(result0, grid)
-    a1, g1 = _alpha_fields(result1, grid)
-    tilde0 = integrate_potential(a0, g0)
-    tilde1 = integrate_potential(a1, g1)
-
-    r0 = r_operator(frame, result0)
-    r1 = r_operator(frame, result1)
-    bianchi = bianchi_check(r0, r1)
-
+    alpha = (v["alpha0"], v["alpha1"])
+    partials = (v["partials0"], v["partials1"])
+    shape = grid.shape + (-1,)
+    tilde0, tilde1 = (
+        integrate_potential(GridField(grid, a.reshape(shape)), GridField(grid, p.reshape(shape)))
+        for a, p in zip(alpha, partials)
+    )
+    for block in run.extras:
+        if "ill_posed" in block:
+            raise block["ill_posed"]
     return DemoulinFamily(
-        chart, grid, tau0_expr, tau1_expr, frame, tau0, tau1,
-        result0, result1, tilde0, tilde1, r0, r1, bianchi, cert,
-        contact_tol, det_rel_tol,
+        chart, grid, tau0_expr, tau1_expr, tau0, tau1, alpha, partials,
+        (v["f_hat0"], v["f_hat1"]), tilde0, tilde1, merged("relation"),
+        merged("symmetry"), BianchiReport(merged("commutator"), merged("wedge")),
+        cert, contact_tol, det_rel_tol,
     )
 
 
@@ -346,8 +381,9 @@ def demoulin_tau(family: DemoulinFamily, theta: float) -> FamilyMember:
     """Member of the family at angle theta, with its transform; singular points masked.
 
     theta = 0 returns tau0 bit-for-bit and theta = pi/2 returns tau1, each
-    with the generator's transform; other angles combine the generators
-    through the potentials.  Points where the denominator falls under the
+    with the generator's values; other angles combine the generators through
+    the potentials, block by block in :func:`ribaucour.eval_blocks`, on the
+    chart the family certified.  Points where the denominator falls under the
     scale-aware threshold are masked, as are points where the member itself
     destroys regularity; a member masked on more than half the grid raises
     :class:`FullyMasked`.
@@ -357,61 +393,70 @@ def demoulin_tau(family: DemoulinFamily, theta: float) -> FamilyMember:
     c, s = _snap_trig(float(theta))
 
     if s == 0.0 or c == 0.0:
-        res = family.result0 if s == 0.0 else family.result1
-        values = np.array(res.tau.value, copy=True)
+        k = 0 if s == 0.0 else 1
+        tau = family.tau0 if k == 0 else family.tau1
+        cert = family.certification[f"tau{k}"]
+        values = np.array(tau.value, copy=True)
         return FamilyMember(
-            theta, GridField(grid, values.reshape(grid.shape)), np.zeros(n, bool), res
+            theta, GridField(grid, values.reshape(grid.shape)), np.zeros(n, bool),
+            family.f_hat[k], np.zeros(n, bool), cert["max_dalpha"], cert["max_alpha"],
         )
 
-    t0j = family.tilde_jet(0)
-    t1j = family.tilde_jet(1)
-    e0 = J.exp(t0j)
-    e1 = J.exp(t1j)
-    num = c * e1 * family.tau0 + s * e0 * family.tau1
-    den = c * e1 + s * e0
-
+    # the mask threshold is scaled by the grid-wide maxima of e^tau_tilde
     eps = MASK_EPS_REL * (
-        float(np.exp(t0j.value.max())) + float(np.exp(t1j.value.max()))
+        float(np.exp(family.tilde0.data.max())) + float(np.exp(family.tilde1.data.max()))
     )
-    masked = np.abs(den.value) < eps
-    den_patched = Jet2(
-        np.where(masked, 1.0, den.value), den.grad, den.hess, den.m
-    )
-    tau_theta = num / den_patched
 
-    # regularity of the member itself: the transform's metric screen
-    res = RB.transform(
-        family.frame, tau_theta, det_rel_tol=family.det_rel_tol, on_singular="nan"
+    def body(frame, taus, key):
+        e0 = J.exp(family.tilde_jet(0, key))
+        e1 = J.exp(family.tilde_jet(1, key))
+        num = c * e1 * taus[0] + s * e0 * taus[1]
+        den = c * e1 + s * e0
+        masked = np.abs(den.value) < eps
+        tau_theta = num / Jet2(np.where(masked, 1.0, den.value), den.grad, den.hess, den.m)
+        # regularity of the member itself: the transform's metric screen
+        res = RB.transform(frame, tau_theta, det_rel_tol=family.det_rel_tol)
+        off = masked | res.metric.singular
+        values = {"tau": tau_theta.value, "masked": masked, "singular": res.metric.singular}
+        closed = RB.ribaucour_residual(res, off)[0], RB.max_abs_alpha(res, off)
+        return values | {"f_hat": res.f_hat.value}, closed
+
+    run = RB.eval_blocks(
+        family.chart, grid.points().reshape(-1, 2), lambda p: [family.tau0, family.tau1], body,
+        certify=False,
     )
-    mask = masked | res.metric.singular
+    v = run.values
+    mask = v["masked"] | v["singular"]
     if mask.mean() > 0.5:
         raise FullyMasked(
             f"family member theta={theta!r} singular on {mask.mean():.0%} of the grid"
         )
-    values = np.where(mask, np.nan, tau_theta.value)
+    values = np.where(mask, np.nan, v["tau"])
     return FamilyMember(
         theta,
         GridField(grid, values.reshape(grid.shape)),
         mask,
-        res,
-        denominator_masked=int(masked.sum()),
-        regularity_masked=int((res.metric.singular & ~masked).sum()),
+        v["f_hat"],
+        v["singular"],
+        max(d for d, _ in run.extras),
+        max(a for _, a in run.extras),
+        denominator_masked=int(v["masked"].sum()),
+        regularity_masked=int((v["singular"] & ~v["masked"]).sum()),
     )
 
 
-def member_closedness(
-    member: FamilyMember, rel_tol: float = RB.CLOSEDNESS_REL_TOL
-) -> dict:
-    """Closedness re-verification of one member on its unmasked set."""
-    res = member.result.subset(~member.mask)
-    maxd, _ = RB.ribaucour_residual(res)
-    maxa = RB.max_abs_alpha(res)
+def member_closedness(member: FamilyMember, rel_tol: float = RB.CLOSEDNESS_REL_TOL) -> dict:
+    """Closedness re-verification of one member on its unmasked set, and its mask counts."""
+    if member.max_dalpha == -np.inf:
+        raise NotRegular("no regular points in the batch")
     return {
         "theta": float(member.theta),
         "masked_fraction": member.masked_fraction,
-        "max_dalpha": maxd,
-        "max_alpha": maxa,
-        "ribaucour": RB.classify_ribaucour(maxd, maxa, rel_tol),
+        "denominator_masked": member.denominator_masked,
+        "regularity_masked": member.regularity_masked,
+        "max_dalpha": member.max_dalpha,
+        "max_alpha": member.max_alpha,
+        "ribaucour": RB.classify_ribaucour(member.max_dalpha, member.max_alpha, rel_tol),
     }
 
 
@@ -423,28 +468,34 @@ def parallel_sections(family: DemoulinFamily) -> dict:
 
     sigma_i = u_i (xi - tau_i f - tau_i t0 + t1) with
     u_i = e^{tau_tilde_j} / (tau_i - tau_j); the criterion is
-    (d sigma_i, f_hat_j + t0) = 0 for the complementary index j.
+    (d sigma_i, f_hat_j + t0) = 0 for the complementary index j.  It reads
+    first partials only, so the chart is lifted at order 1.
     """
-    m = family.frame.m
+    m = family.tau0.m
     t0 = t0_jet(m)
-    taus = (family.tau0, family.tau1)
-    tildes = (family.tilde_jet(0), family.tilde_jet(1))
-    hats = (family.result0.f_hat, family.result1.f_hat)
 
-    out = {"residual": 0.0, "u": []}
-    for i in (0, 1):
-        j = 1 - i
-        ui = J.exp(tildes[j]) / (taus[i] - taus[j])
-        body = L.light_cone_section(family.frame.f, family.frame.xi, taus[i])
-        sigma = ui.vec() * body
-        worst = 0.0
-        for k in range(m):
-            val = lie_inner(sigma.deriv(k), hats[j] + t0).value
-            worst = max(worst, float(np.max(np.abs(val))))
-        out["u"].append(GridField(family.grid, ui.value.reshape(family.grid.shape)))
-        out[f"residual_sigma{i}"] = worst
-        out["residual"] = max(out["residual"], worst)
-    return out
+    def body(frame, taus, key):
+        values, worst = {}, []
+        for i, j in ((0, 1), (1, 0)):
+            ui = J.exp(family.tilde_jet(j, key)) / (taus[i] - taus[j])
+            sigma = ui.vec() * L.light_cone_section(frame.f, frame.xi, taus[i])
+            hat = family.f_hat[j][key] + t0
+            w = 0.0
+            for k in range(m):
+                w = max(w, float(np.max(np.abs(L.inner_value(sigma.grad[k], hat)))))
+            values[f"u{i}"] = ui.value
+            worst.append(w)
+        return values, worst
+
+    run = RB.eval_blocks(
+        family.chart, family.grid.points().reshape(-1, 2),
+        lambda p: [family.tau0, family.tau1], body, certify=False, order=1,
+    )
+    shape = family.grid.shape
+    return {
+        "residual": max(0.0, *(max(w) for w in run.extras)),
+        "u": [GridField(family.grid, run.values[f"u{i}"].reshape(shape)) for i in (0, 1)],
+    }
 
 
 # ---------- the dual family step ----------
@@ -460,76 +511,70 @@ class DualResult:
     gamma_identity_residual: float
 
 
-# Points per block of the dual step's evaluations.  An order-3 point takes about twice
-# an order-2 point's memory, so in blocks the order-3 pass peaks below a 64x64 order-2 one.
-DUAL_BLOCK = 2048
-
-
 def _dual_fields(family: DemoulinFamily, points: np.ndarray, order: int = 2) -> dict:
     """Every 1-form the dual system needs, at parameter points ``(..., 2)``.
 
-    ``order`` is the seed order of the chart and tau0.  At 2, gamma is a value;
-    ``order=3`` makes it an order-1 jet, whose exact partials come back as
-    ``dgamma``, laid out (..., derivative, component).  Points run in blocks
-    of :data:`DUAL_BLOCK`.
+    ``order`` is the seed order of the chart and tau0; the second transform is
+    needed one order below the first, and so are its seeds: f, xi and tau1.
+    At 2, gamma is a value; ``order=3`` makes it an order-1 jet, whose exact
+    partials come back as ``dgamma``, laid out (..., derivative, component).
+    The points run through :func:`ribaucour.eval_blocks`; a :class:`NotRegular`
+    names the first singular point of the flattened ``points``, for the first
+    transform first.
     """
-    flat = points.reshape(-1, 2)
-    starts = range(0, len(flat), DUAL_BLOCK)
-    blocks = [_dual_block(family, flat[s : s + DUAL_BLOCK], order) for s in starts]
-    return {
-        k: np.concatenate([b[k] for b in blocks]).reshape(points.shape[:-1] + v.shape[1:])
-        for k, v in blocks[0].items()
-    }
+    m = family.tau0.m
+    t0 = t0_jet(m)
 
+    def body(frame, taus, key):
+        tau0, tau1 = taus
+        f, xi = (J.Jet2(x.value, x.grad, x.hess if order > 2 else None, x.m)
+                 for x in (frame.f, frame.xi))
+        res0 = RB.transform(frame, tau0, det_rel_tol=family.det_rel_tol)
+        res1 = RB.transform(
+            L.LegendreFrame(f, xi, frame.points), tau1, det_rel_tol=family.det_rel_tol
+        )
+        ah0 = RB.alpha_hat(res0)
 
-def _dual_block(family: DemoulinFamily, pts: np.ndarray, order: int) -> dict:
-    """:func:`_dual_fields` on a flat block of points.
+        # gamma from the pairing with the second transform's point sphere
+        factor = (tau1.value - tau0.value) * (res1.a.value - 1.0)
+        point = res1.f_hat.value + t0
+        gamma = L.inner_value(
+            RB.corrected_differential(res0.f_hat, ah0), point[..., None, :]
+        ) / factor[..., None]
 
-    The second transform is needed one order below the first, and so are its
-    seeds: f, xi and tau1.
-    """
-    frame = CH.eval_chart(family.chart, pts, contact_tol=family.contact_tol, order=order)
-    tau0 = E.eval_at(family.tau0_expr, frame.points, order)
-    tau1 = E.eval_at(family.tau1_expr, frame.points, order - 1)
-    f, xi = (J.Jet2(x.value, x.grad, x.hess if order > 2 else None, x.m)
-             for x in (frame.f, frame.xi))
-    res0 = RB.transform(frame, tau0, det_rel_tol=family.det_rel_tol)
-    res1 = RB.transform(
-        L.LegendreFrame(f, xi, frame.points), tau1, det_rel_tol=family.det_rel_tol
+        dlog = np.moveaxis((tau1.grad - tau0.grad) / (tau1.value - tau0.value), 0, -1)
+        out = {
+            "gamma": gamma,
+            "drive": res1.alpha.value - ah0.value + dlog,
+            "alpha_hat0": ah0.value,
+            "singular0": res0.metric.singular,
+            "singular1": res1.metric.singular,
+        }
+        if order == 3:  # gamma once more, in jet arithmetic, for its partials
+            fh0 = res0.f_hat
+            rows = [
+                lie_inner(fh0.deriv(i) - ah0.take(i).vec() * (fh0 + t0), res1.f_hat + t0)
+                for i in range(m)
+            ]
+            dgamma = (J.stack(rows) / ((tau1 - tau0) * (res1.a - 1.0)).vec()).grad
+            out["dgamma"] = np.moveaxis(dgamma, 0, -2)
+        return out, None
+
+    def taus_at(p):
+        return [E.eval_at(family.tau0_expr, p, order), E.eval_at(family.tau1_expr, p, order - 1)]
+
+    run = RB.eval_blocks(
+        family.chart, points.reshape(-1, 2), taus_at, body, contact_tol=family.contact_tol,
+        order=order,
     )
-    m = frame.m
-    ah0 = RB.alpha_hat(res0)
-
-    # gamma from the pairing with the second transform's point sphere
-    factor = (tau1.value - tau0.value) * (res1.a.value - 1.0)
-    point = res1.f_hat.value + t0_jet(m)
-    gamma = L.inner_value(
-        RB.corrected_differential(res0.f_hat, ah0), point[..., None, :]
-    ) / factor[..., None]
-
-    dlog = np.moveaxis((tau1.grad - tau0.grad) / (tau1.value - tau0.value), 0, -1)
-    drive = res1.alpha.value - ah0.value + dlog
-    out = {"gamma": gamma, "drive": drive, "alpha_hat0": ah0.value}
-    if order == 3:  # gamma once more, in jet arithmetic, for its partials
-        fh0, t0 = res0.f_hat, t0_jet(m)
-        rows = [
-            lie_inner(fh0.deriv(i) - ah0.take(i).vec() * (fh0 + t0), res1.f_hat + t0)
-            for i in range(m)
-        ]
-        dgamma = (J.stack(rows) / ((tau1 - tau0) * (res1.a - 1.0)).vec()).grad
-        out["dgamma"] = np.moveaxis(dgamma, 0, -2)
-    return out
+    for k in (0, 1):
+        RB._raise_not_regular(run.values.pop(f"singular{k}"), run.points, "congruence metric")
+    return {k: v.reshape(points.shape[:-1] + v.shape[1:]) for k, v in run.values.items()}
 
 
 def _sweep(
-    w0: np.ndarray,
-    lv0: np.ndarray,
-    nodes: dict,
-    mids: dict,
-    h: float,
-    comp: int,
-    axis_len: int,
-    take,
+    w0: np.ndarray, lv0: np.ndarray, nodes: dict, mids: dict, h: float, comp: int,
+    axis_len: int, take,
 ) -> tuple[np.ndarray, np.ndarray]:
     """March the coupled (w, ln v) system along one axis with classical RK4.
 
@@ -698,12 +743,8 @@ def family_report(
         ),
         # null when no axis is periodic
         "potential_period_residual": max(periods) if periods else None,
-        "r_relation_residual": max(
-            family.r0.relation_residual, family.r1.relation_residual
-        ),
-        "r_symmetry_residual": max(
-            family.r0.metric_symmetry_residual, family.r1.metric_symmetry_residual
-        ),
+        "r_relation_residual": family.r_relation_residual,
+        "r_symmetry_residual": family.r_symmetry_residual,
         "members": members,
     }
     if dual is not None:

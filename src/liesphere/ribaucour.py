@@ -23,13 +23,15 @@ machinery around them:
   (beta wedge beta) = (1 - a) d alpha built from it;
 * reconstruction (the construction is an involution).
 
-All operations are batched: a frame evaluated on N grid points transforms in
-one vectorized pass.
+Every operation is batched over the points of a frame.  A grid runs through
+:func:`eval_blocks` in blocks of :data:`BLOCK` points, so its jets never span
+the whole grid; every grid command walks its grid that way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -63,15 +65,6 @@ class MinusMetric:
     singular: np.ndarray  # boolean mask of points failing the screen
     V: list[Jet2]  # (-dxi + tau df)(d_i), reused by the transform
 
-    def subset(self, key) -> "MinusMetric":
-        return MinusMetric(
-            self.G.batch(key),
-            self.Ginv.batch(key),
-            self.det[key],
-            self.singular[key],
-            [v.batch(key) for v in self.V],
-        )
-
 
 @dataclass
 class TransformResult:
@@ -88,26 +81,11 @@ class TransformResult:
     xi_hat: Jet2
     alpha: Jet2  # components along the last value axis; grads are exact
 
-    @property
-    def regular_mask(self) -> np.ndarray:
-        return ~self.metric.singular
-
-    def subset(self, key) -> "TransformResult":
-        return TransformResult(
-            self.frame.subset(key),
-            self.tau.batch(key),
-            self.metric.subset(key),
-            self.a.batch(key),
-            self.b.batch(key),
-            self.mu2.batch(key),
-            self.f_check.batch(key),
-            self.f_hat.batch(key),
-            self.xi_hat.batch(key),
-            self.alpha.batch(key),
-        )
-
 
 def _raise_not_regular(singular: np.ndarray, points: np.ndarray, what: str):
+    """Raise :class:`NotRegular` at the first point of ``singular``, if there is one."""
+    if not singular.any():
+        return
     idx = tuple(int(k) for k in np.argwhere(singular)[0])
     pt = points[idx] if points is not None else None
     raise NotRegular(
@@ -119,16 +97,13 @@ def _raise_not_regular(singular: np.ndarray, points: np.ndarray, what: str):
 
 
 def minus_metric(
-    frame: LegendreFrame,
-    tau: Jet2,
-    *,
-    det_rel_tol: float = DET_REL_TOL,
-    on_singular: str = "raise",
+    frame: LegendreFrame, tau: Jet2, *, det_rel_tol: float = DET_REL_TOL
 ) -> MinusMetric:
     """Congruence metric G_ij = ((-dxi+tau df)(d_i), (-dxi+tau df)(d_j)).
 
-    Positive definite exactly at the regular points; ``on_singular`` chooses
-    between raising :class:`NotRegular` and NaN-masking degenerate points.
+    Positive definite exactly at the regular points; degenerate points are
+    NaN-masked in ``Ginv`` and recorded in ``singular``, for the caller to
+    judge with :func:`_raise_not_regular` once every block is in.
     """
     m = frame.m
     tv = tau.vec()
@@ -136,21 +111,12 @@ def minus_metric(
     G = J.mat_from_rows([[lie_inner(V[i], V[k]) for k in range(m)] for i in range(m)])
     det = J.mat_det_value(G)
     singular = J.singular_mask(G, det_rel_tol, det)
-    if np.any(singular):
-        if on_singular == "raise":
-            _raise_not_regular(singular, frame.points, "congruence metric")
-        elif on_singular != "nan":
-            raise ValueError(f"unknown on_singular mode {on_singular!r}")
     Ginv = J.mat_inverse(G, singular)
     return MinusMetric(G, Ginv, det, singular, V)
 
 
 def transform(
-    frame: LegendreFrame,
-    tau: Jet2,
-    *,
-    det_rel_tol: float = DET_REL_TOL,
-    on_singular: str = "raise",
+    frame: LegendreFrame, tau: Jet2, *, det_rel_tol: float = DET_REL_TOL
 ) -> TransformResult:
     """Build the second enveloping frame and the closedness 1-form.
 
@@ -163,9 +129,7 @@ def transform(
         alpha(d_i) = (d_i f, -f_check).
     """
     m = frame.m
-    metric = minus_metric(
-        frame, tau, det_rel_tol=det_rel_tol, on_singular=on_singular
-    )
+    metric = minus_metric(frame, tau, det_rel_tol=det_rel_tol)
     V = metric.V
     dtau = [tau.deriv(i) for i in range(m)]
     dtau_vec = J.stack(dtau, axis=-1)
@@ -209,20 +173,24 @@ def dalpha_components(result: TransformResult) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def ribaucour_residual(result: TransformResult) -> tuple[float, tuple]:
-    """Max |d alpha| over the regular points of the batch, and its location."""
+def ribaucour_residual(result: TransformResult, masked=None) -> tuple[float, tuple | None]:
+    """Max |d alpha| off ``masked`` (default: the singular points), and its location.
+
+    Points where d alpha is not finite are skipped; (-inf, None) when no point is left.
+    """
     d = np.abs(dalpha_components(result))
-    if result.metric.singular.any():
-        d = np.where(result.metric.singular[..., None], np.nan, d)
-    flat = np.max(np.where(np.isnan(d), -np.inf, d), axis=-1)
+    masked = result.metric.singular if masked is None else masked
+    flat = np.max(np.where(np.isnan(d) | masked[..., None], -np.inf, d), axis=-1)
     if not np.any(flat > -np.inf):
-        raise NotRegular("no regular points in the batch")
+        return -np.inf, None
     worst = np.unravel_index(np.argmax(flat), flat.shape)
     return float(flat[worst]), tuple(int(k) for k in worst)
 
 
-def max_abs_alpha(result: TransformResult) -> float:
-    a = np.abs(result.alpha.value)
+def max_abs_alpha(result: TransformResult, masked=None) -> float:
+    """Max |alpha| off ``masked`` (default: the singular points); 0 when none is left."""
+    masked = result.metric.singular if masked is None else masked
+    a = np.abs(result.alpha.value[~masked])
     return float(np.nanmax(a)) if a.size else 0.0
 
 
@@ -352,7 +320,7 @@ def reconstruct(result: TransformResult) -> tuple[LegendreFrame, dict]:
     """
     frame = result.frame
     hat_frame = L.lift_frame(result.f_hat, result.xi_hat, frame.points, judge=False)
-    back = transform(hat_frame, result.tau, on_singular="nan")
+    back = transform(hat_frame, result.tau)
     inv_f = _vmax(back.f_hat.value - frame.f.value)
     inv_xi = _vmax(back.xi_hat.value - frame.xi.value)
     diag = {
@@ -377,8 +345,7 @@ def judge_reconstruction(
     must stay within ``tol`` (:class:`InvolutionFailure`).
     """
     L.judge_frame(diag["hat_cert"], contact_tol)
-    if diag["back_singular"].any():
-        _raise_not_regular(diag["back_singular"], points, "congruence metric")
+    _raise_not_regular(diag["back_singular"], points, "congruence metric")
     if diag["involution"] > tol:
         raise InvolutionFailure(
             f"frame discrepancy {diag['involution']:.3e} exceeds {tol:.1e}"
@@ -407,11 +374,82 @@ def curvature_identity(result: TransformResult, ah: Jet2) -> dict:
     return {"abs": abs_res, "rel": abs_res / scale if scale > 0 else 0.0, "scale": scale}
 
 
-# ---------- grid-level runner ----------
+# ---------- the block evaluator ----------
 
-# Points per block of run_grid.  A block's jets are dropped once its values and
-# maxima are kept, so peak memory does not grow with the grid.
+# Points per block of every grid evaluation.  A block's jets are dropped once its
+# values are written out, so peak memory does not grow with the grid.
 BLOCK = 4096
+
+
+@dataclass
+class BlockValues:
+    """What :func:`eval_blocks` keeps of a batch: values, never jets."""
+
+    points: np.ndarray  # (N, 2) parameter points, wrapped into the chart's domain
+    cert: dict | None  # the merged frame certificate; None when not certified
+    taus: list[Jet2]  # the tau jets of the whole batch
+    values: dict[str, np.ndarray]  # each array the body returned, over the batch
+    extras: list  # the body's other return value, one per block
+
+
+def eval_blocks(
+    chart: CH.ChartSpec, points: np.ndarray, taus_at: Callable[[np.ndarray], list[Jet2]],
+    body: Callable, *, contact_tol: float | None = None, certify: bool = True, order: int = 2,
+) -> BlockValues:
+    """Walk a flat batch of parameter points through ``body``, block by block.
+
+    ``taus_at`` gives the tau jets of the whole batch at the wrapped points,
+    first, so no block is transformed before tau is known finite.  Blocks hold
+    :data:`BLOCK` points, half as many at ``order`` 3, whose jets are twice as
+    large.  ``body(frame, taus, key)`` gets a block's chart frame (jets of
+    ``order``), its slices of the tau jets and its slice ``key`` of the batch.
+    It returns a dict of per-point value arrays, written into whole-batch
+    arrays, and an extra, kept per block for the caller to merge.
+
+    The merged certificate is judged, then a tau error raised, in the order of
+    a single pass; once either error is certain, later blocks are only
+    evaluated and certified.  Callers judge the rest on the merged values, so
+    an error names the point the whole batch would.  ``certify=False`` only
+    lifts the chart, on points it already certified.
+    """
+    flat = np.asarray(points, dtype=float)
+    wrapped = chart.domain.wrap(flat)
+    contact_tol = contact_tol or CH.default_contact_tol(chart)
+    error = cert = None
+    try:
+        taus = taus_at(wrapped)
+    except DomainErrorJet as exc:
+        error = exc  # raised once the chart has certified, as in a single pass
+    size = BLOCK // 2 if order > 2 else BLOCK
+    values, extras = {}, []
+    for start in range(0, len(flat), size):
+        key = slice(start, start + size)
+        if not certify:
+            frame = CH.lift(chart, flat[key], order)
+        else:
+            frame = CH.eval_chart(chart, flat[key], judge=False, order=order)
+            cert = frame.cert if cert is None else L.merge_certs([cert, frame.cert])
+            try:
+                L.judge_frame(cert, contact_tol)
+            except (ContactViolation, NotImmersed) as exc:
+                error = error or exc  # the whole batch's record fails too
+        if error is None:
+            block, extra = body(frame, [t.batch(key) for t in taus], key)
+            for k in list(block):
+                if k not in values:
+                    values[k] = np.empty((len(flat),) + block[k].shape[1:], block[k].dtype)
+                values[k][key] = block.pop(k)  # the block's own copy is freed at once
+            extras.append(extra)
+        del frame  # its jets would otherwise live through the next block's chart
+
+    if certify:
+        L.judge_frame(cert, contact_tol)
+    if error is not None:
+        raise error
+    return BlockValues(wrapped, cert, taus, values, extras)
+
+
+# ---------- grid-level runner ----------
 
 # fields.csv columns kept from each block (tau comes from the whole-grid pass)
 _FIELDS = ("a", "b", "mu2", "alpha_u", "alpha_v", "dalpha_abs")
@@ -446,61 +484,48 @@ class GridRun:
     reconstruction: dict
 
 
-@dataclass
-class _Block:
-    """One block of :func:`run_grid`: values for the whole-grid arrays, and maxima to merge."""
-
-    values: dict[str, np.ndarray]
-    dalpha: tuple[float, int | None] | None = None  # None: no regular point
-    max_alpha: float = 0.0
-    suite: dict | None = None
-    curvature: dict | None = None
-    reconstruction: dict | None = None
-
-
 def _run_block(
     frame: LegendreFrame, tau: Jet2, start: int, det_rel_tol: float
-) -> _Block:
-    """Transform and verify one block; ``start`` is its first flat grid index."""
-    res = transform(frame, tau, det_rel_tol=det_rel_tol, on_singular="nan")
-    reg = res.regular_mask
-    block = _Block(
-        {
-            "points": frame.points,
-            "singular": res.metric.singular,
-            "det": res.metric.det,
-            "f": frame.f.value,
-            "f_hat": res.f_hat.value,
-            "a": res.a.value,
-            "b": res.b.value,
-            "mu2": res.mu2.value,
-            "alpha_u": res.alpha.value[..., 0],
-            "alpha_v": res.alpha.value[..., 1],
-            "dalpha_abs": np.abs(dalpha_components(res)[..., 0]),  # the _FIELDS
-        }
-    )
+) -> tuple[dict, dict | None]:
+    """Transform and verify one block; ``start`` is its first flat grid index.
+
+    Returns the block's values, and its maxima to merge (None: no regular point).
+    """
+    res = transform(frame, tau, det_rel_tol=det_rel_tol)
+    reg = ~res.metric.singular
+    values = {
+        "singular": res.metric.singular,
+        "det": res.metric.det,
+        "f": frame.f.value,
+        "f_hat": res.f_hat.value,
+        "a": res.a.value,
+        "b": res.b.value,
+        "mu2": res.mu2.value,
+        "alpha_u": res.alpha.value[..., 0],
+        "alpha_v": res.alpha.value[..., 1],
+        "dalpha_abs": np.abs(dalpha_components(res)[..., 0]),  # the _FIELDS
+    }
     for key in _POINTWISE:
-        block.values[key] = np.full(reg.shape, np.nan)
+        values[key] = np.full(reg.shape, np.nan)
     if not reg.any():
-        return block
-    # Degenerate points (a curvature-sphere crossing of tau) are masked out of
+        return values, None
+    max_da, arg = ribaucour_residual(res)  # (-inf, None) is judged on the merged blocks
+    block = {"dalpha": (max_da, None if arg is None else start + arg[0])}
+    block["max_alpha"] = max_abs_alpha(res)
+    # Degenerate points (a curvature-sphere crossing of tau) are left out of
     # the diagnostics; the report carries regular=False when any exist.
-    clean = res if reg.all() else res.subset(reg)
-    try:
-        max_da, arg = ribaucour_residual(clean)
-        block.dalpha = (max_da, start + int(np.flatnonzero(reg)[arg[0]]))
-    except NotRegular:  # no finite d alpha here; judged on the merged blocks
-        block.dalpha = (-np.inf, None)
-    block.max_alpha = max_abs_alpha(clean)
+    clean = res
+    if not reg.all():
+        clean = transform(frame.subset(reg), tau.batch(reg), det_rel_tol=det_rel_tol)
     ah = alpha_hat(clean)
     pw = pointwise_residuals(clean, ah)
-    block.suite = residual_suite(pw)
-    block.curvature = curvature_identity(clean, ah)
+    block["suite"] = residual_suite(pw)
+    block["curvature"] = curvature_identity(clean, ah)
     for key in _POINTWISE:
-        block.values[key][reg] = pw[key]
+        values[key][reg] = pw[key]
     del pw, ah  # would otherwise stay live through reconstruct's peak
-    _, block.reconstruction = reconstruct(clean)
-    return block
+    block["reconstruction"] = reconstruct(clean)[1]
+    return values, block
 
 
 def run_grid(
@@ -515,88 +540,49 @@ def run_grid(
 ) -> GridRun:
     """Evaluate, transform, and verify a scene on a batch of points.
 
-    The chart and everything after tau run in blocks of :data:`BLOCK` points;
-    tau (one value, gradient and Hessian per point) is evaluated for the whole
-    batch first, so no block is transformed before tau is known finite.  The
-    blocks merge exactly: maxima by max, minima by min, the closedness argmax
-    keeps the first index on ties, and every check is judged on merged values
-    in the order of a single pass (chart, certification, tau, regularity,
-    reconstruction), so an error names the offender, value or point that the
-    whole batch would.  Once an error is certain, later blocks are only
-    evaluated and certified.
+    The batch runs through :func:`eval_blocks`.  The blocks merge exactly:
+    maxima by max, minima by min, the closedness argmax keeps the first index
+    on ties, and every check is judged on merged values in the order of a
+    single pass (chart, certification, tau, regularity, reconstruction).
     """
     pts = np.asarray(points, dtype=float)
     grid_shape = tuple(int(n) for n in pts.shape[:-1])
-    flat = pts.reshape(-1, pts.shape[-1])
-    contact_tol = contact_tol or CH.default_contact_tol(chart)
-    error = None
-    try:
-        tau = E.eval_at(tau_expr, chart.domain.wrap(flat))
-    except DomainErrorJet as exc:
-        error = exc  # raised once the chart has certified, as in a single pass
-    frame_cert = None  # the certificate of the blocks so far, merged
-    blocks: list[_Block] = []
-    v = None  # whole-grid value arrays, shaped and typed like the first block's
-    for start in range(0, len(flat), BLOCK):
-        key = slice(start, start + BLOCK)
-        frame = CH.eval_chart(chart, flat[key], contact_tol=contact_tol, judge=False)
-        frame_cert = (
-            frame.cert if frame_cert is None else L.merge_certs([frame_cert, frame.cert])
-        )
-        if error is None:
-            try:
-                L.judge_frame(frame_cert, contact_tol)
-            except (ContactViolation, NotImmersed) as exc:
-                error = exc  # the whole grid's record fails too
-        if error is None:
-            block = _run_block(frame, tau.batch(key), start, det_rel_tol)
-            v = v or {
-                k: np.empty((len(flat),) + a.shape[1:], a.dtype) for k, a in block.values.items()
-            }
-            for k in v:  # pop: the block's own copy is freed at once
-                v[k][key] = block.values.pop(k)
-            blocks.append(block)
-        del frame  # its jets would otherwise live through the next block's chart
-
-    L.judge_frame(frame_cert, contact_tol)
-    if error is not None:
-        raise error
+    run = eval_blocks(
+        chart, pts.reshape(-1, pts.shape[-1]), lambda p: [E.eval_at(tau_expr, p)],
+        lambda frame, taus, key: _run_block(frame, taus[0], key.start, det_rel_tol),
+        contact_tol=contact_tol,
+    )
+    v = run.values
     if v["singular"].all():
-        _raise_not_regular(v["singular"], v["points"], "congruence metric")
-    checked = [b for b in blocks if b.dalpha is not None]
-    max_da, argmax = -np.inf, None
-    for b in checked:
-        if b.dalpha[0] > max_da:
-            max_da, argmax = b.dalpha
+        _raise_not_regular(v["singular"], run.points, "congruence metric")
+    checked = [b for b in run.extras if b is not None]
+    # the first block of the largest value, as one argmax over the batch would find
+    max_da, argmax = max((b["dalpha"] for b in checked), key=lambda d: d[0])
     if argmax is None:
         raise NotRegular("no regular points in the batch")
 
-    recon = {
-        k: max(b.reconstruction[k] for b in checked)
-        for k in ("involution", "eq10", "mu_match")
-    }
-    recon["hat_cert"] = L.merge_certs([b.reconstruction["hat_cert"] for b in checked])
-    recon["back_singular"] = np.concatenate(
-        [b.reconstruction["back_singular"] for b in checked]
-    )
-    judge_reconstruction(recon, v["points"][~v["singular"]], tol=involution_tol)
+    diags = [b["reconstruction"] for b in checked]
+    recon = {k: max(d[k] for d in diags) for k in ("involution", "eq10", "mu_match")}
+    recon["hat_cert"] = L.merge_certs([d["hat_cert"] for d in diags])
+    recon["back_singular"] = np.concatenate([d["back_singular"] for d in diags])
+    judge_reconstruction(recon, run.points[~v["singular"]], tol=involution_tol)
 
-    suite = {k: max(b.suite[k] for b in checked) for k in checked[0].suite}
-    suite["hat_min_abs_det"] = min(b.suite["hat_min_abs_det"] for b in checked)
-    curv_abs = max(b.curvature["abs"] for b in checked)
-    scale = max(b.curvature["scale"] for b in checked)
-    max_al = max(b.max_alpha for b in checked)
+    suite = {k: max(b["suite"][k] for b in checked) for k in checked[0]["suite"]}
+    suite["hat_min_abs_det"] = min(b["suite"]["hat_min_abs_det"] for b in checked)
+    curv_abs = max(b["curvature"]["abs"] for b in checked)
+    scale = max(b["curvature"]["scale"] for b in checked)
+    max_al = max(b["max_alpha"] for b in checked)
     return GridRun(
         chart=chart,
         tau_src=E.to_source(tau_expr),
         grid_shape=grid_shape,
-        points=v["points"],
-        frame_cert=frame_cert,
+        points=run.points,
+        frame_cert=run.cert,
         singular=v["singular"],
         min_det=float(np.nanmin(np.abs(v["det"]))),
         f=v["f"],
         f_hat=v["f_hat"],
-        fields={"tau": tau.value, **{k: v[k] for k in _FIELDS}},
+        fields={"tau": run.taus[0].value, **{k: v[k] for k in _FIELDS}},
         pointwise={k: v[k] for k in _POINTWISE},
         max_dalpha=max_da,
         dalpha_argmax=(argmax,),

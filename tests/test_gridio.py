@@ -100,7 +100,7 @@ def test_exterior_derivative_flags_non_closed_form(square_torus):
         grid = G.Grid(n, n, square_torus.domain)
         frame = CH.eval_chart(square_torus, grid.points().reshape(-1, 2))
         tau = E.eval_at(expr, frame.points)
-        res = RB.transform(frame, tau, on_singular="nan")
+        res = RB.transform(frame, tau)
         comps = np.where(
             res.metric.singular[..., None], 0.0, res.alpha.value
         ).reshape(grid.shape + (2,))

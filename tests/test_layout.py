@@ -77,3 +77,39 @@ def test_jet_slots_are_read_derivative_major():
         for line in _point_major_lines(ast.parse(p.read_text(encoding="utf-8")))
     ]
     assert offenders == []
+
+
+def _block_names(tree, name) -> list[int]:
+    """Lines where a module-level name other than ribaucour.BLOCK contains
+    ``BLOCK``, or where ``BLOCK`` is read outside ribaucour.eval_blocks."""
+    lines = []
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Name) and "BLOCK" in target.id:
+                if (name, target.id) != ("ribaucour.py", "BLOCK"):
+                    lines.append(node.lineno)
+    evaluator = {
+        id(n)
+        for f in tree.body
+        if name == "ribaucour.py" and isinstance(f, ast.FunctionDef) and f.name == "eval_blocks"
+        for n in ast.walk(f)
+    }
+    for node in ast.walk(tree):
+        read = (isinstance(node, ast.Name) and node.id == "BLOCK") or (
+            isinstance(node, ast.Attribute) and node.attr == "BLOCK"
+        )
+        if read and isinstance(node.ctx, ast.Load) and id(node) not in evaluator:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_one_evaluator_walks_every_grid():
+    # grids are walked in blocks by ribaucour.eval_blocks alone: no other block
+    # size, and no other code that reads BLOCK
+    offenders = [
+        f"{p.name}:{line}"
+        for p in sorted(SRC.glob("*.py"))
+        for line in _block_names(ast.parse(p.read_text(encoding="utf-8")), p.name)
+    ]
+    assert offenders == []

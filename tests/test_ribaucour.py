@@ -9,15 +9,19 @@ import pytest
 
 from liesphere import charts as CH
 from liesphere import cli
+from liesphere import demoulin as D
 from liesphere import exprs as E
 from liesphere import liegeom as L
 from liesphere import ribaucour as RB
 from liesphere.errors import (
     ContactViolation,
     DomainErrorJet,
+    FullyMasked,
     InvolutionFailure,
     LieSphereError,
+    NotPointwiseDistinct,
     NotRegular,
+    NotRibaucour,
 )
 from liesphere.gridio import Grid, fd_jet_oracle
 from liesphere.jets import Jet2
@@ -55,8 +59,9 @@ def test_metric_closed_form(square_torus, random_points):
 
 def test_metric_degenerates_at_principal_curvature(square_torus, random_points):
     frame, tau = _frame_and_tau(square_torus, "1", random_points)
+    met = RB.minus_metric(frame, tau)
     with pytest.raises(NotRegular) as exc:
-        RB.minus_metric(frame, tau)
+        RB._raise_not_regular(met.singular, frame.points, "congruence metric")
     assert exc.value.index is not None
 
 
@@ -209,7 +214,7 @@ def test_separable_product_tau_is_not_closed(square_torus):
     grid = Grid(64, 64, square_torus.domain)
     frame = CH.eval_chart(square_torus, grid.points().reshape(-1, 2))
     tau = E.eval_at(E.parse_tau("sin(u)*sin(v)"), frame.points)
-    res = RB.transform(frame, tau, on_singular="nan")
+    res = RB.transform(frame, tau)
     maxd, loc = RB.ribaucour_residual(res)
     assert maxd > 1e-2
     assert not RB.classify_ribaucour(maxd, RB.max_abs_alpha(res))
@@ -219,8 +224,12 @@ def test_strict_mode_raises_on_singular_grid(square_torus):
     grid = Grid(64, 64, square_torus.domain)
     frame = CH.eval_chart(square_torus, grid.points().reshape(-1, 2))
     tau = E.eval_at(E.parse_tau("sin(u)*sin(v)"), frame.points)
-    with pytest.raises(NotRegular):
-        RB.transform(frame, tau)
+    res = RB.transform(frame, tau)
+    with pytest.raises(NotRegular) as exc:
+        RB._raise_not_regular(res.metric.singular, frame.points, "congruence metric")
+    # the first singular point, u = v = pi/2
+    assert exc.value.index == (1040,)
+    np.testing.assert_array_equal(exc.value.point, [np.pi / 2.0, np.pi / 2.0])
 
 
 def test_classification_is_scale_aware():
@@ -312,7 +321,7 @@ def test_curvature_identity_off_the_closed_locus(square_torus):
     grid = Grid(32, 32, square_torus.domain)
     frame = CH.eval_chart(square_torus, grid.points().reshape(-1, 2))
     tau = E.eval_at(E.parse_tau("sin(u)*sin(v)"), frame.points)
-    res = RB.transform(frame, tau, on_singular="nan")
+    res = RB.transform(frame, tau)
     curv = RB.curvature_identity(res, RB.alpha_hat(res))
     assert curv["scale"] > 1e-2  # genuinely nonzero sides
     assert curv["rel"] < 1e-6
@@ -381,6 +390,17 @@ def test_blocks_cannot_change_results(name, monkeypatch):
             np.testing.assert_array_equal(a[key], b[key])  # NaN == NaN here
 
 
+def _with_chart(name, overrides):
+    """``overrides`` with a ``chart`` given as a custom chart's f (a list, or its first component)."""
+    overrides = dict(overrides)
+    if isinstance(overrides.get("chart"), (str, list)):
+        chart = json.loads((SCENES / name).read_text(encoding="utf-8"))["chart"]
+        f = overrides["chart"]
+        chart["f"] = f if isinstance(f, list) else [f] + chart["f"][1:]
+        overrides["chart"] = chart
+    return overrides
+
+
 def _raised(name, monkeypatch, block, **overrides):
     with pytest.raises(LieSphereError) as info:
         _scene_run(name, monkeypatch, block, **overrides)
@@ -411,17 +431,143 @@ LATE_OVERFLOW = "0.6*cos(u) + 1e-300*exp(exp(exp(u-4)))"
     ],
 )
 def test_blocks_raise_what_the_whole_grid_raises(name, overrides, kind, monkeypatch):
-    overrides = dict(overrides)
-    if "chart" in overrides:
-        chart = json.loads((SCENES / name).read_text(encoding="utf-8"))["chart"]
-        f = overrides["chart"]
-        chart["f"] = f if isinstance(f, list) else [f] + chart["f"][1:]
-        overrides["chart"] = chart
+    overrides = _with_chart(name, overrides)
     whole = _raised(name, monkeypatch, 380, **overrides)
     split = _raised(name, monkeypatch, 37, **overrides)
     assert whole[0] is kind
     assert split[:3] == whole[:3]
     np.testing.assert_array_equal(split[3], whole[3])
+
+
+def _cli_outputs(argv, name, overrides, tmp_path, monkeypatch, capsys, block):
+    """Exit code, printed text and every written file of one CLI run at ``RB.BLOCK = block``."""
+    obj = json.loads((SCENES / name).read_text(encoding="utf-8"))
+    obj.update(_with_chart(name, overrides))
+    scene = tmp_path / f"scene{block}.json"
+    scene.write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / f"out{block}"
+    monkeypatch.setattr(RB, "BLOCK", block)
+    code = cli.main(argv + ["--scene", str(scene), "--out", str(out)])
+    printed = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+    return code, printed.out.replace(str(out), "OUT"), printed.err, files
+
+
+# tau = 1 is a curvature sphere of the square torus; this tau meets it only on
+# the row u = u_17 of a 20-row grid, in a later block of 37 points
+LATE_SINGULAR = "1 + (u - 5.340707511102648)^2"
+
+
+@pytest.mark.parametrize(
+    "argv, name, overrides",
+    [
+        (["export"], "check_sinu.json", {}),
+        (["export", "--pole-flip", "--json"], "check_custom.json", {}),
+        (["export"], "check_sinusinv.json", {}),  # singular: f only
+        (["export"], "check_sinu.json", {"tau": LATE_SINGULAR}),  # ... only in a later block
+        (["demoulin", "--dual"], "demoulin_dual_2d.json", {}),
+        (["demoulin"], "demoulin_sinu.json", {"thetas": [0.0, 0.3, np.pi / 4, 2.5, np.pi / 2]}),
+    ],
+)
+def test_blocks_cannot_change_command_files(
+    argv, name, overrides, tmp_path, monkeypatch, capsys
+):
+    # every file, the printed text and the exit code, on 20 x 19 = 380 points
+    overrides = dict(overrides, grid=[20, 19])
+    whole = _cli_outputs(argv, name, overrides, tmp_path, monkeypatch, capsys, 380)
+    split = _cli_outputs(argv, name, overrides, tmp_path, monkeypatch, capsys, 37)
+    assert whole[3]
+    assert split == whole
+
+
+def _family_run(name, monkeypatch, block, **overrides):
+    """build_family, the members, parallel sections and the dual step (if the
+    scene asks), in the CLI's order, on a 20 x 19 grid at ``RB.BLOCK = block``."""
+    obj = json.loads((SCENES / name).read_text(encoding="utf-8"))
+    obj.update(_with_chart(name, overrides))
+    scene = cli.scene_from_json(obj)
+    monkeypatch.setattr(RB, "BLOCK", block)
+    family = D.build_family(scene.chart, scene.tau, scene.tau1, Grid(20, 19, scene.chart.domain))
+    dual = D.dual_family_step(family) if scene.dual else None
+    members = []
+    report = D.family_report(family, scene.thetas, dual=dual, each=members.append)
+    report["parallel_residual"] = D.parallel_sections(family)["residual"]
+    return report, members
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    # the dual step is compared by test_blocks_cannot_change_command_files
+    [("demoulin_sinu.json", {}), ("demoulin_dual_2d.json", {"dual": False})],
+)
+def test_family_blocks_cannot_change_results(name, overrides, monkeypatch):
+    whole_report, whole = _family_run(name, monkeypatch, 380, **overrides)
+    split_report, split = _family_run(name, monkeypatch, 37, **overrides)
+    assert split_report == whole_report
+    assert len(split) == len(whole) == 8
+    for a, b in zip(split, whole):
+        np.testing.assert_array_equal(a.values.data, b.values.data)  # NaN == NaN here
+        for key in ("mask", "singular", "f_hat"):
+            np.testing.assert_array_equal(getattr(a, key), getattr(b, key))
+
+
+def _family_raised(name, monkeypatch, block, **overrides):
+    with pytest.raises(LieSphereError) as info:
+        _family_run(name, monkeypatch, block, **overrides)
+    exc = info.value
+    return type(exc), str(exc), getattr(exc, "index", None), getattr(exc, "point", None)
+
+
+NON_PERIODIC_TORUS = {
+    "kind": "clifford_torus",
+    "r": 0.7071067811865476,
+    "domain": {"u": [0, 2 * np.pi], "v": [0, 2 * np.pi], "periodic": [False, False]},
+}
+
+
+@pytest.mark.parametrize(
+    "name, overrides, kind",
+    [
+        # a generator singular everywhere, and one singular only in a later block
+        ("demoulin_sinu.json", {"tau": "1"}, NotRegular),
+        ("demoulin_sinu.json", {"tau1": LATE_SINGULAR}, NotRegular),
+        ("demoulin_sinu.json", {"tau1": "2 + 0.2*sin(u)*sin(v)"}, NotRibaucour),
+        ("demoulin_sinu.json", {"tau1": "0"}, NotPointwiseDistinct),
+        ("demoulin_sinu.json", {"tau": "0", "tau1": "2", "thetas": [3 * np.pi / 4]}, FullyMasked),
+        ("check_custom.json", {"chart": LATE_CONTACT, "tau1": "2"}, ContactViolation),
+        # the dual step's second transform meets tau = 1 at the patch's index 40,
+        # in its third block of 18 order-3 points
+        (
+            "demoulin_dual_2d.json",
+            {"chart": NON_PERIODIC_TORUS, "tau1": "1 + (v - 3.9623398775743413)^2"},
+            NotRegular,
+        ),
+    ],
+)
+def test_family_blocks_raise_what_the_whole_grid_raises(name, overrides, kind, monkeypatch):
+    whole = _family_raised(name, monkeypatch, 380, **overrides)
+    split = _family_raised(name, monkeypatch, 37, **overrides)
+    assert whole[0] is kind
+    assert split[:3] == whole[:3]
+    np.testing.assert_array_equal(split[3], whole[3])
+
+
+@pytest.mark.parametrize(
+    "command, scene", [("export", "check_sinu.json"), ("demoulin", "demoulin_sinu.json")]
+)
+def test_command_memory_does_not_grow_with_the_grid(command, scene, tmp_path):
+    def peak(n):
+        out = str(tmp_path / str(n))
+        argv = [command, "--scene", str(SCENES / scene), "--grid", f"{n}x{n}", "--out", out]
+        tracemalloc.start()
+        try:
+            cli.main(argv)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(64), peak(128)  # one block against four
+    assert large < 1.5 * small
 
 
 def test_run_grid_memory_does_not_grow_with_the_grid(square_torus):
