@@ -237,12 +237,15 @@ def cmd_transform(scene: Scene, out: Path, json_mode: bool, pole_flip: bool) -> 
     f4 = run.f[:, :4].reshape(shape + (4,))
     fhat4 = run.f_hat[:, :4].reshape(shape + (4,))
     mesh_f = G.export_obj(out / "f.obj", f4, grid, pole_flip=pole_flip)
-    mesh_fh = G.export_obj(out / "f_hat.obj", fhat4, grid, pole_flip=pole_flip)
+    # f_hat is NaN at degenerate points: those vertices are left out
+    mesh_fh = G.export_obj(out / "f_hat.obj", fhat4, grid, pole_flip=pole_flip, drop=run.singular)
     report["meshes"] = {
         "f": {"vertices": len(mesh_f.vertices), "faces": len(mesh_f.faces)},
         "f_hat": {"vertices": len(mesh_fh.vertices), "faces": len(mesh_fh.faces)},
         "clipped": mesh_f.clipped + mesh_fh.clipped,
     }
+    if mesh_fh.dropped:
+        report["meshes"]["dropped"] = mesh_fh.dropped
 
     cols = dict(run.fields, **{f"res_{k}": v for k, v in run.pointwise.items()})
     G.write_fields_csv(out / "fields.csv", grid, cols)

@@ -527,8 +527,7 @@ def _dual_fields(family: DemoulinFamily, points: np.ndarray, order: int = 2) -> 
 
     def body(frame, taus, key):
         tau0, tau1 = taus
-        f, xi = (J.Jet2(x.value, x.grad, x.hess if order > 2 else None, x.m)
-                 for x in (frame.f, frame.xi))
+        f, xi = (x.truncate(order - 1) for x in (frame.f, frame.xi))
         res0 = RB.transform(frame, tau0, det_rel_tol=family.det_rel_tol)
         res1 = RB.transform(
             L.LegendreFrame(f, xi, frame.points), tau1, det_rel_tol=family.det_rel_tol

@@ -184,7 +184,8 @@ class MeshExport:
 
     vertices: np.ndarray  # (N, 3)
     faces: np.ndarray  # (F, 4), zero-based
-    clipped: int = 0
+    clipped: int = 0  # vertices clipped at the pole
+    dropped: int = 0  # further vertices omitted as ``drop`` asked
 
 
 def stereographic(points4: np.ndarray, *, pole_flip: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -229,11 +230,11 @@ def mesh_from_grid(
     corners = (row0 + col0, row1 + col0, row1 + col1, row0 + col1)
     faces = np.stack(corners, axis=-1).reshape(-1, 4)
 
-    clipped = int(bad.sum())
-    if clipped:
-        if near.any():
+    clipped = int(near.sum())
+    if bad.any():
+        if clipped:
             warnings.warn(
-                f"{int(near.sum())} vertices clipped at the stereographic pole",
+                f"{clipped} vertices clipped at the stereographic pole",
                 PoleClipWarning,
             )
         keep = ~bad
@@ -242,7 +243,7 @@ def mesh_from_grid(
         verts = verts[keep]
         face_ok = keep[faces].all(axis=1)
         faces = remap[faces[face_ok]]
-    return MeshExport(verts, faces, clipped)
+    return MeshExport(verts, faces, clipped, int(bad.sum()) - clipped)
 
 
 def _obj_chunks(mesh: MeshExport) -> Iterator[str]:

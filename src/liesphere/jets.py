@@ -166,6 +166,13 @@ class Jet2:
             third_row = self.third[_tri3(self.m)[0][i][_tri(self.m)]]
         return Jet2(self.grad[i], hess_row, third_row, self.m)
 
+    def truncate(self, order: int) -> "Jet2":
+        """This jet without its slots above ``order``, for a reader that needs no more."""
+        if self.order <= order:
+            return self
+        g, h, t = (a if k < order else None for k, a in enumerate((self.grad, self.hess, self.third)))
+        return Jet2(self.value, g, h, self.m, t)
+
     # ---------- arithmetic ----------
 
     def _zip(self, other, op, reflected: bool = False) -> "Jet2":

@@ -159,7 +159,13 @@ def merge_certs(certs: list[dict]) -> dict:
     return merged
 
 
-def light_cone_section(f: Jet2, xi: Jet2, tau: Jet2) -> Jet2:
-    """The sphere tau lifted to the light cone: sigma = xi - tau f - tau t0 + t1."""
-    tv = tau.vec()
-    return xi - tv * f - tv * t0_jet(f.m) + t1_jet(f.m)
+def light_cone_section(f: Jet2 | np.ndarray, xi: Jet2 | np.ndarray, tau: Jet2 | np.ndarray):
+    """The sphere tau lifted to the light cone: sigma = xi - tau f - tau t0 + t1.
+
+    Takes jets, or plain value arrays with the components along the last axis.
+    """
+    if isinstance(tau, Jet2):
+        m, tv = f.m, tau.vec()
+    else:
+        m, tv = f.shape[-1] - 4, tau[..., None]
+    return xi - tv * f - tv * t0_jet(m) + t1_jet(m)

@@ -12,7 +12,8 @@ machinery around them:
   parametrization f_hat = a f + b xi + (1-a) f_check,
   xi_hat = xi - tau f + tau f_hat;
 * alpha(d_i) = (d_i f, -f_check), stored with exact first partials so the
-  exterior derivative needs no finite differencing;
+  exterior derivative needs no finite differencing; xi_hat and alpha are
+  built on first read, so a caller that reads neither never computes them;
 * the closedness gate max |d alpha| < rel_tol (1 + max |alpha|), with
   rel_tol supplied by the caller (a scene's tolerance, or the default);
 * the identity suite: eq6, eq9, eq13 and their supporting checks are
@@ -31,6 +32,7 @@ the whole grid; every grid command walks its grid that way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -78,8 +80,18 @@ class TransformResult:
     mu2: Jet2
     f_check: Jet2
     f_hat: Jet2
-    xi_hat: Jet2
-    alpha: Jet2  # components along the last value axis; grads are exact
+
+    @cached_property
+    def xi_hat(self) -> Jet2:
+        """xi - tau f + tau f_hat, at f_hat's order: tau is lowered before its product with f."""
+        tv = self.tau.truncate(self.f_hat.order).vec()
+        return self.frame.xi - tv * self.frame.f + tv * self.f_hat
+
+    @cached_property
+    def alpha(self) -> Jet2:
+        """(d_i f, -f_check), components along the last value axis; grads are exact."""
+        f, m = self.frame.f, self.frame.m
+        return J.stack([lie_inner(f.deriv(i), -self.f_check) for i in range(m)], axis=-1)
 
 
 def _raise_not_regular(singular: np.ndarray, points: np.ndarray, what: str):
@@ -108,7 +120,8 @@ def minus_metric(
     m = frame.m
     tv = tau.vec()
     V = [(-frame.xi.deriv(i)) + tv * frame.f.deriv(i) for i in range(m)]
-    G = J.mat_from_rows([[lie_inner(V[i], V[k]) for k in range(m)] for i in range(m)])
+    upper = {(i, k): lie_inner(V[i], V[k]) for i in range(m) for k in range(i, m)}
+    G = J.mat_from_rows([[upper[min(i, k), max(i, k)] for k in range(m)] for i in range(m)])
     det = J.mat_det_value(G)
     singular = J.singular_mask(G, det_rel_tol, det)
     Ginv = J.mat_inverse(G, singular)
@@ -126,7 +139,9 @@ def transform(
         a = 1 - 2/(tau^2 + mu^2 + 1),   b = tau (a - 1),
         f_hat  = a f + b xi + (1 - a) f_check,
         xi_hat = xi - tau f + tau f_hat,
-        alpha(d_i) = (d_i f, -f_check).
+        alpha(d_i) = (d_i f, -f_check),
+
+    the last two on first read.
     """
     m = frame.m
     metric = minus_metric(frame, tau, det_rel_tol=det_rel_tol)
@@ -147,15 +162,7 @@ def transform(
 
     one_minus_a = 1.0 - a
     f_hat = a.vec() * frame.f + b.vec() * frame.xi + one_minus_a.vec() * f_check
-    tv = tau.vec()
-    xi_hat = frame.xi - tv * frame.f + tv * f_hat
-
-    alpha = J.stack(
-        [lie_inner(frame.f.deriv(i), -f_check) for i in range(m)], axis=-1
-    )
-    return TransformResult(
-        frame, tau, metric, a, b, mu2, f_check, f_hat, xi_hat, alpha
-    )
+    return TransformResult(frame, tau, metric, a, b, mu2, f_check, f_hat)
 
 
 # ---------- closedness ----------
@@ -209,8 +216,15 @@ def _vmax(arr: np.ndarray) -> float:
 
 
 def f_check_hat(result: TransformResult) -> Jet2:
-    """Normal component of the reverse decomposition: f_check + mu^2 (f - f_hat)."""
-    return result.f_check + result.mu2.vec() * (result.frame.f - result.f_hat)
+    """Normal component of the reverse decomposition: f_check + mu^2 (f - f_hat).
+
+    Built one order below f_hat, the order of the partials of f_hat it is paired with.
+    """
+    order = result.f_hat.order - 1
+    fc, mu2, f, fh = (
+        x.truncate(order) for x in (result.f_check, result.mu2, result.frame.f, result.f_hat)
+    )
+    return fc + mu2.vec() * (f - fh)
 
 
 def alpha_hat(result: TransformResult) -> Jet2:
@@ -268,10 +282,8 @@ def pointwise_residuals(result: TransformResult, ah: Jet2) -> dict[str, np.ndarr
     pw["mu2_match"] = np.abs(inner(fc, fc) - result.mu2.value)
 
     # The congruence section is enveloped by the new frame.
-    envelope = L.light_cone_section(result.frame.f, result.frame.xi, tau) - (
-        L.light_cone_section(result.f_hat, result.xi_hat, tau)
-    )
-    pw["envelope"] = np.max(np.abs(envelope.value), axis=-1)
+    envelope = L.light_cone_section(f, xi, tau.value) - L.light_cone_section(fh, xh, tau.value)
+    pw["envelope"] = np.max(np.abs(envelope), axis=-1)
 
     # eq9: -dxi_hat + tau df_hat = -dxi + tau df + (f - f_hat) dtau.
     dfh = result.f_hat.grad  # dfh[i] is d_i f_hat
@@ -454,6 +466,11 @@ def eval_blocks(
 # fields.csv columns kept from each block (tau comes from the whole-grid pass)
 _FIELDS = ("a", "b", "mu2", "alpha_u", "alpha_v", "dalpha_abs")
 _POINTWISE = ("eq6", "eq9", "eq13")
+# residuals that verify the construction but are not gated
+_SUPPORTING = (
+    "fcheck_orth_f", "fcheck_orth_xi", "mu2_match", "envelope", "metric_match", "alpha_forms",
+    "hat_min_abs_det",
+)
 
 
 @dataclass
@@ -600,6 +617,8 @@ def run_grid(
 
 def diagnostic_report(run: GridRun) -> dict:
     """JSON-ready diagnostics in the report schema consumed by the CLI."""
+    supporting = {k: run.residuals[k] for k in _SUPPORTING}
+    supporting["mu_match"] = run.reconstruction["mu_match"]
     return {
         "chart": CH.chart_to_json(run.chart),
         "tau_src": run.tau_src,
@@ -617,5 +636,8 @@ def diagnostic_report(run: GridRun) -> dict:
             "eq13": run.residuals["eq13"],
             "involution": run.reconstruction["involution"],
             "curvature_identity": run.curvature["abs"],
+        },
+        "supporting_residuals": {  # null where not finite
+            k: v if np.isfinite(v) else None for k, v in supporting.items()
         },
     }

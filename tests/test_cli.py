@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liesphere import cli
-from liesphere.errors import SceneError
+from liesphere.errors import PoleClipWarning, SceneError
 from reference import parse_obj
 
 SQUARE_R = 0.7071067811865476
@@ -249,6 +249,23 @@ def test_field_residuals_peak_at_the_reported_values(tmp_path, name):
     for key in ("eq6", "eq9", "eq13"):
         column = [float(row[f"res_{key}"]) for row in rows]
         assert max(column) == report["residuals"][key]
+
+
+def test_transform_drops_degenerate_points_from_f_hat_obj(tmp_path):
+    out = tmp_path / "out"
+    scene = str(SCENES / "check_sinusinv.json")
+    with pytest.warns(PoleClipWarning):
+        assert cli.main(["transform", "--scene", scene, "--out", str(out)]) == 1  # not regular
+    for name in ("f.obj", "f_hat.obj"):
+        text = (out / name).read_text()
+        assert "nan" not in text
+        verts, faces = parse_obj(text)
+        assert faces.min() >= 0 and faces.max() < len(verts)
+    # the degenerate points are the rows whose pointwise residuals are NaN
+    with open(out / "fields.csv", encoding="utf-8", newline="") as fh:
+        degenerate = sum(row["res_eq6"] == "nan" for row in csv.DictReader(fh))
+    meshes = json.loads((out / "report.json").read_text())["meshes"]
+    assert degenerate > 0 and meshes["dropped"] == degenerate
 
 
 def test_demoulin_builds_each_member_once(tmp_path, monkeypatch):

@@ -122,6 +122,17 @@ def test_deriv_lowers_order():
     assert np.isfinite(g.grad).all()
 
 
+def test_truncate_drops_the_slots_above_an_order():
+    u, v = J.seed(np.array([0.4, 0.9]), order=3)
+    f = J.exp(u) * J.cos(v)
+    assert f.truncate(3) is f and f.truncate(4) is f
+    for order in (2, 1, 0):
+        low = f.truncate(order)
+        assert low.order == order and low.value is f.value
+        for k, slot in enumerate(("grad", "hess", "third")):
+            assert getattr(low, slot) is (getattr(f, slot) if k < order else None)
+
+
 def test_products_take_the_lowest_order():
     u, v = J.seed(np.array([[0.4, 0.9], [1.1, -0.3]]))
     f = J.sin(u) * v

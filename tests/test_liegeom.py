@@ -152,6 +152,15 @@ def test_congruence_light_cone_on_torus(random_points, square_torus):
     assert np.max(np.abs(span_res.value)) < 1e-12
 
 
+def test_congruence_on_values_matches_the_jet_value_bits(random_points, square_torus):
+    frame = CH.eval_chart(square_torus, random_points)
+    tau = E.eval_at(E.parse_tau("0.3*sin(u) + 0.2*cos(v)"), frame.points)
+    jet = L.light_cone_section(frame.f, frame.xi, tau)
+    values = L.light_cone_section(frame.f.value, frame.xi.value, tau.value)
+    assert values.shape == jet.value.shape
+    assert values.tobytes() == jet.value.tobytes()
+
+
 def test_congruence_jet_matches_fd_oracle(square_torus):
     # sigma as a function of (u, v), first derivatives against the oracle
     expr = E.parse_tau("0.3*sin(u)")

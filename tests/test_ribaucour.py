@@ -11,8 +11,11 @@ from liesphere import charts as CH
 from liesphere import cli
 from liesphere import demoulin as D
 from liesphere import exprs as E
+from liesphere import gridio as G
+from liesphere import jets as J
 from liesphere import liegeom as L
 from liesphere import ribaucour as RB
+from liesphere.charts import Domain
 from liesphere.errors import (
     ContactViolation,
     DomainErrorJet,
@@ -25,7 +28,7 @@ from liesphere.errors import (
 )
 from liesphere.gridio import Grid, fd_jet_oracle
 from liesphere.jets import Jet2
-from reference import shape_operator_path
+from reference import clifford_torus_exprs, shape_operator_path
 
 
 def _frame_and_tau(spec, src, points):
@@ -171,6 +174,108 @@ def test_jet_orders_through_the_transform(torus_frame_16):
     assert RB.alpha_hat(res).grad is None
 
 
+# ---------- slots and fields a reader needs ----------
+
+CHARTS = {
+    "clifford_torus": CH.CliffordTorus(0.6),
+    "parallel_of": CH.ParallelOf(CH.CliffordTorus(0.6), 0.4),
+    "custom": CH.chart_from_json(
+        dict(zip(("f", "xi"), clifford_torus_exprs(0.6)), kind="custom")
+    ),
+}
+
+
+def _same_bits(lazy: Jet2, eager: Jet2):
+    """``lazy`` equals ``eager`` bit for bit in its value and every slot it carries."""
+    for slot in ("value", "grad", "hess", "third"):
+        a = getattr(lazy, slot)
+        if a is not None:
+            b = getattr(eager, slot)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), slot
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("chart", sorted(CHARTS))
+def test_fields_built_on_read_match_the_eager_formulas(chart, order, random_points):
+    frame = CH.eval_chart(CHARTS[chart], random_points, order=order)
+    tau = E.eval_at(E.parse_tau("0.3*sin(u) + 0.2*cos(v)"), frame.points, order)
+    res = RB.transform(frame, tau)
+    f, xi, tv = frame.f, frame.xi, tau.vec()
+    xi_hat = xi - tv * f + tv * res.f_hat
+    alpha = J.stack([L.lie_inner(f.deriv(i), -res.f_check) for i in range(2)], axis=-1)
+    fch = res.f_check + res.mu2.vec() * (f - res.f_hat)
+    assert res.xi_hat.order == xi_hat.order == res.f_hat.order
+    assert res.alpha.order == alpha.order
+    assert RB.f_check_hat(res).order == res.f_hat.order - 1
+    _same_bits(res.xi_hat, xi_hat)
+    _same_bits(res.alpha, alpha)
+    _same_bits(RB.f_check_hat(res), fch)
+
+
+def _transforms(monkeypatch) -> list:
+    """Every :class:`TransformResult` built from now on, in order."""
+    results, transform = [], RB.transform
+
+    def spy(*args, **kwargs):
+        results.append(transform(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(RB, "transform", spy)
+    return results
+
+
+def _built(res) -> set:
+    return {"xi_hat", "alpha"} & set(vars(res))
+
+
+def test_transform_builds_xi_hat_and_alpha_on_read(torus_frame_16):
+    _, frame = torus_frame_16
+    res = RB.transform(frame, E.eval_at(E.parse_tau("0.3*sin(u)"), frame.points))
+    assert _built(res) == set()
+    assert res.alpha is res.alpha and _built(res) == {"alpha"}
+
+
+def test_export_builds_neither_xi_hat_nor_alpha(tmp_path, monkeypatch):
+    results = _transforms(monkeypatch)
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"chart": CH.chart_to_json(CHARTS["clifford_torus"]),
+                                 "tau": "0.3*sin(u)", "grid": [16, 16]}))
+    assert cli.main(["export", "--scene", str(scene), "--out", str(tmp_path / "o")]) == 0
+    assert results and all(_built(res) == set() for res in results)
+
+
+def test_family_and_dual_step_build_alpha_only_where_read(square_torus, monkeypatch):
+    results = _transforms(monkeypatch)
+    grid = Grid(16, 16, square_torus.domain)
+    tau0, tau1 = E.parse_tau("0.3*sin(u)"), E.parse_tau("2 + 0.2*cos(v)")
+    family = D.build_family(square_torus, tau0, tau1, grid)
+    D.demoulin_tau(family, 0.3)
+    # both generators and the member read alpha; nothing reads xi_hat
+    assert [_built(res) for res in results] == [{"alpha"}] * 3
+    results.clear()
+    D.dual_family_step(family, Grid(8, 8, Domain((0.1, 6.1), (0.1, 6.1), (False, False))))
+    # each dual block transforms by tau0, then by tau1, and reads the second's alpha only
+    assert len(results) == 6
+    assert [_built(res) for res in results] == [set(), {"alpha"}] * 3
+
+
+def test_check_builds_no_order_2_vector_product(square_torus, monkeypatch):
+    # no reader takes the Hessian of a vector- or matrix-valued product
+    mul, built = Jet2.__mul__, []
+
+    def spy(x, y):
+        out = mul(x, y)
+        if out.order == 2 and out.value.ndim > 1:
+            built.append(out.value.shape)
+        return out
+
+    monkeypatch.setattr(Jet2, "__mul__", spy)
+    monkeypatch.setattr(Jet2, "__rmul__", spy)
+    grid = Grid(16, 16, square_torus.domain)
+    RB.run_grid(square_torus, E.parse_tau("0.3*sin(u)"), grid.points())
+    assert built == []
+
+
 def test_identity_suite_at_round_off(square_torus, random_points):
     frame, tau = _frame_and_tau(
         square_torus, "0.2*sin(u)+0.1*cos(v)", random_points
@@ -264,7 +369,9 @@ def test_involution_on_grid(square_torus, torus_frame_32):
 def test_involution_failure_detected(square_torus, random_points):
     frame, tau = _frame_and_tau(square_torus, "0.3*sin(u)", random_points)
     res = RB.transform(frame, tau)
-    # (-f_hat, xi_hat) is still a Legendre frame, but not the transform pair
+    # (-f_hat, xi_hat) is still a Legendre frame, but not the transform pair;
+    # xi_hat is read first, so that it is built from f_hat, not -f_hat
+    res.xi_hat
     res.f_hat = -res.f_hat
     with pytest.raises(InvolutionFailure):
         RB.judge_reconstruction(RB.reconstruct(res)[1], res.frame.points)
@@ -340,6 +447,26 @@ def test_run_grid_report_schema(square_torus):
     assert rep["ribaucour"] is True
     assert rep["regular"] is True
     assert rep["grid"] == [16, 16]
+
+
+def test_supporting_residuals_are_reported(square_torus):
+    grid = Grid(16, 16, square_torus.domain)
+    run = RB.run_grid(square_torus, E.parse_tau("0.3*sin(u)"), grid.points())
+    rep = RB.diagnostic_report(run)["supporting_residuals"]
+    assert rep == {
+        **{k: run.residuals[k] for k in (
+            "fcheck_orth_f", "fcheck_orth_xi", "mu2_match", "envelope", "metric_match",
+            "alpha_forms", "hat_min_abs_det",
+        )},
+        "mu_match": run.reconstruction["mu_match"],
+    }
+    # a value that is not finite is written as null
+    run.residuals["envelope"] = np.inf
+    run.reconstruction["mu_match"] = np.nan
+    rep = RB.diagnostic_report(run)
+    assert rep["supporting_residuals"]["envelope"] is None
+    assert rep["supporting_residuals"]["mu_match"] is None
+    assert json.loads(G.canonical_json(rep)) == rep
 
 
 def test_run_grid_notregular_when_everywhere_singular(square_torus):
