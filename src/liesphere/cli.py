@@ -233,26 +233,31 @@ def cmd_transform(scene: Scene, out: Path, json_mode: bool, pole_flip: bool) -> 
 
     out.mkdir(parents=True, exist_ok=True)
     grid = _grid(scene)
-    shape = grid.shape
-    f4 = run.f[:, :4].reshape(shape + (4,))
-    fhat4 = run.f_hat[:, :4].reshape(shape + (4,))
-    mesh_f = G.export_obj(out / "f.obj", f4, grid, pole_flip=pole_flip)
-    # f_hat is NaN at degenerate points: those vertices are left out
-    mesh_fh = G.export_obj(out / "f_hat.obj", fhat4, grid, pole_flip=pole_flip, drop=run.singular)
-    report["meshes"] = {
-        "f": {"vertices": len(mesh_f.vertices), "faces": len(mesh_f.faces)},
-        "f_hat": {"vertices": len(mesh_fh.vertices), "faces": len(mesh_fh.faces)},
-        "clipped": mesh_f.clipped + mesh_fh.clipped,
-    }
-    if mesh_fh.dropped:
-        report["meshes"]["dropped"] = mesh_fh.dropped
-
+    report["meshes"] = _write_meshes(out, grid, run.f, run.f_hat, run.singular, pole_flip)
     cols = dict(run.fields, **{f"res_{k}": v for k, v in run.pointwise.items()})
     G.write_fields_csv(out / "fields.csv", grid, cols)
     _emit(report, out, "report.json", json_mode)
     if not json_mode:
         print(f"wrote f.obj, f_hat.obj, fields.csv, report.json to {out}")
     return 0 if ok else 1
+
+
+def _write_meshes(out: Path, grid, f, f_hat, singular, pole_flip: bool) -> dict:
+    """Write f.obj and f_hat.obj and return the report's ``meshes``; f_hat is NaN
+    at the ``singular`` points, so those vertices are left out."""
+    shape = grid.shape + (4,)
+    mesh_f = G.export_obj(out / "f.obj", f[:, :4].reshape(shape), grid, pole_flip=pole_flip)
+    mesh_fh = G.export_obj(
+        out / "f_hat.obj", f_hat[:, :4].reshape(shape), grid, pole_flip=pole_flip, drop=singular
+    )
+    meshes = {
+        "f": {"vertices": len(mesh_f.vertices), "faces": len(mesh_f.faces)},
+        "f_hat": {"vertices": len(mesh_fh.vertices), "faces": len(mesh_fh.faces)},
+        "clipped": mesh_f.clipped + mesh_fh.clipped,
+    }
+    if mesh_fh.dropped:
+        meshes["dropped"] = mesh_fh.dropped
+    return meshes
 
 
 def cmd_demoulin(scene: Scene, out: Path, json_mode: bool) -> int:
@@ -391,20 +396,12 @@ def cmd_export(scene: Scene, out: Path, json_mode: bool, pole_flip: bool) -> int
     )
     v = run.values
     out.mkdir(parents=True, exist_ok=True)
-    shape = grid.shape + (4,)
-    mesh = G.export_obj(out / "f.obj", v["f"].reshape(shape), grid, pole_flip=pole_flip)
-    cols = {"tau": run.taus[0].value}
-    if not v["singular"].any():
-        G.export_obj(out / "f_hat.obj", v["f_hat"].reshape(shape), grid, pole_flip=pole_flip)
-        cols |= {"a": v["a"], "b": v["b"]}
-    elif not json_mode:
-        print("transform is singular on this grid; exported f only")
+    meshes = _write_meshes(out, grid, v["f"], v["f_hat"], v["singular"], pole_flip)
+    if meshes.get("dropped") and not json_mode:
+        print(f"exported f_hat without its {meshes['dropped']} degenerate points")
+    cols = {"tau": run.taus[0].value, "a": v["a"], "b": v["b"]}
     G.write_fields_csv(out / "fields.csv", grid, cols)
-    report = {
-        "meshes": {"f": {"vertices": len(mesh.vertices), "faces": len(mesh.faces)}},
-        "clipped": mesh.clipped,
-    }
-    _emit(report, out, "export.json", json_mode)
+    _emit({"meshes": meshes}, out, "export.json", json_mode)
     return 0
 
 

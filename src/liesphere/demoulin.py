@@ -176,11 +176,10 @@ def r_operator(frame: L.LegendreFrame, result: RB.TransformResult) -> ROperator:
     Bh = RB.corrected_differential(result.f_hat, RB.alpha_hat(result))
     gram = L.pairing(B, B)
     rhs = L.pairing(B, Bh)
-    dets = np.linalg.det(gram)
-    scale = np.max(np.abs(gram), axis=(-2, -1))
-    if np.any(np.abs(dets) < 1e-12 * np.maximum(scale, 1e-300) ** m):
+    det = J.det2(gram)
+    if np.any(J.singular_mask(gram, 1e-12, det)):
         raise IllPosed("Gram matrix of the connection system is singular")
-    entries = np.linalg.solve(gram, rhs)
+    entries = J.solve2(gram, rhs, det)
 
     # verify the defining relation columnwise, plain component norm
     rel = 0.0

@@ -255,12 +255,20 @@ def _prec_of(node: TauExpr) -> int:
 def eval_jet(node: TauExpr, env: dict[str, J.Jet2]) -> J.Jet2:
     """Evaluate an AST in jet arithmetic; env maps variable names to jets."""
     sample = next(iter(env.values()))
-    return _eval(node, env, sample)
+    return _as_jet(_eval(node, env, sample), sample)
 
 
-def _eval(node: TauExpr, env: dict[str, J.Jet2], sample: J.Jet2) -> J.Jet2:
+def _as_jet(x: J.Jet2 | float, sample: J.Jet2) -> J.Jet2:
+    """``x``, a number made a constant jet at the sample's shape and order."""
+    if isinstance(x, J.Jet2):
+        return x
+    return J.Jet2.constant(np.full_like(sample.value, x), sample.m, sample.order)
+
+
+def _eval(node: TauExpr, env: dict[str, J.Jet2], sample: J.Jet2) -> J.Jet2 | float:
+    """A jet, or a float for a literal; functions, powers and two numbers take jets."""
     if isinstance(node, Num):
-        return J.Jet2.constant(np.full_like(sample.value, node.value), sample.m, sample.order)
+        return node.value
     if isinstance(node, Var):
         try:
             return env[node.name]
@@ -269,15 +277,13 @@ def _eval(node: TauExpr, env: dict[str, J.Jet2], sample: J.Jet2) -> J.Jet2:
     if isinstance(node, Neg):
         return -_eval(node.arg, env, sample)
     if isinstance(node, Call):
-        return J.apply(node.fn, _eval(node.arg, env, sample))
+        return J.apply(node.fn, _as_jet(_eval(node.arg, env, sample), sample))
     if isinstance(node, BinOp):
         lhs = _eval(node.left, env, sample)
-        if node.op == "^":
-            c = _const_value(node.right)
-            if c is not None:
-                return lhs**c
-            return J.powj(lhs, _eval(node.right, env, sample))
         rhs = _eval(node.right, env, sample)
+        if node.op == "^":  # a number exponent is a literal, a jet one goes through exp and ln
+            return _as_jet(lhs, sample) ** rhs
+        lhs = lhs if isinstance(rhs, J.Jet2) else _as_jet(lhs, sample)
         if node.op == "+":
             return lhs + rhs
         if node.op == "-":
@@ -287,15 +293,6 @@ def _eval(node: TauExpr, env: dict[str, J.Jet2], sample: J.Jet2) -> J.Jet2:
         if node.op == "/":
             return lhs / rhs
     raise TypeError(f"not an expression node: {node!r}")
-
-
-def _const_value(node: TauExpr) -> float | None:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Neg):
-        inner = _const_value(node.arg)
-        return None if inner is None else -inner
-    return None
 
 
 def eval_at(node: TauExpr, points: np.ndarray, order: int = 2) -> J.Jet2:

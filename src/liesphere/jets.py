@@ -20,7 +20,10 @@ a seed unless asked otherwise.  :meth:`Jet2.deriv` lowers the order by one, sinc
 the derivative's top slot would need derivatives the input does not carry.
 Jet arithmetic is triangular in the slots (values depend on values, gradients
 on values and gradients), so every operation returns the lowest order of its
-operands and never computes a slot that order cannot know.
+operands and never computes a slot that order cannot know.  A number (or 0-d
+array) operand is not lifted to a jet: it scales or shifts the slots present,
+so it never changes a jet's order.  The 2x2 matrices (m = 2) go through the
+closed-forms :func:`det2`, :func:`eigmin2` and :func:`solve2`, not LAPACK.
 """
 
 from __future__ import annotations
@@ -176,7 +179,12 @@ class Jet2:
     # ---------- arithmetic ----------
 
     def _zip(self, other, op, reflected: bool = False) -> "Jet2":
-        """Slotwise ``op(self, other)`` (``op(other, self)`` when reflected)."""
+        """Slotwise ``op(self, other)`` (``op(other, self)`` when reflected); a number
+        operand of ``+`` or ``-`` shifts the value alone."""
+        if _is_number(other):
+            if reflected:  # other - self is (-self) + other
+                return (-self)._zip(other, np.add)
+            return Jet2(op(self.value, other), self.grad, self.hess, self.m, self.third)
         x, y = _aligned(self, self._lift(other))
         if reflected:
             x, y = y, x
@@ -199,6 +207,8 @@ class Jet2:
         return self._map(np.negative)
 
     def __mul__(self, other):
+        if _is_number(other):
+            return self._map(lambda a: a * other)
         x, y = _aligned(self, self._lift(other))
         rows, cols = _tri(self.m)
         _, pair, single = _tri3(self.m)
@@ -220,12 +230,14 @@ class Jet2:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        return self * _recip(o)
+        if _is_number(other):  # 1/other, with the zero check of _recip
+            return self * _recip(Jet2(other, None, None, self.m)).value
+        return self * _recip(self._lift(other))
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
-        return o * _recip(self)
+        if _is_number(other):
+            return _recip(self) * other
+        return self._lift(other) * _recip(self)
 
     def __pow__(self, p):
         if isinstance(p, Jet2):
@@ -249,6 +261,11 @@ class Jet2:
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Jet2(m={self.m}, order={self.order}, value={self.value!r})"
+
+
+def _is_number(x) -> bool:
+    """A number or a 0-d array: an operand that acts on the slots without becoming a jet."""
+    return not isinstance(x, Jet2) and np.ndim(x) == 0
 
 
 def _combine(operands, value, grad, hess, third) -> Jet2:
@@ -401,9 +418,9 @@ def jsum(x: Jet2, axis: int = -1, weights: np.ndarray | None = None) -> Jet2:
 # ---------- small dense matrices over jets ----------
 
 
-def mat_el(A: Jet2, i: int, j: int) -> Jet2:
-    """Entry (i, j) of a matrix jet (last two value axes are the matrix)."""
-    return A._map(lambda a: a[..., i, j])
+def mat_el(A, i: int, j: int):
+    """Entry (i, j) of a matrix jet or array (the last two value axes are the matrix)."""
+    return A._map(lambda a: a[..., i, j]) if isinstance(A, Jet2) else A[..., i, j]
 
 
 def mat_from_rows(rows: Sequence[Sequence[Jet2]]) -> Jet2:
@@ -415,18 +432,37 @@ def mat_vec(A: Jet2, x: Jet2) -> Jet2:
     return jsum(A * x.expand(-2), axis=-1)
 
 
-def mat_det_value(A: Jet2) -> np.ndarray:
-    """Determinant of the value part (regularity margin), any size."""
-    return np.linalg.det(A.value)
+def _entries(A):
+    """Entries a, b, c, d of the 2x2 matrices on the last two axes of an array or a matrix jet."""
+    if A.shape[-2:] != (2, 2):
+        raise ValueError("the 2x2 kernels take 2x2 matrices")
+    return [mat_el(A, i, j) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))]
 
 
-def singular_mask(A: Jet2, rel_tol: float, det: np.ndarray) -> np.ndarray:
-    """Scale-aware singularity screen: |det| < rel_tol * (max|entry|)^n.
+def det2(A):
+    """Determinant a d - b c of 2x2 matrices: of an array, or of a matrix jet with
+    exact slots and the value bits of ``det2(A.value)``."""
+    a, b, c, d = _entries(A)
+    return a * d - b * c
 
-    ``det`` is :func:`mat_det_value` of ``A``.
-    """
-    n = A.value.shape[-1]
-    scale = np.max(np.abs(A.value), axis=(-2, -1))
+
+def eigmin2(S: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue (p + r)/2 - hypot((p - r)/2, q) of symmetric [[p, q], [q, r]]."""
+    p, q, _, r = _entries(S)
+    return (p + r) / 2 - np.hypot((p - r) / 2, q)
+
+
+def solve2(A: np.ndarray, B: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """X with A X = B for 2x2 matrices A, by cofactors; ``det`` is :func:`det2` of ``A``."""
+    a, b, c, d = (e[..., None] for e in _entries(A))
+    x = [d * B[..., 0, :] - b * B[..., 1, :], a * B[..., 1, :] - c * B[..., 0, :]]
+    return np.stack(x, axis=-2) / det[..., None, None]
+
+
+def singular_mask(A: np.ndarray, rel_tol: float, det: np.ndarray) -> np.ndarray:
+    """Scale-aware singularity screen of square matrices: |det| < rel_tol * (max|entry|)^n."""
+    n = A.shape[-1]
+    scale = np.max(np.abs(A), axis=(-2, -1))
     return np.abs(det) < rel_tol * np.maximum(scale, _ZERO_EPS) ** n
 
 
@@ -436,15 +472,12 @@ def _nan_where(x: Jet2, bad: np.ndarray) -> Jet2:
     return x._map(lambda a: np.where(bad, np.nan, a))
 
 
-def mat_inverse(A: Jet2, singular: np.ndarray) -> Jet2:
+def mat_inverse(A: Jet2, det: Jet2, singular: np.ndarray) -> Jet2:
     """Inverse of a 2x2 matrix jet by cofactors, NaN at the ``singular`` points.
 
-    ``singular`` is the caller's :func:`singular_mask` of ``A``.
+    ``det`` is :func:`det2` of ``A`` and ``singular`` the caller's
+    :func:`singular_mask` of its value.
     """
-    if A.value.shape[-2:] != (2, 2):
-        raise ValueError("mat_inverse inverts 2x2 matrix jets")
-    a, b = mat_el(A, 0, 0), mat_el(A, 0, 1)
-    c, d = mat_el(A, 1, 0), mat_el(A, 1, 1)
-    det = _nan_where(a * d - b * c, singular)
+    a, b, c, d = _entries(A)
     adj = mat_from_rows([[d, -b], [-c, a]])
-    return adj * _recip(det).expand(-1).expand(-1)
+    return adj * _recip(_nan_where(det, singular)).expand(-1).expand(-1)

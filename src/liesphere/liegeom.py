@@ -60,10 +60,13 @@ def t1_jet(m: int) -> np.ndarray:
 
 def spatial_vector(components: list[Jet2]) -> Jet2:
     """Assemble a full vector jet from spatial parts, zero time components."""
-    comps = list(components)
-    m = comps[0].m
-    zero = Jet2.constant(np.zeros(comps[0].value.shape), m, comps[0].order)
-    return J.stack(comps + [zero, zero], axis=-1)
+    order = min(c.order for c in components)
+    parts = [(c.value, c.grad, c.hess, c.third)[: order + 1] for c in components]
+    slots = [np.zeros(a.shape + (len(parts) + 2,)) for a in parts[0]] + [None] * (3 - order)
+    for i, part in enumerate(parts):
+        for out, a in zip(slots, part):
+            out[..., i] = a
+    return Jet2(slots[0], slots[1], slots[2], components[0].m, slots[3])
 
 
 @dataclass
@@ -107,8 +110,7 @@ def frame_residuals(f: Jet2, xi: Jet2) -> dict:
     # Immersion screen: smallest eigenvalue of (df,df) + (dxi,dxi).
     df = np.moveaxis(f.grad, 0, -2)  # rows d_i f
     dxi = np.moveaxis(xi.grad, 0, -2)
-    eig = np.linalg.eigvalsh(pairing(df, df) + pairing(dxi, dxi))
-    res["immersion_min"] = float(np.min(eig[..., 0]))
+    res["immersion_min"] = float(np.min(J.eigmin2(pairing(df, df) + pairing(dxi, dxi))))
     return res
 
 

@@ -25,8 +25,9 @@ machinery around them:
 * reconstruction (the construction is an involution).
 
 Every operation is batched over the points of a frame.  A grid runs through
-:func:`eval_blocks` in blocks of :data:`BLOCK` points, so its jets never span
-the whole grid; every grid command walks its grid that way.
+:func:`eval_blocks` in blocks of :data:`BLOCK` points, so its chart and
+transform jets never span the whole grid; the tau jets of the whole batch are
+built first and kept.  Every grid command walks its grid that way.
 """
 
 from __future__ import annotations
@@ -122,10 +123,10 @@ def minus_metric(
     V = [(-frame.xi.deriv(i)) + tv * frame.f.deriv(i) for i in range(m)]
     upper = {(i, k): lie_inner(V[i], V[k]) for i in range(m) for k in range(i, m)}
     G = J.mat_from_rows([[upper[min(i, k), max(i, k)] for k in range(m)] for i in range(m)])
-    det = J.mat_det_value(G)
-    singular = J.singular_mask(G, det_rel_tol, det)
-    Ginv = J.mat_inverse(G, singular)
-    return MinusMetric(G, Ginv, det, singular, V)
+    det = J.det2(G)
+    singular = J.singular_mask(G.value, det_rel_tol, det.value)
+    Ginv = J.mat_inverse(G, det, singular)
+    return MinusMetric(G, Ginv, det.value, singular, V)
 
 
 def transform(
@@ -295,7 +296,7 @@ def pointwise_residuals(result: TransformResult, ah: Jet2) -> dict[str, np.ndarr
     rows = np.moveaxis(Vh, 0, -2)  # row i is Vh[i], the layout of L.pairing
     Ghat = L.pairing(rows, rows)
     pw["metric_match"] = np.max(np.abs(Ghat - result.metric.G.value), axis=(-2, -1))
-    pw["hat_abs_det"] = np.abs(np.linalg.det(Ghat))
+    pw["hat_abs_det"] = np.abs(J.det2(Ghat))
 
     # eq13: alpha + alpha_hat = d ln(1 - a), using (f, f_hat) = a.
     alpha, alpha_h = (np.moveaxis(x.value, -1, 0) for x in (result.alpha, ah))

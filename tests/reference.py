@@ -225,7 +225,11 @@ def mat_identity(n: int, m: int) -> Jet2:
 
 
 def _singular(A: Jet2, rel_tol: float) -> np.ndarray:
-    return J.singular_mask(A, rel_tol, J.mat_det_value(A))
+    return J.singular_mask(A.value, rel_tol, J.det2(A.value))
+
+
+def _inverse(A: Jet2, rel_tol: float) -> Jet2:
+    return J.mat_inverse(A, J.det2(A), _singular(A, rel_tol))
 
 
 # ---------- the hypersurface route ----------
@@ -249,7 +253,7 @@ def shape_operator_path(
     g = J.mat_from_rows([[lie_inner(df[i], df[k]) for k in range(m)] for i in range(m)])
     if np.any(_singular(g, det_rel_tol)):
         raise NotHypersurface("induced metric (df, df) is singular in the batch")
-    ginv = J.mat_inverse(g, _singular(g, det_rel_tol))
+    ginv = _inverse(g, det_rel_tol)
     S = J.mat_from_rows(
         [[-lie_inner(df[i], dxi[k]) for k in range(m)] for i in range(m)]
     )
@@ -257,7 +261,7 @@ def shape_operator_path(
     M = A + mat_identity(m, m) * tau.vec().vec()
     if np.any(_singular(M, det_rel_tol)):
         RB._raise_not_regular(_singular(M, det_rel_tol), frame.points, "A + tau Id")
-    Minv = J.mat_inverse(M, _singular(M, det_rel_tol))
+    Minv = _inverse(M, det_rel_tol)
     dtau_vec = J.stack([tau.deriv(i) for i in range(m)], axis=-1)
     w = J.mat_vec(Minv, J.mat_vec(ginv, dtau_vec))
     out = w.take(0).vec() * df[0]

@@ -220,6 +220,25 @@ def test_export_command(tmp_path):
     assert (out / "fields.csv").exists()
 
 
+def test_export_leaves_degenerate_points_out_of_f_hat(tmp_path):
+    out = tmp_path / "out"
+    scene = str(SCENES / "check_sinusinv.json")
+    with pytest.warns(PoleClipWarning):
+        assert cli.main(["export", "--scene", scene, "--out", str(out)]) == 0
+    meshes = json.loads((out / "export.json").read_text())["meshes"]
+    for name in ("f", "f_hat"):
+        text = (out / f"{name}.obj").read_text()
+        assert "nan" not in text
+        verts, faces = parse_obj(text)
+        assert faces.min() >= 0 and faces.max() < len(verts)
+        assert meshes[name] == {"vertices": len(verts), "faces": len(faces)}
+    # the degenerate points are the rows where a and b are NaN
+    with open(out / "fields.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    degenerate = sum(row["a"] == row["b"] == "nan" for row in rows)
+    assert degenerate == meshes["dropped"] == 4
+
+
 def test_bad_grid_flag(tmp_path):
     scene = _scene(tmp_path)
     assert cli.main(["check", "--scene", str(scene), "--grid", "banana"]) == 2
@@ -322,7 +341,7 @@ def test_member_verdict_uses_scene_tolerance(tmp_path, capsys):
         # det_rel: the regularity screen
         ("check", "check_sinu.json", {"det_rel": 0.5}, 1, "FAIL  regularity sweep"),
         ("transform", "check_sinu.json", {"det_rel": 0.5}, 1, "FAIL  regularity sweep"),
-        ("export", "check_sinu.json", {"det_rel": 0.5}, 0, "exported f only"),
+        ("export", "check_sinu.json", {"det_rel": 0.5}, 0, "exported f_hat without"),
         ("demoulin", "demoulin_sinu.json", {"det_rel": 0.5}, 1, "NotRegular"),
     ],
 )
@@ -334,7 +353,12 @@ def test_scene_tolerances_reach_every_command(
     assert cli.main([command, "--scene", str(scene), "--out", str(out)]) == code
     captured = capsys.readouterr()
     assert text in captured.out + captured.err
-    if command == "export":
+    if command == "export" and "det_rel" in tolerances:
+        # degenerate vertices are left out of f_hat.obj, as transform leaves them
+        report = json.loads((out / "export.json").read_text())
+        assert report["meshes"]["dropped"] > 0
+        assert "nan" not in (out / "f_hat.obj").read_text()
+    elif command == "export":
         assert not (out / "f_hat.obj").exists()
 
 

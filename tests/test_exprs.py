@@ -158,6 +158,20 @@ def test_batched_evaluation_shapes():
     )
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_literal_only_expressions_are_jets_at_the_points(order):
+    # literals evaluate to numbers, but a whole expression is still a jet
+    pts = np.random.default_rng(1).uniform(0.1, 6.0, size=(5, 7, 2))
+    for src, value in (("0.3", 0.3), ("-2.5", -2.5), ("2^3 - 1/4", 7.75), ("sin(0)", 0.0)):
+        jet = E.eval_at(E.parse_tau(src), pts, order)
+        assert jet.order == order and jet.value.shape == (5, 7)
+        np.testing.assert_array_equal(jet.value, np.full((5, 7), value))
+        for slot in (jet.grad, jet.hess, jet.third)[:order]:
+            assert slot.shape[1:] == (5, 7) and not slot.any()
+    with pytest.raises(DivisionByZeroJet):
+        E.eval_at(E.parse_tau("1/(2 - 2)"), pts, order)
+
+
 def test_third_slot_is_checked_finite():
     # u^2.5 has finite partials through order two at u = 0, an infinite third
     pt = np.array([[0.5, 1.0], [0.0, 1.0]])

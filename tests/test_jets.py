@@ -1,5 +1,7 @@
 """Exactness and algebra of the second-order jets."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,8 @@ from reference import mat_mul
 
 def _inverse(A):
     """jets.mat_inverse, NaN where A fails the engine's regularity screen."""
-    return J.mat_inverse(A, J.singular_mask(A, 1e-10, J.mat_det_value(A)))
+    det = J.det2(A)
+    return J.mat_inverse(A, det, J.singular_mask(A.value, 1e-10, det.value))
 
 
 def test_square_of_seed():
@@ -217,15 +220,15 @@ def test_singular_matrix_poisons_its_index():
     vals[1] = [[1.0, 0.5], [0.0, 1.0]]
     vals[3] = [[3.0, 0.0], [0.2, 1.0]]
     A = Jet2.constant(vals, 2)
-    singular = J.singular_mask(A, 1e-10, J.mat_det_value(A))
+    singular = J.singular_mask(vals, 1e-10, J.det2(vals))
     assert np.flatnonzero(singular).tolist() == [2]
-    Ai = J.mat_inverse(A, singular)
+    Ai = J.mat_inverse(A, J.det2(A), singular)
     for slot in ("value", "grad", "hess"):
         assert np.isnan(getattr(Ai.batch(2), slot)).all()
         assert np.isfinite(getattr(Ai.batch([0, 1, 3]), slot)).all()
     np.testing.assert_allclose(Ai.value[[0, 1, 3]], np.linalg.inv(vals[[0, 1, 3]]))
     with pytest.raises(ValueError):
-        J.mat_inverse(Jet2.constant(np.eye(3), 2), np.zeros((), bool))
+        J.mat_inverse(Jet2.constant(np.eye(3), 2), Jet2.constant(1.0, 2), np.zeros((), bool))
 
 
 def test_stack_jsum_take_shapes():
@@ -454,6 +457,111 @@ def test_matrix_inverse_matches_point_major_bits(order):
     singular = np.zeros((4, 5), bool)
     singular[1, 2] = singular[3, 0] = True
     for mask in (singular, np.zeros_like(singular)):
-        Ai = J.mat_inverse(A, mask)
+        Ai = J.mat_inverse(A, J.det2(A), mask)
         _assert_same_bits(Ai, R.pm_mat_inverse(rA, mask))
         assert np.isnan(Ai.value[mask]).all() and np.isfinite(Ai.value[~mask]).all()
+
+
+# ---------- closed-form 2x2 kernels, with LAPACK as the reference ----------
+
+_EPS = np.finfo(float).eps
+
+
+def _matrices(seed, symmetric=False):
+    """A batch of well-conditioned 2x2 matrices: diagonally dominant, mixed signs."""
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-1.0, 1.0, size=(500, 2, 2)) + np.diag([3.0, -2.5])
+    A *= 10.0 ** rng.uniform(-3.0, 3.0, size=(500, 1, 1))
+    return 0.5 * (A + np.swapaxes(A, -1, -2)) if symmetric else A
+
+
+def _scale(A):
+    return np.max(np.abs(A), axis=(-2, -1))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_2x2_kernels_agree_with_lapack(seed):
+    A = _matrices(seed)
+    scale = _scale(A)
+    # both round a product of two entries, and LAPACK rounds its LU step too
+    assert np.all(np.abs(J.det2(A) - np.linalg.det(A)) <= 8 * _EPS * scale**2)
+    S = _matrices(seed, symmetric=True)
+    lapack = np.linalg.eigvalsh(S)[..., 0]
+    assert np.all(np.abs(J.eigmin2(S) - lapack) <= 4 * _EPS * _scale(S))
+    B = np.random.default_rng(seed + 10).uniform(-1.0, 1.0, size=(500, 2, 3))
+    X, ref = J.solve2(A, B, J.det2(A)), np.linalg.solve(A, B)
+    assert np.all(np.abs(X - ref) <= 4 * _EPS * _scale(ref)[:, None, None])
+
+
+def test_2x2_kernels_on_diagonal_and_repeated_eigenvalues():
+    p = np.array([2.0, -3.0, 0.5, 7.0, 1e-8])
+    r = np.array([2.0, 1.0, -0.5, 7.0, 3.0])  # p = r in the first and fourth
+    D = np.zeros((5, 2, 2))
+    D[:, 0, 0], D[:, 1, 1] = p, r
+    np.testing.assert_array_equal(J.det2(D), p * r)
+    eig = J.eigmin2(D)
+    np.testing.assert_array_equal(eig[[0, 3]], [2.0, 7.0])
+    assert np.all(np.abs(eig - np.minimum(p, r)) <= 2 * _EPS * _scale(D))
+    B = np.arange(10.0).reshape(5, 2, 1)
+    np.testing.assert_allclose(J.solve2(D, B, J.det2(D)), np.linalg.solve(D, B), rtol=4 * _EPS)
+
+
+def test_near_singular_metric_is_still_screened():
+    # the congruence metric of scenes/check_sinusinv.json at its most degenerate point
+    G = np.array([[1.9999999999999996, 0.0], [0.0, 1.232595164407831e-32]])
+    det = J.det2(G)
+    assert 0.0 < det < 3e-32 and abs(det - np.linalg.det(G)) <= 4 * _EPS * 4.0
+    assert J.singular_mask(G, 1e-10, det)
+    assert abs(J.eigmin2(G) - np.linalg.eigvalsh(G)[0]) <= 4 * _EPS * 2.0
+
+
+def test_2x2_kernels_pass_nan_through_silently():
+    A = _matrices(3)[:4].copy()
+    A[0, 0, 0] = A[1, 0, 1] = A[2, 1, 1] = np.nan
+    S = 0.5 * (A + np.swapaxes(A, -1, -2))
+    B = np.ones((4, 2, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        det, eig, X = J.det2(A), J.eigmin2(S), J.solve2(A, B, J.det2(A))
+    assert np.isnan(det[:3]).all() and np.isfinite(det[3])
+    assert np.isnan(eig[:3]).all() and np.isfinite(eig[3])
+    assert np.isnan(X[:3]).all() and np.isfinite(X[3]).all()
+
+
+def test_jet_determinant_value_is_the_value_kernel():
+    (u, v), _ = _seeded(2)
+    w, z = _operands(u, v)
+    A = J.mat_from_rows([[w, u], [v, z]])
+    assert J.det2(A).value.tobytes() == J.det2(A.value).tobytes()
+
+
+# ---------- number operands act on the slots ----------
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("components", [False, True])
+def test_number_operands_match_the_constant_jet_route(order, components):
+    """A number operand scales or shifts the slots as a lifted constant jet does.
+
+    The one intended difference: 0*inf terms from a lifted zero slot are no
+    longer formed, so a slot beside an infinite value is not made NaN.  On
+    finite inputs every slot is equal; the sign of a zero may differ.
+    """
+    (u, v), _ = _seeded(order)
+    w, z = _operands(u, v)
+    x = J.stack([u, v, w, z, J.sin(w), J.exp(z)]) if components else w
+    for c in (2.5, -0.75, 3, np.float64(1.5), np.array(-4.0)):
+        k = Jet2.constant(c, 2, x.order)
+        routes = [
+            (x * c, x * k), (c * x, k * x), (x + c, x + k),
+            (c - x, k - x), (x / c, x / k), (c / x, k / x),
+        ]
+        for got, ref in routes:
+            assert got.order == ref.order == x.order
+            for name in ("value", "grad", "hess", "third"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert (a is None) == (b is None), name
+                if b is not None:
+                    np.testing.assert_array_equal(a, b)
+    with pytest.raises(DivisionByZeroJet):
+        x / 0.0

@@ -6,6 +6,18 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "liesphere"
 
 
+def test_src_names_no_linalg():
+    # the 2x2 matrices go through the closed-form kernels in jets, one routine
+    # each, never a per-point LAPACK call
+    offenders = [
+        f"{p.name}:{n}"
+        for p in sorted(SRC.glob("*.py"))
+        for n, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1)
+        if "linalg" in line
+    ]
+    assert offenders == []
+
+
 def test_every_src_definition_is_used_in_src():
     # a top-level def or class that no code in src/ names is reached only by
     # tests: it belongs in the product's call graph or in tests/reference.py
