@@ -116,23 +116,18 @@ def default_contact_tol(spec: ChartSpec) -> float:
 
 
 def eval_chart(
-    spec: ChartSpec,
-    points: np.ndarray,
-    *,
-    contact_tol: float | None = None,
-    judge: bool = True,
-    order: int = 2,
+    spec: ChartSpec, points: np.ndarray, *, judge: bool = True, order: int = 2
 ) -> L.LegendreFrame:
     """Evaluate a chart at parameter points ``(..., 2)`` as a certified frame.
 
-    ``contact_tol`` overrides the per-kind certification tolerance;
-    ``judge=False`` records the residuals without judging them (see
+    The frame is certified at the chart kind's tolerance; ``judge=False``
+    records the residuals without judging them (see
     :func:`liegeom.lift_frame`); ``order`` is the jet order of f and xi.
     Custom components that are not finite raise :class:`DomainErrorJet`
     naming the expression and the point.
     """
     frame = lift(spec, points, order)
-    tol = contact_tol if contact_tol else default_contact_tol(spec)
+    tol = default_contact_tol(spec)
     return L.lift_frame(frame.f, frame.xi, frame.points, contact_tol=tol, judge=judge)
 
 

@@ -291,15 +291,15 @@ def cmd_demoulin(scene: Scene, out: Path, json_mode: bool) -> int:
     report = D.family_report(
         family, scene.thetas, dual=dual, closedness_rel_tol=tol.member_closedness, each=write
     )
-    ps = D.parallel_sections(family)
-    report["parallel_residual"] = ps["residual"]
+    parallel = D.parallel_sections(family)
+    report["parallel_residual"] = parallel
     G.write_fields_csv(out / "family_fields.csv", grid, member_cols)
     report["theta_meshes"] = {f"fhat_theta_{k}.obj": float(t) for k, t in enumerate(scene.thetas)}
 
     checks = [
         ("bianchi commutator", norm < tol.bianchi, f"norm = {norm:.3e}"),
         ("family endpoints", report["endpoints_ok"], "bit-identical generators"),
-        ("parallel sections", ps["residual"] < tol.parallel, f"residual = {ps['residual']:.3e}"),
+        ("parallel sections", parallel < tol.parallel, f"residual = {parallel:.3e}"),
     ]
     for rec in report["members"]:
         detail = f"max |dalpha| = {rec['max_dalpha']:.3e}, masked = {rec['masked_fraction']:.1%}"

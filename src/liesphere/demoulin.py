@@ -54,6 +54,7 @@ from .jets import Jet2
 from .liegeom import lie_inner, t0_jet
 
 HALF_PI = np.pi / 2.0
+ILL_POSED = "Gram matrix of the connection system is singular"
 
 # Mask threshold factor for the family denominator (scale-aware).
 MASK_EPS_REL = 1e-6
@@ -178,7 +179,7 @@ def r_operator(frame: L.LegendreFrame, result: RB.TransformResult) -> ROperator:
     rhs = L.pairing(B, Bh)
     det = J.det2(gram)
     if np.any(J.singular_mask(gram, 1e-12, det)):
-        raise IllPosed("Gram matrix of the connection system is singular")
+        raise IllPosed(ILL_POSED)
     entries = J.solve2(gram, rhs, det)
 
     # verify the defining relation columnwise, plain component norm
@@ -269,29 +270,31 @@ class DemoulinFamily:
 
 
 def _generators_block(frame: L.LegendreFrame, taus: list[Jet2], det_rel_tol: float):
-    """Both generators on one block: their values, and maxima to merge.
+    """Both generators on one block: their values, and their peaks.
 
     The operators are left out where a generator is singular, since a
-    :class:`NotRegular` is then certain; an :class:`IllPosed` is kept, to be
-    raised in its turn.
+    :class:`NotRegular` is then certain; an :class:`IllPosed` is recorded as
+    the peak ``ill_posed``, to be raised in its turn.
     """
     results = [RB.transform(frame, tau, det_rel_tol=det_rel_tol) for tau in taus]
-    values, maxima = {}, {}
+    values, peaks = {}, {}
     for k, res in enumerate(results):
         values[f"singular{k}"] = res.metric.singular
         values[f"f_hat{k}"] = res.f_hat.value
         values[f"alpha{k}"] = res.alpha.value
         values[f"partials{k}"] = np.moveaxis(res.alpha.grad, 0, -1)
-        maxima[f"dalpha{k}"] = RB.ribaucour_residual(res)[0]
-        maxima[f"alpha{k}"] = RB.max_abs_alpha(res)
+        peaks[f"tau{k}"] = {
+            "max_dalpha": RB.ribaucour_residual(res)[0],
+            "max_alpha": RB.max_abs_alpha(res),
+        }
     if any(res.metric.singular.any() for res in results):
-        return values, maxima
+        return values, peaks
     try:
         r0, r1 = (r_operator(frame, res) for res in results)
-    except IllPosed as exc:
-        return values, maxima | {"ill_posed": exc}
+    except IllPosed:
+        return values, peaks | {"ill_posed": 1.0}
     bianchi = bianchi_check(r0, r1)
-    return values, maxima | {
+    return values, peaks | {
         "relation": max(r0.relation_residual, r1.relation_residual),
         "symmetry": max(r0.metric_symmetry_residual, r1.metric_symmetry_residual),
         "commutator": bianchi.commutator_max,
@@ -326,11 +329,7 @@ def build_family(
         lambda frame, taus, key: _generators_block(frame, taus, det_rel_tol),
         contact_tol=contact_tol,
     )
-    (tau0, tau1), v = run.taus, run.values
-
-    def merged(key):
-        return max(block[key] for block in run.extras)
-
+    (tau0, tau1), v, peaks = run.taus, run.values, run.peaks
     diff = np.abs(tau0.value - tau1.value)
     scale = 1.0 + max(float(np.max(np.abs(tau0.value))), float(np.max(np.abs(tau1.value))))
     if np.min(diff) < DISTINCT_REL_TOL * scale:
@@ -338,11 +337,9 @@ def build_family(
             f"tau0 and tau1 differ by only {float(np.min(diff)):.3e} somewhere"
         )
 
-    cert = {}
     for k, (label, expr) in enumerate((("tau0", tau0_expr), ("tau1", tau1_expr))):
         RB._raise_not_regular(v[f"singular{k}"], run.points, "congruence metric")
-        maxd, maxa = merged(f"dalpha{k}"), merged(f"alpha{k}")
-        cert[label] = {"max_dalpha": maxd, "max_alpha": maxa}
+        maxd, maxa = peaks[label]["max_dalpha"], peaks[label]["max_alpha"]
         if not RB.classify_ribaucour(maxd, maxa, closedness_rel_tol):
             raise NotRibaucour(
                 f"{label} = {E.to_source(expr)!r} fails closedness: "
@@ -357,14 +354,13 @@ def build_family(
         integrate_potential(GridField(grid, a.reshape(shape)), GridField(grid, p.reshape(shape)))
         for a, p in zip(alpha, partials)
     )
-    for block in run.extras:
-        if "ill_posed" in block:
-            raise block["ill_posed"]
+    if "ill_posed" in peaks:
+        raise IllPosed(ILL_POSED)
     return DemoulinFamily(
         chart, grid, tau0_expr, tau1_expr, tau0, tau1, alpha, partials,
-        (v["f_hat0"], v["f_hat1"]), tilde0, tilde1, merged("relation"),
-        merged("symmetry"), BianchiReport(merged("commutator"), merged("wedge")),
-        cert, contact_tol, det_rel_tol,
+        (v["f_hat0"], v["f_hat1"]), tilde0, tilde1, peaks["relation"],
+        peaks["symmetry"], BianchiReport(peaks["commutator"], peaks["wedge"]),
+        {label: peaks[label] for label in ("tau0", "tau1")}, contact_tol, det_rel_tol,
     )
 
 
@@ -417,14 +413,17 @@ def demoulin_tau(family: DemoulinFamily, theta: float) -> FamilyMember:
         res = RB.transform(frame, tau_theta, det_rel_tol=family.det_rel_tol)
         off = masked | res.metric.singular
         values = {"tau": tau_theta.value, "masked": masked, "singular": res.metric.singular}
-        closed = RB.ribaucour_residual(res, off)[0], RB.max_abs_alpha(res, off)
+        closed = {
+            "max_dalpha": RB.ribaucour_residual(res, off)[0],
+            "max_alpha": RB.max_abs_alpha(res, off),
+        }
         return values | {"f_hat": res.f_hat.value}, closed
 
     run = RB.eval_blocks(
         family.chart, grid.points().reshape(-1, 2), lambda p: [family.tau0, family.tau1], body,
         certify=False,
     )
-    v = run.values
+    v, peaks = run.values, run.peaks
     mask = v["masked"] | v["singular"]
     if mask.mean() > 0.5:
         raise FullyMasked(
@@ -437,8 +436,8 @@ def demoulin_tau(family: DemoulinFamily, theta: float) -> FamilyMember:
         mask,
         v["f_hat"],
         v["singular"],
-        max(d for d, _ in run.extras),
-        max(a for _, a in run.extras),
+        peaks["max_dalpha"],
+        peaks["max_alpha"],
         denominator_masked=int(v["masked"].sum()),
         regularity_masked=int((v["singular"] & ~v["masked"]).sum()),
     )
@@ -462,39 +461,33 @@ def member_closedness(member: FamilyMember, rel_tol: float = RB.CLOSEDNESS_REL_T
 # ---------- parallel sections ----------
 
 
-def parallel_sections(family: DemoulinFamily) -> dict:
-    """Scaled sections of the two congruences and their parallelism test.
+def parallel_sections(family: DemoulinFamily) -> float:
+    """The parallelism residual of the scaled sections of the two congruences.
 
     sigma_i = u_i (xi - tau_i f - tau_i t0 + t1) with
     u_i = e^{tau_tilde_j} / (tau_i - tau_j); the criterion is
-    (d sigma_i, f_hat_j + t0) = 0 for the complementary index j.  It reads
-    first partials only, so the chart is lifted at order 1.
+    (d sigma_i, f_hat_j + t0) = 0 for the complementary index j, and the
+    residual is its largest magnitude.  It reads first partials only, so the
+    chart is lifted at order 1.
     """
     m = family.tau0.m
     t0 = t0_jet(m)
 
     def body(frame, taus, key):
-        values, worst = {}, []
+        w = 0.0
         for i, j in ((0, 1), (1, 0)):
             ui = J.exp(family.tilde_jet(j, key)) / (taus[i] - taus[j])
             sigma = ui.vec() * L.light_cone_section(frame.f, frame.xi, taus[i])
             hat = family.f_hat[j][key] + t0
-            w = 0.0
             for k in range(m):
                 w = max(w, float(np.max(np.abs(L.inner_value(sigma.grad[k], hat)))))
-            values[f"u{i}"] = ui.value
-            worst.append(w)
-        return values, worst
+        return {}, {"residual": w}
 
     run = RB.eval_blocks(
         family.chart, family.grid.points().reshape(-1, 2),
         lambda p: [family.tau0, family.tau1], body, certify=False, order=1,
     )
-    shape = family.grid.shape
-    return {
-        "residual": max(0.0, *(max(w) for w in run.extras)),
-        "u": [GridField(family.grid, run.values[f"u{i}"].reshape(shape)) for i in (0, 1)],
-    }
+    return run.peaks["residual"]
 
 
 # ---------- the dual family step ----------

@@ -392,27 +392,25 @@ def stack(jets: Sequence[Jet2], axis: int = -1) -> Jet2:
     )
 
 
-def wsum(a: np.ndarray, axis: int = -1, weights: np.ndarray | None = None) -> np.ndarray:
-    """Sum of an array over ``axis``, optionally weighted by a 1-d ``weights``.
+def wsum(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sum of an array over ``axis``.
 
     Terms are added one at a time in index order, each a full-length elementwise
     operation; ``np.sum`` over a short axis loops per element, and it adds fewer
     than 8 terms in this same order.
     """
     terms = iter(np.moveaxis(a, axis, 0))
-    if weights is not None:
-        terms = (t * w for t, w in zip(terms, np.asarray(weights, dtype=float)))
     out = next(terms)
     for t in terms:
         out = out + t
     return out
 
 
-def jsum(x: Jet2, axis: int = -1, weights: np.ndarray | None = None) -> Jet2:
+def jsum(x: Jet2, axis: int = -1) -> Jet2:
     """:func:`wsum` of a jet over a (negative) value axis."""
     if axis >= 0:
         raise ValueError("jsum wants a negative axis")
-    return x._map(lambda a: wsum(a, axis, weights))
+    return x._map(lambda a: wsum(a, axis))
 
 
 # ---------- small dense matrices over jets ----------

@@ -13,7 +13,6 @@ Vector-valued jets carry their m+4 components along the last value axis, in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -22,21 +21,17 @@ from .errors import ContactViolation, NotImmersed
 from .jets import Jet2
 
 
-@lru_cache(maxsize=None)
-def metric_weights(m: int) -> np.ndarray:
-    w = np.ones(m + 4)
-    w[-2:] = -1.0
-    return w
-
-
 def lie_inner(x: Jet2, y: Jet2) -> Jet2:
-    """Signature-(m+2, 2) inner product of two vector jets."""
-    return J.jsum(x * y, axis=-1, weights=metric_weights(x.m))
+    """Signature-(m+2, 2) inner product of two vector jets: the m+2 spatial
+    products summed, the two time-like ones subtracted."""
+    p = x * y
+    return J.jsum(p.take(slice(None, -2))) - p.take(-2) - p.take(-1)
 
 
 def inner_value(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The inner product on plain component arrays (last axis), broadcasting."""
-    return J.wsum(x * y, -1, metric_weights(x.shape[-1] - 4))
+    p = x * y
+    return J.wsum(p[..., :-2]) - p[..., -2] - p[..., -1]
 
 
 def pairing(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -115,30 +110,27 @@ def frame_residuals(f: Jet2, xi: Jet2) -> dict:
 
 
 def lift_frame(
-    f: Jet2,
-    xi: Jet2,
-    points: np.ndarray,
-    *,
-    contact_tol: float = 1e-12,
-    immersion_tol: float = 1e-20,
-    judge: bool = True,
+    f: Jet2, xi: Jet2, points: np.ndarray, *, contact_tol: float = 1e-12, judge: bool = True
 ) -> LegendreFrame:
     """Certify (f, xi) as a Legendre frame; raises on violations.
 
-    With ``judge=False`` the residuals are only recorded in ``cert``; a caller
-    that evaluates a batch in blocks merges them with :func:`merge_certs` and
-    judges the merged record with :func:`judge_frame`.
+    With ``judge=False`` the residuals are only recorded in ``cert``: a batch
+    evaluated in blocks merges the blocks' records by the one peak rule,
+    :func:`ribaucour.merge_peaks`, and judges the merged record with
+    :func:`judge_frame`.
     """
     res = frame_residuals(f, xi)
     if judge:
-        judge_frame(res, contact_tol, immersion_tol)
+        judge_frame(res, contact_tol)
     return LegendreFrame(f, xi, np.asarray(points, float), f.m, res)
 
 
 _RELATIONS = ("unit_f", "unit_xi", "orthogonality", "contact_df", "contact_dxi")
+# Immersion screen: the smallest eigenvalue of (df,df) + (dxi,dxi) must reach it.
+IMMERSION_TOL = 1e-20
 
 
-def judge_frame(res: dict, contact_tol: float, immersion_tol: float = 1e-20) -> None:
+def judge_frame(res: dict, contact_tol: float) -> None:
     """Raise on a :func:`frame_residuals` record that fails certification."""
     worst = float(np.max([res[k] for k in _RELATIONS]))  # NaN anywhere is NaN
     if not np.isfinite(worst):
@@ -148,17 +140,10 @@ def judge_frame(res: dict, contact_tol: float, immersion_tol: float = 1e-20) -> 
         raise ContactViolation(
             f"frame relation {offender} residual {res[offender]:.3e} > {contact_tol:.1e}"
         )
-    if res["immersion_min"] < immersion_tol:
+    if res["immersion_min"] < IMMERSION_TOL:
         raise NotImmersed(
             f"combined differential degenerates (min eigenvalue {res['immersion_min']:.3e})"
         )
-
-
-def merge_certs(certs: list[dict]) -> dict:
-    """The :func:`frame_residuals` record of the union of the certified blocks."""
-    merged = {k: float(np.max([c[k] for c in certs])) for k in certs[0]}
-    merged["immersion_min"] = float(np.min([c["immersion_min"] for c in certs]))
-    return merged
 
 
 def light_cone_section(f: Jet2 | np.ndarray, xi: Jet2 | np.ndarray, tau: Jet2 | np.ndarray):

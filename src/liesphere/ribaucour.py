@@ -27,7 +27,9 @@ machinery around them:
 Every operation is batched over the points of a frame.  A grid runs through
 :func:`eval_blocks` in blocks of :data:`BLOCK` points, so its chart and
 transform jets never span the whole grid; the tau jets of the whole batch are
-built first and kept.  Every grid command walks its grid that way.
+built first and kept.  Every grid command walks its grid that way: each block
+hands back its per-point values and its peaks (maxima, minima and argmaxima),
+and :func:`eval_blocks` merges the peaks by one rule, :func:`merge_peaks`.
 """
 
 from __future__ import annotations
@@ -347,17 +349,15 @@ def reconstruct(result: TransformResult) -> tuple[LegendreFrame, dict]:
     return recon, diag
 
 
-def judge_reconstruction(
-    diag: dict, points: np.ndarray, *, tol: float = 1e-8, contact_tol: float = 1e-8
-) -> None:
+def judge_reconstruction(diag: dict, points: np.ndarray, *, tol: float = 1e-8) -> None:
     """Raise on :func:`reconstruct` diagnostics, in the order they arise.
 
-    The transformed frame must certify at ``contact_tol``, the reverse
-    transform must be regular (:class:`NotRegular` names the first point of
-    ``points``, the batch that was transformed), and the frame discrepancy
-    must stay within ``tol`` (:class:`InvolutionFailure`).
+    The transformed frame must certify at 1e-8, the reverse transform must be
+    regular (:class:`NotRegular` names the first point of ``points``, the
+    batch that was transformed), and the frame discrepancy must stay within
+    ``tol`` (:class:`InvolutionFailure`).
     """
-    L.judge_frame(diag["hat_cert"], contact_tol)
+    L.judge_frame(diag["hat_cert"], 1e-8)
     _raise_not_regular(diag["back_singular"], points, "congruence metric")
     if diag["involution"] > tol:
         raise InvolutionFailure(
@@ -393,16 +393,37 @@ def curvature_identity(result: TransformResult, ah: Jet2) -> dict:
 # values are written out, so peak memory does not grow with the grid.
 BLOCK = 4096
 
+# Peaks that are minima; every other float peak is a maximum.
+_MINIMA = frozenset({"immersion_min", "hat_min_abs_det"})
+
+
+def merge_peaks(old, new, key: str | None = None):
+    """The peaks of two stretches of a batch as one, ``old`` coming first.
+
+    A peak is a float, a ``(value, flat index)`` pair, or a dict of peaks; None
+    stands for no peaks.  A float keeps the larger value, the smaller when its
+    ``key`` in a dict is one of ``_MINIMA``, and NaN wins as in ``np.max``.  A pair keeps the larger
+    value, and the earlier index on ties.  A key that only one side reports
+    keeps the peak it has.
+    """
+    if old is None or new is None:
+        return new if old is None else old
+    if isinstance(old, dict):
+        return {k: merge_peaks(old.get(k), new.get(k), k) for k in old | new}
+    if isinstance(old, tuple):
+        return new if new[0] > old[0] else old
+    return float((np.minimum if key in _MINIMA else np.maximum)(old, new))
+
 
 @dataclass
 class BlockValues:
-    """What :func:`eval_blocks` keeps of a batch: values, never jets."""
+    """What :func:`eval_blocks` keeps of a batch: values and peaks, never jets."""
 
     points: np.ndarray  # (N, 2) parameter points, wrapped into the chart's domain
     cert: dict | None  # the merged frame certificate; None when not certified
     taus: list[Jet2]  # the tau jets of the whole batch
     values: dict[str, np.ndarray]  # each array the body returned, over the batch
-    extras: list  # the body's other return value, one per block
+    peaks: dict | None  # the bodies' peaks, merged; None when no block had any
 
 
 def eval_blocks(
@@ -416,14 +437,15 @@ def eval_blocks(
     :data:`BLOCK` points, half as many at ``order`` 3, whose jets are twice as
     large.  ``body(frame, taus, key)`` gets a block's chart frame (jets of
     ``order``), its slices of the tau jets and its slice ``key`` of the batch.
-    It returns a dict of per-point value arrays, written into whole-batch
-    arrays, and an extra, kept per block for the caller to merge.
+    It returns ``(values, peaks)``: a dict of per-point value arrays, written
+    into whole-batch arrays, and the block's peaks (or None), which are merged
+    over the blocks by :func:`merge_peaks`, as the blocks' frame certificates are.
 
     The merged certificate is judged, then a tau error raised, in the order of
     a single pass; once either error is certain, later blocks are only
-    evaluated and certified.  Callers judge the rest on the merged values, so
-    an error names the point the whole batch would.  ``certify=False`` only
-    lifts the chart, on points it already certified.
+    evaluated and certified.  Callers judge the rest on the merged values and
+    peaks, so an error names the point the whole batch would.
+    ``certify=False`` only lifts the chart, on points it already certified.
     """
     flat = np.asarray(points, dtype=float)
     wrapped = chart.domain.wrap(flat)
@@ -434,32 +456,32 @@ def eval_blocks(
     except DomainErrorJet as exc:
         error = exc  # raised once the chart has certified, as in a single pass
     size = BLOCK // 2 if order > 2 else BLOCK
-    values, extras = {}, []
+    values, peaks = {}, None
     for start in range(0, len(flat), size):
         key = slice(start, start + size)
         if not certify:
             frame = CH.lift(chart, flat[key], order)
         else:
             frame = CH.eval_chart(chart, flat[key], judge=False, order=order)
-            cert = frame.cert if cert is None else L.merge_certs([cert, frame.cert])
+            cert = merge_peaks(cert, frame.cert)
             try:
                 L.judge_frame(cert, contact_tol)
             except (ContactViolation, NotImmersed) as exc:
                 error = error or exc  # the whole batch's record fails too
         if error is None:
-            block, extra = body(frame, [t.batch(key) for t in taus], key)
+            block, block_peaks = body(frame, [t.batch(key) for t in taus], key)
             for k in list(block):
                 if k not in values:
                     values[k] = np.empty((len(flat),) + block[k].shape[1:], block[k].dtype)
                 values[k][key] = block.pop(k)  # the block's own copy is freed at once
-            extras.append(extra)
+            peaks = merge_peaks(peaks, block_peaks)
         del frame  # its jets would otherwise live through the next block's chart
 
     if certify:
         L.judge_frame(cert, contact_tol)
     if error is not None:
         raise error
-    return BlockValues(wrapped, cert, taus, values, extras)
+    return BlockValues(wrapped, cert, taus, values, peaks)
 
 
 # ---------- grid-level runner ----------
@@ -507,7 +529,8 @@ def _run_block(
 ) -> tuple[dict, dict | None]:
     """Transform and verify one block; ``start`` is its first flat grid index.
 
-    Returns the block's values, and its maxima to merge (None: no regular point).
+    Returns the block's values, and its peaks (None: no regular point).  The
+    reverse transform's singular mask is a value, False off the regular points.
     """
     res = transform(frame, tau, det_rel_tol=det_rel_tol)
     reg = ~res.metric.singular
@@ -525,11 +548,12 @@ def _run_block(
     }
     for key in _POINTWISE:
         values[key] = np.full(reg.shape, np.nan)
+    values["back_singular"] = np.zeros(reg.shape, bool)
     if not reg.any():
         return values, None
     max_da, arg = ribaucour_residual(res)  # (-inf, None) is judged on the merged blocks
-    block = {"dalpha": (max_da, None if arg is None else start + arg[0])}
-    block["max_alpha"] = max_abs_alpha(res)
+    peaks = {"dalpha": (max_da, None if arg is None else start + arg[0])}
+    peaks["max_alpha"] = max_abs_alpha(res)
     # Degenerate points (a curvature-sphere crossing of tau) are left out of
     # the diagnostics; the report carries regular=False when any exist.
     clean = res
@@ -537,13 +561,14 @@ def _run_block(
         clean = transform(frame.subset(reg), tau.batch(reg), det_rel_tol=det_rel_tol)
     ah = alpha_hat(clean)
     pw = pointwise_residuals(clean, ah)
-    block["suite"] = residual_suite(pw)
-    block["curvature"] = curvature_identity(clean, ah)
+    peaks["suite"] = residual_suite(pw)
+    peaks["curvature"] = curvature_identity(clean, ah)
     for key in _POINTWISE:
         values[key][reg] = pw[key]
     del pw, ah  # would otherwise stay live through reconstruct's peak
-    block["reconstruction"] = reconstruct(clean)[1]
-    return values, block
+    peaks["reconstruction"] = reconstruct(clean)[1]
+    values["back_singular"][reg] = peaks["reconstruction"].pop("back_singular")
+    return values, peaks
 
 
 def run_grid(
@@ -558,10 +583,11 @@ def run_grid(
 ) -> GridRun:
     """Evaluate, transform, and verify a scene on a batch of points.
 
-    The batch runs through :func:`eval_blocks`.  The blocks merge exactly:
-    maxima by max, minima by min, the closedness argmax keeps the first index
-    on ties, and every check is judged on merged values in the order of a
-    single pass (chart, certification, tau, regularity, reconstruction).
+    The batch runs through :func:`eval_blocks`: the blocks return their values
+    and peaks, and the peaks are merged by :func:`merge_peaks` alone (the
+    closedness argmax keeps the first index on ties).  Every check is judged
+    on merged values in the order of a single pass (chart, certification, tau,
+    regularity, reconstruction).
     """
     pts = np.asarray(points, dtype=float)
     grid_shape = tuple(int(n) for n in pts.shape[:-1])
@@ -570,26 +596,17 @@ def run_grid(
         lambda frame, taus, key: _run_block(frame, taus[0], key.start, det_rel_tol),
         contact_tol=contact_tol,
     )
-    v = run.values
+    v, peaks = run.values, run.peaks
     if v["singular"].all():
         _raise_not_regular(v["singular"], run.points, "congruence metric")
-    checked = [b for b in run.extras if b is not None]
-    # the first block of the largest value, as one argmax over the batch would find
-    max_da, argmax = max((b["dalpha"] for b in checked), key=lambda d: d[0])
+    max_da, argmax = peaks["dalpha"]
     if argmax is None:
         raise NotRegular("no regular points in the batch")
-
-    diags = [b["reconstruction"] for b in checked]
-    recon = {k: max(d[k] for d in diags) for k in ("involution", "eq10", "mu_match")}
-    recon["hat_cert"] = L.merge_certs([d["hat_cert"] for d in diags])
-    recon["back_singular"] = np.concatenate([d["back_singular"] for d in diags])
-    judge_reconstruction(recon, run.points[~v["singular"]], tol=involution_tol)
-
-    suite = {k: max(b["suite"][k] for b in checked) for k in checked[0]["suite"]}
-    suite["hat_min_abs_det"] = min(b["suite"]["hat_min_abs_det"] for b in checked)
-    curv_abs = max(b["curvature"]["abs"] for b in checked)
-    scale = max(b["curvature"]["scale"] for b in checked)
-    max_al = max(b["max_alpha"] for b in checked)
+    reg = ~v["singular"]
+    recon = peaks["reconstruction"] | {"back_singular": v["back_singular"][reg]}
+    judge_reconstruction(recon, run.points[reg], tol=involution_tol)
+    curv = peaks["curvature"]
+    curv["rel"] = curv["abs"] / curv["scale"] if curv["scale"] > 0 else 0.0
     return GridRun(
         chart=chart,
         tau_src=E.to_source(tau_expr),
@@ -604,14 +621,10 @@ def run_grid(
         pointwise={k: v[k] for k in _POINTWISE},
         max_dalpha=max_da,
         dalpha_argmax=(argmax,),
-        max_alpha=max_al,
-        ribaucour=classify_ribaucour(max_da, max_al, closedness_rel_tol),
-        residuals=suite,
-        curvature={
-            "abs": curv_abs,
-            "rel": curv_abs / scale if scale > 0 else 0.0,
-            "scale": scale,
-        },
+        max_alpha=peaks["max_alpha"],
+        ribaucour=classify_ribaucour(max_da, peaks["max_alpha"], closedness_rel_tol),
+        residuals=peaks["suite"],
+        curvature=curv,
         reconstruction=recon,
     )
 

@@ -188,12 +188,8 @@ def pm_stack(jets, axis: int = -1) -> PointMajor:
     )
 
 
-def pm_jsum(x: PointMajor, axis: int = -1, weights=None) -> PointMajor:
-    w = None if weights is None else np.asarray(weights, dtype=float)
-    return x._map(
-        lambda a: (a if w is None else a * w).sum(axis=axis),
-        lambda a: (a if w is None else a * w[..., None]).sum(axis=axis - 1),
-    )
+def pm_jsum(x: PointMajor, axis: int = -1) -> PointMajor:
+    return x._map(lambda a: a.sum(axis=axis), lambda a: a.sum(axis=axis - 1))
 
 
 def pm_mat_inverse(A: PointMajor, singular: np.ndarray) -> PointMajor:

@@ -264,16 +264,11 @@ def test_fully_masked_member(const_family):
 
 
 def test_parallel_sections_constants(const_family):
-    ps = D.parallel_sections(const_family)
-    assert ps["residual"] < 1e-10
-    # u0 = 1/(0 - 2), u1 = 1/(2 - 0)
-    np.testing.assert_allclose(ps["u"][0].data, -0.5, atol=1e-14)
-    np.testing.assert_allclose(ps["u"][1].data, 0.5, atol=1e-14)
+    assert D.parallel_sections(const_family) < 1e-10
 
 
 def test_parallel_sections_general(family_64):
-    ps = D.parallel_sections(family_64)
-    assert ps["residual"] < 1e-7
+    assert D.parallel_sections(family_64) < 1e-7
 
 
 def test_parallel_sections_negative_control(family_64):

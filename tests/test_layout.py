@@ -91,6 +91,30 @@ def test_jet_slots_are_read_derivative_major():
     assert offenders == []
 
 
+def _inside(tree, name, functions) -> set:
+    """ids of the nodes inside the named top-level functions of ribaucour.py."""
+    return {
+        id(n)
+        for f in tree.body
+        if name == "ribaucour.py" and isinstance(f, ast.FunctionDef) and f.name in functions
+        for n in ast.walk(f)
+    }
+
+
+def _reads(tree, ident, allowed) -> list[int]:
+    """Lines that read the name or attribute ``ident`` outside the ``allowed`` nodes."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (
+            (isinstance(node, ast.Name) and node.id == ident)
+            or (isinstance(node, ast.Attribute) and node.attr == ident)
+        )
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in allowed
+    ]
+
+
 def _block_names(tree, name) -> list[int]:
     """Lines where a module-level name other than ribaucour.BLOCK contains
     ``BLOCK``, or where ``BLOCK`` is read outside ribaucour.eval_blocks."""
@@ -101,18 +125,7 @@ def _block_names(tree, name) -> list[int]:
             if isinstance(target, ast.Name) and "BLOCK" in target.id:
                 if (name, target.id) != ("ribaucour.py", "BLOCK"):
                     lines.append(node.lineno)
-    evaluator = {
-        id(n)
-        for f in tree.body
-        if name == "ribaucour.py" and isinstance(f, ast.FunctionDef) and f.name == "eval_blocks"
-        for n in ast.walk(f)
-    }
-    for node in ast.walk(tree):
-        read = (isinstance(node, ast.Name) and node.id == "BLOCK") or (
-            isinstance(node, ast.Attribute) and node.attr == "BLOCK"
-        )
-        if read and isinstance(node.ctx, ast.Load) and id(node) not in evaluator:
-            lines.append(node.lineno)
+    lines += _reads(tree, "BLOCK", _inside(tree, name, {"eval_blocks"}))
     return sorted(lines)
 
 
@@ -123,5 +136,19 @@ def test_one_evaluator_walks_every_grid():
         f"{p.name}:{line}"
         for p in sorted(SRC.glob("*.py"))
         for line in _block_names(ast.parse(p.read_text(encoding="utf-8")), p.name)
+    ]
+    assert offenders == []
+
+
+def test_one_rule_merges_block_peaks():
+    # the blocks' peaks and frame certificates are merged by ribaucour.merge_peaks,
+    # named only in ribaucour.eval_blocks (and in merge_peaks, for nested peaks):
+    # no caller of eval_blocks merges block results itself
+    allowed = {"eval_blocks", "merge_peaks"}
+    offenders = [
+        f"{p.name}:{line}"
+        for p in sorted(SRC.glob("*.py"))
+        for tree in [ast.parse(p.read_text(encoding="utf-8"))]
+        for line in _reads(tree, "merge_peaks", _inside(tree, p.name, allowed))
     ]
     assert offenders == []

@@ -566,6 +566,65 @@ def test_blocks_raise_what_the_whole_grid_raises(name, overrides, kind, monkeypa
     np.testing.assert_array_equal(split[3], whole[3])
 
 
+@pytest.mark.parametrize("copies", [1, 2])
+def test_closedness_peak_in_a_later_block(copies, monkeypatch):
+    # sin(u) sin(v) is not closed, and its peak is point 129 of the 20 x 19
+    # grid, in the fourth block of 37.  Two copies of the grid tie it with
+    # point 509, in a later block at either size, and the first index wins.
+    chart, tau_src = CH.CliffordTorus(np.sqrt(0.5)), "sin(u)*sin(v)"
+    points = np.concatenate([Grid(20, 19, chart.domain).points().reshape(-1, 2)] * copies)
+    frame, tau = _frame_and_tau(chart, tau_src, points)
+    d = np.max(np.abs(RB.dalpha_components(RB.transform(frame, tau))), axis=-1)
+    first = int(np.argmax(d))
+    assert first == 129 and np.count_nonzero(d == d[first]) == copies
+    for block in (37, 380):
+        monkeypatch.setattr(RB, "BLOCK", block)
+        run = RB.run_grid(chart, E.parse_tau(tau_src), points)
+        assert run.dalpha_argmax == (first,)
+        assert run.max_dalpha == d[first]
+        assert RB.diagnostic_report(run)["max_dalpha_at"] == points[first].tolist()
+
+
+def test_merge_peaks_rule():
+    early = {
+        "eq6": 1.0, "hat_min_abs_det": 0.5, "dalpha": (2.0, 7),
+        "cert": {"unit_f": 1e-16, "immersion_min": 0.3},
+    }
+    late = {
+        "eq6": 3.0, "hat_min_abs_det": 0.25, "dalpha": (2.0, 40),
+        "cert": {"unit_f": 1e-17, "immersion_min": 0.1}, "ill_posed": 1.0,
+    }
+    assert RB.merge_peaks(early, late) == {
+        "eq6": 3.0, "hat_min_abs_det": 0.25, "dalpha": (2.0, 7),  # first index on ties
+        "cert": {"unit_f": 1e-16, "immersion_min": 0.1}, "ill_posed": 1.0,
+    }
+    assert RB.merge_peaks((2.0, 7), (2.5, 40)) == (2.5, 40)
+    assert RB.merge_peaks((-np.inf, None), (-np.inf, None)) == (-np.inf, None)
+    # a block without peaks
+    assert RB.merge_peaks(None, early) == RB.merge_peaks(early, None) == early
+    assert RB.merge_peaks(None, None) is None
+    # NaN wins over any number, before it or after it, for maxima and minima
+    for key in ("eq6", "immersion_min"):
+        assert np.isnan(RB.merge_peaks(1.0, np.nan, key))
+        assert np.isnan(RB.merge_peaks(np.nan, 1.0, key))
+
+
+def test_nan_in_a_later_block_fails_certification(square_torus, monkeypatch):
+    # 20 x 19 = 380 points in blocks of 37: only the last block, of 10 points,
+    # has a NaN contact residual
+    residuals = L.frame_residuals
+
+    def late_nan(f, xi):
+        res = residuals(f, xi)
+        return res | {"contact_df": np.nan} if len(f.value) == 10 else res
+
+    monkeypatch.setattr(L, "frame_residuals", late_nan)
+    monkeypatch.setattr(RB, "BLOCK", 37)
+    points = Grid(20, 19, square_torus.domain).points()
+    with pytest.raises(ContactViolation, match="not finite"):
+        RB.run_grid(square_torus, E.parse_tau("0.3*sin(u)"), points)
+
+
 def _cli_outputs(argv, name, overrides, tmp_path, monkeypatch, capsys, block):
     """Exit code, printed text and every written file of one CLI run at ``RB.BLOCK = block``."""
     obj = json.loads((SCENES / name).read_text(encoding="utf-8"))
@@ -618,7 +677,7 @@ def _family_run(name, monkeypatch, block, **overrides):
     dual = D.dual_family_step(family) if scene.dual else None
     members = []
     report = D.family_report(family, scene.thetas, dual=dual, each=members.append)
-    report["parallel_residual"] = D.parallel_sections(family)["residual"]
+    report["parallel_residual"] = D.parallel_sections(family)
     return report, members
 
 
