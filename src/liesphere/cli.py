@@ -85,7 +85,6 @@ class Scene:
     tau: E.TauExpr
     tau_src: str
     tau1: E.TauExpr | None = None
-    tau1_src: str | None = None
     grid: tuple[int, int] = DEFAULT_GRID
     thetas: tuple[float, ...] = DEFAULT_THETAS
     tolerances: Tolerances = field(default_factory=Tolerances)
@@ -135,7 +134,6 @@ def scene_from_json(obj: dict) -> Scene:
         tau=tau,
         tau_src=obj["tau"],
         tau1=tau1,
-        tau1_src=obj.get("tau1"),
         grid=grid,  # type: ignore[arg-type]
         thetas=thetas,
         tolerances=Tolerances.from_json(obj.get("tolerances", {})),
@@ -283,10 +281,9 @@ def cmd_demoulin(scene: Scene, out: Path, json_mode: bool) -> int:
 
     def write(member):
         k = len(member_cols)
-        member_cols[f"tau_theta_{k}"] = member.values.data[..., 0]
-        fh4 = np.where(np.isnan(member.f_hat[:, :4]), 2.0, member.f_hat[:, :4])
-        drop = member.mask | member.singular
-        G.export_obj(out / f"fhat_theta_{k}.obj", fh4.reshape(grid.shape + (4,)), grid, drop=drop)
+        member_cols[f"tau_theta_{k}"] = member.tau
+        fh4 = member.f_hat[:, :4].reshape(grid.shape + (4,))
+        G.export_obj(out / f"fhat_theta_{k}.obj", fh4, grid, drop=member.mask)
 
     report = D.family_report(
         family, scene.thetas, dual=dual, closedness_rel_tol=tol.member_closedness, each=write

@@ -21,8 +21,8 @@ chart whose transforms exist, this module builds:
 * scaled parallel sections u_i (xi - tau_i f - tau_i t0 + t1) with
   u_i = e^{tau_tilde_j}/(tau_i - tau_j), and their parallelism criterion;
 * the dual-family step: extraction of the 1-form gamma and integration of
-  the coupled system for (tau_hat_0, v) along grid lines with RK4 stages
-  evaluated exactly at mid-edge points.
+  w = ln(tau0 - tau_hat_0) along grid lines with RK4 stages evaluated exactly
+  at mid-edge points; tau_hat_0 itself is tau0 - e^w and is not kept.
 
 Each of these walks its grid in blocks of :func:`ribaucour.eval_blocks`; the
 family and its members keep per-point values, and no jet but tau0, tau1.
@@ -49,7 +49,7 @@ from .errors import (
     NotRibaucour,
     PathDependence,
 )
-from .gridio import Grid, GridField
+from .gridio import Grid
 from .jets import Jet2
 from .liegeom import lie_inner, t0_jet
 
@@ -70,13 +70,9 @@ class Potential:
     """Grid antiderivative tau_tilde with -d tau_tilde = alpha, gauge-fixed
     to vanish at the base node."""
 
-    values: GridField
+    data: np.ndarray  # (nu, nv)
     loop_residual: float
     period_residuals: dict
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.values.data[..., 0]
 
 
 def _edge_integrals(
@@ -92,21 +88,21 @@ def _edge_integrals(
     return 0.5 * h * (comp + nxt) + (h * h / 12.0) * (dcomp - dn)
 
 
-def integrate_potential(alpha: GridField, alpha_grad: GridField) -> Potential:
+def integrate_potential(grid: Grid, alpha: np.ndarray, alpha_grad: np.ndarray) -> Potential:
     """Integrate tau_tilde = -integral of alpha from the base node (0, 0).
 
-    ``alpha`` carries the components (a_u, a_v); ``alpha_grad`` carries the
-    partials in layout (d_u a_u, d_v a_u, d_u a_v, d_v a_v).
+    ``alpha`` holds the components (a_u, a_v) per grid point, row-major
+    ``(N, 2)``; ``alpha_grad`` their partials ``(N, 2, 2)``, where [:, i, j] is
+    d_j a_i, the layout of :attr:`DemoulinFamily.alpha_partials`.
     The route is rows first (u direction along the base row), then columns.
     Elementary-cell circulations and, on periodic axes, the period
     circulations certify path independence; failure raises
     :class:`PathDependence`.
     """
-    grid = alpha.grid
-    if alpha.k != 2:
-        raise ValueError("potential integration expects a 2-component 1-form")
-    au, av = alpha.data[..., 0], alpha.data[..., 1]
-    dau_u, dav_v = alpha_grad.data[..., 0], alpha_grad.data[..., 3]
+    comps = alpha.reshape(grid.shape + (2,))
+    partials = alpha_grad.reshape(grid.shape + (2, 2))
+    au, av = comps[..., 0], comps[..., 1]
+    dau_u, dav_v = partials[..., 0, 0], partials[..., 1, 1]
     hu, hv = grid.hu, grid.hv
     per_u, per_v = grid.domain.periodic
 
@@ -133,7 +129,7 @@ def integrate_potential(alpha: GridField, alpha_grad: GridField) -> Potential:
         if per_v:
             periods["v"] = float(np.abs(Iv[0, :].sum()))
 
-    max_alpha = float(np.max(np.abs(alpha.data))) if alpha.data.size else 0.0
+    max_alpha = float(np.max(np.abs(alpha))) if alpha.size else 0.0
     tol = 1e-7 * (1.0 + max_alpha)
     worst = float(np.max([loop, *periods.values()]))  # NaN anywhere is NaN
     if not worst <= tol:
@@ -148,7 +144,7 @@ def integrate_potential(alpha: GridField, alpha_grad: GridField) -> Potential:
     U[1:] = np.cumsum(Iu[:-1, 0])
     W = np.zeros(grid.shape)
     W[:, 1:] = np.cumsum(Iv[:, :-1], axis=1)
-    return Potential(GridField(grid, -(U[:, None] + W)), loop, periods)
+    return Potential(-(U[:, None] + W), loop, periods)
 
 
 # ---------- connection operators and the permutability gate ----------
@@ -218,7 +214,7 @@ def bianchi_check(r0: ROperator, r1: ROperator) -> BianchiReport:
 @dataclass
 class FamilyMember:
     theta: float
-    values: GridField
+    tau: np.ndarray  # (N,) values of tau_theta, NaN under the mask
     mask: np.ndarray  # True where the denominator (or regularity) fails
     f_hat: np.ndarray  # (N, m+4) values of f_hat; garbage under the mask
     singular: np.ndarray  # points failing the member's regularity screen
@@ -349,11 +345,7 @@ def build_family(
 
     alpha = (v["alpha0"], v["alpha1"])
     partials = (v["partials0"], v["partials1"])
-    shape = grid.shape + (-1,)
-    tilde0, tilde1 = (
-        integrate_potential(GridField(grid, a.reshape(shape)), GridField(grid, p.reshape(shape)))
-        for a, p in zip(alpha, partials)
-    )
+    tilde0, tilde1 = (integrate_potential(grid, a, p) for a, p in zip(alpha, partials))
     if "ill_posed" in peaks:
         raise IllPosed(ILL_POSED)
     return DemoulinFamily(
@@ -391,9 +383,8 @@ def demoulin_tau(family: DemoulinFamily, theta: float) -> FamilyMember:
         k = 0 if s == 0.0 else 1
         tau = family.tau0 if k == 0 else family.tau1
         cert = family.certification[f"tau{k}"]
-        values = np.array(tau.value, copy=True)
         return FamilyMember(
-            theta, GridField(grid, values.reshape(grid.shape)), np.zeros(n, bool),
+            theta, np.array(tau.value, copy=True), np.zeros(n, bool),
             family.f_hat[k], np.zeros(n, bool), cert["max_dalpha"], cert["max_alpha"],
         )
 
@@ -429,10 +420,9 @@ def demoulin_tau(family: DemoulinFamily, theta: float) -> FamilyMember:
         raise FullyMasked(
             f"family member theta={theta!r} singular on {mask.mean():.0%} of the grid"
         )
-    values = np.where(mask, np.nan, v["tau"])
     return FamilyMember(
         theta,
-        GridField(grid, values.reshape(grid.shape)),
+        np.where(mask, np.nan, v["tau"]),
         mask,
         v["f_hat"],
         v["singular"],
@@ -495,21 +485,20 @@ def parallel_sections(family: DemoulinFamily) -> float:
 
 @dataclass
 class DualResult:
-    patch: Grid
-    gamma: GridField  # (nu, nv, 2)
-    tau_hat0: GridField
-    v: GridField
     consistency: float
     gamma_identity_residual: float
 
 
 def _dual_fields(family: DemoulinFamily, points: np.ndarray, order: int = 2) -> dict:
-    """Every 1-form the dual system needs, at parameter points ``(..., 2)``.
+    """The 1-forms the dual system needs, at parameter points ``(..., 2)``.
 
+    ``gamma`` is (d f_hat0 - (f_hat0 + t0) alpha_hat0, f_hat1 + t0) divided by
+    (tau1 - tau0)(a1 - 1), from the pairing with the second transform's point
+    sphere; ``drive`` is alpha_{tau1} - alpha_hat_{tau0} + d ln|tau1 - tau0|.
     ``order`` is the seed order of the chart and tau0; the second transform is
     needed one order below the first, and so are its seeds: f, xi and tau1.
-    At 2, gamma is a value; ``order=3`` makes it an order-1 jet, whose exact
-    partials come back as ``dgamma``, laid out (..., derivative, component).
+    At 2, gamma is a value; at 3, its jet also carries exact partials, which
+    come back as ``dgamma``, laid out (..., derivative, component).
     The points run through :func:`ribaucour.eval_blocks`; a :class:`NotRegular`
     names the first singular point of the flattened ``points``, for the first
     transform first.
@@ -524,31 +513,21 @@ def _dual_fields(family: DemoulinFamily, points: np.ndarray, order: int = 2) -> 
         res1 = RB.transform(
             L.LegendreFrame(f, xi, frame.points), tau1, det_rel_tol=family.det_rel_tol
         )
-        ah0 = RB.alpha_hat(res0)
-
-        # gamma from the pairing with the second transform's point sphere
-        factor = (tau1.value - tau0.value) * (res1.a.value - 1.0)
-        point = res1.f_hat.value + t0
-        gamma = L.inner_value(
-            RB.corrected_differential(res0.f_hat, ah0), point[..., None, :]
-        ) / factor[..., None]
-
+        fh0, ah0 = res0.f_hat, RB.alpha_hat(res0)
+        num = J.stack([
+            lie_inner(fh0.deriv(i) - ah0.take(i).vec() * (fh0 + t0), res1.f_hat + t0)
+            for i in range(m)
+        ])
+        den = ((tau1 - tau0) * (res1.a - 1.0)).vec()
         dlog = np.moveaxis((tau1.grad - tau0.grad) / (tau1.value - tau0.value), 0, -1)
         out = {
-            "gamma": gamma,
+            "gamma": num.value / den.value,
             "drive": res1.alpha.value - ah0.value + dlog,
-            "alpha_hat0": ah0.value,
             "singular0": res0.metric.singular,
             "singular1": res1.metric.singular,
         }
-        if order == 3:  # gamma once more, in jet arithmetic, for its partials
-            fh0 = res0.f_hat
-            rows = [
-                lie_inner(fh0.deriv(i) - ah0.take(i).vec() * (fh0 + t0), res1.f_hat + t0)
-                for i in range(m)
-            ]
-            dgamma = (J.stack(rows) / ((tau1 - tau0) * (res1.a - 1.0)).vec()).grad
-            out["dgamma"] = np.moveaxis(dgamma, 0, -2)
+        if order == 3:
+            out["dgamma"] = np.moveaxis((num / den).grad, 0, -2)
         return out, None
 
     def taus_at(p):
@@ -563,39 +542,43 @@ def _dual_fields(family: DemoulinFamily, points: np.ndarray, order: int = 2) -> 
     return {k: v.reshape(points.shape[:-1] + v.shape[1:]) for k, v in run.values.items()}
 
 
-def _sweep(
-    w0: np.ndarray, lv0: np.ndarray, nodes: dict, mids: dict, h: float, comp: int,
-    axis_len: int, take,
-) -> tuple[np.ndarray, np.ndarray]:
-    """March the coupled (w, ln v) system along one axis with classical RK4.
+def _sweep(w0, nodes: dict, mids: dict, h: float, comp: int, axis: int) -> np.ndarray:
+    """March w = ln(tau0 - tau_hat0) along ``axis`` of the fields with classical RK4.
 
-    ``take(fields, k)`` selects the slice of a field dict at step k; mids
-    hold the fields at the midpoints of the edges being crossed.
+    dw = drive + e^w gamma, read at component ``comp`` (the 1-form's slot
+    along the march).  ``nodes`` hold the fields at the grid nodes, ``mids``
+    at the midpoints of the edges being crossed; ``w0`` is w on the first
+    line across ``axis``, and w on every line is returned stacked along
+    ``axis``.
     """
-
-    def F(fields, k, w):
-        g = take(fields, k)  # the slopes of w and of ln v at one RK4 stage
-        dw = g["drive"][..., comp] + np.exp(w) * g["gamma"][..., comp]
-        return dw, -dw - g["alpha_hat0"][..., comp]
-
+    (drive, gamma), (drive_mid, gamma_mid) = (
+        [np.moveaxis(fields[key][..., comp], axis, 0) for key in ("drive", "gamma")]
+        for fields in (nodes, mids)
+    )
     w = [np.asarray(w0, dtype=float)]
-    lv = [np.asarray(lv0, dtype=float)]
-    for k in range(axis_len - 1):
-        wk, lvk = w[-1], lv[-1]
-        k1, k1v = F(nodes, k, wk)
-        k2, k2v = F(mids, k, wk + 0.5 * h * k1)
-        k3, k3v = F(mids, k, wk + 0.5 * h * k2)
-        k4, k4v = F(nodes, k + 1, wk + h * k3)
+    for k in range(len(drive) - 1):
+        wk = w[-1]
+        k1 = drive[k] + np.exp(wk) * gamma[k]
+        k2 = drive_mid[k] + np.exp(wk + 0.5 * h * k1) * gamma_mid[k]
+        k3 = drive_mid[k] + np.exp(wk + 0.5 * h * k2) * gamma_mid[k]
+        k4 = drive[k + 1] + np.exp(wk + h * k3) * gamma[k + 1]
         wn = wk + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        lvn = lvk + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         if np.any(np.abs(wn) > np.log(1e8)):
             raise BlowUp(
                 "log separation left [ln 1e-8, ln 1e8]; "
                 "the branch assumption (constant sign) broke down"
             )
         w.append(wn)
-        lv.append(lvn)
-    return np.stack(w), np.stack(lv)
+    return np.stack(w, axis=axis)
+
+
+def _default_patch(chart: CH.ChartSpec) -> Grid:
+    """The 64x64 chart domain with each axis inset by min(0.1, span/20)."""
+    axes = []
+    for lo, hi in (chart.domain.u, chart.domain.v):
+        inset = min(0.1, (hi - lo) / 20.0)
+        axes.append((lo + inset, hi - inset))
+    return Grid(64, 64, CH.Domain(*axes, (False, False)))
 
 
 def dual_family_step(
@@ -607,85 +590,49 @@ def dual_family_step(
     """Integrate the dual-family system on a simply connected patch.
 
     The scalar w = ln(tau0 - tau_hat0) satisfies
-    d w = (alpha_{tau1} - alpha_hat_{tau0}) + d ln|tau1 - tau0| + e^w gamma,
-    and -d ln v = d w + alpha_hat_{tau0}.  Both are marched with RK4 from the
-    (0, 0) corner along rows then columns, and along columns then rows; the
-    largest disagreement of the two grids (path independence of the
-    integrable system) is returned as ``consistency`` for the caller to gate.
-    The closedness of (tau0 - tau_hat0) gamma is verified from the expansion
+    d w = (alpha_{tau1} - alpha_hat_{tau0}) + d ln|tau1 - tau0| + e^w gamma.
+    It is marched with RK4 from the (0, 0) corner along rows then columns,
+    and along columns then rows; the largest disagreement of the two grids
+    (path independence of the integrable system) is returned as
+    ``consistency`` for the caller to gate.  tau_hat0 is tau0 - e^w and is
+    not formed.  The closedness of (tau0 - tau_hat0) gamma is verified from
+    the expansion
     d((tau0-tau_hat0) gamma) = d(tau0-tau_hat0) ^ gamma + (tau0-tau_hat0) dgamma
-    with the exact differentials of both factors.  The default patch is the
-    64x64 chart domain with each axis inset by min(0.1, span/20).
+    with the exact differentials of both factors.  The default patch is
+    :func:`_default_patch` of the family's chart.
     """
     if patch is None:
-        axes = []
-        for lo, hi in (family.chart.domain.u, family.chart.domain.v):
-            inset = min(0.1, (hi - lo) / 20.0)
-            axes.append((lo + inset, hi - inset))
-        patch = Grid(64, 64, CH.Domain(*axes, (False, False)))
+        patch = _default_patch(family.chart)
     if patch.domain.periodic[0] or patch.domain.periodic[1]:
         raise ValueError("dual-family integration needs a non-periodic patch")
 
     pts = patch.points()
     nodes = _dual_fields(family, pts, order=3)
-    dgamma = nodes.pop("dgamma")  # (..., derivative, component)
-
     umids = _dual_fields(family, pts[:-1, :, :] + np.array([patch.hu / 2.0, 0.0]))
     vmids = _dual_fields(family, pts[:, :-1, :] + np.array([0.0, patch.hv / 2.0]))
 
-    def take_u(f, k):
-        return {key: val[k] for key, val in f.items()}
-
-    def take_v(f, k):
-        return {key: val[:, k] for key, val in f.items()}
+    def first(fields, axis):  # the fields on the first grid line across ``axis``
+        return {key: np.moveaxis(val, axis, 0)[0] for key, val in fields.items()}
 
     # row-first: march u along the base row, then v upward for all columns
-    w_base, lv_base = _sweep(
-        np.array(w_init), np.array(0.0), take_v(nodes, 0), take_v(umids, 0),
-        patch.hu, 0, patch.nu, take_u,
-    )
-    w_row, lv_row = _sweep(
-        w_base, lv_base, nodes, vmids, patch.hv, 1, patch.nv, take_v
-    )
-    w_row = np.swapaxes(w_row, 0, 1)
-    lv_row = np.swapaxes(lv_row, 0, 1)
-
-    # column-first
-    w_base2, lv_base2 = _sweep(
-        np.array(w_init), np.array(0.0), take_u(nodes, 0), take_u(vmids, 0),
-        patch.hv, 1, patch.nv, take_u,
-    )
-    w_col, _ = _sweep(
-        w_base2, lv_base2, nodes, umids, patch.hu, 0, patch.nu, take_u
-    )
+    w_base = _sweep(w_init, first(nodes, 1), first(umids, 1), patch.hu, 0, 0)
+    w_row = _sweep(w_base, nodes, vmids, patch.hv, 1, 1)
+    # column-first: v along the base column, then u for all rows
+    w_base = _sweep(w_init, first(nodes, 0), first(vmids, 0), patch.hv, 1, 0)
+    w_col = _sweep(w_base, nodes, umids, patch.hu, 0, 0)
     consistency = float(np.max(np.abs(w_row - w_col)))
 
-    # fields of the reported solution (row-first grid)
-    tau0_grid = E.eval_at(family.tau0_expr, pts)
-    sep = np.exp(w_row)
-    tau_hat0 = tau0_grid.value - sep
-    v = np.exp(lv_row)
-
-    # residual of d((tau0 - tau_hat0) gamma)
-    gamma = nodes["gamma"]
-    dw = nodes["drive"] + sep[..., None] * gamma
-    dsep = sep[..., None] * dw  # exact differential of tau0 - tau_hat0 given w
+    # residual of d((tau0 - tau_hat0) gamma) on the row-first grid
+    sep = np.exp(w_row)  # tau0 - tau_hat0
+    gamma, dgamma = nodes["gamma"], nodes["dgamma"]  # dgamma: (..., derivative, component)
+    dsep = sep[..., None] * (nodes["drive"] + sep[..., None] * gamma)  # exact, given w
     two_form = (
         dsep[..., 0] * gamma[..., 1]
         + sep * dgamma[..., 0, 1]
         - dsep[..., 1] * gamma[..., 0]
         - sep * dgamma[..., 1, 0]
     )
-    gamma_identity = float(np.max(np.abs(two_form)))
-
-    return DualResult(
-        patch,
-        GridField(patch, gamma),
-        GridField(patch, tau_hat0),
-        GridField(patch, v),
-        consistency,
-        gamma_identity,
-    )
+    return DualResult(consistency, float(np.max(np.abs(two_form))))
 
 
 # ---------- reporting ----------
@@ -712,9 +659,7 @@ def family_report(
         for label, at, tau in (("tau0", 0.0, family.tau0), ("tau1", HALF_PI, family.tau1)):
             if member.theta == at:
                 rec["endpoint"] = label
-                endpoints_ok &= np.array_equal(
-                    member.values.data[..., 0].reshape(-1), tau.value
-                )
+                endpoints_ok &= np.array_equal(member.tau, tau.value)
         members.append(rec)
         if each is not None:
             each(member)

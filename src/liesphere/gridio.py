@@ -66,27 +66,6 @@ class Grid:
         return (self.nu, self.nv)
 
 
-@dataclass
-class GridField:
-    """k-component field sampled on a grid; data has shape (nu, nv, k)."""
-
-    grid: Grid
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim == 2:
-            self.data = self.data[..., None]
-        if self.data.shape[:2] != self.grid.shape:
-            raise ValueError(
-                f"field shape {self.data.shape} does not match grid {self.grid.shape}"
-            )
-
-    @property
-    def k(self) -> int:
-        return self.data.shape[-1]
-
-
 # ---------- finite-difference oracle ----------
 
 
@@ -130,19 +109,20 @@ def fd_jet_oracle(
     return Jet2(value, grad, hess, m)
 
 
+# Oracle steps of convergence_orders: successive halvings.
+_ORACLE_STEPS = (1e-2, 5e-3, 2.5e-3)
+
+
 def convergence_orders(
-    sampler: Callable[[np.ndarray], np.ndarray],
-    exact: Jet2,
-    point: np.ndarray,
-    steps=(1e-2, 5e-3, 2.5e-3),
+    sampler: Callable[[np.ndarray], np.ndarray], exact: Jet2, point: np.ndarray
 ) -> list[float]:
     """Empirical convergence order of the oracle against exact jets.
 
-    Returns log2 error ratios between successive halvings; central
-    differences should give values near 2.
+    Returns log2 error ratios between the successive halvings of
+    ``_ORACLE_STEPS``; central differences should give values near 2.
     """
     errs = []
-    for h in steps:
+    for h in _ORACLE_STEPS:
         approx = fd_jet_oracle(sampler, point, h)
         e = max(
             float(np.max(np.abs(approx.grad - exact.grad))),

@@ -362,11 +362,10 @@ def apply(name: str, x: Jet2) -> Jet2:
 # ---------- structural operations ----------
 
 
-def seed(points: np.ndarray, m: int | None = None, order: int = 2) -> tuple[Jet2, ...]:
+def seed(points: np.ndarray, order: int = 2) -> tuple[Jet2, ...]:
     """Coordinate jets of ``order`` for parameter points of shape ``(..., m)``."""
     pts = np.asarray(points, dtype=float)
-    if m is None:
-        m = pts.shape[-1]
+    m = pts.shape[-1]
     return tuple(Jet2.variable(pts[..., i], i, m, order) for i in range(m))
 
 

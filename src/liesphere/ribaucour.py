@@ -505,7 +505,6 @@ class GridRun:
     """
 
     chart: CH.ChartSpec
-    tau_src: str
     grid_shape: tuple[int, int]
     points: np.ndarray  # (N, 2) parameter points, wrapped into the domain
     frame_cert: dict
@@ -609,7 +608,6 @@ def run_grid(
     curv["rel"] = curv["abs"] / curv["scale"] if curv["scale"] > 0 else 0.0
     return GridRun(
         chart=chart,
-        tau_src=E.to_source(tau_expr),
         grid_shape=grid_shape,
         points=run.points,
         frame_cert=run.cert,
@@ -635,7 +633,6 @@ def diagnostic_report(run: GridRun) -> dict:
     supporting["mu_match"] = run.reconstruction["mu_match"]
     return {
         "chart": CH.chart_to_json(run.chart),
-        "tau_src": run.tau_src,
         "grid": list(run.grid_shape),
         "regular": not bool(run.singular.any()),
         "min_det": run.min_det,

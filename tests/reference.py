@@ -16,7 +16,7 @@ from liesphere import jets as J
 from liesphere import ribaucour as RB
 from liesphere.charts import CliffordTorus
 from liesphere.errors import LieSphereError
-from liesphere.gridio import Grid, GridField
+from liesphere.gridio import Grid
 from liesphere.jets import Jet2
 from liesphere.liegeom import LegendreFrame, lie_inner
 
@@ -269,18 +269,19 @@ def shape_operator_path(
 # ---------- grid exterior derivative ----------
 
 
-def grid_exterior_derivative(alpha: GridField) -> tuple[GridField, dict]:
+def grid_exterior_derivative(grid: Grid, alpha: np.ndarray) -> tuple[np.ndarray, dict]:
     """Plaquette circulations of a sampled 1-form, divided by cell area.
 
-    Returns the O(h^2) estimate of the exterior derivative on cells (placed
-    at the lower-left node of each cell) and, for periodic axes, the total
-    circulations around the two period generators.
+    ``alpha`` holds the components (a_u, a_v) per grid point, shaped
+    ``grid.shape + (2,)``.  Returns the O(h^2) estimate of the exterior
+    derivative on cells (placed at the lower-left node of each cell, a
+    ``grid.shape`` array) and, for periodic axes, the total circulations
+    around the two period generators.
     """
-    grid = alpha.grid
-    if alpha.k != 2:
-        raise ValueError("exterior derivative expects a 2-component 1-form")
-    au = alpha.data[..., 0]
-    av = alpha.data[..., 1]
+    if alpha.shape != grid.shape + (2,):
+        raise ValueError(f"1-form shape {alpha.shape} does not match grid {grid.shape}")
+    au = alpha[..., 0]
+    av = alpha[..., 1]
     hu, hv = grid.hu, grid.hv
     per_u, per_v = grid.domain.periodic
 
@@ -316,7 +317,7 @@ def grid_exterior_derivative(alpha: GridField) -> tuple[GridField, dict]:
         "max_abs_circulation": float(np.max(np.abs(circ))) if circ.size else 0.0,
         "periods": periods,
     }
-    return GridField(grid, _pad_cells(dens, grid)), meta
+    return _pad_cells(dens, grid), meta
 
 
 def _pad_cells(cells: np.ndarray, grid: Grid) -> np.ndarray:

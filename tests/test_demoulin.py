@@ -50,8 +50,9 @@ def const_family(square_torus):
 
 def test_zero_form_integrates_to_zero(square_torus):
     grid = G.Grid(16, 16, square_torus.domain)
-    alpha = G.GridField(grid, np.zeros(grid.shape + (2,)))
-    pot = D.integrate_potential(alpha, G.GridField(grid, np.zeros(grid.shape + (4,))))
+    n = grid.nu * grid.nv
+    pot = D.integrate_potential(grid, np.zeros((n, 2)), np.zeros((n, 2, 2)))
+    assert pot.data.shape == grid.shape
     assert np.max(np.abs(pot.data)) == 0.0
     assert pot.loop_residual == 0.0
 
@@ -83,12 +84,10 @@ def test_non_closed_form_raises_path_dependence(square_torus):
     tau = E.eval_at(E.parse_tau("sin(u)*sin(v)"), frame.points)
     res = RB.transform(frame, tau)
     comps = np.where(res.metric.singular[..., None], 0.0, res.alpha.value)
-    alpha = G.GridField(grid, comps.reshape(grid.shape + (2,)))
     partials = np.moveaxis(res.alpha.grad, 0, -1)  # (..., component, derivative)
     partials = np.where(res.metric.singular[..., None, None], 0.0, partials)
-    alpha_grad = G.GridField(grid, partials.reshape(grid.shape + (4,)))
     with pytest.raises(PathDependence) as exc:
-        D.integrate_potential(alpha, alpha_grad)
+        D.integrate_potential(grid, comps, partials)
     assert exc.value.residual > 1e-3
 
 
@@ -97,20 +96,17 @@ def test_period_obstruction_raises(square_torus):
     grid = G.Grid(16, 16, square_torus.domain)
     data = np.zeros(grid.shape + (2,))
     data[..., 0] = 0.25
-    zero_partials = G.GridField(grid, np.zeros(grid.shape + (4,)))
     with pytest.raises(PathDependence):
-        D.integrate_potential(G.GridField(grid, data), zero_partials)
+        D.integrate_potential(grid, data, np.zeros(grid.shape + (2, 2)))
 
 
 def test_overflowing_circulation_fails_the_gate():
     # h^2 overflows on this grid: the residual is not finite and must fail
     grid = G.Grid(8, 8, Domain((0.0, 1e300), (0.0, 1.0), (False, False)))
-    partials = np.zeros(grid.shape + (4,))
-    partials[..., 0] = np.arange(8.0)[:, None]
+    partials = np.zeros(grid.shape + (2, 2))
+    partials[..., 0, 0] = np.arange(8.0)[:, None]
     with pytest.raises(PathDependence):
-        D.integrate_potential(
-            G.GridField(grid, np.ones(grid.shape + (2,))), G.GridField(grid, partials)
-        )
+        D.integrate_potential(grid, np.ones(grid.shape + (2,)), partials)
 
 
 # ---------- connection operators ----------
@@ -168,12 +164,8 @@ def test_bianchi_negative_control():
 def test_family_endpoints_bitwise(family_64):
     m0 = D.demoulin_tau(family_64, 0.0)
     m1 = D.demoulin_tau(family_64, np.pi / 2.0)
-    assert np.array_equal(
-        m0.values.data[..., 0].reshape(-1), family_64.tau0.value
-    )
-    assert np.array_equal(
-        m1.values.data[..., 0].reshape(-1), family_64.tau1.value
-    )
+    assert np.array_equal(m0.tau, family_64.tau0.value)
+    assert np.array_equal(m1.tau, family_64.tau1.value)
 
 
 def test_family_of_constants(const_family):
@@ -184,7 +176,7 @@ def test_family_of_constants(const_family):
     for theta in (0.3, 0.9, 1.2):
         member = D.demoulin_tau(const_family, theta)
         expected = c * np.sin(theta) / (np.cos(theta) + np.sin(theta))
-        vals = member.values.data[..., 0]
+        vals = member.tau
         assert np.nanmax(np.abs(vals - expected)) < 1e-14
         assert np.nanstd(vals) < 1e-14  # constant on the grid
 
@@ -194,7 +186,7 @@ def test_family_quarter_turn_closed_form(family_64):
     grid = family_64.grid
     tau0 = family_64.tau0.value.reshape(grid.shape)
     expected = (tau0 + 2.0 * (1.0 + tau0)) / (1.0 + (1.0 + tau0))
-    diff = np.abs(member.values.data[..., 0] - expected)
+    diff = np.abs(member.tau - expected.reshape(-1))
     assert np.nanmax(diff) < 1e-5
 
 
@@ -219,20 +211,14 @@ def test_gauge_shift_reparametrizes_theta(family_64):
     c0, c1 = 0.4, -0.2
     shifted = dataclasses.replace(
         family_64,
-        tilde0=dataclasses.replace(
-            family_64.tilde0,
-            values=G.GridField(family_64.grid, family_64.tilde0.data + c0),
-        ),
-        tilde1=dataclasses.replace(
-            family_64.tilde1,
-            values=G.GridField(family_64.grid, family_64.tilde1.data + c1),
-        ),
+        tilde0=dataclasses.replace(family_64.tilde0, data=family_64.tilde0.data + c0),
+        tilde1=dataclasses.replace(family_64.tilde1, data=family_64.tilde1.data + c1),
     )
     theta = 0.6
     member_shifted = D.demoulin_tau(shifted, theta)
     theta_prime = np.arctan2(np.sin(theta) * np.exp(c0), np.cos(theta) * np.exp(c1))
     member_orig = D.demoulin_tau(family_64, theta_prime)
-    diff = np.abs(member_shifted.values.data - member_orig.values.data)
+    diff = np.abs(member_shifted.tau - member_orig.tau)
     assert np.nanmax(diff) < 1e-12
 
 
@@ -294,12 +280,9 @@ def test_parallel_sections_negative_control(family_64):
 def test_dual_step_constants_trivial(const_family):
     patch = G.Grid(16, 16, Domain((0.1, 6.1), (0.1, 6.1), (False, False)))
     dual = D.dual_family_step(const_family, patch)
-    assert np.max(np.abs(dual.gamma.data)) < 1e-13
-    # all driving forms vanish: tau_hat0 = tau0 - e^{w_init} exactly
-    np.testing.assert_allclose(dual.tau_hat0.data[..., 0], -1.0, atol=1e-10)
+    assert np.max(np.abs(D._dual_fields(const_family, patch.points())["gamma"])) < 1e-13
     assert dual.consistency < 1e-10
     assert dual.gamma_identity_residual < 1e-8
-    np.testing.assert_allclose(dual.v.data, 1.0, atol=1e-10)
 
 
 def test_dual_step_consistency_2d(square_torus):
@@ -310,10 +293,43 @@ def test_dual_step_consistency_2d(square_torus):
     )
     patch = G.Grid(32, 32, Domain((0.1, 6.1), (0.1, 6.1), (False, False)))
     dual = D.dual_family_step(fam, patch)
-    assert np.max(np.abs(dual.gamma.data[..., 0])) > 1e-3
-    assert np.max(np.abs(dual.gamma.data[..., 1])) > 1e-3
+    gamma = D._dual_fields(fam, patch.points())["gamma"]
+    assert np.max(np.abs(gamma[..., 0])) > 1e-3
+    assert np.max(np.abs(gamma[..., 1])) > 1e-3
     assert dual.consistency < 1e-5
     assert dual.gamma_identity_residual < 1e-5
+
+
+def _line_fields(shape, comp, drive, gamma):
+    """Constant dual-system fields; the component not marched is filled with junk."""
+    fields = {key: np.full(shape + (2,), 100.0) for key in ("drive", "gamma")}
+    fields["drive"][..., comp] = drive
+    fields["gamma"][..., comp] = gamma
+    return fields
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_sweep_matches_closed_forms(axis):
+    # three lines of 41 nodes, marched along ``axis`` from w0, comp = 1 - axis
+    n, h, comp = 41, 0.01, 1 - axis
+    w0 = np.array([0.1, -0.2, 0.3])
+    s = h * np.arange(n)
+    shape, mid_shape = ((n, 3), (n - 1, 3)) if axis == 0 else ((3, n), (3, n - 1))
+    s, w0_b = (s[:, None], w0[None, :]) if axis == 0 else (s[None, :], w0[:, None])
+
+    def march(drive, gamma):
+        nodes = _line_fields(shape, comp, drive, gamma)
+        mids = _line_fields(mid_shape, comp, drive, gamma)
+        return D._sweep(w0, nodes, mids, h, comp, axis)
+
+    # constant drive, gamma = 0: w is linear, exact up to round-off
+    w = march(0.7, 0.0)
+    assert w.shape == shape
+    np.testing.assert_allclose(w, w0_b + 0.7 * s, rtol=0, atol=1e-14)
+    # drive 0, constant gamma: dw = e^w gamma ds, so w = -ln(e^-w0 - gamma s)
+    w = march(0.0, 0.5)
+    exact = -np.log(np.exp(-w0_b) - 0.5 * s)
+    np.testing.assert_allclose(w, exact, rtol=0, atol=1e-10)  # RK4 error: 4.6e-12
 
 
 def test_dual_step_blowup_guard(family_64):
@@ -389,9 +405,12 @@ def test_default_dual_patch_lies_inside_the_domain(square_torus, family_64):
         chart, E.parse_tau("0.3*sin(u)"), E.parse_tau("2 + 0.2*cos(v)"),
         G.Grid(16, 16, chart.domain),
     )
-    dual = D.dual_family_step(fam)
-    assert dual.patch.domain.u == dual.patch.domain.v == (0.05, 0.95)
-    pts = dual.patch.points()
+    patch = D._default_patch(chart)
+    assert patch.shape == (64, 64) and patch.domain.periodic == (False, False)
+    assert patch.domain.u == patch.domain.v == (0.05, 0.95)
+    pts = patch.points()
     assert pts.min() >= 0.0 and pts.max() <= 1.0
+    # dual_family_step integrates on this patch when none is given
+    assert D.dual_family_step(fam) == D.dual_family_step(fam, patch)
     # the shipped [0, 2pi] domains keep the (0.1, 2pi - 0.1) patch
-    assert D.dual_family_step(family_64).patch.domain.u == (0.1, 2.0 * np.pi - 0.1)
+    assert D._default_patch(family_64.chart).domain.u == (0.1, 2.0 * np.pi - 0.1)

@@ -63,14 +63,6 @@ def test_grid_spacing_and_seams():
         G.Grid(3, 8, dom)
 
 
-def test_gridfield_validates_shape():
-    g = G.Grid(8, 8, Domain())
-    with pytest.raises(ValueError):
-        G.GridField(g, np.zeros((4, 4)))
-    fld = G.GridField(g, np.zeros((8, 8)))
-    assert fld.k == 1
-
-
 def test_exterior_derivative_of_exact_form_vanishes_at_second_order():
     def au(u, v):
         return 0.3 * np.exp(0.3 * u) * np.sin(v) + 2 * np.cos(2 * u) * np.cos(3 * v)
@@ -83,10 +75,8 @@ def test_exterior_derivative_of_exact_form_vanishes_at_second_order():
     for n in (16, 32, 64):
         g = G.Grid(n, n, dom)
         p = g.points()
-        fld = G.GridField(
-            g, np.stack([au(p[..., 0], p[..., 1]), av(p[..., 0], p[..., 1])], axis=-1)
-        )
-        _, meta = grid_exterior_derivative(fld)
+        fld = np.stack([au(p[..., 0], p[..., 1]), av(p[..., 0], p[..., 1])], axis=-1)
+        _, meta = grid_exterior_derivative(g, fld)
         errs.append(meta["max_abs_density"])
     for e0, e1 in zip(errs, errs[1:]):
         assert 3.0 < e0 / e1 < 5.0  # second-order refinement
@@ -104,7 +94,7 @@ def test_exterior_derivative_flags_non_closed_form(square_torus):
         comps = np.where(
             res.metric.singular[..., None], 0.0, res.alpha.value
         ).reshape(grid.shape + (2,))
-        _, meta = grid_exterior_derivative(G.GridField(grid, comps))
+        _, meta = grid_exterior_derivative(grid, comps)
         assert meta["max_abs_density"] > 1e-2
         prev = meta["max_abs_density"]
     assert prev > 1e-2
@@ -114,9 +104,9 @@ def test_exterior_derivative_of_area_form():
     dom = Domain((0, 1), (0, 1), (False, False))
     g = G.Grid(16, 16, dom)
     p = g.points()
-    fld = G.GridField(g, np.stack([-p[..., 1] / 2.0, p[..., 0] / 2.0], axis=-1))
-    dens, _ = grid_exterior_derivative(fld)
-    assert np.nanmax(np.abs(dens.data[:15, :15, 0] - 1.0)) < 1e-12
+    fld = np.stack([-p[..., 1] / 2.0, p[..., 0] / 2.0], axis=-1)
+    dens, _ = grid_exterior_derivative(g, fld)
+    assert np.nanmax(np.abs(dens[:15, :15] - 1.0)) < 1e-12
 
 
 def test_obj_counts_and_roundtrip(tmp_path, square_torus):
