@@ -196,11 +196,12 @@ def _emit(report: dict, out: Path, name: str, json_mode: bool):
         sys.stdout.write(G.canonical_json(report))
 
 
-def _run_grid(scene: Scene) -> RB.GridRun:
+def _run_grid(scene: Scene, columns=None) -> RB.GridRun:
     tol = scene.tolerances
     return RB.run_grid(
         scene.chart, scene.tau, _grid(scene).points(), closedness_rel_tol=tol.closedness,
         det_rel_tol=tol.det_rel, involution_tol=tol.involution, contact_tol=tol.contact,
+        columns=columns,
     )
 
 
@@ -223,7 +224,7 @@ def cmd_check(scene: Scene, out: Path, json_mode: bool) -> int:
 
 
 def cmd_transform(scene: Scene, out: Path, json_mode: bool, pole_flip: bool) -> int:
-    run = _run_grid(scene)
+    run = _run_grid(scene, RB.field_columns)
     report = RB.diagnostic_report(run)
     report["tau_src"] = scene.tau_src
     gates = _gates(report, scene.tolerances)
@@ -231,8 +232,9 @@ def cmd_transform(scene: Scene, out: Path, json_mode: bool, pole_flip: bool) -> 
 
     out.mkdir(parents=True, exist_ok=True)
     grid = _grid(scene)
-    report["meshes"] = _write_meshes(out, grid, run.f, run.f_hat, run.singular, pole_flip)
-    cols = dict(run.fields, **{f"res_{k}": v for k, v in run.pointwise.items()})
+    cols = run.columns  # f and f_hat, then the fields.csv columns in order
+    f, f_hat = cols.pop("f"), cols.pop("f_hat")
+    report["meshes"] = _write_meshes(out, grid, f, f_hat, run.singular, pole_flip)
     G.write_fields_csv(out / "fields.csv", grid, cols)
     _emit(report, out, "report.json", json_mode)
     if not json_mode:
@@ -384,19 +386,19 @@ def cmd_export(scene: Scene, out: Path, json_mode: bool, pole_flip: bool) -> int
 
     def body(frame, taus, key):
         res = RB.transform(frame, taus[0], det_rel_tol=tol.det_rel)
-        cols = {"a": res.a.value, "b": res.b.value, "singular": res.metric.singular}
-        return cols | {"f": frame.f.value[:, :4], "f_hat": res.f_hat.value[:, :4]}, None
+        cols = {"tau": res.tau.value, "a": res.a.value, "b": res.b.value}
+        cols |= {"singular": res.metric.singular, "f": frame.f.value[:, :4]}
+        return cols | {"f_hat": res.f_hat.value[:, :4]}, None
 
     run = RB.eval_blocks(
-        scene.chart, grid.points().reshape(-1, 2), lambda p: [E.eval_at(scene.tau, p)], body,
-        contact_tol=tol.contact,
+        scene.chart, grid.points().reshape(-1, 2), [(scene.tau, 2)], body, contact_tol=tol.contact
     )
-    v = run.values
+    cols = run.values  # tau, a and b, then what the meshes read
+    f, f_hat, singular = (cols.pop(k) for k in ("f", "f_hat", "singular"))
     out.mkdir(parents=True, exist_ok=True)
-    meshes = _write_meshes(out, grid, v["f"], v["f_hat"], v["singular"], pole_flip)
+    meshes = _write_meshes(out, grid, f, f_hat, singular, pole_flip)
     if meshes.get("dropped") and not json_mode:
         print(f"exported f_hat without its {meshes['dropped']} degenerate points")
-    cols = {"tau": run.taus[0].value, "a": v["a"], "b": v["b"]}
     G.write_fields_csv(out / "fields.csv", grid, cols)
     _emit({"meshes": meshes}, out, "export.json", json_mode)
     return 0

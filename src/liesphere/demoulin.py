@@ -275,6 +275,7 @@ def _generators_block(frame: L.LegendreFrame, taus: list[Jet2], det_rel_tol: flo
     results = [RB.transform(frame, tau, det_rel_tol=det_rel_tol) for tau in taus]
     values, peaks = {}, {}
     for k, res in enumerate(results):
+        values[f"tau{k}"] = np.concatenate([taus[k].value[None], taus[k].grad, taus[k].hess]).T
         values[f"singular{k}"] = res.metric.singular
         values[f"f_hat{k}"] = res.f_hat.value
         values[f"alpha{k}"] = res.alpha.value
@@ -320,12 +321,14 @@ def build_family(
     members and the dual step.
     """
     run = RB.eval_blocks(
-        chart, grid.points().reshape(-1, 2),
-        lambda p: [E.eval_at(tau0_expr, p), E.eval_at(tau1_expr, p)],
+        chart, grid.points().reshape(-1, 2), [(tau0_expr, 2), (tau1_expr, 2)],
         lambda frame, taus, key: _generators_block(frame, taus, det_rel_tol),
         contact_tol=contact_tol,
     )
-    (tau0, tau1), v, peaks = run.taus, run.values, run.peaks
+    v, peaks = run.values, run.peaks
+    # each generator's tau jet, from its (value, gradient, Hessian) columns
+    rows = [np.ascontiguousarray(v.pop(f"tau{k}").T) for k in (0, 1)]
+    tau0, tau1 = (Jet2(r[0], r[1:3], r[3:], 2) for r in rows)
     diff = np.abs(tau0.value - tau1.value)
     scale = 1.0 + max(float(np.max(np.abs(tau0.value))), float(np.max(np.abs(tau1.value))))
     if np.min(diff) < DISTINCT_REL_TOL * scale:
@@ -393,7 +396,8 @@ def demoulin_tau(family: DemoulinFamily, theta: float) -> FamilyMember:
         float(np.exp(family.tilde0.data.max())) + float(np.exp(family.tilde1.data.max()))
     )
 
-    def body(frame, taus, key):
+    def body(frame, _, key):
+        taus = [family.tau0.batch(key), family.tau1.batch(key)]
         e0 = J.exp(family.tilde_jet(0, key))
         e1 = J.exp(family.tilde_jet(1, key))
         num = c * e1 * taus[0] + s * e0 * taus[1]
@@ -410,10 +414,7 @@ def demoulin_tau(family: DemoulinFamily, theta: float) -> FamilyMember:
         }
         return values | {"f_hat": res.f_hat.value}, closed
 
-    run = RB.eval_blocks(
-        family.chart, grid.points().reshape(-1, 2), lambda p: [family.tau0, family.tau1], body,
-        certify=False,
-    )
+    run = RB.eval_blocks(family.chart, grid.points().reshape(-1, 2), [], body, certify=False)
     v, peaks = run.values, run.peaks
     mask = v["masked"] | v["singular"]
     if mask.mean() > 0.5:
@@ -463,7 +464,8 @@ def parallel_sections(family: DemoulinFamily) -> float:
     m = family.tau0.m
     t0 = t0_jet(m)
 
-    def body(frame, taus, key):
+    def body(frame, _, key):
+        taus = [family.tau0.batch(key), family.tau1.batch(key)]
         w = 0.0
         for i, j in ((0, 1), (1, 0)):
             ui = J.exp(family.tilde_jet(j, key)) / (taus[i] - taus[j])
@@ -474,8 +476,7 @@ def parallel_sections(family: DemoulinFamily) -> float:
         return {}, {"residual": w}
 
     run = RB.eval_blocks(
-        family.chart, family.grid.points().reshape(-1, 2),
-        lambda p: [family.tau0, family.tau1], body, certify=False, order=1,
+        family.chart, family.grid.points().reshape(-1, 2), [], body, certify=False, order=1
     )
     return run.peaks["residual"]
 
@@ -530,11 +531,9 @@ def _dual_fields(family: DemoulinFamily, points: np.ndarray, order: int = 2) -> 
             out["dgamma"] = np.moveaxis((num / den).grad, 0, -2)
         return out, None
 
-    def taus_at(p):
-        return [E.eval_at(family.tau0_expr, p, order), E.eval_at(family.tau1_expr, p, order - 1)]
-
+    taus = [(family.tau0_expr, order), (family.tau1_expr, order - 1)]
     run = RB.eval_blocks(
-        family.chart, points.reshape(-1, 2), taus_at, body, contact_tol=family.contact_tol,
+        family.chart, points.reshape(-1, 2), taus, body, contact_tol=family.contact_tol,
         order=order,
     )
     for k in (0, 1):

@@ -25,11 +25,11 @@ machinery around them:
 * reconstruction (the construction is an involution).
 
 Every operation is batched over the points of a frame.  A grid runs through
-:func:`eval_blocks` in blocks of :data:`BLOCK` points, so its chart and
-transform jets never span the whole grid; the tau jets of the whole batch are
-built first and kept.  Every grid command walks its grid that way: each block
-hands back its per-point values and its peaks (maxima, minima and argmaxima),
-and :func:`eval_blocks` merges the peaks by one rule, :func:`merge_peaks`.
+:func:`eval_blocks` in blocks of :data:`BLOCK` points, so its chart, tau and
+transform jets never span the whole grid.  Every grid command walks its grid
+that way: each block hands back the per-point values its caller reads and its
+peaks (maxima, minima and argmaxima), and :func:`eval_blocks` merges the peaks
+by one rule, :func:`merge_peaks`.
 """
 
 from __future__ import annotations
@@ -421,22 +421,24 @@ class BlockValues:
 
     points: np.ndarray  # (N, 2) parameter points, wrapped into the chart's domain
     cert: dict | None  # the merged frame certificate; None when not certified
-    taus: list[Jet2]  # the tau jets of the whole batch
     values: dict[str, np.ndarray]  # each array the body returned, over the batch
     peaks: dict | None  # the bodies' peaks, merged; None when no block had any
 
 
 def eval_blocks(
-    chart: CH.ChartSpec, points: np.ndarray, taus_at: Callable[[np.ndarray], list[Jet2]],
+    chart: CH.ChartSpec, points: np.ndarray, taus: list[tuple[E.TauExpr, int]],
     body: Callable, *, contact_tol: float | None = None, certify: bool = True, order: int = 2,
 ) -> BlockValues:
     """Walk a flat batch of parameter points through ``body``, block by block.
 
-    ``taus_at`` gives the tau jets of the whole batch at the wrapped points,
-    first, so no block is transformed before tau is known finite.  Blocks hold
-    :data:`BLOCK` points, half as many at ``order`` 3, whose jets are twice as
-    large.  ``body(frame, taus, key)`` gets a block's chart frame (jets of
-    ``order``), its slices of the tau jets and its slice ``key`` of the batch.
+    ``taus`` lists the expressions whose jets the body gets, each with its jet
+    order.  They are evaluated one block at a time, twice: a first walk only
+    checks that each in turn is finite over the whole batch, and drops the
+    jets, so no block is transformed before every tau is known finite; the
+    second hands each block's jets to its body.  Blocks hold :data:`BLOCK`
+    points, half as many at ``order`` 3, whose jets are twice as large.
+    ``body(frame, taus, key)`` gets a block's chart frame (jets of ``order``),
+    its tau jets and its slice ``key`` of the batch.
     It returns ``(values, peaks)``: a dict of per-point value arrays, written
     into whole-batch arrays, and the block's peaks (or None), which are merged
     over the blocks by :func:`merge_peaks`, as the blocks' frame certificates are.
@@ -450,15 +452,17 @@ def eval_blocks(
     flat = np.asarray(points, dtype=float)
     wrapped = chart.domain.wrap(flat)
     contact_tol = contact_tol or CH.default_contact_tol(chart)
+    size = BLOCK // 2 if order > 2 else BLOCK
+    keys = [slice(start, start + size) for start in range(0, len(flat), size)]
     error = cert = None
     try:
-        taus = taus_at(wrapped)
+        for expr, tau_order in taus:
+            for key in keys:
+                E.eval_at(expr, wrapped[key], tau_order)
     except DomainErrorJet as exc:
         error = exc  # raised once the chart has certified, as in a single pass
-    size = BLOCK // 2 if order > 2 else BLOCK
     values, peaks = {}, None
-    for start in range(0, len(flat), size):
-        key = slice(start, start + size)
+    for key in keys:
         if not certify:
             frame = CH.lift(chart, flat[key], order)
         else:
@@ -469,7 +473,9 @@ def eval_blocks(
             except (ContactViolation, NotImmersed) as exc:
                 error = error or exc  # the whole batch's record fails too
         if error is None:
-            block, block_peaks = body(frame, [t.batch(key) for t in taus], key)
+            tau_jets = [E.eval_at(expr, wrapped[key], tau_order) for expr, tau_order in taus]
+            block, block_peaks = body(frame, tau_jets, key)
+            del tau_jets
             for k in list(block):
                 if k not in values:
                     values[k] = np.empty((len(flat),) + block[k].shape[1:], block[k].dtype)
@@ -481,13 +487,12 @@ def eval_blocks(
         L.judge_frame(cert, contact_tol)
     if error is not None:
         raise error
-    return BlockValues(wrapped, cert, taus, values, peaks)
+    return BlockValues(wrapped, cert, values, peaks)
 
 
 # ---------- grid-level runner ----------
 
-# fields.csv columns kept from each block (tau comes from the whole-grid pass)
-_FIELDS = ("a", "b", "mu2", "alpha_u", "alpha_v", "dalpha_abs")
+# the residuals of pointwise_residuals that fields.csv carries
 _POINTWISE = ("eq6", "eq9", "eq13")
 # residuals that verify the construction but are not gated
 _SUPPORTING = (
@@ -510,10 +515,7 @@ class GridRun:
     frame_cert: dict
     singular: np.ndarray  # (N,) points failing the regularity screen
     min_det: float
-    f: np.ndarray  # (N, m+4) values of f
-    f_hat: np.ndarray  # (N, m+4) values of f_hat, NaN at singular points
-    fields: dict[str, np.ndarray]  # tau and the _FIELDS columns of fields.csv
-    pointwise: dict[str, np.ndarray]  # eq6/eq9/eq13, NaN at singular points
+    columns: dict[str, np.ndarray]  # what the caller's ``columns`` kept; empty without it
     max_dalpha: float
     dalpha_argmax: tuple
     max_alpha: float
@@ -523,33 +525,42 @@ class GridRun:
     reconstruction: dict
 
 
+def field_columns(res: TransformResult, pw: dict | None, reg: np.ndarray) -> dict:
+    """What ``transform`` writes of a block: the first four components of f
+    and f_hat, then the fields.csv columns in file order, the last ones the
+    _POINTWISE residuals of ``pw`` (NaN off ``reg``, the regular points)."""
+    alpha = res.alpha.value
+    cols = {"f": res.frame.f.value[:, :4], "f_hat": res.f_hat.value[:, :4]}
+    cols |= {"tau": res.tau.value, "a": res.a.value, "b": res.b.value, "mu2": res.mu2.value}
+    cols |= {"alpha_u": alpha[..., 0], "alpha_v": alpha[..., 1]}
+    cols["dalpha_abs"] = np.abs(dalpha_components(res)[..., 0])
+    for key in _POINTWISE:
+        cols[f"res_{key}"] = np.full(reg.shape, np.nan)
+        if pw is not None:
+            cols[f"res_{key}"][reg] = pw[key]
+    return cols
+
+
 def _run_block(
-    frame: LegendreFrame, tau: Jet2, start: int, det_rel_tol: float
+    frame: LegendreFrame, tau: Jet2, start: int, det_rel_tol: float, columns: Callable | None
 ) -> tuple[dict, dict | None]:
     """Transform and verify one block; ``start`` is its first flat grid index.
 
     Returns the block's values, and its peaks (None: no regular point).  The
-    reverse transform's singular mask is a value, False off the regular points.
+    values are what the verdicts read (the regularity masks and ``det``), and
+    ``columns(res, pw, reg)`` of the caller, if given (``pw`` is None when no
+    point is regular).  The reverse transform's singular mask is a value,
+    False off the regular points.
     """
     res = transform(frame, tau, det_rel_tol=det_rel_tol)
     reg = ~res.metric.singular
     values = {
         "singular": res.metric.singular,
         "det": res.metric.det,
-        "f": frame.f.value,
-        "f_hat": res.f_hat.value,
-        "a": res.a.value,
-        "b": res.b.value,
-        "mu2": res.mu2.value,
-        "alpha_u": res.alpha.value[..., 0],
-        "alpha_v": res.alpha.value[..., 1],
-        "dalpha_abs": np.abs(dalpha_components(res)[..., 0]),  # the _FIELDS
+        "back_singular": np.zeros(reg.shape, bool),
     }
-    for key in _POINTWISE:
-        values[key] = np.full(reg.shape, np.nan)
-    values["back_singular"] = np.zeros(reg.shape, bool)
     if not reg.any():
-        return values, None
+        return values | (columns(res, None, reg) if columns else {}), None
     max_da, arg = ribaucour_residual(res)  # (-inf, None) is judged on the merged blocks
     peaks = {"dalpha": (max_da, None if arg is None else start + arg[0])}
     peaks["max_alpha"] = max_abs_alpha(res)
@@ -562,8 +573,8 @@ def _run_block(
     pw = pointwise_residuals(clean, ah)
     peaks["suite"] = residual_suite(pw)
     peaks["curvature"] = curvature_identity(clean, ah)
-    for key in _POINTWISE:
-        values[key][reg] = pw[key]
+    if columns:
+        values |= columns(res, pw, reg)
     del pw, ah  # would otherwise stay live through reconstruct's peak
     peaks["reconstruction"] = reconstruct(clean)[1]
     values["back_singular"][reg] = peaks["reconstruction"].pop("back_singular")
@@ -579,6 +590,7 @@ def run_grid(
     det_rel_tol: float = DET_REL_TOL,
     involution_tol: float = 1e-8,
     contact_tol: float | None = None,
+    columns: Callable | None = None,
 ) -> GridRun:
     """Evaluate, transform, and verify a scene on a batch of points.
 
@@ -586,23 +598,26 @@ def run_grid(
     and peaks, and the peaks are merged by :func:`merge_peaks` alone (the
     closedness argmax keeps the first index on ties).  Every check is judged
     on merged values in the order of a single pass (chart, certification, tau,
-    regularity, reconstruction).
+    regularity, reconstruction).  Per point, only what the verdicts read is
+    kept, and what ``columns`` returns (see :func:`_run_block` and
+    :func:`field_columns`).
     """
     pts = np.asarray(points, dtype=float)
     grid_shape = tuple(int(n) for n in pts.shape[:-1])
     run = eval_blocks(
-        chart, pts.reshape(-1, pts.shape[-1]), lambda p: [E.eval_at(tau_expr, p)],
-        lambda frame, taus, key: _run_block(frame, taus[0], key.start, det_rel_tol),
+        chart, pts.reshape(-1, pts.shape[-1]), [(tau_expr, 2)],
+        lambda frame, taus, key: _run_block(frame, taus[0], key.start, det_rel_tol, columns),
         contact_tol=contact_tol,
     )
     v, peaks = run.values, run.peaks
-    if v["singular"].all():
-        _raise_not_regular(v["singular"], run.points, "congruence metric")
+    singular, det, back_singular = (v.pop(k) for k in ("singular", "det", "back_singular"))
+    if singular.all():
+        _raise_not_regular(singular, run.points, "congruence metric")
     max_da, argmax = peaks["dalpha"]
     if argmax is None:
         raise NotRegular("no regular points in the batch")
-    reg = ~v["singular"]
-    recon = peaks["reconstruction"] | {"back_singular": v["back_singular"][reg]}
+    reg = ~singular
+    recon = peaks["reconstruction"] | {"back_singular": back_singular[reg]}
     judge_reconstruction(recon, run.points[reg], tol=involution_tol)
     curv = peaks["curvature"]
     curv["rel"] = curv["abs"] / curv["scale"] if curv["scale"] > 0 else 0.0
@@ -611,12 +626,9 @@ def run_grid(
         grid_shape=grid_shape,
         points=run.points,
         frame_cert=run.cert,
-        singular=v["singular"],
-        min_det=float(np.nanmin(np.abs(v["det"]))),
-        f=v["f"],
-        f_hat=v["f_hat"],
-        fields={"tau": run.taus[0].value, **{k: v[k] for k in _FIELDS}},
-        pointwise={k: v[k] for k in _POINTWISE},
+        singular=singular,
+        min_det=float(np.nanmin(np.abs(det))),
+        columns=v,
         max_dalpha=max_da,
         dalpha_argmax=(argmax,),
         max_alpha=peaks["max_alpha"],

@@ -489,32 +489,36 @@ def test_classification_stable_under_refinement(square_torus, n):
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
 
-def _scene_run(name, monkeypatch, block, grid=(20, 19), **overrides):
+def _scene_run(name, monkeypatch, block, grid=(20, 19), columns=None, **overrides):
     """run_grid on a shipped scene with ``RB.BLOCK`` set to ``block``."""
     obj = json.loads((SCENES / name).read_text(encoding="utf-8"))
     obj.update(overrides)
     scene = cli.scene_from_json(obj)
     monkeypatch.setattr(RB, "BLOCK", block)
     points = Grid(*grid, scene.chart.domain).points()
-    return RB.run_grid(scene.chart, scene.tau, points)
+    return RB.run_grid(scene.chart, scene.tau, points, columns=columns)
 
 
 @pytest.mark.parametrize("name", ["check_sinu.json", "check_sinusinv.json", "check_custom.json"])
 def test_blocks_cannot_change_results(name, monkeypatch):
     # 20 x 19 = 380 points: ten blocks of 37 and a last one of 10
-    whole = _scene_run(name, monkeypatch, 380)
-    split = _scene_run(name, monkeypatch, 37)
+    whole = _scene_run(name, monkeypatch, 380, columns=RB.field_columns)
+    split = _scene_run(name, monkeypatch, 37, columns=RB.field_columns)
     assert RB.diagnostic_report(split) == RB.diagnostic_report(whole)
     assert split.frame_cert == whole.frame_cert
     assert split.residuals == whole.residuals
     assert split.curvature == whole.curvature
-    for key in ("points", "singular", "f", "f_hat"):
+    for key in ("points", "singular"):
         np.testing.assert_array_equal(getattr(split, key), getattr(whole, key))
-    for cols in ("fields", "pointwise"):
-        a, b = getattr(split, cols), getattr(whole, cols)
-        assert list(a) == list(b)
-        for key in a:
-            np.testing.assert_array_equal(a[key], b[key])  # NaN == NaN here
+    a, b = split.columns, whole.columns
+    assert list(a) == list(b)
+    for key in a:
+        np.testing.assert_array_equal(a[key], b[key])  # NaN == NaN here
+    # check keeps no per-point column, and its verdicts are the same
+    bare = _scene_run(name, monkeypatch, 37)
+    assert bare.columns == {}
+    assert RB.diagnostic_report(bare) == RB.diagnostic_report(whole)
+    np.testing.assert_array_equal(bare.singular, whole.singular)
 
 
 def _with_chart(name, overrides):
@@ -728,6 +732,8 @@ NON_PERIODIC_TORUS = {
             {"chart": NON_PERIODIC_TORUS, "tau1": "1 + (v - 3.9623398775743413)^2"},
             NotRegular,
         ),
+        # tau1 overflows only in the last rows of u, after earlier blocks were transformed
+        ("demoulin_sinu.json", {"tau1": "2 + exp(exp(exp(u-4)))"}, DomainErrorJet),
     ],
 )
 def test_family_blocks_raise_what_the_whole_grid_raises(name, overrides, kind, monkeypatch):
@@ -738,22 +744,33 @@ def test_family_blocks_raise_what_the_whole_grid_raises(name, overrides, kind, m
     np.testing.assert_array_equal(split[3], whole[3])
 
 
+def _command_peak(command, scene, n, tmp_path):
+    """Peak traced allocation of one CLI run on an n x n grid."""
+    out = str(tmp_path / str(n))
+    argv = [command, "--scene", str(SCENES / scene), "--grid", f"{n}x{n}", "--out", out]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize(
     "command, scene", [("export", "check_sinu.json"), ("demoulin", "demoulin_sinu.json")]
 )
 def test_command_memory_does_not_grow_with_the_grid(command, scene, tmp_path):
-    def peak(n):
-        out = str(tmp_path / str(n))
-        argv = [command, "--scene", str(SCENES / scene), "--grid", f"{n}x{n}", "--out", out]
-        tracemalloc.start()
-        try:
-            cli.main(argv)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    small, large = peak(64), peak(128)  # one block against four
+    small = _command_peak(command, scene, 64, tmp_path)
+    large = _command_peak(command, scene, 128, tmp_path)  # one block against four
     assert large < 1.5 * small
+
+
+def test_check_memory_is_flat_in_the_grid(tmp_path):
+    # check keeps per point only the regularity masks and det G, and evaluates
+    # tau one block at a time, so nine blocks peak close to one
+    small = _command_peak("check", "check_sinu.json", 64, tmp_path)
+    large = _command_peak("check", "check_sinu.json", 192, tmp_path)
+    assert large < 1.25 * small
 
 
 def test_run_grid_memory_does_not_grow_with_the_grid(square_torus):
