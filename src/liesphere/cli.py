@@ -277,21 +277,20 @@ def cmd_demoulin(scene: Scene, out: Path, json_mode: bool) -> int:
         )
     dual = D.dual_family_step(family) if scene.dual else None
     # per-theta artifacts: representative-function grids and member meshes; each
-    # mesh is written as its member is built, so meshes are not all held at once
+    # mesh is written as its member is reported, in theta order
     out.mkdir(parents=True, exist_ok=True)
     member_cols: dict[str, np.ndarray] = {}
 
     def write(member):
         k = len(member_cols)
         member_cols[f"tau_theta_{k}"] = member.tau
-        fh4 = member.f_hat[:, :4].reshape(grid.shape + (4,))
+        fh4 = member.f_hat.reshape(grid.shape + (4,))
         G.export_obj(out / f"fhat_theta_{k}.obj", fh4, grid, drop=member.mask)
 
     report = D.family_report(
         family, scene.thetas, dual=dual, closedness_rel_tol=tol.member_closedness, each=write
     )
-    parallel = D.parallel_sections(family)
-    report["parallel_residual"] = parallel
+    parallel = report["parallel_residual"]
     G.write_fields_csv(out / "family_fields.csv", grid, member_cols)
     report["theta_meshes"] = {f"fhat_theta_{k}.obj": float(t) for k, t in enumerate(scene.thetas)}
 

@@ -24,8 +24,9 @@ chart whose transforms exist, this module builds:
   w = ln(tau0 - tau_hat_0) along grid lines with RK4 stages evaluated exactly
   at mid-edge points; tau_hat_0 itself is tau0 - e^w and is not kept.
 
-Each of these walks its grid in blocks of :func:`ribaucour.eval_blocks`; the
-family and its members keep per-point values, and no jet but tau0, tau1.
+Each of these walks its grid in blocks of :func:`ribaucour.eval_blocks`, and
+keeps per-point values, never jets; every member and the parallel sections
+share one walk, :func:`member_pass`.
 """
 
 from __future__ import annotations
@@ -216,16 +217,11 @@ class FamilyMember:
     theta: float
     tau: np.ndarray  # (N,) values of tau_theta, NaN under the mask
     mask: np.ndarray  # True where the denominator (or regularity) fails
-    f_hat: np.ndarray  # (N, m+4) values of f_hat; garbage under the mask
-    singular: np.ndarray  # points failing the member's regularity screen
+    f_hat: np.ndarray  # (N, 4) first four components of f_hat; garbage under the mask
     max_dalpha: float  # max |d alpha| off the mask; -inf when no point is left
     max_alpha: float  # max |alpha| off the mask
-    denominator_masked: int = 0
-    regularity_masked: int = 0
-
-    @property
-    def masked_fraction(self) -> float:
-        return float(self.mask.mean())
+    denominator_masked: int  # points masked by the denominator
+    regularity_masked: int  # further points where the member's transform is singular
 
 
 @dataclass
@@ -236,13 +232,11 @@ class DemoulinFamily:
     grid: Grid
     tau0_expr: E.TauExpr
     tau1_expr: E.TauExpr
-    tau0: Jet2
-    tau1: Jet2
+    tau: tuple[np.ndarray, np.ndarray]  # (N,) values of tau0, tau1
     alpha: tuple[np.ndarray, np.ndarray]  # (N, m) components of alpha
     alpha_partials: tuple[np.ndarray, np.ndarray]  # (N, m, m); [:, i, j] is d_j alpha_i
     f_hat: tuple[np.ndarray, np.ndarray]  # (N, m+4) values of f_hat
-    tilde0: Potential
-    tilde1: Potential
+    tilde: tuple[Potential, Potential]  # tau_tilde_0, tau_tilde_1
     r_relation_residual: float  # both connection operators, merged by max
     r_symmetry_residual: float
     bianchi: BianchiReport
@@ -253,11 +247,10 @@ class DemoulinFamily:
     def tilde_jet(self, which: int, key: slice) -> Jet2:
         """2-jet of a potential at the flat grid points ``key``: grid values,
         exact gradient -alpha, exact Hessian -(symmetrized d alpha)."""
-        pot = self.tilde0 if which == 0 else self.tilde1
-        value = pot.data.reshape(-1)[key]
+        value = self.tilde[which].data.reshape(-1)[key]
         grad = -np.moveaxis(self.alpha[which][key], -1, 0)
         P = self.alpha_partials[which][key]
-        m = self.tau0.m
+        m = P.shape[-1]
         hess = np.empty((m * (m + 1) // 2,) + value.shape)
         for i in range(m):
             for j in range(i, m):
@@ -275,7 +268,7 @@ def _generators_block(frame: L.LegendreFrame, taus: list[Jet2], det_rel_tol: flo
     results = [RB.transform(frame, tau, det_rel_tol=det_rel_tol) for tau in taus]
     values, peaks = {}, {}
     for k, res in enumerate(results):
-        values[f"tau{k}"] = np.concatenate([taus[k].value[None], taus[k].grad, taus[k].hess]).T
+        values[f"tau{k}"] = taus[k].value
         values[f"singular{k}"] = res.metric.singular
         values[f"f_hat{k}"] = res.f_hat.value
         values[f"alpha{k}"] = res.alpha.value
@@ -326,11 +319,9 @@ def build_family(
         contact_tol=contact_tol,
     )
     v, peaks = run.values, run.peaks
-    # each generator's tau jet, from its (value, gradient, Hessian) columns
-    rows = [np.ascontiguousarray(v.pop(f"tau{k}").T) for k in (0, 1)]
-    tau0, tau1 = (Jet2(r[0], r[1:3], r[3:], 2) for r in rows)
-    diff = np.abs(tau0.value - tau1.value)
-    scale = 1.0 + max(float(np.max(np.abs(tau0.value))), float(np.max(np.abs(tau1.value))))
+    tau = (v.pop("tau0"), v.pop("tau1"))
+    diff = np.abs(tau[0] - tau[1])
+    scale = 1.0 + max(float(np.max(np.abs(tau[0]))), float(np.max(np.abs(tau[1]))))
     if np.min(diff) < DISTINCT_REL_TOL * scale:
         raise NotPointwiseDistinct(
             f"tau0 and tau1 differ by only {float(np.min(diff)):.3e} somewhere"
@@ -348,12 +339,12 @@ def build_family(
 
     alpha = (v["alpha0"], v["alpha1"])
     partials = (v["partials0"], v["partials1"])
-    tilde0, tilde1 = (integrate_potential(grid, a, p) for a, p in zip(alpha, partials))
+    tilde = tuple(integrate_potential(grid, a, p) for a, p in zip(alpha, partials))
     if "ill_posed" in peaks:
         raise IllPosed(ILL_POSED)
     return DemoulinFamily(
-        chart, grid, tau0_expr, tau1_expr, tau0, tau1, alpha, partials,
-        (v["f_hat0"], v["f_hat1"]), tilde0, tilde1, peaks["relation"],
+        chart, grid, tau0_expr, tau1_expr, tau, alpha, partials,
+        (v["f_hat0"], v["f_hat1"]), tilde, peaks["relation"],
         peaks["symmetry"], BianchiReport(peaks["commutator"], peaks["wedge"]),
         {label: peaks[label] for label in ("tau0", "tau1")}, contact_tol, det_rel_tol,
     )
@@ -367,118 +358,114 @@ def _snap_trig(theta: float) -> tuple[float, float]:
     return float(np.cos(theta)), float(np.sin(theta))
 
 
-def demoulin_tau(family: DemoulinFamily, theta: float) -> FamilyMember:
-    """Member of the family at angle theta, with its transform; singular points masked.
+def demoulin_tau(frame: L.LegendreFrame, taus, exps, c: float, s: float, eps: float,
+                 det_rel_tol: float) -> tuple[dict, dict]:
+    """The member at cos/sin ``c``, ``s`` on one block, from the generators'
+    jets ``taus`` and ``exps`` = (e^{t0~}, e^{t1~}): its values and closedness.
 
-    theta = 0 returns tau0 bit-for-bit and theta = pi/2 returns tau1, each
-    with the generator's values; other angles combine the generators through
-    the potentials, block by block in :func:`ribaucour.eval_blocks`, on the
-    chart the family certified.  Points where the denominator falls under the
-    scale-aware threshold are masked, as are points where the member itself
-    destroys regularity; a member masked on more than half the grid raises
-    :class:`FullyMasked`.
+    Points where the denominator falls under ``eps`` are ``masked``; the
+    ``mask`` adds those where the member's own transform is singular, and tau
+    is NaN under it.
     """
-    grid = family.grid
-    n = grid.nu * grid.nv
-    c, s = _snap_trig(float(theta))
+    num = c * exps[1] * taus[0] + s * exps[0] * taus[1]
+    den = c * exps[1] + s * exps[0]
+    masked = np.abs(den.value) < eps
+    tau_theta = num / Jet2(np.where(masked, 1.0, den.value), den.grad, den.hess, den.m)
+    del num, den  # not live through the transform's peak
+    res = RB.transform(frame, tau_theta, det_rel_tol=det_rel_tol)
+    mask = masked | res.metric.singular
+    values = {"tau": np.where(mask, np.nan, tau_theta.value), "mask": mask, "masked": masked}
+    values["f_hat"] = res.f_hat.value[:, :4].copy()  # not a view that keeps all of f_hat
+    return values, {"max_dalpha": RB.ribaucour_residual(res, mask)[0],
+                    "max_alpha": RB.max_abs_alpha(res, mask)}
 
-    if s == 0.0 or c == 0.0:
-        k = 0 if s == 0.0 else 1
-        tau = family.tau0 if k == 0 else family.tau1
-        cert = family.certification[f"tau{k}"]
-        return FamilyMember(
-            theta, np.array(tau.value, copy=True), np.zeros(n, bool),
-            family.f_hat[k], np.zeros(n, bool), cert["max_dalpha"], cert["max_alpha"],
-        )
 
+def parallel_sections(frame: L.LegendreFrame, taus, exps, f_hats) -> float:
+    """The parallelism residual of the scaled sections of the two congruences on one block.
+
+    sigma_i = u_i (xi - tau_i f - tau_i t0 + t1) with u_i = e^{tau_tilde_j} / (tau_i - tau_j)
+    is parallel when (d sigma_i, f_hat_j + t0) = 0 for the complementary index j; the
+    residual is its largest magnitude.  Only first partials are read, so f and xi are taken
+    at order 1; ``taus`` and ``exps`` are as for :func:`demoulin_tau`.
+    """
+    f, xi = (x.truncate(1) for x in (frame.f, frame.xi))
+    w = 0.0
+    for i, j in ((0, 1), (1, 0)):
+        ui = exps[j] / (taus[i] - taus[j])
+        sigma = ui.vec() * L.light_cone_section(f, xi, taus[i])
+        hat = f_hats[j] + t0_jet(frame.m)
+        for k in range(frame.m):
+            w = max(w, float(np.max(np.abs(L.inner_value(sigma.grad[k], hat)))))
+    return w
+
+
+def member_pass(family: DemoulinFamily, thetas) -> tuple[list[FamilyMember], float]:
+    """The members at ``thetas`` and the parallel residual, in one walk of the grid.
+
+    Each block evaluates tau0, tau1 and e^{tau_tilde_i} once, for
+    :func:`demoulin_tau` at every theta off the endpoints and for
+    :func:`parallel_sections`.  An endpoint member (theta a multiple of pi/2)
+    is that walk's tau0 or tau1, with the generator's f_hat and closedness.
+    """
+    trig = [_snap_trig(float(theta)) for theta in thetas]
     # the mask threshold is scaled by the grid-wide maxima of e^tau_tilde
-    eps = MASK_EPS_REL * (
-        float(np.exp(family.tilde0.data.max())) + float(np.exp(family.tilde1.data.max()))
-    )
+    eps = MASK_EPS_REL * sum(float(np.exp(pot.data.max())) for pot in family.tilde)
 
-    def body(frame, _, key):
-        taus = [family.tau0.batch(key), family.tau1.batch(key)]
-        e0 = J.exp(family.tilde_jet(0, key))
-        e1 = J.exp(family.tilde_jet(1, key))
-        num = c * e1 * taus[0] + s * e0 * taus[1]
-        den = c * e1 + s * e0
-        masked = np.abs(den.value) < eps
-        tau_theta = num / Jet2(np.where(masked, 1.0, den.value), den.grad, den.hess, den.m)
-        # regularity of the member itself: the transform's metric screen
-        res = RB.transform(frame, tau_theta, det_rel_tol=family.det_rel_tol)
-        off = masked | res.metric.singular
-        values = {"tau": tau_theta.value, "masked": masked, "singular": res.metric.singular}
-        closed = {
-            "max_dalpha": RB.ribaucour_residual(res, off)[0],
-            "max_alpha": RB.max_abs_alpha(res, off),
-        }
-        return values | {"f_hat": res.f_hat.value}, closed
+    def body(frame, taus, key):
+        exps = [J.exp(family.tilde_jet(k, key)) for k in (0, 1)]
+        values, peaks = {}, {}
+        for i, (c, s) in enumerate(trig):
+            if s == 0.0 or c == 0.0:  # an endpoint
+                values[f"tau{i}"] = taus[0 if s == 0.0 else 1].value
+                continue
+            block, peaks[f"member{i}"] = demoulin_tau(
+                frame, taus, exps, c, s, eps, family.det_rel_tol
+            )
+            values |= {f"{name}{i}": val for name, val in block.items()}
+        f_hats = [fh[key] for fh in family.f_hat]
+        return values, peaks | {"parallel": parallel_sections(frame, taus, exps, f_hats)}
 
-    run = RB.eval_blocks(family.chart, grid.points().reshape(-1, 2), [], body, certify=False)
+    taus = [(family.tau0_expr, 2), (family.tau1_expr, 2)]
+    points = family.grid.points().reshape(-1, 2)
+    run = RB.eval_blocks(family.chart, points, taus, body, certify=False)
     v, peaks = run.values, run.peaks
-    mask = v["masked"] | v["singular"]
-    if mask.mean() > 0.5:
-        raise FullyMasked(
-            f"family member theta={theta!r} singular on {mask.mean():.0%} of the grid"
-        )
-    return FamilyMember(
-        theta,
-        np.where(mask, np.nan, v["tau"]),
-        mask,
-        v["f_hat"],
-        v["singular"],
-        peaks["max_dalpha"],
-        peaks["max_alpha"],
-        denominator_masked=int(v["masked"].sum()),
-        regularity_masked=int((v["singular"] & ~v["masked"]).sum()),
-    )
+    members = []
+    for i, (theta, (c, s)) in enumerate(zip(thetas, trig)):
+        tau, peak = v.pop(f"tau{i}"), peaks.get(f"member{i}")
+        if peak is None:  # an endpoint, with the generator's f_hat and closedness
+            k = 0 if s == 0.0 else 1
+            f_hat, peak = family.f_hat[k][:, :4], family.certification[f"tau{k}"]
+            mask = masked = np.zeros(len(tau), bool)
+        else:
+            f_hat, mask, masked = (v.pop(f"{k}{i}") for k in ("f_hat", "mask", "masked"))
+        members.append(FamilyMember(
+            float(theta), tau, mask, f_hat, peak["max_dalpha"], peak["max_alpha"],
+            int(masked.sum()), int(mask.sum() - masked.sum()),
+        ))
+    return members, peaks["parallel"]
 
 
 def member_closedness(member: FamilyMember, rel_tol: float = RB.CLOSEDNESS_REL_TOL) -> dict:
-    """Closedness re-verification of one member on its unmasked set, and its mask counts."""
+    """Closedness re-verification of one member on its unmasked set, and its mask counts.
+
+    A member masked on more than half the grid raises :class:`FullyMasked`.
+    """
+    frac = float(member.mask.mean())
+    if frac > 0.5:
+        raise FullyMasked(
+            f"family member theta={member.theta!r} singular on {frac:.0%} of the grid"
+        )
     if member.max_dalpha == -np.inf:
         raise NotRegular("no regular points in the batch")
     return {
         "theta": float(member.theta),
-        "masked_fraction": member.masked_fraction,
+        "masked_fraction": frac,
         "denominator_masked": member.denominator_masked,
         "regularity_masked": member.regularity_masked,
         "max_dalpha": member.max_dalpha,
         "max_alpha": member.max_alpha,
         "ribaucour": RB.classify_ribaucour(member.max_dalpha, member.max_alpha, rel_tol),
     }
-
-
-# ---------- parallel sections ----------
-
-
-def parallel_sections(family: DemoulinFamily) -> float:
-    """The parallelism residual of the scaled sections of the two congruences.
-
-    sigma_i = u_i (xi - tau_i f - tau_i t0 + t1) with
-    u_i = e^{tau_tilde_j} / (tau_i - tau_j); the criterion is
-    (d sigma_i, f_hat_j + t0) = 0 for the complementary index j, and the
-    residual is its largest magnitude.  It reads first partials only, so the
-    chart is lifted at order 1.
-    """
-    m = family.tau0.m
-    t0 = t0_jet(m)
-
-    def body(frame, _, key):
-        taus = [family.tau0.batch(key), family.tau1.batch(key)]
-        w = 0.0
-        for i, j in ((0, 1), (1, 0)):
-            ui = J.exp(family.tilde_jet(j, key)) / (taus[i] - taus[j])
-            sigma = ui.vec() * L.light_cone_section(frame.f, frame.xi, taus[i])
-            hat = family.f_hat[j][key] + t0
-            for k in range(m):
-                w = max(w, float(np.max(np.abs(L.inner_value(sigma.grad[k], hat)))))
-        return {}, {"residual": w}
-
-    run = RB.eval_blocks(
-        family.chart, family.grid.points().reshape(-1, 2), [], body, certify=False, order=1
-    )
-    return run.peaks["residual"]
 
 
 # ---------- the dual family step ----------
@@ -504,11 +491,9 @@ def _dual_fields(family: DemoulinFamily, points: np.ndarray, order: int = 2) -> 
     names the first singular point of the flattened ``points``, for the first
     transform first.
     """
-    m = family.tau0.m
-    t0 = t0_jet(m)
-
     def body(frame, taus, key):
         tau0, tau1 = taus
+        m, t0 = frame.m, t0_jet(frame.m)
         f, xi = (x.truncate(order - 1) for x in (frame.f, frame.xi))
         res0 = RB.transform(frame, tau0, det_rel_tol=family.det_rel_tol)
         res1 = RB.transform(
@@ -647,25 +632,24 @@ def family_report(
 ) -> dict:
     """JSON-ready family report; members are classified at ``closedness_rel_tol``.
 
-    Each member is built once and handed to ``each(member)`` when given; only
-    its record is kept, so members are not all held at once.
+    The members and the parallel residual come from one :func:`member_pass`.
+    The members are judged in theta order and each is handed to ``each(member)``
+    when given, so one that raises leaves those before it handed over.  An
+    endpoint's tau, from that pass, must equal the values build_family kept.
     """
+    built, parallel = member_pass(family, thetas)
     members = []
     endpoints_ok = True
-    for theta in thetas:
-        member = demoulin_tau(family, float(theta))
+    for member in built:
         rec = member_closedness(member, closedness_rel_tol)
-        for label, at, tau in (("tau0", 0.0, family.tau0), ("tau1", HALF_PI, family.tau1)):
+        for k, (label, at) in enumerate((("tau0", 0.0), ("tau1", HALF_PI))):
             if member.theta == at:
                 rec["endpoint"] = label
-                endpoints_ok &= np.array_equal(member.tau, tau.value)
+                endpoints_ok &= np.array_equal(member.tau, family.tau[k])
         members.append(rec)
         if each is not None:
             each(member)
-    periods = [
-        *family.tilde0.period_residuals.values(),
-        *family.tilde1.period_residuals.values(),
-    ]
+    periods = [r for pot in family.tilde for r in pot.period_residuals.values()]
     rep = {
         "tau0_src": E.to_source(family.tau0_expr),
         "tau1_src": E.to_source(family.tau1_expr),
@@ -673,14 +657,13 @@ def family_report(
         "bianchi_norm": family.bianchi.commutator_max,
         "bianchi_wedge": family.bianchi.wedge_max,
         "endpoints_ok": bool(endpoints_ok),
-        "potential_loop_residual": max(
-            family.tilde0.loop_residual, family.tilde1.loop_residual
-        ),
+        "potential_loop_residual": max(pot.loop_residual for pot in family.tilde),
         # null when no axis is periodic
         "potential_period_residual": max(periods) if periods else None,
         "r_relation_residual": family.r_relation_residual,
         "r_symmetry_residual": family.r_symmetry_residual,
         "members": members,
+        "parallel_residual": parallel,
     }
     if dual is not None:
         rep["dual"] = {

@@ -102,10 +102,9 @@ def _raise_not_regular(singular: np.ndarray, points: np.ndarray, what: str):
     if not singular.any():
         return
     idx = tuple(int(k) for k in np.argwhere(singular)[0])
-    pt = points[idx] if points is not None else None
+    pt = points[idx]
     raise NotRegular(
-        f"{what} degenerates at batch index {idx}"
-        + (f", parameter point {np.round(pt, 6).tolist()}" if pt is not None else ""),
+        f"{what} degenerates at batch index {idx}, parameter point {np.round(pt, 6).tolist()}",
         index=idx,
         point=pt,
     )
@@ -322,31 +321,30 @@ def residual_suite(pointwise: dict[str, np.ndarray]) -> dict:
     return res
 
 
-def reconstruct(result: TransformResult) -> tuple[LegendreFrame, dict]:
+def reconstruct(result: TransformResult, det_rel_tol: float) -> dict:
     """Transform the transformed frame with the same tau; must return home.
 
-    Returns the reconstructed frame plus diagnostics: the sup-norm frame
-    discrepancy, the residual of the reverse normal component identity
+    Returns diagnostics: the sup-norm discrepancy of the reconstructed frame,
+    the residual of the reverse normal component identity
     f_check_hat = f_check + mu^2 (f - f_hat), the length check
     |f_check_hat| = mu, the transformed frame's certificate ``hat_cert`` and
     the mask ``back_singular`` of points where the reverse transform
-    degenerates.  Nothing is judged here: :func:`judge_reconstruction` raises
-    on the diagnostics, once those of every block are merged.
+    degenerates under the regularity screen at ``det_rel_tol``.  Nothing is
+    judged here: :func:`judge_reconstruction` raises on the diagnostics, once
+    those of every block are merged.
     """
     frame = result.frame
     hat_frame = L.lift_frame(result.f_hat, result.xi_hat, frame.points, judge=False)
-    back = transform(hat_frame, result.tau)
+    back = transform(hat_frame, result.tau, det_rel_tol=det_rel_tol)
     inv_f = _vmax(back.f_hat.value - frame.f.value)
     inv_xi = _vmax(back.xi_hat.value - frame.xi.value)
-    diag = {
+    return {
         "involution": max(inv_f, inv_xi),
         "eq10": _vmax(back.f_check.value - f_check_hat(result).value),
         "mu_match": _vmax(lie_inner(back.f_check, back.f_check).value - result.mu2.value),
         "hat_cert": hat_frame.cert,
         "back_singular": back.metric.singular,
     }
-    recon = LegendreFrame(back.f_hat, back.xi_hat, frame.points, frame.m)
-    return recon, diag
 
 
 def judge_reconstruction(diag: dict, points: np.ndarray, *, tol: float = 1e-8) -> None:
@@ -365,8 +363,8 @@ def judge_reconstruction(diag: dict, points: np.ndarray, *, tol: float = 1e-8) -
         )
 
 
-def curvature_identity(result: TransformResult, ah: Jet2) -> dict:
-    """Compare (beta(f+t0) wedge beta(f_hat+t0)) against (1-a) d alpha.
+def curvature_identity(result: TransformResult, ah: Jet2) -> float:
+    """Max |(beta(f+t0) wedge beta(f_hat+t0)) - (1-a) d alpha| off the singular points.
 
     beta psi = d psi - psi * (its connection form), see
     :func:`corrected_differential`; the wedge pairs the 1-form slots and takes
@@ -378,13 +376,9 @@ def curvature_identity(result: TransformResult, ah: Jet2) -> dict:
     )
     rhs = (1.0 - result.a.value)[..., None] * dalpha_components(result)
     diff = np.abs(lhs - rhs)
-    mag = np.abs(lhs) + np.abs(rhs)
     if result.metric.singular.any():
         diff = np.where(result.metric.singular[..., None], np.nan, diff)
-        mag = np.where(result.metric.singular[..., None], np.nan, mag)
-    abs_res = float(np.nanmax(diff)) if diff.size else 0.0
-    scale = float(np.nanmax(mag)) if mag.size else 0.0
-    return {"abs": abs_res, "rel": abs_res / scale if scale > 0 else 0.0, "scale": scale}
+    return float(np.nanmax(diff)) if diff.size else 0.0
 
 
 # ---------- the block evaluator ----------
@@ -521,7 +515,7 @@ class GridRun:
     max_alpha: float
     ribaucour: bool
     residuals: dict
-    curvature: dict
+    curvature: float  # max curvature-identity residual
     reconstruction: dict
 
 
@@ -576,7 +570,7 @@ def _run_block(
     if columns:
         values |= columns(res, pw, reg)
     del pw, ah  # would otherwise stay live through reconstruct's peak
-    peaks["reconstruction"] = reconstruct(clean)[1]
+    peaks["reconstruction"] = reconstruct(clean, det_rel_tol)
     values["back_singular"][reg] = peaks["reconstruction"].pop("back_singular")
     return values, peaks
 
@@ -619,8 +613,6 @@ def run_grid(
     reg = ~singular
     recon = peaks["reconstruction"] | {"back_singular": back_singular[reg]}
     judge_reconstruction(recon, run.points[reg], tol=involution_tol)
-    curv = peaks["curvature"]
-    curv["rel"] = curv["abs"] / curv["scale"] if curv["scale"] > 0 else 0.0
     return GridRun(
         chart=chart,
         grid_shape=grid_shape,
@@ -634,7 +626,7 @@ def run_grid(
         max_alpha=peaks["max_alpha"],
         ribaucour=classify_ribaucour(max_da, peaks["max_alpha"], closedness_rel_tol),
         residuals=peaks["suite"],
-        curvature=curv,
+        curvature=peaks["curvature"],
         reconstruction=recon,
     )
 
@@ -658,7 +650,7 @@ def diagnostic_report(run: GridRun) -> dict:
             "eq10": run.reconstruction["eq10"],
             "eq13": run.residuals["eq13"],
             "involution": run.reconstruction["involution"],
-            "curvature_identity": run.curvature["abs"],
+            "curvature_identity": run.curvature,
         },
         "supporting_residuals": {  # null where not finite
             k: v if np.isfinite(v) else None for k, v in supporting.items()

@@ -73,7 +73,7 @@ def test_criterion_03_involution():
     worst_eq10 = 0.0
     for src in TAU_LIST:
         res, _ = _cache[src]
-        _, diag = RB.reconstruct(res)
+        diag = RB.reconstruct(res, RB.DET_REL_TOL)
         RB.judge_reconstruction(diag, res.frame.points, tol=1e-8)
         worst_inv = max(worst_inv, diag["involution"])
         worst_eq10 = max(worst_eq10, diag["eq10"], diag["mu_match"])
@@ -123,7 +123,7 @@ def test_criterion_06_identity_suite():
         res, suite = _cache[src]
         worst13 = max(worst13, suite["eq13"])
         worst9 = max(worst9, suite["eq9"])
-        worstcv = max(worstcv, RB.curvature_identity(res, RB.alpha_hat(res))["abs"])
+        worstcv = max(worstcv, RB.curvature_identity(res, RB.alpha_hat(res)))
     ok = worst13 < 1e-8 and worst9 < 1e-9 and worstcv < 1e-8
     _report(6, ok, f"sum rule {worst13:.2e} < 1e-8, differential identity "
                    f"{worst9:.2e} < 1e-9, curvature identity {worstcv:.2e} < 1e-8")
@@ -156,15 +156,14 @@ def test_criterion_08_bianchi_and_family():
     comm = family.bianchi.commutator_max
     worst_member = 0.0
     endpoints = True
-    for k in range(8):
-        member = D.demoulin_tau(family, k * np.pi / 8.0)
+    members, parallel = D.member_pass(family, [k * np.pi / 8.0 for k in range(8)])
+    for k, member in enumerate(members):
         rec = D.member_closedness(member)
         worst_member = max(worst_member, rec["max_dalpha"])
         if k == 0:
-            endpoints &= np.array_equal(member.tau, family.tau0.value)
+            endpoints &= np.array_equal(member.tau, family.tau[0])
         if k == 4:
-            endpoints &= np.array_equal(member.tau, family.tau1.value)
-    parallel = D.parallel_sections(family)
+            endpoints &= np.array_equal(member.tau, family.tau[1])
     elapsed = time.perf_counter() - t0
     ok = (
         comm < 1e-8

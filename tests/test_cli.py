@@ -8,6 +8,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -287,11 +288,10 @@ def test_transform_drops_degenerate_points_from_f_hat_obj(tmp_path):
     assert degenerate > 0 and meshes["dropped"] == degenerate
 
 
-def test_demoulin_builds_each_member_once(tmp_path, monkeypatch):
-    from liesphere import demoulin as D
+def test_demoulin_walks_the_members_once(tmp_path, monkeypatch):
     from liesphere import ribaucour as RB
 
-    calls = {"demoulin_tau": 0, "transform": 0}
+    calls = {"eval_blocks": 0, "transform": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -302,12 +302,40 @@ def test_demoulin_builds_each_member_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counting(D, "demoulin_tau")
+    counting(RB, "eval_blocks")
     counting(RB, "transform")
     scene = _shipped_scene(tmp_path, "demoulin_dual_2d.json", dual=False)
     assert cli.main(["demoulin", "--scene", str(scene), "--out", str(tmp_path / "o")]) == 0
-    # 8 members; two generator transforms plus one per member off the endpoints
-    assert calls == {"demoulin_tau": 8, "transform": 8}
+    # one walk for the generators and one for all 8 members and the parallel
+    # sections; two generator transforms plus one per member off the endpoints
+    assert calls == {"eval_blocks": 2, "transform": 8}
+
+
+def test_failing_member_leaves_the_meshes_before_it(tmp_path, capsys):
+    # tau0 = 0 and tau1 = 2 have equal potentials, so the denominator of the
+    # 3 pi / 4 member vanishes everywhere; the member before it is written
+    scene = _shipped_scene(
+        tmp_path, "demoulin_sinu.json", tau="0", tau1="2", grid=[16, 16],
+        thetas=[0.3, 3 * np.pi / 4, 1.0],
+    )
+    out = tmp_path / "out"
+    assert cli.main(["demoulin", "--scene", str(scene), "--out", str(out)]) == 1
+    assert "FullyMasked: family member theta=2.356194490192345" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["fhat_theta_0.obj"]
+
+
+def test_reverse_transform_honours_det_rel(tmp_path, capsys):
+    # tau = 1.000001 passes the forward screen at det_rel = 1e-14 (min |det|
+    # about 1e-12); the reverse transform must screen at the same tolerance
+    scene = _shipped_scene(
+        tmp_path, "check_sinu.json", tau="1.000001", grid=[16, 16],
+        tolerances={"det_rel": 1e-14},
+    )
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["check", "--scene", str(scene), "--out", str(out)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_member_verdict_uses_scene_tolerance(tmp_path, capsys):

@@ -36,7 +36,16 @@ def family_64(square_torus):
 def _generator(family, which):
     """A generator's frame and whole-grid transform; the family keeps only values."""
     frame = CH.eval_chart(family.chart, family.grid.points().reshape(-1, 2))
-    return frame, RB.transform(frame, family.tau0 if which == 0 else family.tau1)
+    return frame, RB.transform(frame, _tau_jets(family, frame)[which])
+
+
+def _tau_jets(family, frame):
+    """Both generators' tau jets at the frame's points."""
+    return [E.eval_at(expr, frame.points) for expr in (family.tau0_expr, family.tau1_expr)]
+
+
+def _member(family, theta):
+    return D.member_pass(family, [theta])[0][0]
 
 
 @pytest.fixture(scope="module")
@@ -62,17 +71,17 @@ def test_potential_matches_logarithm(family_64, square_torus):
     pts = grid.points()
     expected = np.log(1.0 + 0.3 * np.sin(pts[..., 0]))
     expected -= expected[0, 0]
-    assert np.max(np.abs(family_64.tilde0.data - expected)) < 1e-5
-    assert np.max(np.abs(family_64.tilde1.data)) == 0.0
-    assert family_64.tilde0.loop_residual < 1e-8
-    for res in family_64.tilde0.period_residuals.values():
+    assert np.max(np.abs(family_64.tilde[0].data - expected)) < 1e-5
+    assert np.max(np.abs(family_64.tilde[1].data)) == 0.0
+    assert family_64.tilde[0].loop_residual < 1e-8
+    for res in family_64.tilde[0].period_residuals.values():
         assert res < 1e-8
 
 
 def test_potential_discrete_gradient_reproduces_form(family_64):
     # -(central difference of tau_tilde) ~ alpha, O(h^2)
     grid = family_64.grid
-    vals = family_64.tilde0.data
+    vals = family_64.tilde[0].data
     alpha_u = _generator(family_64, 0)[1].alpha.value[:, 0].reshape(grid.shape)
     dd = (np.roll(vals, -1, axis=0) - np.roll(vals, 1, axis=0)) / (2 * grid.hu)
     assert np.max(np.abs(-dd - alpha_u)) < 1e-3
@@ -162,10 +171,9 @@ def test_bianchi_negative_control():
 
 
 def test_family_endpoints_bitwise(family_64):
-    m0 = D.demoulin_tau(family_64, 0.0)
-    m1 = D.demoulin_tau(family_64, np.pi / 2.0)
-    assert np.array_equal(m0.tau, family_64.tau0.value)
-    assert np.array_equal(m1.tau, family_64.tau1.value)
+    m0, m1 = D.member_pass(family_64, [0.0, np.pi / 2.0])[0]
+    assert np.array_equal(m0.tau, family_64.tau[0])
+    assert np.array_equal(m1.tau, family_64.tau[1])
 
 
 def test_family_of_constants(const_family):
@@ -174,7 +182,7 @@ def test_family_of_constants(const_family):
     # chart, so the samples stay away from it.
     c = 2.0
     for theta in (0.3, 0.9, 1.2):
-        member = D.demoulin_tau(const_family, theta)
+        member = _member(const_family, theta)
         expected = c * np.sin(theta) / (np.cos(theta) + np.sin(theta))
         vals = member.tau
         assert np.nanmax(np.abs(vals - expected)) < 1e-14
@@ -182,26 +190,24 @@ def test_family_of_constants(const_family):
 
 
 def test_family_quarter_turn_closed_form(family_64):
-    member = D.demoulin_tau(family_64, np.pi / 4.0)
+    member = _member(family_64, np.pi / 4.0)
     grid = family_64.grid
-    tau0 = family_64.tau0.value.reshape(grid.shape)
+    tau0 = family_64.tau[0].reshape(grid.shape)
     expected = (tau0 + 2.0 * (1.0 + tau0)) / (1.0 + (1.0 + tau0))
     diff = np.abs(member.tau - expected.reshape(-1))
     assert np.nanmax(diff) < 1e-5
 
 
 def test_family_members_stay_closed(family_64):
-    for k in range(8):
-        member = D.demoulin_tau(family_64, k * np.pi / 8.0)
+    for member in D.member_pass(family_64, [k * np.pi / 8.0 for k in range(8)])[0]:
         rec = D.member_closedness(member)
         assert rec["max_dalpha"] < 1e-7 * (1.0 + rec["max_alpha"])
         assert rec["masked_fraction"] <= 0.5
 
 
 def test_family_masks_are_reported(family_64):
-    member = D.demoulin_tau(family_64, 3.0 * np.pi / 4.0)
+    member, member2 = D.member_pass(family_64, [3.0 * np.pi / 4.0, np.pi / 4.0])[0]
     assert member.denominator_masked > 0
-    member2 = D.demoulin_tau(family_64, np.pi / 4.0)
     assert member2.regularity_masked > 0
 
 
@@ -211,13 +217,15 @@ def test_gauge_shift_reparametrizes_theta(family_64):
     c0, c1 = 0.4, -0.2
     shifted = dataclasses.replace(
         family_64,
-        tilde0=dataclasses.replace(family_64.tilde0, data=family_64.tilde0.data + c0),
-        tilde1=dataclasses.replace(family_64.tilde1, data=family_64.tilde1.data + c1),
+        tilde=tuple(
+            dataclasses.replace(pot, data=pot.data + c)
+            for pot, c in zip(family_64.tilde, (c0, c1))
+        ),
     )
     theta = 0.6
-    member_shifted = D.demoulin_tau(shifted, theta)
+    member_shifted = _member(shifted, theta)
     theta_prime = np.arctan2(np.sin(theta) * np.exp(c0), np.cos(theta) * np.exp(c1))
-    member_orig = D.demoulin_tau(family_64, theta_prime)
+    member_orig = _member(family_64, theta_prime)
     diff = np.abs(member_shifted.tau - member_orig.tau)
     assert np.nanmax(diff) < 1e-12
 
@@ -243,18 +251,18 @@ def test_fully_masked_member(const_family):
     # equal potentials everywhere: the denominator of the 3 pi / 4 member
     # vanishes on the whole grid
     with pytest.raises(FullyMasked):
-        D.demoulin_tau(const_family, 3.0 * np.pi / 4.0)
+        D.member_closedness(_member(const_family, 3.0 * np.pi / 4.0))
 
 
 # ---------- parallel sections ----------
 
 
 def test_parallel_sections_constants(const_family):
-    assert D.parallel_sections(const_family) < 1e-10
+    assert D.member_pass(const_family, [])[1] < 1e-10
 
 
 def test_parallel_sections_general(family_64):
-    assert D.parallel_sections(family_64) < 1e-7
+    assert D.member_pass(family_64, [])[1] < 1e-7
 
 
 def test_parallel_sections_negative_control(family_64):
@@ -264,8 +272,9 @@ def test_parallel_sections_negative_control(family_64):
     fam = family_64
     frame, result0 = _generator(fam, 0)
     t0 = t0_jet(2)
-    u1_wrong = 1.0 / (fam.tau1 - fam.tau0)  # misses e^{tau_tilde_0}
-    body = light_cone_section(frame.f, frame.xi, fam.tau1)
+    tau0, tau1 = _tau_jets(fam, frame)
+    u1_wrong = 1.0 / (tau1 - tau0)  # misses e^{tau_tilde_0}
+    body = light_cone_section(frame.f, frame.xi, tau1)
     sigma = u1_wrong.vec() * body
     worst = 0.0
     for k in range(2):
@@ -363,8 +372,8 @@ def test_family_report_carries_operator_and_period_residuals(family_64, square_t
         r0.metric_symmetry_residual, r1.metric_symmetry_residual
     )
     periods = [
-        *family_64.tilde0.period_residuals.values(),
-        *family_64.tilde1.period_residuals.values(),
+        *family_64.tilde[0].period_residuals.values(),
+        *family_64.tilde[1].period_residuals.values(),
     ]
     assert len(periods) == 4  # both axes of both potentials
     assert rep["potential_period_residual"] == max(periods) < 1e-8
