@@ -34,6 +34,7 @@ from . import gridio as G
 from . import ribaucour as RB
 from .errors import (
     BianchiViolation,
+    DomainErrorJet,
     LieSphereError,
     ParseError,
     SceneError,
@@ -386,14 +387,15 @@ def cmd_export(scene: Scene, out: Path, json_mode: bool, pole_flip: bool) -> int
     def body(frame, taus, key):
         res = RB.transform(frame, taus[0], det_rel_tol=tol.det_rel)
         cols = {"tau": res.tau.value, "a": res.a.value, "b": res.b.value}
-        cols |= {"singular": res.metric.singular, "f": frame.f.value[:, :4]}
-        return cols | {"f_hat": res.f_hat.value[:, :4]}, None
+        cols |= {"not_finite": res.not_finite, "singular": res.metric.singular}
+        return cols | {"f": frame.f.value[:, :4], "f_hat": res.f_hat.value[:, :4]}, None
 
     run = RB.eval_blocks(
         scene.chart, grid.points().reshape(-1, 2), [(scene.tau, 2)], body, contact_tol=tol.contact
     )
-    cols = run.values  # tau, a and b, then what the meshes read
-    f, f_hat, singular = (cols.pop(k) for k in ("f", "f_hat", "singular"))
+    cols = run.values  # tau, a and b, then the masks and what the meshes read
+    bad, f, f_hat, singular = (cols.pop(k) for k in ("not_finite", "f", "f_hat", "singular"))
+    RB._raise_not_regular(bad, run.points, "transform is not finite", DomainErrorJet)
     out.mkdir(parents=True, exist_ok=True)
     meshes = _write_meshes(out, grid, f, f_hat, singular, pole_flip)
     if meshes.get("dropped") and not json_mode:

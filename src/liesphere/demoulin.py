@@ -43,10 +43,10 @@ from . import liegeom as L
 from . import ribaucour as RB
 from .errors import (
     BlowUp,
+    DomainErrorJet,
     FullyMasked,
     IllPosed,
     NotPointwiseDistinct,
-    NotRegular,
     NotRibaucour,
     PathDependence,
 )
@@ -217,6 +217,7 @@ class FamilyMember:
     theta: float
     tau: np.ndarray  # (N,) values of tau_theta, NaN under the mask
     mask: np.ndarray  # True where the denominator (or regularity) fails
+    not_finite: np.ndarray  # where the member's transform is not finite
     f_hat: np.ndarray  # (N, 4) first four components of f_hat; garbage under the mask
     max_dalpha: float  # max |d alpha| off the mask; -inf when no point is left
     max_alpha: float  # max |alpha| off the mask
@@ -261,14 +262,15 @@ class DemoulinFamily:
 def _generators_block(frame: L.LegendreFrame, taus: list[Jet2], det_rel_tol: float):
     """Both generators on one block: their values, and their peaks.
 
-    The operators are left out where a generator is singular, since a
-    :class:`NotRegular` is then certain; an :class:`IllPosed` is recorded as
-    the peak ``ill_posed``, to be raised in its turn.
+    The operators are left out where a generator is singular or not finite,
+    since an error is then certain; an :class:`IllPosed` is recorded as the
+    peak ``ill_posed``, to be raised in its turn.
     """
     results = [RB.transform(frame, tau, det_rel_tol=det_rel_tol) for tau in taus]
     values, peaks = {}, {}
     for k, res in enumerate(results):
         values[f"tau{k}"] = taus[k].value
+        values[f"not_finite{k}"] = res.not_finite
         values[f"singular{k}"] = res.metric.singular
         values[f"f_hat{k}"] = res.f_hat.value
         values[f"alpha{k}"] = res.alpha.value
@@ -306,9 +308,9 @@ def build_family(
 
     Both generators, their connection operators and the commutator run in one
     pass of :func:`ribaucour.eval_blocks` and are judged on the merged values,
-    in the order of a single pass.  Raises :class:`NotRibaucour` when a
-    generator fails closedness, :class:`NotPointwiseDistinct` when tau0 and
-    tau1 collide, and records the commutator norm for the caller to gate on.
+    in the order of a single pass: :class:`NotPointwiseDistinct` where tau0 and
+    tau1 collide, then per generator a not-finite transform, :class:`NotRegular`
+    and :class:`NotRibaucour`.  The commutator norm is left to the caller's gate.
     ``contact_tol`` (frame certification; None is the chart's default) and
     ``det_rel_tol`` (the regularity screen) are kept on the family for the
     members and the dual step.
@@ -320,15 +322,14 @@ def build_family(
     )
     v, peaks = run.values, run.peaks
     tau = (v.pop("tau0"), v.pop("tau1"))
-    diff = np.abs(tau[0] - tau[1])
-    scale = 1.0 + max(float(np.max(np.abs(tau[0]))), float(np.max(np.abs(tau[1]))))
-    if np.min(diff) < DISTINCT_REL_TOL * scale:
-        raise NotPointwiseDistinct(
-            f"tau0 and tau1 differ by only {float(np.min(diff)):.3e} somewhere"
-        )
+    tol = DISTINCT_REL_TOL * (1.0 + max(float(np.max(np.abs(t))) for t in tau))
+    what = f"tau0 and tau1 differ by less than {tol:.3e}"
+    RB._raise_not_regular(np.abs(tau[0] - tau[1]) < tol, run.points, what, NotPointwiseDistinct)
 
     for k, (label, expr) in enumerate((("tau0", tau0_expr), ("tau1", tau1_expr))):
-        RB._raise_not_regular(v[f"singular{k}"], run.points, "congruence metric")
+        what = f"transform of {label} is not finite"
+        RB._raise_not_regular(v[f"not_finite{k}"], run.points, what, DomainErrorJet)
+        RB._raise_not_regular(v[f"singular{k}"], run.points, "congruence metric degenerates")
         maxd, maxa = peaks[label]["max_dalpha"], peaks[label]["max_alpha"]
         if not RB.classify_ribaucour(maxd, maxa, closedness_rel_tol):
             raise NotRibaucour(
@@ -364,8 +365,8 @@ def demoulin_tau(frame: L.LegendreFrame, taus, exps, c: float, s: float, eps: fl
     jets ``taus`` and ``exps`` = (e^{t0~}, e^{t1~}): its values and closedness.
 
     Points where the denominator falls under ``eps`` are ``masked``; the
-    ``mask`` adds those where the member's own transform is singular, and tau
-    is NaN under it.
+    ``mask`` adds those where the member's own transform is singular or not
+    finite (``not_finite``), and tau is NaN under it.
     """
     num = c * exps[1] * taus[0] + s * exps[0] * taus[1]
     den = c * exps[1] + s * exps[0]
@@ -375,6 +376,7 @@ def demoulin_tau(frame: L.LegendreFrame, taus, exps, c: float, s: float, eps: fl
     res = RB.transform(frame, tau_theta, det_rel_tol=det_rel_tol)
     mask = masked | res.metric.singular
     values = {"tau": np.where(mask, np.nan, tau_theta.value), "mask": mask, "masked": masked}
+    values["not_finite"] = res.not_finite
     values["f_hat"] = res.f_hat.value[:, :4].copy()  # not a view that keeps all of f_hat
     return values, {"max_dalpha": RB.ribaucour_residual(res, mask)[0],
                     "max_alpha": RB.max_abs_alpha(res, mask)}
@@ -435,11 +437,13 @@ def member_pass(family: DemoulinFamily, thetas) -> tuple[list[FamilyMember], flo
         if peak is None:  # an endpoint, with the generator's f_hat and closedness
             k = 0 if s == 0.0 else 1
             f_hat, peak = family.f_hat[k][:, :4], family.certification[f"tau{k}"]
-            mask = masked = np.zeros(len(tau), bool)
+            mask = masked = bad = np.zeros(len(tau), bool)
         else:
-            f_hat, mask, masked = (v.pop(f"{k}{i}") for k in ("f_hat", "mask", "masked"))
+            f_hat, mask, masked, bad = (
+                v.pop(f"{k}{i}") for k in ("f_hat", "mask", "masked", "not_finite")
+            )
         members.append(FamilyMember(
-            float(theta), tau, mask, f_hat, peak["max_dalpha"], peak["max_alpha"],
+            float(theta), tau, mask, bad, f_hat, peak["max_dalpha"], peak["max_alpha"],
             int(masked.sum()), int(mask.sum() - masked.sum()),
         ))
     return members, peaks["parallel"]
@@ -455,8 +459,6 @@ def member_closedness(member: FamilyMember, rel_tol: float = RB.CLOSEDNESS_REL_T
         raise FullyMasked(
             f"family member theta={member.theta!r} singular on {frac:.0%} of the grid"
         )
-    if member.max_dalpha == -np.inf:
-        raise NotRegular("no regular points in the batch")
     return {
         "theta": float(member.theta),
         "masked_fraction": frac,
@@ -487,9 +489,9 @@ def _dual_fields(family: DemoulinFamily, points: np.ndarray, order: int = 2) -> 
     needed one order below the first, and so are its seeds: f, xi and tau1.
     At 2, gamma is a value; at 3, its jet also carries exact partials, which
     come back as ``dgamma``, laid out (..., derivative, component).
-    The points run through :func:`ribaucour.eval_blocks`; a :class:`NotRegular`
-    names the first singular point of the flattened ``points``, for the first
-    transform first.
+    The points run through :func:`ribaucour.eval_blocks`; a :class:`DomainErrorJet`,
+    then a :class:`NotRegular`, names the first bad point of the flattened
+    ``points``, for the first transform first.
     """
     def body(frame, taus, key):
         tau0, tau1 = taus
@@ -509,6 +511,8 @@ def _dual_fields(family: DemoulinFamily, points: np.ndarray, order: int = 2) -> 
         out = {
             "gamma": num.value / den.value,
             "drive": res1.alpha.value - ah0.value + dlog,
+            "not_finite0": res0.not_finite,
+            "not_finite1": res1.not_finite,
             "singular0": res0.metric.singular,
             "singular1": res1.metric.singular,
         }
@@ -522,7 +526,9 @@ def _dual_fields(family: DemoulinFamily, points: np.ndarray, order: int = 2) -> 
         order=order,
     )
     for k in (0, 1):
-        RB._raise_not_regular(run.values.pop(f"singular{k}"), run.points, "congruence metric")
+        bad, singular = (run.values.pop(f"{name}{k}") for name in ("not_finite", "singular"))
+        RB._raise_not_regular(bad, run.points, f"transform of tau{k} is not finite", DomainErrorJet)
+        RB._raise_not_regular(singular, run.points, "congruence metric degenerates")
     return {k: v.reshape(points.shape[:-1] + v.shape[1:]) for k, v in run.values.items()}
 
 
@@ -633,14 +639,17 @@ def family_report(
     """JSON-ready family report; members are classified at ``closedness_rel_tol``.
 
     The members and the parallel residual come from one :func:`member_pass`.
-    The members are judged in theta order and each is handed to ``each(member)``
-    when given, so one that raises leaves those before it handed over.  An
-    endpoint's tau, from that pass, must equal the values build_family kept.
+    The members are judged in theta order (a not-finite transform first) and each
+    is handed to ``each(member)`` when given, so one that raises leaves those
+    before it handed over.  An endpoint's tau must equal build_family's values.
     """
     built, parallel = member_pass(family, thetas)
+    points = family.chart.domain.wrap(family.grid.points().reshape(-1, 2))
     members = []
     endpoints_ok = True
     for member in built:
+        what = f"transform of family member theta={member.theta!r} is not finite"
+        RB._raise_not_regular(member.not_finite, points, what, DomainErrorJet)
         rec = member_closedness(member, closedness_rel_tol)
         for k, (label, at) in enumerate((("tau0", 0.0), ("tau1", HALF_PI))):
             if member.theta == at:

@@ -11,8 +11,16 @@ class DivisionByZeroJet(LieSphereError, ZeroDivisionError):
     """Jet division where the divisor's value part is machine-zero."""
 
 
-class DomainErrorJet(LieSphereError, ValueError):
-    """Elementary function applied outside its domain (e.g. ln of <= 0)."""
+class PointError(LieSphereError):
+    """An error at one point of a batch: its batch ``index`` and parameter ``point``."""
+
+    def __init__(self, message: str, index=None, point=None):
+        super().__init__(message)
+        self.index, self.point = index, point
+
+
+class DomainErrorJet(PointError, ValueError):
+    """A jet is not finite at some point: off a function's domain (ln of <= 0), or overflow."""
 
 
 class ParseError(LieSphereError, ValueError):
@@ -32,13 +40,8 @@ class NotImmersed(LieSphereError):
     """Both lift differentials vanish along some direction."""
 
 
-class NotRegular(LieSphereError):
+class NotRegular(PointError):
     """The congruence metric degenerates at some parameter point."""
-
-    def __init__(self, message: str, index=None, point=None):
-        super().__init__(message)
-        self.index = index
-        self.point = point
 
 
 class InvolutionFailure(LieSphereError):
@@ -53,7 +56,7 @@ class PathDependence(LieSphereError):
         self.residual = residual
 
 
-class NotPointwiseDistinct(LieSphereError):
+class NotPointwiseDistinct(PointError):
     """Two representative functions coincide somewhere on the grid."""
 
 

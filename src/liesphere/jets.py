@@ -248,13 +248,6 @@ class Jet2:
         if n == 1.0:
             return self
         v = self.value
-        if n != int(n) and np.any(v < 0.0):
-            raise DomainErrorJet("non-integer power of a negative value")
-        if n < 2.0 and np.any(v == 0.0):
-            if n < 0.0:
-                raise DivisionByZeroJet("negative power of zero")
-            if n != int(n):
-                raise DomainErrorJet("fractional power of zero")
         n3 = n * (n - 1.0) * (n - 2.0)  # 0 at n = 2, where v**(n - 3) may not exist
         fppp = lambda: n3 * v ** (n - 3.0) if n3 else np.zeros_like(v)  # noqa: E731
         return _chain(self, v**n, n * v ** (n - 1.0), n * (n - 1.0) * v ** (n - 2.0), fppp)
@@ -331,8 +324,6 @@ def exp(x: Jet2) -> Jet2:
 
 def ln(x: Jet2) -> Jet2:
     v = x.value
-    if np.any(v <= 0.0):
-        raise DomainErrorJet("ln of a non-positive value")
     inv = 1.0 / v
     return _chain(x, np.log(v), inv, -inv * inv, lambda: 2.0 * inv * inv * inv)
 

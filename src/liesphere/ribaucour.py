@@ -67,7 +67,7 @@ class MinusMetric:
     G: Jet2  # values (..., m, m)
     Ginv: Jet2
     det: np.ndarray
-    singular: np.ndarray  # boolean mask of points failing the screen
+    singular: np.ndarray  # points failing the screen, and where the transform is not finite
     V: list[Jet2]  # (-dxi + tau df)(d_i), reused by the transform
 
 
@@ -83,6 +83,7 @@ class TransformResult:
     mu2: Jet2
     f_check: Jet2
     f_hat: Jet2
+    not_finite: np.ndarray  # (N,) off the screen's singular points: see transform
 
     @cached_property
     def xi_hat(self) -> Jet2:
@@ -97,14 +98,14 @@ class TransformResult:
         return J.stack([lie_inner(f.deriv(i), -self.f_check) for i in range(m)], axis=-1)
 
 
-def _raise_not_regular(singular: np.ndarray, points: np.ndarray, what: str):
-    """Raise :class:`NotRegular` at the first point of ``singular``, if there is one."""
-    if not singular.any():
+def _raise_not_regular(mask: np.ndarray, points: np.ndarray, what: str, error=NotRegular):
+    """Raise ``error`` at the first point of ``mask``, if there is one: ``what`` there."""
+    if not mask.any():
         return
-    idx = tuple(int(k) for k in np.argwhere(singular)[0])
+    idx = tuple(int(k) for k in np.argwhere(mask)[0])
     pt = points[idx]
-    raise NotRegular(
-        f"{what} degenerates at batch index {idx}, parameter point {np.round(pt, 6).tolist()}",
+    raise error(
+        f"{what} at batch index {idx}, parameter point {np.round(pt, 6).tolist()}",
         index=idx,
         point=pt,
     )
@@ -143,7 +144,10 @@ def transform(
         xi_hat = xi - tau f + tau f_hat,
         alpha(d_i) = (d_i f, -f_check),
 
-    the last two on first read.
+    the last two on first read.  Where a large finite tau overflows them, or
+    rounds 1 - a to 0 (eq13 reads ln(1 - a)), the sum of 1/(1 - a) and f_hat's
+    value and gradient slots is not finite, or its terms would overflow every
+    identity; ``not_finite`` marks those points, and they join ``metric.singular``.
     """
     m = frame.m
     metric = minus_metric(frame, tau, det_rel_tol=det_rel_tol)
@@ -164,7 +168,12 @@ def transform(
 
     one_minus_a = 1.0 - a
     f_hat = a.vec() * frame.f + b.vec() * frame.xi + one_minus_a.vec() * f_check
-    return TransformResult(frame, tau, metric, a, b, mu2, f_check, f_hat)
+    probe = 1.0 / one_minus_a.value + J.wsum(f_hat.value)
+    if f_hat.grad is not None:
+        probe = probe + J.wsum(J.wsum(f_hat.grad), 0)
+    not_finite = ~np.isfinite(probe) & ~metric.singular
+    metric.singular |= not_finite
+    return TransformResult(frame, tau, metric, a, b, mu2, f_check, f_hat, not_finite)
 
 
 # ---------- closedness ----------
@@ -185,11 +194,11 @@ def dalpha_components(result: TransformResult) -> np.ndarray:
 def ribaucour_residual(result: TransformResult, masked=None) -> tuple[float, tuple | None]:
     """Max |d alpha| off ``masked`` (default: the singular points), and its location.
 
-    Points where d alpha is not finite are skipped; (-inf, None) when no point is left.
+    (-inf, None) when no point is left.
     """
     d = np.abs(dalpha_components(result))
     masked = result.metric.singular if masked is None else masked
-    flat = np.max(np.where(np.isnan(d) | masked[..., None], -np.inf, d), axis=-1)
+    flat = np.max(np.where(masked[..., None], -np.inf, d), axis=-1)
     if not np.any(flat > -np.inf):
         return -np.inf, None
     worst = np.unravel_index(np.argmax(flat), flat.shape)
@@ -356,7 +365,7 @@ def judge_reconstruction(diag: dict, points: np.ndarray, *, tol: float = 1e-8) -
     ``tol`` (:class:`InvolutionFailure`).
     """
     L.judge_frame(diag["hat_cert"], 1e-8)
-    _raise_not_regular(diag["back_singular"], points, "congruence metric")
+    _raise_not_regular(diag["back_singular"], points, "congruence metric degenerates")
     if diag["involution"] > tol:
         raise InvolutionFailure(
             f"frame discrepancy {diag['involution']:.3e} exceeds {tol:.1e}"
@@ -425,38 +434,29 @@ def eval_blocks(
 ) -> BlockValues:
     """Walk a flat batch of parameter points through ``body``, block by block.
 
-    ``taus`` lists the expressions whose jets the body gets, each with its jet
-    order.  They are evaluated one block at a time, twice: a first walk only
-    checks that each in turn is finite over the whole batch, and drops the
-    jets, so no block is transformed before every tau is known finite; the
-    second hands each block's jets to its body.  Blocks hold :data:`BLOCK`
-    points, half as many at ``order`` 3, whose jets are twice as large.
-    ``body(frame, taus, key)`` gets a block's chart frame (jets of ``order``),
-    its tau jets and its slice ``key`` of the batch.
-    It returns ``(values, peaks)``: a dict of per-point value arrays, written
-    into whole-batch arrays, and the block's peaks (or None), which are merged
-    over the blocks by :func:`merge_peaks`, as the blocks' frame certificates are.
+    Blocks hold :data:`BLOCK` points, half as many at ``order`` 3, whose jets
+    are twice as large.  Each block lifts (and certifies) its chart, then
+    evaluates once each of ``taus``, expressions with their jet orders.
+    ``body(frame, taus, key)`` gets the chart frame (jets of ``order``), the tau
+    jets and the block's slice ``key`` of the batch.  It runs under
+    ``np.errstate(all="ignore")``, handing numerical trouble back as a
+    not-finite mask, and returns ``(values, peaks)``: per-point value arrays,
+    written into whole-batch arrays, and peaks (or None), merged over the blocks
+    by :func:`merge_peaks`, as the blocks' frame certificates are.
 
-    The merged certificate is judged, then a tau error raised, in the order of
-    a single pass; once either error is certain, later blocks are only
-    evaluated and certified.  Callers judge the rest on the merged values and
-    peaks, so an error names the point the whole batch would.
-    ``certify=False`` only lifts the chart, on points it already certified.
+    Once the merged certificate fails, or a tau raises, later blocks are only
+    certified and evaluated.  After the walk the certificate is judged, then the
+    first tau that failed raises its first error, as in a single pass.  Callers
+    judge the rest on the merged values, so an error names the point the whole
+    batch would.  ``certify=False`` only lifts the chart, on points it certified.
     """
     flat = np.asarray(points, dtype=float)
     wrapped = chart.domain.wrap(flat)
     contact_tol = contact_tol or CH.default_contact_tol(chart)
     size = BLOCK // 2 if order > 2 else BLOCK
-    keys = [slice(start, start + size) for start in range(0, len(flat), size)]
-    error = cert = None
-    try:
-        for expr, tau_order in taus:
-            for key in keys:
-                E.eval_at(expr, wrapped[key], tau_order)
-    except DomainErrorJet as exc:
-        error = exc  # raised once the chart has certified, as in a single pass
-    values, peaks = {}, None
-    for key in keys:
+    cert, failed, errors, values, peaks = None, False, [None] * len(taus), {}, None
+    for start in range(0, len(flat), size):
+        key = slice(start, start + size)
         if not certify:
             frame = CH.lift(chart, flat[key], order)
         else:
@@ -464,23 +464,28 @@ def eval_blocks(
             cert = merge_peaks(cert, frame.cert)
             try:
                 L.judge_frame(cert, contact_tol)
-            except (ContactViolation, NotImmersed) as exc:
-                error = error or exc  # the whole batch's record fails too
-        if error is None:
-            tau_jets = [E.eval_at(expr, wrapped[key], tau_order) for expr, tau_order in taus]
-            block, block_peaks = body(frame, tau_jets, key)
-            del tau_jets
+            except (ContactViolation, NotImmersed):
+                failed = True  # the whole batch's record fails too
+        tau_jets = []
+        for k, (expr, tau_order) in enumerate(taus):
+            try:
+                tau_jets.append(E.eval_at(expr, wrapped[key], tau_order))
+            except DomainErrorJet as exc:
+                errors[k] = errors[k] or exc  # its first, in batch order
+        if not (failed or any(errors)):
+            with np.errstate(all="ignore"):
+                block, block_peaks = body(frame, tau_jets, key)
             for k in list(block):
                 if k not in values:
                     values[k] = np.empty((len(flat),) + block[k].shape[1:], block[k].dtype)
                 values[k][key] = block.pop(k)  # the block's own copy is freed at once
             peaks = merge_peaks(peaks, block_peaks)
-        del frame  # its jets would otherwise live through the next block's chart
+        del frame, tau_jets  # their jets would otherwise live through the next block's
 
     if certify:
         L.judge_frame(cert, contact_tol)
-    if error is not None:
-        raise error
+    if any(errors):
+        raise next(exc for exc in errors if exc)
     return BlockValues(wrapped, cert, values, peaks)
 
 
@@ -541,7 +546,7 @@ def _run_block(
     """Transform and verify one block; ``start`` is its first flat grid index.
 
     Returns the block's values, and its peaks (None: no regular point).  The
-    values are what the verdicts read (the regularity masks and ``det``), and
+    values are what the verdicts read (the masks, and ``det``), and
     ``columns(res, pw, reg)`` of the caller, if given (``pw`` is None when no
     point is regular).  The reverse transform's singular mask is a value,
     False off the regular points.
@@ -549,13 +554,14 @@ def _run_block(
     res = transform(frame, tau, det_rel_tol=det_rel_tol)
     reg = ~res.metric.singular
     values = {
+        "not_finite": res.not_finite,
         "singular": res.metric.singular,
         "det": res.metric.det,
         "back_singular": np.zeros(reg.shape, bool),
     }
     if not reg.any():
         return values | (columns(res, None, reg) if columns else {}), None
-    max_da, arg = ribaucour_residual(res)  # (-inf, None) is judged on the merged blocks
+    max_da, arg = ribaucour_residual(res)  # (-inf, None) loses to any regular point
     peaks = {"dalpha": (max_da, None if arg is None else start + arg[0])}
     peaks["max_alpha"] = max_abs_alpha(res)
     # Degenerate points (a curvature-sphere crossing of tau) are left out of
@@ -591,10 +597,10 @@ def run_grid(
     The batch runs through :func:`eval_blocks`: the blocks return their values
     and peaks, and the peaks are merged by :func:`merge_peaks` alone (the
     closedness argmax keeps the first index on ties).  Every check is judged
-    on merged values in the order of a single pass (chart, certification, tau,
-    regularity, reconstruction).  Per point, only what the verdicts read is
-    kept, and what ``columns`` returns (see :func:`_run_block` and
-    :func:`field_columns`).
+    on merged values in the order of a single pass (chart, certification, tau, a
+    finite transform, regularity, reconstruction).  Per point, only what the
+    verdicts read is kept, and what ``columns`` returns (see :func:`_run_block`
+    and :func:`field_columns`).
     """
     pts = np.asarray(points, dtype=float)
     grid_shape = tuple(int(n) for n in pts.shape[:-1])
@@ -604,12 +610,11 @@ def run_grid(
         contact_tol=contact_tol,
     )
     v, peaks = run.values, run.peaks
+    _raise_not_regular(v.pop("not_finite"), run.points, "transform is not finite", DomainErrorJet)
     singular, det, back_singular = (v.pop(k) for k in ("singular", "det", "back_singular"))
     if singular.all():
-        _raise_not_regular(singular, run.points, "congruence metric")
-    max_da, argmax = peaks["dalpha"]
-    if argmax is None:
-        raise NotRegular("no regular points in the batch")
+        _raise_not_regular(singular, run.points, "congruence metric degenerates")
+    max_da, argmax = peaks["dalpha"]  # a regular point is left, so argmax is an index
     reg = ~singular
     recon = peaks["reconstruction"] | {"back_singular": back_singular[reg]}
     judge_reconstruction(recon, run.points[reg], tol=involution_tol)

@@ -481,6 +481,34 @@ def test_non_finite_custom_chart_is_a_domain_error(tmp_path, capsys):
     assert "ContactViolation" not in err
 
 
+_HUGE = {"tau": "1e200*sin(u)", "grid": [16, 16]}  # tau is finite, tau^2 overflows
+_LATE = {"tau": "exp(250*(u-4.7))", "grid": [20, 19]}  # overflows in the last rows of u
+
+
+@pytest.mark.parametrize(
+    "command, name, overrides",
+    [(command, "check_sinu.json", case) for case in (_HUGE, _LATE)
+     for command in ("check", "transform", "export")]
+    + [
+        # tau1 is finite, its transform overflows on the last row of u
+        ("demoulin", "demoulin_sinu.json",
+         {"tau1": "2 + 1e8*exp(1e150*(u - 5.969026041820607))", "grid": [20, 19]}),
+        ("demoulin", "demoulin_sinu.json", _HUGE | {"tau1": "2"}),
+    ],
+)
+def test_numerical_trouble_is_a_typed_error(tmp_path, capsys, command, name, overrides):
+    # a transform that is not finite is an error naming its point, never a
+    # warning, and no command writes its files and exits 0
+    scene = _shipped_scene(tmp_path, name, **overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command, "--scene", str(scene), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "parameter point [" in err
+    assert "Warning" not in err
+
+
 # ---------- the scene boundary ----------
 
 _BASE_CHARTS = (

@@ -570,6 +570,8 @@ LATE_OVERFLOW = "0.6*cos(u) + 1e-300*exp(exp(exp(u-4)))"
         # ... and certification still comes before a tau error in an earlier block
         ("check_custom.json", {"chart": LATE_CONTACT, "tau": "exp(exp(exp(u)))"},
          ContactViolation),
+        # tau is finite, but its transform overflows only in the last rows of u
+        ("check_sinu.json", {"tau": "exp(250*(u-4.7))"}, DomainErrorJet),
     ],
 )
 def test_blocks_raise_what_the_whole_grid_raises(name, overrides, kind, monkeypatch):
@@ -579,6 +581,14 @@ def test_blocks_raise_what_the_whole_grid_raises(name, overrides, kind, monkeypa
     assert whole[0] is kind
     assert split[:3] == whole[:3]
     np.testing.assert_array_equal(split[3], whole[3])
+
+
+def test_each_tau_is_evaluated_once_per_block(monkeypatch):
+    # 20 x 19 = 380 points in blocks of 37: eleven blocks, one evaluation each
+    calls, eval_at = [], E.eval_at
+    monkeypatch.setattr(E, "eval_at", lambda *args: calls.append(args) or eval_at(*args))
+    _scene_run("check_sinu.json", monkeypatch, 37)
+    assert len(calls) == 11
 
 
 @pytest.mark.parametrize("copies", [1, 2])
@@ -744,6 +754,9 @@ NON_PERIODIC_TORUS = {
         ),
         # tau1 overflows only in the last rows of u, after earlier blocks were transformed
         ("demoulin_sinu.json", {"tau1": "2 + exp(exp(exp(u-4)))"}, DomainErrorJet),
+        # tau1 is finite, but its transform overflows only on the last row of u
+        ("demoulin_sinu.json", {"tau1": "2 + 1e8*exp(1e150*(u - 5.969026041820607))"},
+         DomainErrorJet),
     ],
 )
 def test_family_blocks_raise_what_the_whole_grid_raises(name, overrides, kind, monkeypatch):
