@@ -395,7 +395,7 @@ def cmd_export(scene: Scene, out: Path, json_mode: bool, pole_flip: bool) -> int
     )
     cols = run.values  # tau, a and b, then the masks and what the meshes read
     bad, f, f_hat, singular = (cols.pop(k) for k in ("not_finite", "f", "f_hat", "singular"))
-    RB._raise_not_regular(bad, run.points, "transform is not finite", DomainErrorJet)
+    DomainErrorJet.raise_first(bad, run.points, "transform is not finite")
     out.mkdir(parents=True, exist_ok=True)
     meshes = _write_meshes(out, grid, f, f_hat, singular, pole_flip)
     if meshes.get("dropped") and not json_mode:

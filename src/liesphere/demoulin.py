@@ -47,6 +47,7 @@ from .errors import (
     FullyMasked,
     IllPosed,
     NotPointwiseDistinct,
+    NotRegular,
     NotRibaucour,
     PathDependence,
 )
@@ -172,19 +173,19 @@ def r_operator(frame: L.LegendreFrame, result: RB.TransformResult) -> ROperator:
     m = frame.m
     B = RB.corrected_differential(frame.f, result.alpha)
     Bh = RB.corrected_differential(result.f_hat, RB.alpha_hat(result))
-    gram = L.pairing(B, B)
-    rhs = L.pairing(B, Bh)
+    gram = Jet2(L.pairing(B, B), None, None, m)  # order 0: mat_inverse on plain matrices
     det = J.det2(gram)
-    if np.any(J.singular_mask(gram, 1e-12, det)):
+    singular = J.singular_mask(gram.value, 1e-12, det.value)
+    if np.any(singular):
         raise IllPosed(ILL_POSED)
-    entries = J.solve2(gram, rhs, det)
+    entries = J.mat_inverse(gram, det, singular).value @ L.pairing(B, Bh)
 
     # verify the defining relation columnwise, plain component norm
     rel = 0.0
     for j in range(m):
         recon = sum(B[..., k, :] * entries[..., k, j][..., None] for k in range(m))
         rel = max(rel, float(np.max(np.abs(recon - Bh[..., j, :]))))
-    sym = gram @ entries
+    sym = gram.value @ entries
     sym_res = float(np.max(np.abs(sym - np.swapaxes(sym, -1, -2))))
     return ROperator(entries, rel, sym_res, Bh)
 
@@ -324,12 +325,12 @@ def build_family(
     tau = (v.pop("tau0"), v.pop("tau1"))
     tol = DISTINCT_REL_TOL * (1.0 + max(float(np.max(np.abs(t))) for t in tau))
     what = f"tau0 and tau1 differ by less than {tol:.3e}"
-    RB._raise_not_regular(np.abs(tau[0] - tau[1]) < tol, run.points, what, NotPointwiseDistinct)
+    NotPointwiseDistinct.raise_first(np.abs(tau[0] - tau[1]) < tol, run.points, what)
 
     for k, (label, expr) in enumerate((("tau0", tau0_expr), ("tau1", tau1_expr))):
         what = f"transform of {label} is not finite"
-        RB._raise_not_regular(v[f"not_finite{k}"], run.points, what, DomainErrorJet)
-        RB._raise_not_regular(v[f"singular{k}"], run.points, "congruence metric degenerates")
+        DomainErrorJet.raise_first(v[f"not_finite{k}"], run.points, what)
+        NotRegular.raise_first(v[f"singular{k}"], run.points, "congruence metric degenerates")
         maxd, maxa = peaks[label]["max_dalpha"], peaks[label]["max_alpha"]
         if not RB.classify_ribaucour(maxd, maxa, closedness_rel_tol):
             raise NotRibaucour(
@@ -527,8 +528,8 @@ def _dual_fields(family: DemoulinFamily, points: np.ndarray, order: int = 2) -> 
     )
     for k in (0, 1):
         bad, singular = (run.values.pop(f"{name}{k}") for name in ("not_finite", "singular"))
-        RB._raise_not_regular(bad, run.points, f"transform of tau{k} is not finite", DomainErrorJet)
-        RB._raise_not_regular(singular, run.points, "congruence metric degenerates")
+        DomainErrorJet.raise_first(bad, run.points, f"transform of tau{k} is not finite")
+        NotRegular.raise_first(singular, run.points, "congruence metric degenerates")
     return {k: v.reshape(points.shape[:-1] + v.shape[1:]) for k, v in run.values.items()}
 
 
@@ -536,30 +537,33 @@ def _sweep(w0, nodes: dict, mids: dict, h: float, comp: int, axis: int) -> np.nd
     """March w = ln(tau0 - tau_hat0) along ``axis`` of the fields with classical RK4.
 
     dw = drive + e^w gamma, read at component ``comp`` (the 1-form's slot
-    along the march).  ``nodes`` hold the fields at the grid nodes, ``mids``
-    at the midpoints of the edges being crossed; ``w0`` is w on the first
-    line across ``axis``, and w on every line is returned stacked along
-    ``axis``.
+    along the march).  ``nodes`` hold the fields at the grid nodes and their
+    parameter ``points``, ``mids`` the fields at the midpoints of the edges
+    being crossed; ``w0`` is w on the first line across ``axis``, and w on
+    every line is returned stacked along ``axis``, laid out as ``points``.
+    The march runs under ``np.errstate(all="ignore")``; where w leaves
+    [ln 1e-8, ln 1e8] or is not finite, :class:`BlowUp` names the first such
+    node in the order of ``points``.
     """
     (drive, gamma), (drive_mid, gamma_mid) = (
         [np.moveaxis(fields[key][..., comp], axis, 0) for key in ("drive", "gamma")]
         for fields in (nodes, mids)
     )
     w = [np.asarray(w0, dtype=float)]
-    for k in range(len(drive) - 1):
-        wk = w[-1]
-        k1 = drive[k] + np.exp(wk) * gamma[k]
-        k2 = drive_mid[k] + np.exp(wk + 0.5 * h * k1) * gamma_mid[k]
-        k3 = drive_mid[k] + np.exp(wk + 0.5 * h * k2) * gamma_mid[k]
-        k4 = drive[k + 1] + np.exp(wk + h * k3) * gamma[k + 1]
-        wn = wk + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if np.any(np.abs(wn) > np.log(1e8)):
-            raise BlowUp(
-                "log separation left [ln 1e-8, ln 1e8]; "
-                "the branch assumption (constant sign) broke down"
-            )
-        w.append(wn)
-    return np.stack(w, axis=axis)
+    with np.errstate(all="ignore"):
+        for k in range(len(drive) - 1):
+            wk = w[-1]
+            k1 = drive[k] + np.exp(wk) * gamma[k]
+            k2 = drive_mid[k] + np.exp(wk + 0.5 * h * k1) * gamma_mid[k]
+            k3 = drive_mid[k] + np.exp(wk + 0.5 * h * k2) * gamma_mid[k]
+            k4 = drive[k + 1] + np.exp(wk + h * k3) * gamma[k + 1]
+            w.append(wk + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+        w = np.stack(w, axis=axis)
+        out = ~(np.abs(w) <= np.log(1e8))  # NaN is out too
+    if out.any():
+        BlowUp.raise_first(out, nodes["points"], "log separation left [ln 1e-8, ln 1e8] "
+                           "(the branch assumption of a constant sign broke down)")
+    return w
 
 
 def _default_patch(chart: CH.ChartSpec) -> Grid:
@@ -597,7 +601,7 @@ def dual_family_step(
         raise ValueError("dual-family integration needs a non-periodic patch")
 
     pts = patch.points()
-    nodes = _dual_fields(family, pts, order=3)
+    nodes = _dual_fields(family, pts, order=3) | {"points": pts}
     umids = _dual_fields(family, pts[:-1, :, :] + np.array([patch.hu / 2.0, 0.0]))
     vmids = _dual_fields(family, pts[:, :-1, :] + np.array([0.0, patch.hv / 2.0]))
 
@@ -649,7 +653,7 @@ def family_report(
     endpoints_ok = True
     for member in built:
         what = f"transform of family member theta={member.theta!r} is not finite"
-        RB._raise_not_regular(member.not_finite, points, what, DomainErrorJet)
+        DomainErrorJet.raise_first(member.not_finite, points, what)
         rec = member_closedness(member, closedness_rel_tol)
         for k, (label, at) in enumerate((("tau0", 0.0), ("tau1", HALF_PI))):
             if member.theta == at:

@@ -1,14 +1,16 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine.
+
+Trouble at grid points, numerical trouble (1/0, overflow, an invalid value)
+included, is a :class:`PointError` that names the first point, never a warning.
+"""
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class LieSphereError(Exception):
     """Base class for every error raised by this package."""
-
-
-class DivisionByZeroJet(LieSphereError, ZeroDivisionError):
-    """Jet division where the divisor's value part is machine-zero."""
 
 
 class PointError(LieSphereError):
@@ -18,9 +20,17 @@ class PointError(LieSphereError):
         super().__init__(message)
         self.index, self.point = index, point
 
+    @classmethod
+    def raise_first(cls, mask: np.ndarray, points: np.ndarray, what: str) -> None:
+        """Raise at the first point of ``mask``, if any: ``what``, its index and its point."""
+        if mask.any():
+            idx = tuple(int(k) for k in np.argwhere(mask)[0])
+            where = f"batch index {idx}, parameter point {np.round(points[idx], 6).tolist()}"
+            raise cls(f"{what} at {where}", index=idx, point=points[idx])
+
 
 class DomainErrorJet(PointError, ValueError):
-    """A jet is not finite at some point: off a function's domain (ln of <= 0), or overflow."""
+    """A jet is not finite at some point: off a function's domain (ln of <= 0, 1/0), or overflow."""
 
 
 class ParseError(LieSphereError, ValueError):
@@ -68,8 +78,8 @@ class IllPosed(LieSphereError):
     """Linear system for the connection operator has a singular Gram matrix."""
 
 
-class BlowUp(LieSphereError):
-    """Integrated quantity left its admissible range (or its sign flipped)."""
+class BlowUp(PointError):
+    """Integrated quantity left its admissible range, or stopped being finite."""
 
 
 class NotRibaucour(LieSphereError):

@@ -299,7 +299,7 @@ def eval_at(node: TauExpr, points: np.ndarray, order: int = 2) -> J.Jet2:
     """Evaluate at parameter points of shape ``(..., 2)`` as jets of ``order``.
 
     Raises :class:`DomainErrorJet` at the first point where the value or a
-    derivative slot is not finite (overflow or an invalid operation).
+    derivative slot is not finite (1/0, overflow or an invalid operation).
     """
     return eval_all((node,), points, order)[0]
 

@@ -23,7 +23,11 @@ on values and gradients), so every operation returns the lowest order of its
 operands and never computes a slot that order cannot know.  A number (or 0-d
 array) operand is not lifted to a jet: it scales or shifts the slots present,
 so it never changes a jet's order.  The 2x2 matrices (m = 2) go through the
-closed-forms :func:`det2`, :func:`eigmin2` and :func:`solve2`, not LAPACK.
+closed-forms :func:`det2`, :func:`eigmin2` and :func:`mat_inverse`, not LAPACK.
+
+Nothing here screens for trouble: a division by zero, a ln off its domain or
+an overflow leaves slots that are not finite (and a ``RuntimeWarning`` outside
+``np.errstate``), for the caller's finiteness mask to name the point.
 """
 
 from __future__ import annotations
@@ -34,11 +38,11 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import DivisionByZeroJet, DomainErrorJet
+from .errors import DomainErrorJet
 
 Scalar = Union[int, float, np.ndarray]
 
-_ZERO_EPS = np.finfo(float).tiny  # "machine zero" screen for divisions
+_ZERO_EPS = np.finfo(float).tiny  # the floor of singular_mask's matrix scale
 
 
 def packed_len(m: int) -> int:
@@ -230,8 +234,8 @@ class Jet2:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if _is_number(other):  # 1/other, with the zero check of _recip
-            return self * _recip(Jet2(other, None, None, self.m)).value
+        if _is_number(other):
+            return self * np.reciprocal(float(other))
         return self * _recip(self._lift(other))
 
     def __rtruediv__(self, other):
@@ -285,10 +289,7 @@ def _aligned(*jets: Jet2) -> list[Jet2]:
 
 
 def _recip(x: Jet2) -> Jet2:
-    v = x.value
-    if np.any(np.abs(v) < _ZERO_EPS):
-        raise DivisionByZeroJet("jet division by (machine) zero value part")
-    inv = 1.0 / v
+    inv = 1.0 / x.value
     return _chain(x, inv, -inv * inv, 2.0 * inv * inv * inv, lambda: -6.0 * inv**4)
 
 
@@ -440,13 +441,6 @@ def eigmin2(S: np.ndarray) -> np.ndarray:
     return (p + r) / 2 - np.hypot((p - r) / 2, q)
 
 
-def solve2(A: np.ndarray, B: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """X with A X = B for 2x2 matrices A, by cofactors; ``det`` is :func:`det2` of ``A``."""
-    a, b, c, d = (e[..., None] for e in _entries(A))
-    x = [d * B[..., 0, :] - b * B[..., 1, :], a * B[..., 1, :] - c * B[..., 0, :]]
-    return np.stack(x, axis=-2) / det[..., None, None]
-
-
 def singular_mask(A: np.ndarray, rel_tol: float, det: np.ndarray) -> np.ndarray:
     """Scale-aware singularity screen of square matrices: |det| < rel_tol * (max|entry|)^n."""
     n = A.shape[-1]
@@ -464,7 +458,7 @@ def mat_inverse(A: Jet2, det: Jet2, singular: np.ndarray) -> Jet2:
     """Inverse of a 2x2 matrix jet by cofactors, NaN at the ``singular`` points.
 
     ``det`` is :func:`det2` of ``A`` and ``singular`` the caller's
-    :func:`singular_mask` of its value.
+    :func:`singular_mask` of its value.  An order-0 jet inverts plain matrices.
     """
     a, b, c, d = _entries(A)
     adj = mat_from_rows([[d, -b], [-c, a]])

@@ -98,19 +98,6 @@ class TransformResult:
         return J.stack([lie_inner(f.deriv(i), -self.f_check) for i in range(m)], axis=-1)
 
 
-def _raise_not_regular(mask: np.ndarray, points: np.ndarray, what: str, error=NotRegular):
-    """Raise ``error`` at the first point of ``mask``, if there is one: ``what`` there."""
-    if not mask.any():
-        return
-    idx = tuple(int(k) for k in np.argwhere(mask)[0])
-    pt = points[idx]
-    raise error(
-        f"{what} at batch index {idx}, parameter point {np.round(pt, 6).tolist()}",
-        index=idx,
-        point=pt,
-    )
-
-
 def minus_metric(
     frame: LegendreFrame, tau: Jet2, *, det_rel_tol: float = DET_REL_TOL
 ) -> MinusMetric:
@@ -118,7 +105,7 @@ def minus_metric(
 
     Positive definite exactly at the regular points; degenerate points are
     NaN-masked in ``Ginv`` and recorded in ``singular``, for the caller to
-    judge with :func:`_raise_not_regular` once every block is in.
+    judge with :meth:`NotRegular.raise_first` once every block is in.
     """
     m = frame.m
     tv = tau.vec()
@@ -365,7 +352,7 @@ def judge_reconstruction(diag: dict, points: np.ndarray, *, tol: float = 1e-8) -
     ``tol`` (:class:`InvolutionFailure`).
     """
     L.judge_frame(diag["hat_cert"], 1e-8)
-    _raise_not_regular(diag["back_singular"], points, "congruence metric degenerates")
+    NotRegular.raise_first(diag["back_singular"], points, "congruence metric degenerates")
     if diag["involution"] > tol:
         raise InvolutionFailure(
             f"frame discrepancy {diag['involution']:.3e} exceeds {tol:.1e}"
@@ -610,10 +597,10 @@ def run_grid(
         contact_tol=contact_tol,
     )
     v, peaks = run.values, run.peaks
-    _raise_not_regular(v.pop("not_finite"), run.points, "transform is not finite", DomainErrorJet)
+    DomainErrorJet.raise_first(v.pop("not_finite"), run.points, "transform is not finite")
     singular, det, back_singular = (v.pop(k) for k in ("singular", "det", "back_singular"))
     if singular.all():
-        _raise_not_regular(singular, run.points, "congruence metric degenerates")
+        NotRegular.raise_first(singular, run.points, "congruence metric degenerates")
     max_da, argmax = peaks["dalpha"]  # a regular point is left, so argmax is an index
     reg = ~singular
     recon = peaks["reconstruction"] | {"back_singular": back_singular[reg]}

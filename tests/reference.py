@@ -15,7 +15,7 @@ import numpy as np
 from liesphere import jets as J
 from liesphere import ribaucour as RB
 from liesphere.charts import CliffordTorus
-from liesphere.errors import LieSphereError
+from liesphere.errors import LieSphereError, NotRegular
 from liesphere.gridio import Grid
 from liesphere.jets import Jet2
 from liesphere.liegeom import LegendreFrame, lie_inner
@@ -256,7 +256,7 @@ def shape_operator_path(
     A = mat_mul(ginv, S)
     M = A + mat_identity(m, m) * tau.vec().vec()
     if np.any(_singular(M, det_rel_tol)):
-        RB._raise_not_regular(_singular(M, det_rel_tol), frame.points, "A + tau Id")
+        NotRegular.raise_first(_singular(M, det_rel_tol), frame.points, "A + tau Id")
     Minv = _inverse(M, det_rel_tol)
     dtau_vec = J.stack([tau.deriv(i) for i in range(m)], axis=-1)
     w = J.mat_vec(Minv, J.mat_vec(ginv, dtau_vec))

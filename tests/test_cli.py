@@ -494,6 +494,14 @@ _LATE = {"tau": "exp(250*(u-4.7))", "grid": [20, 19]}  # overflows in the last r
         ("demoulin", "demoulin_sinu.json",
          {"tau1": "2 + 1e8*exp(1e150*(u - 5.969026041820607))", "grid": [20, 19]}),
         ("demoulin", "demoulin_sinu.json", _HUGE | {"tau1": "2"}),
+    ]
+    # a division by zero in tau
+    + [(command, "check_sinu.json", {"tau": "1/u", "grid": [16, 16]})
+       for command in ("check", "transform", "export")]
+    + [
+        ("demoulin", "demoulin_sinu.json", {"tau1": "2 + 1/u"}),
+        # the generators cross on the dual patch, and the dual march leaves its range
+        ("demoulin", "demoulin_sinu.json", {"tau1": "0.2*cos(v)", "grid": [11, 11], "dual": True}),
     ],
 )
 def test_numerical_trouble_is_a_typed_error(tmp_path, capsys, command, name, overrides):

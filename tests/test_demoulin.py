@@ -343,8 +343,10 @@ def test_sweep_matches_closed_forms(axis):
 
 def test_dual_step_blowup_guard(family_64):
     patch = G.Grid(16, 16, Domain((0.1, 6.1), (0.1, 6.1), (False, False)))
-    with pytest.raises(BlowUp):
+    with pytest.raises(BlowUp, match=r"parameter point \[") as exc:
         D.dual_family_step(family_64, patch, w_init=19.0)
+    # the error names a node of the patch
+    assert np.all((exc.value.point >= 0.1) & (exc.value.point <= 6.1))
 
 
 def test_dual_step_rejects_periodic_patch(family_64):

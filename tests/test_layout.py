@@ -184,3 +184,34 @@ def test_one_rule_merges_block_peaks():
         for line in _reads(tree, "merge_peaks", _inside(tree, p.name, allowed))
     ]
     assert offenders == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _foreign_private_reads(tree) -> list[int]:
+    """Lines that read an underscore name of another package module: an
+    attribute of a module bound by ``from . import x``, or a name imported
+    by ``from .x import _y``."""
+    relative = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level == 1]
+    modules = {a.asname or a.name for n in relative if n.module is None for a in n.names}
+    lines = [n.lineno for n in relative if any(_private(a.name) for a in n.names)]
+    lines += [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules and _private(node.attr)
+    ]
+    return sorted(lines)
+
+
+def test_no_src_module_reads_another_modules_private_name():
+    # an underscore name is private to its module: a name that other modules
+    # call is public, and lives in the module it belongs to
+    offenders = [
+        f"{p.name}:{line}"
+        for p in sorted(SRC.glob("*.py"))
+        for line in _foreign_private_reads(ast.parse(p.read_text(encoding="utf-8")))
+    ]
+    assert offenders == []

@@ -64,7 +64,7 @@ def test_metric_degenerates_at_principal_curvature(square_torus, random_points):
     frame, tau = _frame_and_tau(square_torus, "1", random_points)
     met = RB.minus_metric(frame, tau)
     with pytest.raises(NotRegular) as exc:
-        RB._raise_not_regular(met.singular, frame.points, "congruence metric")
+        NotRegular.raise_first(met.singular, frame.points, "congruence metric")
     assert exc.value.index is not None
 
 
@@ -331,7 +331,7 @@ def test_strict_mode_raises_on_singular_grid(square_torus):
     tau = E.eval_at(E.parse_tau("sin(u)*sin(v)"), frame.points)
     res = RB.transform(frame, tau)
     with pytest.raises(NotRegular) as exc:
-        RB._raise_not_regular(res.metric.singular, frame.points, "congruence metric")
+        NotRegular.raise_first(res.metric.singular, frame.points, "congruence metric")
     # the first singular point, u = v = pi/2
     assert exc.value.index == (1040,)
     np.testing.assert_array_equal(exc.value.point, [np.pi / 2.0, np.pi / 2.0])
