@@ -8,7 +8,8 @@ Shipped charts parametrize surfaces in S^3 (m = 2).  The product torus chart
 satisfies every frame relation identically; with the sign convention
 dxi = -df o A its principal curvatures are s/r and -r/s.  A parallel chart
 rotates (f, xi) by a fixed angle in each fiber, and custom charts supply the
-m+2 components of f and xi as expressions in u, v.
+m+2 components of f and xi as expressions in u, v.  Every chart is lifted by
+:func:`eval_chart`, which records its frame's certificate for the caller to judge.
 """
 
 from __future__ import annotations
@@ -115,27 +116,16 @@ def default_contact_tol(spec: ChartSpec) -> float:
     return CUSTOM_CONTACT_TOL if isinstance(spec, CustomChart) else BUILTIN_CONTACT_TOL
 
 
-def eval_chart(
-    spec: ChartSpec, points: np.ndarray, *, judge: bool = True, order: int = 2
-) -> L.LegendreFrame:
-    """Evaluate a chart at parameter points ``(..., 2)`` as a certified frame.
+def eval_chart(spec: ChartSpec, points: np.ndarray, order: int = 2) -> L.LegendreFrame:
+    """The chart's frame at parameter points ``(..., 2)``, wrapped into its domain.
 
-    The frame is certified at the chart kind's tolerance; ``judge=False``
-    records the residuals without judging them (see
-    :func:`liegeom.lift_frame`); ``order`` is the jet order of f and xi.
-    Custom components that are not finite raise :class:`DomainErrorJet`
-    naming the expression and the point.
+    ``order`` is the jet order of f and xi; ``cert`` records the frame's residuals
+    (:func:`liegeom.lift_frame`), never judged here.  Custom components that are
+    not finite raise :class:`DomainErrorJet` naming the expression and the point.
     """
-    frame = lift(spec, points, order)
-    tol = default_contact_tol(spec)
-    return L.lift_frame(frame.f, frame.xi, frame.points, contact_tol=tol, judge=judge)
-
-
-def lift(spec: ChartSpec, points: np.ndarray, order: int = 2) -> L.LegendreFrame:
-    """:func:`eval_chart` without certification, for points already certified."""
     pts = spec.domain.wrap(np.asarray(points, dtype=float))
     f, xi = _eval_lift(spec, pts, order)
-    return L.LegendreFrame(f, xi, pts, f.m)
+    return L.lift_frame(f, xi, pts)
 
 
 def _eval_lift(spec: ChartSpec, pts: np.ndarray, order: int) -> tuple[Jet2, Jet2]:

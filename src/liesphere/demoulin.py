@@ -171,8 +171,8 @@ def r_operator(frame: L.LegendreFrame, result: RB.TransformResult) -> ROperator:
     (df, df), so well-posedness is the immersion condition.
     """
     m = frame.m
-    B = RB.corrected_differential(frame.f, result.alpha)
-    Bh = RB.corrected_differential(result.f_hat, RB.alpha_hat(result))
+    B = RB.corrected_differential(frame.f.truncate(1), result.alpha.truncate(0)).value
+    Bh = RB.corrected_differential(result.f_hat.truncate(1), RB.alpha_hat(result).truncate(0)).value
     gram = Jet2(L.pairing(B, B), None, None, m)  # order 0: mat_inverse on plain matrices
     det = J.det2(gram)
     singular = J.singular_mask(gram.value, 1e-12, det.value)
@@ -430,7 +430,7 @@ def member_pass(family: DemoulinFamily, thetas) -> tuple[list[FamilyMember], flo
 
     taus = [(family.tau0_expr, 2), (family.tau1_expr, 2)]
     points = family.grid.points().reshape(-1, 2)
-    run = RB.eval_blocks(family.chart, points, taus, body, certify=False)
+    run = RB.eval_blocks(family.chart, points, taus, body, contact_tol=family.contact_tol)
     v, peaks = run.values, run.peaks
     members = []
     for i, (theta, (c, s)) in enumerate(zip(thetas, trig)):
@@ -496,25 +496,23 @@ def _dual_fields(family: DemoulinFamily, points: np.ndarray, order: int = 2) -> 
     """
     def body(frame, taus, key):
         tau0, tau1 = taus
-        m, t0 = frame.m, t0_jet(frame.m)
-        f, xi = (x.truncate(order - 1) for x in (frame.f, frame.xi))
+        t0 = t0_jet(frame.m)
         res0 = RB.transform(frame, tau0, det_rel_tol=family.det_rel_tol)
+        ah0 = RB.alpha_hat(res0)
+        dfh0 = RB.corrected_differential(res0.f_hat, ah0)
+        out = {"not_finite0": res0.not_finite, "singular0": res0.metric.singular}
+        del res0  # the rest reads only dfh0 and ah0 of it
+        f, xi = (x.truncate(order - 1) for x in (frame.f, frame.xi))
         res1 = RB.transform(
-            L.LegendreFrame(f, xi, frame.points), tau1, det_rel_tol=family.det_rel_tol
+            L.LegendreFrame(f, xi, frame.points, frame.cert), tau1, det_rel_tol=family.det_rel_tol
         )
-        fh0, ah0 = res0.f_hat, RB.alpha_hat(res0)
-        num = J.stack([
-            lie_inner(fh0.deriv(i) - ah0.take(i).vec() * (fh0 + t0), res1.f_hat + t0)
-            for i in range(m)
-        ])
+        num = lie_inner(dfh0, (res1.f_hat + t0).expand(-2))
         den = ((tau1 - tau0) * (res1.a - 1.0)).vec()
         dlog = np.moveaxis((tau1.grad - tau0.grad) / (tau1.value - tau0.value), 0, -1)
-        out = {
+        out |= {
             "gamma": num.value / den.value,
             "drive": res1.alpha.value - ah0.value + dlog,
-            "not_finite0": res0.not_finite,
             "not_finite1": res1.not_finite,
-            "singular0": res0.metric.singular,
             "singular1": res1.metric.singular,
         }
         if order == 3:

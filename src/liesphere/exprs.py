@@ -309,7 +309,8 @@ def eval_all(nodes: Sequence[TauExpr], points: np.ndarray, order: int = 2) -> li
 
     The :class:`DomainErrorJet` names the first point (in batch order) where
     any of them is not finite, and the first expression failing there, so a
-    batch split into blocks reports what the whole batch would.
+    batch split into blocks reports what the whole batch would.  It carries that
+    ``point``, and no ``index``: an index into a block is not one into the batch.
     """
     pts = np.asarray(points, dtype=float)
     u, v = J.seed(pts, order=order)
@@ -321,7 +322,8 @@ def eval_all(nodes: Sequence[TauExpr], points: np.ndarray, order: int = 2) -> li
         node = nodes[int(np.argmax(bad[(slice(None),) + first]))]
         raise DomainErrorJet(
             f"{to_source(node)} is not finite at parameter point "
-            f"{np.round(pts[first], 6).tolist()}"
+            f"{np.round(pts[first], 6).tolist()}",
+            point=pts[first],
         )
     return jets
 

@@ -42,8 +42,6 @@ from .errors import DomainErrorJet
 
 Scalar = Union[int, float, np.ndarray]
 
-_ZERO_EPS = np.finfo(float).tiny  # the floor of singular_mask's matrix scale
-
 
 def packed_len(m: int) -> int:
     return m * (m + 1) // 2
@@ -442,10 +440,11 @@ def eigmin2(S: np.ndarray) -> np.ndarray:
 
 
 def singular_mask(A: np.ndarray, rel_tol: float, det: np.ndarray) -> np.ndarray:
-    """Scale-aware singularity screen of square matrices: |det| < rel_tol * (max|entry|)^n."""
+    """Scale-aware singularity screen of square matrices, a zero one included:
+    |det| <= rel_tol * (max|entry|)^n."""
     n = A.shape[-1]
     scale = np.max(np.abs(A), axis=(-2, -1))
-    return np.abs(det) < rel_tol * np.maximum(scale, _ZERO_EPS) ** n
+    return np.abs(det) <= rel_tol * scale**n
 
 
 def _nan_where(x: Jet2, bad: np.ndarray) -> Jet2:

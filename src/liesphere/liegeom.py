@@ -12,7 +12,7 @@ Vector-valued jets carry their m+4 components along the last value axis, in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,13 +76,15 @@ class LegendreFrame:
     f: Jet2
     xi: Jet2
     points: np.ndarray
-    m: int = 2
-    cert: dict = field(default_factory=dict)
+    cert: dict
+
+    @property
+    def m(self) -> int:
+        """The number of parameters, read from the jets."""
+        return self.f.m
 
     def subset(self, key) -> "LegendreFrame":
-        return LegendreFrame(
-            self.f.batch(key), self.xi.batch(key), self.points[key], self.m, self.cert
-        )
+        return LegendreFrame(self.f.batch(key), self.xi.batch(key), self.points[key], self.cert)
 
 
 def frame_residuals(f: Jet2, xi: Jet2) -> dict:
@@ -109,20 +111,14 @@ def frame_residuals(f: Jet2, xi: Jet2) -> dict:
     return res
 
 
-def lift_frame(
-    f: Jet2, xi: Jet2, points: np.ndarray, *, contact_tol: float = 1e-12, judge: bool = True
-) -> LegendreFrame:
-    """Certify (f, xi) as a Legendre frame; raises on violations.
+def lift_frame(f: Jet2, xi: Jet2, points: np.ndarray) -> LegendreFrame:
+    """(f, xi) as a Legendre frame whose ``cert`` records :func:`frame_residuals`.
 
-    With ``judge=False`` the residuals are only recorded in ``cert``: a batch
-    evaluated in blocks merges the blocks' records by the one peak rule,
-    :func:`ribaucour.merge_peaks`, and judges the merged record with
-    :func:`judge_frame`.
+    Nothing is judged here: a batch evaluated in blocks merges the blocks'
+    records by the one peak rule, :func:`ribaucour.merge_peaks`, and
+    :func:`ribaucour.eval_blocks` judges the merged record with :func:`judge_frame`.
     """
-    res = frame_residuals(f, xi)
-    if judge:
-        judge_frame(res, contact_tol)
-    return LegendreFrame(f, xi, np.asarray(points, float), f.m, res)
+    return LegendreFrame(f, xi, np.asarray(points, float), frame_residuals(f, xi))
 
 
 _RELATIONS = ("unit_f", "unit_xi", "orthogonality", "contact_df", "contact_dxi")

@@ -234,10 +234,11 @@ def alpha_hat(result: TransformResult) -> Jet2:
     )
 
 
-def corrected_differential(f: Jet2, alpha: Jet2) -> np.ndarray:
-    """Values of d f - (f + t0) alpha; row i (axis -2) is the d_i slot."""
-    f_t0 = f.value + t0_jet(f.m)
-    return np.moveaxis(f.grad, 0, -2) - alpha.value[..., None] * f_t0[..., None, :]
+def corrected_differential(f: Jet2, alpha: Jet2) -> Jet2:
+    """d f - (f + t0) alpha; row i (value axis -2) is the d_i slot.  A reader of
+    its values alone passes f at order 1 and alpha at order 0."""
+    f_t0 = f.truncate(min(f.order - 1, alpha.order)) + t0_jet(f.m)  # at the rows' order
+    return J.stack([f.deriv(i) - alpha.take(i).vec() * f_t0 for i in range(f.m)], axis=-2)
 
 
 def wedge(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -330,7 +331,7 @@ def reconstruct(result: TransformResult, det_rel_tol: float) -> dict:
     those of every block are merged.
     """
     frame = result.frame
-    hat_frame = L.lift_frame(result.f_hat, result.xi_hat, frame.points, judge=False)
+    hat_frame = L.lift_frame(result.f_hat, result.xi_hat, frame.points)
     back = transform(hat_frame, result.tau, det_rel_tol=det_rel_tol)
     inv_f = _vmax(back.f_hat.value - frame.f.value)
     inv_xi = _vmax(back.xi_hat.value - frame.xi.value)
@@ -367,8 +368,8 @@ def curvature_identity(result: TransformResult, ah: Jet2) -> float:
     the ambient inner product on the vector slots.  ``ah`` is alpha_hat.
     """
     lhs = wedge(
-        corrected_differential(result.frame.f, result.alpha),
-        corrected_differential(result.f_hat, ah),
+        corrected_differential(result.frame.f.truncate(1), result.alpha.truncate(0)).value,
+        corrected_differential(result.f_hat.truncate(1), ah.truncate(0)).value,
     )
     rhs = (1.0 - result.a.value)[..., None] * dalpha_components(result)
     diff = np.abs(lhs - rhs)
@@ -410,20 +411,21 @@ class BlockValues:
     """What :func:`eval_blocks` keeps of a batch: values and peaks, never jets."""
 
     points: np.ndarray  # (N, 2) parameter points, wrapped into the chart's domain
-    cert: dict | None  # the merged frame certificate; None when not certified
+    cert: dict  # the merged frame certificate
     values: dict[str, np.ndarray]  # each array the body returned, over the batch
     peaks: dict | None  # the bodies' peaks, merged; None when no block had any
 
 
 def eval_blocks(
     chart: CH.ChartSpec, points: np.ndarray, taus: list[tuple[E.TauExpr, int]],
-    body: Callable, *, contact_tol: float | None = None, certify: bool = True, order: int = 2,
+    body: Callable, *, contact_tol: float | None = None, order: int = 2,
 ) -> BlockValues:
     """Walk a flat batch of parameter points through ``body``, block by block.
 
     Blocks hold :data:`BLOCK` points, half as many at ``order`` 3, whose jets
-    are twice as large.  Each block lifts (and certifies) its chart, then
-    evaluates once each of ``taus``, expressions with their jet orders.
+    are twice as large.  Each block lifts its chart (:func:`charts.eval_chart`
+    records its certificate), then evaluates once each of ``taus``, expressions
+    with their jet orders.
     ``body(frame, taus, key)`` gets the chart frame (jets of ``order``), the tau
     jets and the block's slice ``key`` of the batch.  It runs under
     ``np.errstate(all="ignore")``, handing numerical trouble back as a
@@ -431,11 +433,11 @@ def eval_blocks(
     written into whole-batch arrays, and peaks (or None), merged over the blocks
     by :func:`merge_peaks`, as the blocks' frame certificates are.
 
-    Once the merged certificate fails, or a tau raises, later blocks are only
-    certified and evaluated.  After the walk the certificate is judged, then the
-    first tau that failed raises its first error, as in a single pass.  Callers
-    judge the rest on the merged values, so an error names the point the whole
-    batch would.  ``certify=False`` only lifts the chart, on points it certified.
+    Once the merged certificate fails :func:`liegeom.judge_frame` at ``contact_tol``
+    (None: the chart's default), or a tau raises, later blocks are only lifted
+    and evaluated.  After the walk the certificate is judged, then the first tau
+    that failed raises its first error, as in a single pass.  Callers judge the
+    rest on the merged values, so an error names the point the whole batch would.
     """
     flat = np.asarray(points, dtype=float)
     wrapped = chart.domain.wrap(flat)
@@ -444,15 +446,12 @@ def eval_blocks(
     cert, failed, errors, values, peaks = None, False, [None] * len(taus), {}, None
     for start in range(0, len(flat), size):
         key = slice(start, start + size)
-        if not certify:
-            frame = CH.lift(chart, flat[key], order)
-        else:
-            frame = CH.eval_chart(chart, flat[key], judge=False, order=order)
-            cert = merge_peaks(cert, frame.cert)
-            try:
-                L.judge_frame(cert, contact_tol)
-            except (ContactViolation, NotImmersed):
-                failed = True  # the whole batch's record fails too
+        frame = CH.eval_chart(chart, flat[key], order)
+        cert = merge_peaks(cert, frame.cert)
+        try:
+            L.judge_frame(cert, contact_tol)
+        except (ContactViolation, NotImmersed):
+            failed = True  # the whole batch's record fails too
         tau_jets = []
         for k, (expr, tau_order) in enumerate(taus):
             try:
@@ -469,8 +468,7 @@ def eval_blocks(
             peaks = merge_peaks(peaks, block_peaks)
         del frame, tau_jets  # their jets would otherwise live through the next block's
 
-    if certify:
-        L.judge_frame(cert, contact_tol)
+    L.judge_frame(cert, contact_tol)
     if any(errors):
         raise next(exc for exc in errors if exc)
     return BlockValues(wrapped, cert, values, peaks)

@@ -481,6 +481,38 @@ def test_non_finite_custom_chart_is_a_domain_error(tmp_path, capsys):
     assert "ContactViolation" not in err
 
 
+# A great sphere: xi is constant, so with tau = 0 the congruence metric is zero
+_GREAT_SPHERE = {
+    "kind": "custom",
+    "f": ["cos(u)*cos(v)", "cos(u)*sin(v)", "sin(u)", "0"],
+    "xi": ["0", "0", "0", "1"],
+    "domain": {"u": [-1.0, 1.0], "v": [0.0, 2 * np.pi], "periodic": [False, True]},
+}
+
+
+@pytest.mark.parametrize("command", ["check", "transform", "export"])
+def test_zero_metric_is_not_regular(tmp_path, capsys, command):
+    # a zero metric fails the regularity screen; it is not a transform that
+    # overflows, so export writes f_hat without its degenerate points
+    scene = _scene(tmp_path, chart=_GREAT_SPHERE, tau="0", grid=[8, 8])
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command, "--scene", str(scene), "--out", str(out)])
+    captured = capsys.readouterr()
+    if command == "export":
+        assert code == 0
+        assert "exported f_hat without its 64 degenerate points" in captured.out
+        meshes = json.loads((out / "export.json").read_text())["meshes"]
+        assert meshes["dropped"] == 64 and meshes["f_hat"] == {"vertices": 0, "faces": 0}
+    else:
+        assert code == 1
+        assert (
+            "NotRegular: congruence metric degenerates at batch index (0,), "
+            "parameter point [-1.0, 0.0]" in captured.err
+        )
+
+
 _HUGE = {"tau": "1e200*sin(u)", "grid": [16, 16]}  # tau is finite, tau^2 overflows
 _LATE = {"tau": "exp(250*(u-4.7))", "grid": [20, 19]}  # overflows in the last rows of u
 

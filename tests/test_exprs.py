@@ -151,6 +151,16 @@ def test_eval_domain_errors_surface():
         E.eval_at(E.parse_tau("1/u"), np.array([0.0, 0.0]))
 
 
+def test_domain_error_carries_its_point():
+    # the first point of the batch where the expression is not finite; no
+    # index, since a block's own index is not the batch's
+    with pytest.raises(DomainErrorJet) as info:
+        E.eval_at(E.parse_tau("1/u"), np.array([[1.0, 0.0], [0.0, 0.0]]))
+    assert info.value.point.tolist() == [0.0, 0.0]
+    assert info.value.index is None
+    assert str(info.value) == "1.0 / u is not finite at parameter point [0.0, 0.0]"
+
+
 def test_batched_evaluation_shapes():
     pts = np.random.default_rng(0).uniform(0.1, 6.0, size=(5, 7, 2))
     jet = E.eval_at(E.parse_tau("sin(u)+cos(v)"), pts)

@@ -527,6 +527,11 @@ def test_near_singular_metric_is_still_screened():
     assert abs(J.eigmin2(G) - np.linalg.eigvalsh(G)[0]) <= 4 * _EPS * 2.0
 
 
+def test_zero_matrix_is_singular():
+    # its scale is 0, and a floor on the scale would underflow when squared
+    assert J.singular_mask(np.zeros((1, 2, 2)), 1e-10, np.zeros(1)).tolist() == [True]
+
+
 def test_2x2_kernels_pass_nan_through_silently():
     A = _matrices(3)[:4].copy()
     A[0, 0, 0] = A[1, 0, 1] = A[2, 1, 1] = np.nan

@@ -1,6 +1,7 @@
 """Source layout guards."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "liesphere"
@@ -215,3 +216,22 @@ def test_no_src_module_reads_another_modules_private_name():
         for line in _foreign_private_reads(ast.parse(p.read_text(encoding="utf-8")))
     ]
     assert offenders == []
+
+
+def test_every_traced_name_exists():
+    # the benchmark tracer wraps (module, attribute) pairs by name; a renamed
+    # function would leave its per-layer metric silently at zero
+    tracer = SRC.parents[1] / "bench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(encoding="utf-8"))
+    spans = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "SPANS" for t in node.targets)
+    )
+    missing = [
+        f"{module}.{name}"
+        for module, name in spans
+        if not callable(getattr(importlib.import_module(module), name, None))
+    ]
+    assert spans and missing == []

@@ -110,20 +110,20 @@ def test_value_frame_residuals_match_jet_form(scene, square_torus):
 def test_duplicate_lift_violates_contact(random_points, square_torus):
     frame = CH.eval_chart(square_torus, random_points)
     with pytest.raises(ContactViolation, match="orthogonality"):
-        L.lift_frame(frame.f, frame.f, frame.points)
+        L.judge_frame(L.lift_frame(frame.f, frame.f, frame.points).cert, 1e-12)
 
 
 def test_scaled_lift_violates_unit_norm(random_points, square_torus):
     frame = CH.eval_chart(square_torus, random_points)
     with pytest.raises(ContactViolation, match="unit_f"):
-        L.lift_frame(2.0 * frame.f, frame.xi, frame.points)
+        L.judge_frame(L.lift_frame(2.0 * frame.f, frame.xi, frame.points).cert, 1e-12)
 
 
 def test_constant_pair_is_not_immersed():
     f = _const_vec([1, 0, 0, 0, 0, 0])
     xi = _const_vec([0, 1, 0, 0, 0, 0])
     with pytest.raises(NotImmersed):
-        L.lift_frame(f, xi, np.zeros((1, 2)))
+        L.judge_frame(L.lift_frame(f, xi, np.zeros((1, 2))).cert, 1e-12)
 
 
 def test_congruence_great_sphere_case(random_points, square_torus):
