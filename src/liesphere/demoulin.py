@@ -430,6 +430,7 @@ def member_pass(family: DemoulinFamily, thetas) -> tuple[list[FamilyMember], flo
 
     taus = [(family.tau0_expr, 2), (family.tau1_expr, 2)]
     points = family.grid.points().reshape(-1, 2)
+    # redundant: build_family judged this grid at this tolerance; every walk certifies
     run = RB.eval_blocks(family.chart, points, taus, body, contact_tol=family.contact_tol)
     v, peaks = run.values, run.peaks
     members = []

@@ -440,11 +440,11 @@ def eigmin2(S: np.ndarray) -> np.ndarray:
 
 
 def singular_mask(A: np.ndarray, rel_tol: float, det: np.ndarray) -> np.ndarray:
-    """Scale-aware singularity screen of square matrices, a zero one included:
-    |det| <= rel_tol * (max|entry|)^n."""
+    """Scale-aware singularity screen of square matrices: |det| < rel_tol *
+    (max|entry|)^n, or a zero matrix.  An infinite one is not flagged."""
     n = A.shape[-1]
     scale = np.max(np.abs(A), axis=(-2, -1))
-    return np.abs(det) <= rel_tol * scale**n
+    return (np.abs(det) < rel_tol * scale**n) | (scale == 0)
 
 
 def _nan_where(x: Jet2, bad: np.ndarray) -> Jet2:

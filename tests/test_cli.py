@@ -513,6 +513,21 @@ def test_zero_metric_is_not_regular(tmp_path, capsys, command):
         )
 
 
+@pytest.mark.parametrize("command", ["check", "transform", "export"])
+def test_overflowed_metric_is_not_finite(tmp_path, capsys, command):
+    # tau df overflows, so the congruence metric is infinite: the transform is
+    # not finite, and the zero-metric screen must not call that degenerate
+    scene = _shipped_scene(tmp_path, "check_sinu.json", tau="1e200", grid=[8, 8])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command, "--scene", str(scene), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert (
+        "DomainErrorJet: transform is not finite at batch index (0,), "
+        "parameter point [0.0, 0.0]" in capsys.readouterr().err
+    )
+
+
 _HUGE = {"tau": "1e200*sin(u)", "grid": [16, 16]}  # tau is finite, tau^2 overflows
 _LATE = {"tau": "exp(250*(u-4.7))", "grid": [20, 19]}  # overflows in the last rows of u
 

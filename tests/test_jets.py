@@ -527,9 +527,12 @@ def test_near_singular_metric_is_still_screened():
     assert abs(J.eigmin2(G) - np.linalg.eigvalsh(G)[0]) <= 4 * _EPS * 2.0
 
 
-def test_zero_matrix_is_singular():
-    # its scale is 0, and a floor on the scale would underflow when squared
+def test_zero_matrix_is_singular_and_infinite_one_is_not():
+    # a zero scale would underflow any floor when squared; an overflowed
+    # matrix is not finite, which is not the same as degenerate
     assert J.singular_mask(np.zeros((1, 2, 2)), 1e-10, np.zeros(1)).tolist() == [True]
+    A = np.diag([np.inf, np.inf])[None]
+    assert J.singular_mask(A, 1e-10, J.det2(A)).tolist() == [False]
 
 
 def test_2x2_kernels_pass_nan_through_silently():

@@ -136,6 +136,7 @@ def test_alpha_against_fd_built_frame(square_torus):
     tau_fd = fd_jet_oracle(lambda p: float(E.eval_at(expr, p).value), pt, 1e-3)
     # batch(None) adds the leading batch axis of one point
     frame_fd = L.lift_frame(f_fd.batch(None), xi_fd.batch(None), pt[None, :])
+    L.judge_frame(frame_fd.cert, 1e-6)  # the finite-difference frame certifies
     res_fd = RB.transform(frame_fd, tau_fd.batch(None))
     frame, tau = _frame_and_tau(square_torus, "0.3*sin(u)", pt[None, :])
     res = RB.transform(frame, tau)
