@@ -123,9 +123,8 @@ def eval_chart(spec: ChartSpec, points: np.ndarray, order: int = 2) -> L.Legendr
     (:func:`liegeom.lift_frame`), never judged here.  Custom components that are
     not finite raise :class:`DomainErrorJet` naming the expression and the point.
     """
-    pts = spec.domain.wrap(np.asarray(points, dtype=float))
-    f, xi = _eval_lift(spec, pts, order)
-    return L.lift_frame(f, xi, pts)
+    f, xi = _eval_lift(spec, spec.domain.wrap(np.asarray(points, dtype=float)), order)
+    return L.lift_frame(f, xi)
 
 
 def _eval_lift(spec: ChartSpec, pts: np.ndarray, order: int) -> tuple[Jet2, Jet2]:

@@ -505,7 +505,7 @@ def _dual_fields(family: DemoulinFamily, points: np.ndarray, order: int = 2) -> 
         del res0  # the rest reads only dfh0 and ah0 of it
         f, xi = (x.truncate(order - 1) for x in (frame.f, frame.xi))
         res1 = RB.transform(
-            L.LegendreFrame(f, xi, frame.points, frame.cert), tau1, det_rel_tol=family.det_rel_tol
+            L.LegendreFrame(f, xi, frame.cert), tau1, det_rel_tol=family.det_rel_tol
         )
         num = lie_inner(dfh0, (res1.f_hat + t0).expand(-2))
         den = ((tau1 - tau0) * (res1.a - 1.0)).vec()

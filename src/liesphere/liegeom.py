@@ -75,7 +75,6 @@ class LegendreFrame:
 
     f: Jet2
     xi: Jet2
-    points: np.ndarray
     cert: dict
 
     @property
@@ -83,19 +82,17 @@ class LegendreFrame:
         """The number of parameters, read from the jets."""
         return self.f.m
 
-    def subset(self, key) -> "LegendreFrame":
-        return LegendreFrame(self.f.batch(key), self.xi.batch(key), self.points[key], self.cert)
 
-
-def frame_residuals(f: Jet2, xi: Jet2) -> dict:
-    """Max residuals of the frame relations, plus the immersion margin.
+def frame_residuals(f: Jet2, xi: Jet2, keep: np.ndarray | bool = True) -> dict:
+    """Max residuals of the frame relations, plus the immersion margin, over
+    the points ``keep`` marks (a mask of the batch; True: every point).
 
     Reads values and first partials only, so order-1 frames certify too.
     """
     fv, xv = f.value, xi.value
 
     def _amax(arr: np.ndarray) -> float:
-        return float(np.max(np.abs(arr))) if arr.size else 0.0
+        return float(np.max(np.abs(arr), initial=0.0, where=keep))
 
     res = {
         "unit_f": _amax(inner_value(fv, fv) - 1.0),
@@ -107,18 +104,19 @@ def frame_residuals(f: Jet2, xi: Jet2) -> dict:
     # Immersion screen: smallest eigenvalue of (df,df) + (dxi,dxi).
     df = np.moveaxis(f.grad, 0, -2)  # rows d_i f
     dxi = np.moveaxis(xi.grad, 0, -2)
-    res["immersion_min"] = float(np.min(J.eigmin2(pairing(df, df) + pairing(dxi, dxi))))
+    eig = J.eigmin2(pairing(df, df) + pairing(dxi, dxi))
+    res["immersion_min"] = float(np.min(eig, initial=np.inf, where=keep))
     return res
 
 
-def lift_frame(f: Jet2, xi: Jet2, points: np.ndarray) -> LegendreFrame:
+def lift_frame(f: Jet2, xi: Jet2) -> LegendreFrame:
     """(f, xi) as a Legendre frame whose ``cert`` records :func:`frame_residuals`.
 
     Nothing is judged here: a batch evaluated in blocks merges the blocks'
     records by the one peak rule, :func:`ribaucour.merge_peaks`, and
     :func:`ribaucour.eval_blocks` judges the merged record with :func:`judge_frame`.
     """
-    return LegendreFrame(f, xi, np.asarray(points, float), frame_residuals(f, xi))
+    return LegendreFrame(f, xi, frame_residuals(f, xi))
 
 
 _RELATIONS = ("unit_f", "unit_xi", "orthogonality", "contact_df", "contact_dxi")

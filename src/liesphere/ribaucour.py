@@ -213,6 +213,14 @@ def _vmax(arr: np.ndarray) -> float:
     return float(np.nanmax(np.abs(arr))) if arr.size else 0.0
 
 
+def _nan_at(singular: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """``arr`` (batch axes first) NaN at the ``singular`` points, which maxima then skip."""
+    if not singular.any():
+        return arr
+    at = singular.reshape(singular.shape + (1,) * (arr.ndim - singular.ndim))
+    return np.where(at, np.nan, arr)
+
+
 def f_check_hat(result: TransformResult) -> Jet2:
     """Normal component of the reverse decomposition: f_check + mu^2 (f - f_hat).
 
@@ -258,7 +266,8 @@ def pointwise_residuals(result: TransformResult, ah: Jet2) -> dict[str, np.ndarr
     (eq6), the differential identity relating the two congruence forms (eq9),
     and the sum rule alpha + alpha_hat = d ln(1-a) (eq13), plus supporting
     orthogonality/normalization checks.  ``hat_abs_det`` is |det| of the
-    metric induced by the transformed frame.
+    metric induced by the transformed frame.  Every array is NaN at the
+    singular points, which the verdicts and field dumps leave out.
     """
     f, xi = result.frame.f.value, result.frame.xi.value
     fh, xh = result.f_hat.value, result.xi_hat.value
@@ -308,7 +317,7 @@ def pointwise_residuals(result: TransformResult, ah: Jet2) -> dict[str, np.ndarr
         np.max(np.abs(inner(df, fh) * inv_am1 - alpha), axis=0),
         np.max(np.abs(inner(dfh, f) * inv_am1 - alpha_h), axis=0),
     )
-    return pw
+    return {k: _nan_at(result.metric.singular, v) for k, v in pw.items()}
 
 
 def residual_suite(pointwise: dict[str, np.ndarray]) -> dict:
@@ -321,26 +330,31 @@ def residual_suite(pointwise: dict[str, np.ndarray]) -> dict:
 def reconstruct(result: TransformResult, det_rel_tol: float) -> dict:
     """Transform the transformed frame with the same tau; must return home.
 
-    Returns diagnostics: the sup-norm discrepancy of the reconstructed frame,
-    the residual of the reverse normal component identity
-    f_check_hat = f_check + mu^2 (f - f_hat), the length check
-    |f_check_hat| = mu, the transformed frame's certificate ``hat_cert`` and
-    the mask ``back_singular`` of points where the reverse transform
+    Only the regular points of ``result`` take part: f_hat is NaN at the
+    singular ones.  Returns diagnostics over the regular points: the sup-norm
+    discrepancy of the reconstructed frame, the residual of the reverse normal
+    component identity f_check_hat = f_check + mu^2 (f - f_hat), the length
+    check |f_check_hat| = mu, the transformed frame's certificate ``hat_cert``
+    (:func:`liegeom.frame_residuals` over the regular points), and the mask
+    ``back_singular`` of regular points where the reverse transform
     degenerates under the regularity screen at ``det_rel_tol``.  Nothing is
     judged here: :func:`judge_reconstruction` raises on the diagnostics, once
     those of every block are merged.
     """
-    frame = result.frame
-    hat_frame = L.lift_frame(result.f_hat, result.xi_hat, frame.points)
+    frame, singular = result.frame, result.metric.singular
+    f_hat, xi_hat = result.f_hat, result.xi_hat
+    keep = ~singular if singular.any() else True  # a masked maximum is the slower one
+    hat_frame = LegendreFrame(f_hat, xi_hat, L.frame_residuals(f_hat, xi_hat, keep))
     back = transform(hat_frame, result.tau, det_rel_tol=det_rel_tol)
-    inv_f = _vmax(back.f_hat.value - frame.f.value)
-    inv_xi = _vmax(back.xi_hat.value - frame.xi.value)
+    inv_f = _vmax(_nan_at(singular, back.f_hat.value - frame.f.value))
+    inv_xi = _vmax(_nan_at(singular, back.xi_hat.value - frame.xi.value))
+    mu_check = lie_inner(back.f_check, back.f_check).value
     return {
         "involution": max(inv_f, inv_xi),
-        "eq10": _vmax(back.f_check.value - f_check_hat(result).value),
-        "mu_match": _vmax(lie_inner(back.f_check, back.f_check).value - result.mu2.value),
+        "eq10": _vmax(_nan_at(singular, back.f_check.value - f_check_hat(result).value)),
+        "mu_match": _vmax(_nan_at(singular, mu_check - result.mu2.value)),
         "hat_cert": hat_frame.cert,
-        "back_singular": back.metric.singular,
+        "back_singular": back.metric.singular & ~singular,
     }
 
 
@@ -349,8 +363,8 @@ def judge_reconstruction(diag: dict, points: np.ndarray, *, tol: float = 1e-8) -
 
     The transformed frame must certify at 1e-8, the reverse transform must be
     regular (:class:`NotRegular` names the first point of ``points``, the
-    batch that was transformed), and the frame discrepancy must stay within
-    ``tol`` (:class:`InvolutionFailure`).
+    batch that was transformed, where ``back_singular`` is set), and the frame
+    discrepancy must stay within ``tol`` (:class:`InvolutionFailure`).
     """
     L.judge_frame(diag["hat_cert"], 1e-8)
     NotRegular.raise_first(diag["back_singular"], points, "congruence metric degenerates")
@@ -372,10 +386,7 @@ def curvature_identity(result: TransformResult, ah: Jet2) -> float:
         corrected_differential(result.f_hat.truncate(1), ah.truncate(0)).value,
     )
     rhs = (1.0 - result.a.value)[..., None] * dalpha_components(result)
-    diff = np.abs(lhs - rhs)
-    if result.metric.singular.any():
-        diff = np.where(result.metric.singular[..., None], np.nan, diff)
-    return float(np.nanmax(diff)) if diff.size else 0.0
+    return _vmax(_nan_at(result.metric.singular, lhs - rhs))
 
 
 # ---------- the block evaluator ----------
@@ -509,20 +520,17 @@ class GridRun:
     reconstruction: dict
 
 
-def field_columns(res: TransformResult, pw: dict | None, reg: np.ndarray) -> dict:
+def field_columns(res: TransformResult, pw: dict) -> dict:
     """What ``transform`` writes of a block: the first four components of f
     and f_hat, then the fields.csv columns in file order, the last ones the
-    _POINTWISE residuals of ``pw`` (NaN off ``reg``, the regular points)."""
+    _POINTWISE residuals of ``pw``, :func:`pointwise_residuals` of ``res``
+    (NaN off the regular points)."""
     alpha = res.alpha.value
     cols = {"f": res.frame.f.value[:, :4], "f_hat": res.f_hat.value[:, :4]}
     cols |= {"tau": res.tau.value, "a": res.a.value, "b": res.b.value, "mu2": res.mu2.value}
     cols |= {"alpha_u": alpha[..., 0], "alpha_v": alpha[..., 1]}
     cols["dalpha_abs"] = np.abs(dalpha_components(res)[..., 0])
-    for key in _POINTWISE:
-        cols[f"res_{key}"] = np.full(reg.shape, np.nan)
-        if pw is not None:
-            cols[f"res_{key}"][reg] = pw[key]
-    return cols
+    return cols | {f"res_{key}": pw[key] for key in _POINTWISE}
 
 
 def _run_block(
@@ -530,39 +538,32 @@ def _run_block(
 ) -> tuple[dict, dict | None]:
     """Transform and verify one block; ``start`` is its first flat grid index.
 
-    Returns the block's values, and its peaks (None: no regular point).  The
-    values are what the verdicts read (the masks, and ``det``), and
-    ``columns(res, pw, reg)`` of the caller, if given (``pw`` is None when no
-    point is regular).  The reverse transform's singular mask is a value,
-    False off the regular points.
+    The block is transformed once.  Degenerate points (a curvature-sphere
+    crossing of tau) stay in it, masked by the transform's singular mask: every
+    diagnostic leaves them out, and the report carries regular=False when any
+    exist.  Returns the block's values, and its peaks (None: no regular point).
+    The values are what the verdicts read (the masks, and ``det``), and
+    ``columns(res, pw)`` of the caller, if given.  The reverse transform's
+    singular mask is a value, False off the regular points.
     """
     res = transform(frame, tau, det_rel_tol=det_rel_tol)
     reg = ~res.metric.singular
-    values = {
-        "not_finite": res.not_finite,
-        "singular": res.metric.singular,
-        "det": res.metric.det,
-        "back_singular": np.zeros(reg.shape, bool),
-    }
-    if not reg.any():
-        return values | (columns(res, None, reg) if columns else {}), None
+    values = {"not_finite": res.not_finite, "singular": res.metric.singular, "det": res.metric.det}
     max_da, arg = ribaucour_residual(res)  # (-inf, None) loses to any regular point
     peaks = {"dalpha": (max_da, None if arg is None else start + arg[0])}
     peaks["max_alpha"] = max_abs_alpha(res)
-    # Degenerate points (a curvature-sphere crossing of tau) are left out of
-    # the diagnostics; the report carries regular=False when any exist.
-    clean = res
-    if not reg.all():
-        clean = transform(frame.subset(reg), tau.batch(reg), det_rel_tol=det_rel_tol)
-    ah = alpha_hat(clean)
-    pw = pointwise_residuals(clean, ah)
-    peaks["suite"] = residual_suite(pw)
-    peaks["curvature"] = curvature_identity(clean, ah)
+    ah = alpha_hat(res)
+    pw = pointwise_residuals(res, ah)
+    if reg.any():
+        peaks["suite"] = residual_suite(pw)
+        peaks["curvature"] = curvature_identity(res, ah)
     if columns:
-        values |= columns(res, pw, reg)
+        values |= columns(res, pw)
     del pw, ah  # would otherwise stay live through reconstruct's peak
-    peaks["reconstruction"] = reconstruct(clean, det_rel_tol)
-    values["back_singular"][reg] = peaks["reconstruction"].pop("back_singular")
+    if not reg.any():
+        return values | {"back_singular": reg}, None  # reg is all False
+    peaks["reconstruction"] = reconstruct(res, det_rel_tol)
+    values["back_singular"] = peaks["reconstruction"].pop("back_singular")
     return values, peaks
 
 
@@ -600,9 +601,8 @@ def run_grid(
     if singular.all():
         NotRegular.raise_first(singular, run.points, "congruence metric degenerates")
     max_da, argmax = peaks["dalpha"]  # a regular point is left, so argmax is an index
-    reg = ~singular
-    recon = peaks["reconstruction"] | {"back_singular": back_singular[reg]}
-    judge_reconstruction(recon, run.points[reg], tol=involution_tol)
+    recon = peaks["reconstruction"] | {"back_singular": back_singular}
+    judge_reconstruction(recon, run.points, tol=involution_tol)
     return GridRun(
         chart=chart,
         grid_shape=grid_shape,

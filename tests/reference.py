@@ -1,7 +1,8 @@
 """Independent references that tests compare the engine against.
 
 None of this is used by the engine itself: point-major jet arithmetic, the
-hypersurface (shape-operator) route to f_check, plaquette circulations of a
+hypersurface (shape-operator) route to f_check, the diagnostics of a batch
+with its degenerate points cut out, plaquette circulations of a
 sampled 1-form, an OBJ reader, the product torus written as custom-chart text,
 and its principal curvatures.
 """
@@ -256,7 +257,7 @@ def shape_operator_path(
     A = mat_mul(ginv, S)
     M = A + mat_identity(m, m) * tau.vec().vec()
     if np.any(_singular(M, det_rel_tol)):
-        NotRegular.raise_first(_singular(M, det_rel_tol), frame.points, "A + tau Id")
+        raise NotRegular("A + tau Id is singular in the batch")
     Minv = _inverse(M, det_rel_tol)
     dtau_vec = J.stack([tau.deriv(i) for i in range(m)], axis=-1)
     w = J.mat_vec(Minv, J.mat_vec(ginv, dtau_vec))
@@ -264,6 +265,38 @@ def shape_operator_path(
     for i in range(1, m):
         out = out + w.take(i).vec() * df[i]
     return out
+
+
+# ---------- the regular-subset route ----------
+
+
+def subset_route(frame: LegendreFrame, tau: Jet2, det_rel_tol: float = RB.DET_REL_TOL) -> dict:
+    """A batch's diagnostics with its degenerate points cut out instead of masked.
+
+    The regular points of the batch's transform are transformed a second time
+    on their own (``Jet2.batch``), and the identity suite, the curvature
+    identity and the reconstruction read that second transform.  Returns
+    ``suite``, ``curvature``, ``reconstruction`` (``back_singular`` scattered
+    onto the batch) and the ``res_eq*`` columns, NaN off the regular points.
+    """
+    reg = ~RB.transform(frame, tau, det_rel_tol=det_rel_tol).metric.singular
+    regular = LegendreFrame(frame.f.batch(reg), frame.xi.batch(reg), frame.cert)
+    clean = RB.transform(regular, tau.batch(reg), det_rel_tol=det_rel_tol)
+    ah = RB.alpha_hat(clean)
+    pw = RB.pointwise_residuals(clean, ah)
+    recon = RB.reconstruct(clean, det_rel_tol)
+    back = np.zeros(reg.shape, bool)
+    back[reg] = recon["back_singular"]
+    columns = {}
+    for key in ("eq6", "eq9", "eq13"):
+        columns[f"res_{key}"] = np.full(reg.shape, np.nan)
+        columns[f"res_{key}"][reg] = pw[key]
+    return {
+        "suite": RB.residual_suite(pw),
+        "curvature": RB.curvature_identity(clean, ah),
+        "reconstruction": recon | {"back_singular": back},
+        "columns": columns,
+    }
 
 
 # ---------- grid exterior derivative ----------

@@ -36,12 +36,13 @@ def family_64(square_torus):
 def _generator(family, which):
     """A generator's frame and whole-grid transform; the family keeps only values."""
     frame = CH.eval_chart(family.chart, family.grid.points().reshape(-1, 2))
-    return frame, RB.transform(frame, _tau_jets(family, frame)[which])
+    return frame, RB.transform(frame, _tau_jets(family)[which])
 
 
-def _tau_jets(family, frame):
-    """Both generators' tau jets at the frame's points."""
-    return [E.eval_at(expr, frame.points) for expr in (family.tau0_expr, family.tau1_expr)]
+def _tau_jets(family):
+    """Both generators' tau jets at the grid's points, wrapped as the chart's frame wraps them."""
+    points = family.chart.domain.wrap(family.grid.points().reshape(-1, 2))
+    return [E.eval_at(expr, points) for expr in (family.tau0_expr, family.tau1_expr)]
 
 
 def _member(family, theta):
@@ -89,8 +90,9 @@ def test_potential_discrete_gradient_reproduces_form(family_64):
 
 def test_non_closed_form_raises_path_dependence(square_torus):
     grid = G.Grid(64, 64, square_torus.domain)
-    frame = CH.eval_chart(square_torus, grid.points().reshape(-1, 2))
-    tau = E.eval_at(E.parse_tau("sin(u)*sin(v)"), frame.points)
+    pts = grid.points().reshape(-1, 2)
+    frame = CH.eval_chart(square_torus, pts)
+    tau = E.eval_at(E.parse_tau("sin(u)*sin(v)"), square_torus.domain.wrap(pts))
     res = RB.transform(frame, tau)
     comps = np.where(res.metric.singular[..., None], 0.0, res.alpha.value)
     partials = np.moveaxis(res.alpha.grad, 0, -1)  # (..., component, derivative)
@@ -272,7 +274,7 @@ def test_parallel_sections_negative_control(family_64):
     fam = family_64
     frame, result0 = _generator(fam, 0)
     t0 = t0_jet(2)
-    tau0, tau1 = _tau_jets(fam, frame)
+    tau0, tau1 = _tau_jets(fam)
     u1_wrong = 1.0 / (tau1 - tau0)  # misses e^{tau_tilde_0}
     body = light_cone_section(frame.f, frame.xi, tau1)
     sigma = u1_wrong.vec() * body

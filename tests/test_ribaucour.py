@@ -28,13 +28,18 @@ from liesphere.errors import (
 )
 from liesphere.gridio import Grid, fd_jet_oracle
 from liesphere.jets import Jet2
-from reference import clifford_torus_exprs, shape_operator_path
+from reference import clifford_torus_exprs, shape_operator_path, subset_route
 
 
 def _frame_and_tau(spec, src, points):
     frame = CH.eval_chart(spec, points)
-    tau = E.eval_at(E.parse_tau(src), frame.points)
+    tau = E.eval_at(E.parse_tau(src), spec.domain.wrap(points))
     return frame, tau
+
+
+def _flat_points(spec, grid):
+    """The grid's points, flat and wrapped into the chart's domain as eval_chart wraps them."""
+    return spec.domain.wrap(grid.points().reshape(-1, 2))
 
 
 # ---------- the congruence metric ----------
@@ -63,8 +68,9 @@ def test_metric_closed_form(square_torus, random_points):
 def test_metric_degenerates_at_principal_curvature(square_torus, random_points):
     frame, tau = _frame_and_tau(square_torus, "1", random_points)
     met = RB.minus_metric(frame, tau)
+    points = square_torus.domain.wrap(random_points)
     with pytest.raises(NotRegular) as exc:
-        NotRegular.raise_first(met.singular, frame.points, "congruence metric")
+        NotRegular.raise_first(met.singular, points, "congruence metric")
     assert exc.value.index is not None
 
 
@@ -135,7 +141,7 @@ def test_alpha_against_fd_built_frame(square_torus):
     xi_fd = fd_jet_oracle(xicomp, pt, 1e-3)
     tau_fd = fd_jet_oracle(lambda p: float(E.eval_at(expr, p).value), pt, 1e-3)
     # batch(None) adds the leading batch axis of one point
-    frame_fd = L.lift_frame(f_fd.batch(None), xi_fd.batch(None), pt[None, :])
+    frame_fd = L.lift_frame(f_fd.batch(None), xi_fd.batch(None))
     L.judge_frame(frame_fd.cert, 1e-6)  # the finite-difference frame certifies
     res_fd = RB.transform(frame_fd, tau_fd.batch(None))
     frame, tau = _frame_and_tau(square_torus, "0.3*sin(u)", pt[None, :])
@@ -163,11 +169,11 @@ def test_value_helpers_match_jet_arithmetic(square_torus, random_points):
             assert np.array_equal(L.pairing(B, B)[..., i, k], pair)
 
 
-def test_jet_orders_through_the_transform(torus_frame_16):
+def test_jet_orders_through_the_transform(square_torus, torus_frame_16):
     # tau is order 2, so alpha keeps its exact gradient; f_hat is order 1,
     # so alpha_hat = (d f_hat, -f_check_hat) carries values only
-    _, frame = torus_frame_16
-    tau = E.eval_at(E.parse_tau("0.3*sin(u)"), frame.points)
+    grid, frame = torus_frame_16
+    tau = E.eval_at(E.parse_tau("0.3*sin(u)"), _flat_points(square_torus, grid))
     res = RB.transform(frame, tau)
     assert res.alpha.order == 1 and res.alpha.grad is not None
     assert res.f_hat.order == 1 and res.metric.G.order == 1
@@ -198,7 +204,9 @@ def _same_bits(lazy: Jet2, eager: Jet2):
 @pytest.mark.parametrize("chart", sorted(CHARTS))
 def test_fields_built_on_read_match_the_eager_formulas(chart, order, random_points):
     frame = CH.eval_chart(CHARTS[chart], random_points, order=order)
-    tau = E.eval_at(E.parse_tau("0.3*sin(u) + 0.2*cos(v)"), frame.points, order)
+    tau = E.eval_at(
+        E.parse_tau("0.3*sin(u) + 0.2*cos(v)"), CHARTS[chart].domain.wrap(random_points), order
+    )
     res = RB.transform(frame, tau)
     f, xi, tv = frame.f, frame.xi, tau.vec()
     xi_hat = xi - tv * f + tv * res.f_hat
@@ -228,9 +236,10 @@ def _built(res) -> set:
     return {"xi_hat", "alpha"} & set(vars(res))
 
 
-def test_transform_builds_xi_hat_and_alpha_on_read(torus_frame_16):
-    _, frame = torus_frame_16
-    res = RB.transform(frame, E.eval_at(E.parse_tau("0.3*sin(u)"), frame.points))
+def test_transform_builds_xi_hat_and_alpha_on_read(square_torus, torus_frame_16):
+    grid, frame = torus_frame_16
+    tau = E.eval_at(E.parse_tau("0.3*sin(u)"), _flat_points(square_torus, grid))
+    res = RB.transform(frame, tau)
     assert _built(res) == set()
     assert res.alpha is res.alpha and _built(res) == {"alpha"}
 
@@ -309,8 +318,8 @@ def test_constant_tau_alpha_identically_zero(square_torus, random_points):
 
 
 def test_u_only_tau_is_closed(square_torus, torus_frame_32):
-    _, frame = torus_frame_32
-    tau = E.eval_at(E.parse_tau("0.3*sin(u)"), frame.points)
+    grid, frame = torus_frame_32
+    tau = E.eval_at(E.parse_tau("0.3*sin(u)"), _flat_points(square_torus, grid))
     maxd, _ = RB.ribaucour_residual(RB.transform(frame, tau))
     assert maxd < 1e-10
 
@@ -318,7 +327,7 @@ def test_u_only_tau_is_closed(square_torus, torus_frame_32):
 def test_separable_product_tau_is_not_closed(square_torus):
     grid = Grid(64, 64, square_torus.domain)
     frame = CH.eval_chart(square_torus, grid.points().reshape(-1, 2))
-    tau = E.eval_at(E.parse_tau("sin(u)*sin(v)"), frame.points)
+    tau = E.eval_at(E.parse_tau("sin(u)*sin(v)"), _flat_points(square_torus, grid))
     res = RB.transform(frame, tau)
     maxd, loc = RB.ribaucour_residual(res)
     assert maxd > 1e-2
@@ -328,10 +337,11 @@ def test_separable_product_tau_is_not_closed(square_torus):
 def test_strict_mode_raises_on_singular_grid(square_torus):
     grid = Grid(64, 64, square_torus.domain)
     frame = CH.eval_chart(square_torus, grid.points().reshape(-1, 2))
-    tau = E.eval_at(E.parse_tau("sin(u)*sin(v)"), frame.points)
+    points = _flat_points(square_torus, grid)
+    tau = E.eval_at(E.parse_tau("sin(u)*sin(v)"), points)
     res = RB.transform(frame, tau)
     with pytest.raises(NotRegular) as exc:
-        NotRegular.raise_first(res.metric.singular, frame.points, "congruence metric")
+        NotRegular.raise_first(res.metric.singular, points, "congruence metric")
     # the first singular point, u = v = pi/2
     assert exc.value.index == (1040,)
     np.testing.assert_array_equal(exc.value.point, [np.pi / 2.0, np.pi / 2.0])
@@ -350,16 +360,17 @@ def test_double_antipode_reconstruction(square_torus, random_points):
     frame, tau = _frame_and_tau(square_torus, "0", random_points)
     res = RB.transform(frame, tau)
     diag = RB.reconstruct(res, RB.DET_REL_TOL)
-    RB.judge_reconstruction(diag, frame.points)
+    RB.judge_reconstruction(diag, square_torus.domain.wrap(random_points))
     assert diag["involution"] == 0.0  # the reconstructed frame is bit-identical
 
 
 def test_involution_on_grid(square_torus, torus_frame_32):
-    _, frame = torus_frame_32
-    tau = E.eval_at(E.parse_tau("0.3*sin(u)"), frame.points)
+    grid, frame = torus_frame_32
+    points = _flat_points(square_torus, grid)
+    tau = E.eval_at(E.parse_tau("0.3*sin(u)"), points)
     res = RB.transform(frame, tau)
     diag = RB.reconstruct(res, RB.DET_REL_TOL)
-    RB.judge_reconstruction(diag, frame.points)
+    RB.judge_reconstruction(diag, points)
     assert diag["involution"] < 1e-9
     assert diag["eq10"] < 1e-9
     assert diag["mu_match"] < 1e-9
@@ -372,8 +383,9 @@ def test_involution_failure_detected(square_torus, random_points):
     # xi_hat is read first, so that it is built from f_hat, not -f_hat
     res.xi_hat
     res.f_hat = -res.f_hat
+    points = square_torus.domain.wrap(random_points)
     with pytest.raises(InvolutionFailure):
-        RB.judge_reconstruction(RB.reconstruct(res, RB.DET_REL_TOL), res.frame.points)
+        RB.judge_reconstruction(RB.reconstruct(res, RB.DET_REL_TOL), points)
 
 
 # ---------- the hypersurface route ----------
@@ -427,8 +439,8 @@ def test_curvature_identity_constant_tau(square_torus, random_points):
 
 
 def test_curvature_identity_on_grid(square_torus, torus_frame_32):
-    _, frame = torus_frame_32
-    tau = E.eval_at(E.parse_tau("0.3*sin(u)"), frame.points)
+    grid, frame = torus_frame_32
+    tau = E.eval_at(E.parse_tau("0.3*sin(u)"), _flat_points(square_torus, grid))
     res = RB.transform(frame, tau)
     assert RB.curvature_identity(res, RB.alpha_hat(res)) < 1e-8
 
@@ -437,7 +449,7 @@ def test_curvature_identity_off_the_closed_locus(square_torus):
     # the identity relates the two sides even when both are nonzero
     grid = Grid(32, 32, square_torus.domain)
     frame = CH.eval_chart(square_torus, grid.points().reshape(-1, 2))
-    tau = E.eval_at(E.parse_tau("sin(u)*sin(v)"), frame.points)
+    tau = E.eval_at(E.parse_tau("sin(u)*sin(v)"), _flat_points(square_torus, grid))
     res = RB.transform(frame, tau)
     ah = RB.alpha_hat(res)
     scale = _curvature_scale(res, ah)
@@ -500,11 +512,14 @@ def test_classification_stable_under_refinement(square_torus, n):
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
 
+def _scene(name, **overrides):
+    obj = json.loads((SCENES / name).read_text(encoding="utf-8"))
+    return cli.scene_from_json(obj | overrides)
+
+
 def _scene_run(name, monkeypatch, block, grid=(20, 19), columns=None, **overrides):
     """run_grid on a shipped scene with ``RB.BLOCK`` set to ``block``."""
-    obj = json.loads((SCENES / name).read_text(encoding="utf-8"))
-    obj.update(overrides)
-    scene = cli.scene_from_json(obj)
+    scene = _scene(name, **overrides)
     monkeypatch.setattr(RB, "BLOCK", block)
     points = Grid(*grid, scene.chart.domain).points()
     return RB.run_grid(scene.chart, scene.tau, points, columns=columns)
@@ -530,6 +545,55 @@ def test_blocks_cannot_change_results(name, monkeypatch):
     assert bare.columns == {}
     assert RB.diagnostic_report(bare) == RB.diagnostic_report(whole)
     np.testing.assert_array_equal(bare.singular, whole.singular)
+
+
+def _bits(peaks: dict) -> dict:
+    return {k: _bits(v) if isinstance(v, dict) else np.float64(v).tobytes() for k, v in peaks.items()}
+
+
+@pytest.mark.parametrize("block", [4096, 37])
+def test_masked_degenerate_points_match_the_regular_subset_route(block, monkeypatch):
+    # 4 of check_sinusinv's 64 x 64 points are degenerate; the grid is one
+    # block, or 111 blocks of 37.  Each block is transformed once, and its
+    # reverse transform once, with the degenerate points masked in place.
+    scene = _scene("check_sinusinv.json")
+    points = Grid(64, 64, scene.chart.domain).points().reshape(-1, 2)
+    frame = CH.eval_chart(scene.chart, points)
+    ref = subset_route(frame, E.eval_at(scene.tau, scene.chart.domain.wrap(points)))
+    monkeypatch.setattr(RB, "BLOCK", block)
+    results = _transforms(monkeypatch)
+    run = RB.run_grid(scene.chart, scene.tau, points, columns=RB.field_columns)
+    assert len(results) == 2 * -(-len(points) // block)
+    assert np.count_nonzero(run.singular) == 4
+    assert _bits(run.residuals) == _bits(ref["suite"])
+    assert _bits({"curvature": run.curvature}) == _bits({"curvature": ref["curvature"]})
+    recon, ref_recon = dict(run.reconstruction), dict(ref["reconstruction"])
+    np.testing.assert_array_equal(recon.pop("back_singular"), ref_recon.pop("back_singular"))
+    assert _bits(recon) == _bits(ref_recon)
+    for key, column in ref["columns"].items():
+        assert run.columns[key].tobytes() == column.tobytes(), key
+
+
+def test_reverse_transform_error_names_the_grid_index(monkeypatch):
+    # the reverse transform is made to degenerate at the block's last regular
+    # point, grid point 4095 of check_sinusinv's 64 x 64, which 4 degenerate
+    # points precede; the error names it by its grid index
+    reconstruct = RB.reconstruct
+
+    def flag_last_regular(result, det_rel_tol):
+        diag = reconstruct(result, det_rel_tol)
+        diag["back_singular"][np.flatnonzero(~result.metric.singular)[-1]] = True
+        return diag
+
+    monkeypatch.setattr(RB, "reconstruct", flag_last_regular)
+    scene = _scene("check_sinusinv.json")
+    points = Grid(64, 64, scene.chart.domain).points()
+    with pytest.raises(NotRegular) as info:
+        RB.run_grid(scene.chart, scene.tau, points)
+    exc = info.value
+    wrapped_points = scene.chart.domain.wrap(points.reshape(-1, 2))
+    assert exc.index == (4095,)
+    np.testing.assert_array_equal(wrapped_points[exc.index], exc.point)
 
 
 def _with_chart(name, overrides):
@@ -639,8 +703,8 @@ def test_nan_in_a_later_block_fails_certification(square_torus, monkeypatch):
     # has a NaN contact residual
     residuals = L.frame_residuals
 
-    def late_nan(f, xi):
-        res = residuals(f, xi)
+    def late_nan(f, xi, keep=True):
+        res = residuals(f, xi, keep)
         return res | {"contact_df": np.nan} if len(f.value) == 10 else res
 
     monkeypatch.setattr(L, "frame_residuals", late_nan)
