@@ -70,7 +70,8 @@ class LegendreFrame:
 
     ``f`` and ``xi`` have unit length, are orthogonal, and satisfy the
     oriented-contact relations (df, xi) = (f, dxi) = 0; ``cert`` records the
-    maximal residual of each relation over the batch.
+    maximal residual of each relation over the points its builder certified:
+    the batch in :func:`lift_frame`, the regular points in :func:`ribaucour.reconstruct`.
     """
 
     f: Jet2

@@ -343,8 +343,7 @@ def reconstruct(result: TransformResult, det_rel_tol: float) -> dict:
     """
     frame, singular = result.frame, result.metric.singular
     f_hat, xi_hat = result.f_hat, result.xi_hat
-    keep = ~singular if singular.any() else True  # a masked maximum is the slower one
-    hat_frame = LegendreFrame(f_hat, xi_hat, L.frame_residuals(f_hat, xi_hat, keep))
+    hat_frame = LegendreFrame(f_hat, xi_hat, L.frame_residuals(f_hat, xi_hat, ~singular))
     back = transform(hat_frame, result.tau, det_rel_tol=det_rel_tol)
     inv_f = _vmax(_nan_at(singular, back.f_hat.value - frame.f.value))
     inv_xi = _vmax(_nan_at(singular, back.xi_hat.value - frame.xi.value))
@@ -549,19 +548,19 @@ def _run_block(
     res = transform(frame, tau, det_rel_tol=det_rel_tol)
     reg = ~res.metric.singular
     values = {"not_finite": res.not_finite, "singular": res.metric.singular, "det": res.metric.det}
-    max_da, arg = ribaucour_residual(res)  # (-inf, None) loses to any regular point
-    peaks = {"dalpha": (max_da, None if arg is None else start + arg[0])}
+    if not reg.any():  # reg is all False, and so is the reverse transform's mask
+        cols = columns(res, pointwise_residuals(res, alpha_hat(res))) if columns else {}
+        return values | {"back_singular": reg} | cols, None
+    max_da, arg = ribaucour_residual(res)
+    peaks = {"dalpha": (max_da, start + arg[0])}
     peaks["max_alpha"] = max_abs_alpha(res)
     ah = alpha_hat(res)
     pw = pointwise_residuals(res, ah)
-    if reg.any():
-        peaks["suite"] = residual_suite(pw)
-        peaks["curvature"] = curvature_identity(res, ah)
+    peaks["suite"] = residual_suite(pw)
+    peaks["curvature"] = curvature_identity(res, ah)
     if columns:
         values |= columns(res, pw)
     del pw, ah  # would otherwise stay live through reconstruct's peak
-    if not reg.any():
-        return values | {"back_singular": reg}, None  # reg is all False
     peaks["reconstruction"] = reconstruct(res, det_rel_tol)
     values["back_singular"] = peaks["reconstruction"].pop("back_singular")
     return values, peaks
