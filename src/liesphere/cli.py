@@ -264,6 +264,8 @@ def _write_meshes(out: Path, grid, f, f_hat, singular, pole_flip: bool) -> dict:
 def cmd_demoulin(scene: Scene, out: Path, json_mode: bool) -> int:
     if scene.tau1 is None:
         raise SceneError("demoulin needs 'tau1' in the scene")
+    if not scene.thetas:
+        raise SceneError("demoulin needs at least one angle in 'thetas'")
     grid = _grid(scene)
     tol = scene.tolerances
     family = D.build_family(
@@ -317,6 +319,8 @@ def cmd_demoulin(scene: Scene, out: Path, json_mode: bool) -> int:
 
 def cmd_oracle(seed: int, combos: int, out: Path, json_mode: bool) -> int:
     """Jet-vs-finite-difference convergence sweep on random expressions/charts."""
+    if combos < 1:
+        raise SceneError(f"--combos must be at least 1, got {combos}")
     rng = np.random.default_rng(seed)
     records = []
     ok = True

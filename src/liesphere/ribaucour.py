@@ -34,6 +34,9 @@ by one rule, :func:`merge_peaks`.
 
 from __future__ import annotations
 
+import ctypes
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -394,6 +397,23 @@ def curvature_identity(result: TransformResult, ah: Jet2) -> float:
 # values are written out, so peak memory does not grow with the grid.
 BLOCK = 4096
 
+_LIBC = ctypes.CDLL(None) if os.name == "posix" else None  # the C library, for _kept_heap
+
+
+@contextmanager
+def _kept_heap():
+    """Keep glibc's heap through a walk, so no block faults in what the last one freed."""
+    if not (hasattr(_LIBC, "mallopt") and hasattr(_LIBC, "malloc_trim")):  # not glibc
+        yield
+        return
+    _LIBC.mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD: above any array a block allocates
+    _LIBC.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: above a block's transient heap
+    try:
+        yield
+    finally:
+        _LIBC.malloc_trim(0)  # once, so the writers and later walks start from a trimmed heap
+
+
 # Peaks that are minima; every other float peak is a maximum.
 _MINIMA = frozenset({"immersion_min", "hat_min_abs_det"})
 
@@ -454,29 +474,30 @@ def eval_blocks(
     contact_tol = contact_tol or CH.default_contact_tol(chart)
     size = BLOCK // 2 if order > 2 else BLOCK
     cert, failed, errors, values, peaks = None, False, [None] * len(taus), {}, None
-    for start in range(0, len(flat), size):
-        key = slice(start, start + size)
-        frame = CH.eval_chart(chart, flat[key], order)
-        cert = merge_peaks(cert, frame.cert)
-        try:
-            L.judge_frame(cert, contact_tol)
-        except (ContactViolation, NotImmersed):
-            failed = True  # the whole batch's record fails too
-        tau_jets = []
-        for k, (expr, tau_order) in enumerate(taus):
+    with _kept_heap():
+        for start in range(0, len(flat), size):
+            key = slice(start, start + size)
+            frame = CH.eval_chart(chart, flat[key], order)
+            cert = merge_peaks(cert, frame.cert)
             try:
-                tau_jets.append(E.eval_at(expr, wrapped[key], tau_order))
-            except DomainErrorJet as exc:
-                errors[k] = errors[k] or exc  # its first, in batch order
-        if not (failed or any(errors)):
-            with np.errstate(all="ignore"):
-                block, block_peaks = body(frame, tau_jets, key)
-            for k in list(block):
-                if k not in values:
-                    values[k] = np.empty((len(flat),) + block[k].shape[1:], block[k].dtype)
-                values[k][key] = block.pop(k)  # the block's own copy is freed at once
-            peaks = merge_peaks(peaks, block_peaks)
-        del frame, tau_jets  # their jets would otherwise live through the next block's
+                L.judge_frame(cert, contact_tol)
+            except (ContactViolation, NotImmersed):
+                failed = True  # the whole batch's record fails too
+            tau_jets = []
+            for k, (expr, tau_order) in enumerate(taus):
+                try:
+                    tau_jets.append(E.eval_at(expr, wrapped[key], tau_order))
+                except DomainErrorJet as exc:
+                    errors[k] = errors[k] or exc  # its first, in batch order
+            if not (failed or any(errors)):
+                with np.errstate(all="ignore"):
+                    block, block_peaks = body(frame, tau_jets, key)
+                for k in list(block):
+                    if k not in values:
+                        values[k] = np.empty((len(flat),) + block[k].shape[1:], block[k].dtype)
+                    values[k][key] = block.pop(k)  # the block's own copy is freed at once
+                peaks = merge_peaks(peaks, block_peaks)
+            del frame, tau_jets  # their jets would otherwise live through the next block's
 
     L.judge_frame(cert, contact_tol)
     if any(errors):

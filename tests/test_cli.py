@@ -211,6 +211,26 @@ def test_oracle_command(tmp_path):
             assert 1.7 <= o <= 2.3
 
 
+@pytest.mark.parametrize("combos", ["0", "-3"])
+def test_oracle_needs_a_combo(tmp_path, capsys, combos):
+    out = tmp_path / "o"
+    assert cli.main(["oracle", "--combos", combos, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--combos" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_demoulin_needs_an_angle(tmp_path, capsys):
+    scene = _scene(tmp_path, tau1="2", thetas=[])
+    out = tmp_path / "o"
+    assert cli.main(["demoulin", "--scene", str(scene), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "thetas" in err and "Traceback" not in err
+    assert not out.exists()
+    # only the family commands read the angles
+    assert cli.main(["check", "--scene", str(scene), "--out", str(out)]) == 0
+
+
 def test_export_command(tmp_path):
     scene = _scene(tmp_path, tau="0")
     out = tmp_path / "out"

@@ -1,6 +1,10 @@
 """The transform engine: metric, parametrization, closedness, involution."""
 
 import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -858,6 +862,74 @@ def test_check_memory_is_flat_in_the_grid(tmp_path):
     small = _command_peak("check", "check_sinu.json", 64, tmp_path)
     large = _command_peak("check", "check_sinu.json", 192, tmp_path)
     assert large < 1.25 * small
+
+
+def _check_minor_faults(n, tmp_path):
+    """Minor page faults of one fresh ``check`` process on an n x n grid."""
+    path = [str(Path(RB.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    argv = [sys.executable, "-m", "liesphere.cli", "check", "--scene", str(SCENES / "check_sinu.json"),
+            "--grid", f"{n}x{n}", "--out", str(tmp_path / str(n))]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+    _, status, rusage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    assert proc.returncode == 0
+    return rusage.ru_minflt
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="counts the page faults of glibc's heap",
+)
+def test_check_page_faults_do_not_grow_with_the_grid(tmp_path):
+    # each walk keeps glibc's heap, so a block reuses the pages the last one
+    # freed; handed back to the OS, nine blocks fault about four times as often
+    # as one
+    small = _check_minor_faults(64, tmp_path)
+    large = _check_minor_faults(192, tmp_path)
+    assert large < 1.5 * small
+
+
+class _AllocatorSpy:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append(("mallopt", param, value))
+        return 1
+
+    def malloc_trim(self, pad):
+        self.calls.append(("malloc_trim", pad))
+        return 1
+
+
+def test_every_walk_keeps_the_heap_then_trims_it(square_torus, monkeypatch):
+    spy = _AllocatorSpy()
+    monkeypatch.setattr(RB, "_LIBC", spy)
+    walk = [("mallopt", -3, 4 << 20), ("mallopt", -1, 64 << 20), ("malloc_trim", 0)]
+    points = Grid(16, 16, square_torus.domain).points()
+    RB.run_grid(square_torus, E.parse_tau("0.3*sin(u)"), points)
+    assert spy.calls == walk
+
+    def body(frame, taus, key):
+        raise ValueError("a body that raises")
+
+    with pytest.raises(ValueError):  # the heap is trimmed all the same
+        RB.eval_blocks(square_torus, points.reshape(-1, 2), [], body)
+    assert spy.calls == walk + walk
+
+
+@pytest.mark.parametrize("command", ["check", "transform"])
+def test_walks_without_glibc_write_the_same_files(command, tmp_path, monkeypatch):
+    # where libc has no mallopt, the heap is left to the allocator; that is all
+    def files(out):
+        argv = [command, "--scene", str(SCENES / "check_sinu.json"), "--out", str(out)]
+        assert cli.main(argv) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    kept = files(tmp_path / "kept")
+    monkeypatch.setattr(RB, "_LIBC", None)
+    assert files(tmp_path / "left") == kept
 
 
 def test_run_grid_memory_does_not_grow_with_the_grid(square_torus):
