@@ -97,6 +97,8 @@ def load_scene(path: str | Path) -> Scene:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SceneError(f"cannot read scene file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SceneError(f"--scene file {path} is not UTF-8 text: {exc}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -200,7 +202,7 @@ def _emit(report: dict, out: Path, name: str, json_mode: bool):
 def _run_grid(scene: Scene, columns=None) -> RB.GridRun:
     tol = scene.tolerances
     return RB.run_grid(
-        scene.chart, scene.tau, _grid(scene).points(), closedness_rel_tol=tol.closedness,
+        scene.chart, scene.tau, _grid(scene), closedness_rel_tol=tol.closedness,
         det_rel_tol=tol.det_rel, involution_tol=tol.involution, contact_tol=tol.contact,
         columns=columns,
     )
@@ -233,9 +235,9 @@ def cmd_transform(scene: Scene, out: Path, json_mode: bool, pole_flip: bool) -> 
 
     out.mkdir(parents=True, exist_ok=True)
     grid = _grid(scene)
-    cols = run.columns  # f and f_hat, then the fields.csv columns in order
-    f, f_hat = cols.pop("f"), cols.pop("f_hat")
-    report["meshes"] = _write_meshes(out, grid, f, f_hat, run.singular, pole_flip)
+    cols = run.columns  # f, f_hat and the singular mask, then the fields.csv columns in order
+    f, f_hat, singular = (cols.pop(k) for k in ("f", "f_hat", "singular"))
+    report["meshes"] = _write_meshes(out, grid, f, f_hat, singular, pole_flip)
     G.write_fields_csv(out / "fields.csv", grid, cols)
     _emit(report, out, "report.json", json_mode)
     if not json_mode:
@@ -321,6 +323,8 @@ def cmd_oracle(seed: int, combos: int, out: Path, json_mode: bool) -> int:
     """Jet-vs-finite-difference convergence sweep on random expressions/charts."""
     if combos < 1:
         raise SceneError(f"--combos must be at least 1, got {combos}")
+    if seed < 0:
+        raise SceneError(f"--seed must be at least 0, got {seed}")
     rng = np.random.default_rng(seed)
     records = []
     ok = True
@@ -391,15 +395,16 @@ def cmd_export(scene: Scene, out: Path, json_mode: bool, pole_flip: bool) -> int
     def body(frame, taus, key):
         res = RB.transform(frame, taus[0], det_rel_tol=tol.det_rel)
         cols = {"tau": res.tau.value, "a": res.a.value, "b": res.b.value}
-        cols |= {"not_finite": res.not_finite, "singular": res.metric.singular}
-        return cols | {"f": frame.f.value[:, :4], "f_hat": res.f_hat.value[:, :4]}, None
+        cols |= {"singular": res.metric.singular, "f": frame.f.value[:, :4]}
+        cols["f_hat"] = res.f_hat.value[:, :4]
+        return cols, {"not_finite": RB.first_flagged(res.not_finite, key)}
 
     run = RB.eval_blocks(
-        scene.chart, grid.points().reshape(-1, 2), [(scene.tau, 2)], body, contact_tol=tol.contact
+        scene.chart, grid, [(scene.tau, 2)], body,
+        checks=[("not_finite", DomainErrorJet, "transform is not finite")], contact_tol=tol.contact,
     )
-    cols = run.values  # tau, a and b, then the masks and what the meshes read
-    bad, f, f_hat, singular = (cols.pop(k) for k in ("not_finite", "f", "f_hat", "singular"))
-    DomainErrorJet.raise_first(bad, run.points, "transform is not finite")
+    cols = run.values  # tau, a and b, then what the meshes read
+    f, f_hat, singular = (cols.pop(k) for k in ("f", "f_hat", "singular"))
     out.mkdir(parents=True, exist_ok=True)
     meshes = _write_meshes(out, grid, f, f_hat, singular, pole_flip)
     if meshes.get("dropped") and not json_mode:
@@ -453,14 +458,16 @@ def _parse_grid_flag(text: str) -> tuple[int, int]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out)
-    try:
+    try:  # --out must be a directory, or able to become one, before any walk
+        if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+            raise SceneError(f"--out {args.out!r} is not a directory and cannot become one")
         if args.command == "oracle":
             return cmd_oracle(args.seed, args.combos, out, args.json)
         scene = load_scene(args.scene)
         if args.grid:
             scene.grid = _parse_grid_flag(args.grid)
         if args.command == "demoulin":
-            if args.theta:
+            if args.theta is not None:
                 thetas = args.theta.split(",")
                 scene.thetas = tuple(CH.number_from_json(t, "--theta") for t in thetas)
             if args.dual:

@@ -51,7 +51,7 @@ from .errors import (
     NotRibaucour,
     PathDependence,
 )
-from .gridio import Grid
+from .gridio import Grid, Wrapped
 from .jets import Jet2
 from .liegeom import lie_inner, t0_jet
 
@@ -218,7 +218,7 @@ class FamilyMember:
     theta: float
     tau: np.ndarray  # (N,) values of tau_theta, NaN under the mask
     mask: np.ndarray  # True where the denominator (or regularity) fails
-    not_finite: np.ndarray  # where the member's transform is not finite
+    not_finite: int | None  # the first point where the member's transform is not finite
     f_hat: np.ndarray  # (N, 4) first four components of f_hat; garbage under the mask
     max_dalpha: float  # max |d alpha| off the mask; -inf when no point is left
     max_alpha: float  # max |alpha| off the mask
@@ -260,8 +260,8 @@ class DemoulinFamily:
         return Jet2(value, grad, hess, m)
 
 
-def _generators_block(frame: L.LegendreFrame, taus: list[Jet2], det_rel_tol: float):
-    """Both generators on one block: their values, and their peaks.
+def _generators_block(frame: L.LegendreFrame, taus: list[Jet2], key: slice, det_rel_tol: float):
+    """Both generators on the block ``key``: their values, and their peaks.
 
     The operators are left out where a generator is singular or not finite,
     since an error is then certain; an :class:`IllPosed` is recorded as the
@@ -271,8 +271,8 @@ def _generators_block(frame: L.LegendreFrame, taus: list[Jet2], det_rel_tol: flo
     values, peaks = {}, {}
     for k, res in enumerate(results):
         values[f"tau{k}"] = taus[k].value
-        values[f"not_finite{k}"] = res.not_finite
-        values[f"singular{k}"] = res.metric.singular
+        peaks[f"not_finite{k}"] = RB.first_flagged(res.not_finite, key)
+        peaks[f"singular{k}"] = RB.first_flagged(res.metric.singular, key)
         values[f"f_hat{k}"] = res.f_hat.value
         values[f"alpha{k}"] = res.alpha.value
         values[f"partials{k}"] = np.moveaxis(res.alpha.grad, 0, -1)
@@ -317,8 +317,8 @@ def build_family(
     members and the dual step.
     """
     run = RB.eval_blocks(
-        chart, grid.points().reshape(-1, 2), [(tau0_expr, 2), (tau1_expr, 2)],
-        lambda frame, taus, key: _generators_block(frame, taus, det_rel_tol),
+        chart, grid, [(tau0_expr, 2), (tau1_expr, 2)],
+        lambda frame, taus, key: _generators_block(frame, taus, key, det_rel_tol),
         contact_tol=contact_tol,
     )
     v, peaks = run.values, run.peaks
@@ -329,8 +329,8 @@ def build_family(
 
     for k, (label, expr) in enumerate((("tau0", tau0_expr), ("tau1", tau1_expr))):
         what = f"transform of {label} is not finite"
-        DomainErrorJet.raise_first(v[f"not_finite{k}"], run.points, what)
-        NotRegular.raise_first(v[f"singular{k}"], run.points, "congruence metric degenerates")
+        DomainErrorJet.raise_first(peaks[f"not_finite{k}"], run.points, what)
+        NotRegular.raise_first(peaks[f"singular{k}"], run.points, "congruence metric degenerates")
         maxd, maxa = peaks[label]["max_dalpha"], peaks[label]["max_alpha"]
         if not RB.classify_ribaucour(maxd, maxa, closedness_rel_tol):
             raise NotRibaucour(
@@ -367,7 +367,7 @@ def demoulin_tau(frame: L.LegendreFrame, taus, exps, c: float, s: float, eps: fl
 
     Points where the denominator falls under ``eps`` are ``masked``; the
     ``mask`` adds those where the member's own transform is singular or not
-    finite (``not_finite``), and tau is NaN under it.
+    finite (``not_finite``, a mask too), and tau is NaN under it.
     """
     num = c * exps[1] * taus[0] + s * exps[0] * taus[1]
     den = c * exps[1] + s * exps[0]
@@ -421,17 +421,16 @@ def member_pass(family: DemoulinFamily, thetas) -> tuple[list[FamilyMember], flo
             if s == 0.0 or c == 0.0:  # an endpoint
                 values[f"tau{i}"] = taus[0 if s == 0.0 else 1].value
                 continue
-            block, peaks[f"member{i}"] = demoulin_tau(
-                frame, taus, exps, c, s, eps, family.det_rel_tol
-            )
+            block, peak = demoulin_tau(frame, taus, exps, c, s, eps, family.det_rel_tol)
+            peak["not_finite"] = RB.first_flagged(block.pop("not_finite"), key)
+            peaks[f"member{i}"] = peak
             values |= {f"{name}{i}": val for name, val in block.items()}
         f_hats = [fh[key] for fh in family.f_hat]
         return values, peaks | {"parallel": parallel_sections(frame, taus, exps, f_hats)}
 
     taus = [(family.tau0_expr, 2), (family.tau1_expr, 2)]
-    points = family.grid.points().reshape(-1, 2)
     # redundant: build_family judged this grid at this tolerance; every walk certifies
-    run = RB.eval_blocks(family.chart, points, taus, body, contact_tol=family.contact_tol)
+    run = RB.eval_blocks(family.chart, family.grid, taus, body, contact_tol=family.contact_tol)
     v, peaks = run.values, run.peaks
     members = []
     for i, (theta, (c, s)) in enumerate(zip(thetas, trig)):
@@ -439,14 +438,12 @@ def member_pass(family: DemoulinFamily, thetas) -> tuple[list[FamilyMember], flo
         if peak is None:  # an endpoint, with the generator's f_hat and closedness
             k = 0 if s == 0.0 else 1
             f_hat, peak = family.f_hat[k][:, :4], family.certification[f"tau{k}"]
-            mask = masked = bad = np.zeros(len(tau), bool)
+            mask = masked = np.zeros(len(tau), bool)
         else:
-            f_hat, mask, masked, bad = (
-                v.pop(f"{k}{i}") for k in ("f_hat", "mask", "masked", "not_finite")
-            )
+            f_hat, mask, masked = (v.pop(f"{k}{i}") for k in ("f_hat", "mask", "masked"))
         members.append(FamilyMember(
-            float(theta), tau, mask, bad, f_hat, peak["max_dalpha"], peak["max_alpha"],
-            int(masked.sum()), int(mask.sum() - masked.sum()),
+            float(theta), tau, mask, peak.get("not_finite"), f_hat, peak["max_dalpha"],
+            peak["max_alpha"], int(masked.sum()), int(mask.sum() - masked.sum()),
         ))
     return members, peaks["parallel"]
 
@@ -501,7 +498,7 @@ def _dual_fields(family: DemoulinFamily, points: np.ndarray, order: int = 2) -> 
         res0 = RB.transform(frame, tau0, det_rel_tol=family.det_rel_tol)
         ah0 = RB.alpha_hat(res0)
         dfh0 = RB.corrected_differential(res0.f_hat, ah0)
-        out = {"not_finite0": res0.not_finite, "singular0": res0.metric.singular}
+        flags = {"not_finite0": res0.not_finite, "singular0": res0.metric.singular}
         del res0  # the rest reads only dfh0 and ah0 of it
         f, xi = (x.truncate(order - 1) for x in (frame.f, frame.xi))
         res1 = RB.transform(
@@ -510,25 +507,20 @@ def _dual_fields(family: DemoulinFamily, points: np.ndarray, order: int = 2) -> 
         num = lie_inner(dfh0, (res1.f_hat + t0).expand(-2))
         den = ((tau1 - tau0) * (res1.a - 1.0)).vec()
         dlog = np.moveaxis((tau1.grad - tau0.grad) / (tau1.value - tau0.value), 0, -1)
-        out |= {
-            "gamma": num.value / den.value,
-            "drive": res1.alpha.value - ah0.value + dlog,
-            "not_finite1": res1.not_finite,
-            "singular1": res1.metric.singular,
-        }
+        out = {"gamma": num.value / den.value, "drive": res1.alpha.value - ah0.value + dlog}
+        flags |= {"not_finite1": res1.not_finite, "singular1": res1.metric.singular}
         if order == 3:
             out["dgamma"] = np.moveaxis((num / den).grad, 0, -2)
-        return out, None
+        return out, {name: RB.first_flagged(mask, key) for name, mask in flags.items()}
 
     taus = [(family.tau0_expr, order), (family.tau1_expr, order - 1)]
+    checks = [(f"{name}{k}", cls, what) for k in (0, 1) for name, cls, what in (
+        ("not_finite", DomainErrorJet, f"transform of tau{k} is not finite"),
+        ("singular", NotRegular, "congruence metric degenerates"))]
     run = RB.eval_blocks(
-        family.chart, points.reshape(-1, 2), taus, body, contact_tol=family.contact_tol,
-        order=order,
+        family.chart, points.reshape(-1, 2), taus, body, checks=checks,
+        contact_tol=family.contact_tol, order=order,
     )
-    for k in (0, 1):
-        bad, singular = (run.values.pop(f"{name}{k}") for name in ("not_finite", "singular"))
-        DomainErrorJet.raise_first(bad, run.points, f"transform of tau{k} is not finite")
-        NotRegular.raise_first(singular, run.points, "congruence metric degenerates")
     return {k: v.reshape(points.shape[:-1] + v.shape[1:]) for k, v in run.values.items()}
 
 
@@ -647,7 +639,7 @@ def family_report(
     before it handed over.  An endpoint's tau must equal build_family's values.
     """
     built, parallel = member_pass(family, thetas)
-    points = family.chart.domain.wrap(family.grid.points().reshape(-1, 2))
+    points = Wrapped(family.chart.domain, family.grid)
     members = []
     endpoints_ok = True
     for member in built:

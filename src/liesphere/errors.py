@@ -21,10 +21,13 @@ class PointError(LieSphereError):
         self.index, self.point = index, point
 
     @classmethod
-    def raise_first(cls, mask: np.ndarray, points: np.ndarray, what: str) -> None:
-        """Raise at the first point of ``mask``, if any: ``what``, its index and its point."""
-        if mask.any():
-            idx = tuple(int(k) for k in np.argwhere(mask)[0])
+    def raise_first(cls, first, points, what: str) -> None:
+        """Raise at the first flagged point of a batch, if any: ``what``, its index and
+        ``points[index]``.  ``first`` is a mask, or the first flagged flat index (or None)."""
+        if isinstance(first, np.ndarray):
+            first = np.argwhere(first)[0] if first.any() else None
+        if first is not None:
+            idx = tuple(int(k) for k in np.atleast_1d(first))
             where = f"batch index {idx}, parameter point {np.round(points[idx], 6).tolist()}"
             raise cls(f"{what} at {where}", index=idx, point=points[idx])
 

@@ -58,12 +58,32 @@ class Grid:
 
     def points(self) -> np.ndarray:
         """Parameter points, shape (nu, nv, 2), row-major in u."""
-        uu, vv = np.meshgrid(self.us, self.vs, indexing="ij")
-        return np.stack([uu, vv], axis=-1)
+        return self[:].reshape(self.nu, self.nv, 2)
+
+    def __len__(self) -> int:
+        return self.nu * self.nv
+
+    def __getitem__(self, key) -> np.ndarray:
+        """The flat parameter points at ``key``, a slice of flat indices, (n, 2), or
+        one index ``(k,)``, (2,): made from the axes alone, bit for bit ``points()``'s."""
+        k = np.arange(*key.indices(len(self))) if isinstance(key, slice) else key[0]
+        return np.stack([self.us[k // self.nv], self.vs[k % self.nv]], axis=-1)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nu, self.nv)
+
+
+@dataclass(frozen=True, eq=False)
+class Wrapped:
+    """A batch's parameter points wrapped into ``domain`` as they are read:
+    ``Wrapped(domain, points)[key]`` is ``domain.wrap(points[key])``."""
+
+    domain: Domain
+    points: np.ndarray | Grid  # (N, 2)
+
+    def __getitem__(self, key):
+        return self.domain.wrap(self.points[key])
 
 
 # ---------- finite-difference oracle ----------
@@ -251,7 +271,7 @@ def write_fields_csv(path, grid: Grid, columns: dict[str, np.ndarray]) -> None:
     """One row per grid point (row-major), deterministic formatting."""
     names = list(columns.keys())
     table = np.column_stack(
-        [grid.points().reshape(-1, 2)]
+        [grid[:]]
         + [np.asarray(columns[n], dtype=float).reshape(-1) for n in names]
     )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

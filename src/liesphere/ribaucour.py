@@ -27,9 +27,9 @@ machinery around them:
 Every operation is batched over the points of a frame.  A grid runs through
 :func:`eval_blocks` in blocks of :data:`BLOCK` points, so its chart, tau and
 transform jets never span the whole grid.  Every grid command walks its grid
-that way: each block hands back the per-point values its caller reads and its
-peaks (maxima, minima and argmaxima), and :func:`eval_blocks` merges the peaks
-by one rule, :func:`merge_peaks`.
+that way: each block hands back the per-point values a writer reads and its
+peaks (verdicts too), and :func:`eval_blocks` merges the peaks by one rule,
+:func:`merge_peaks`.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .errors import (
     NotImmersed,
     NotRegular,
 )
+from .gridio import Grid, Wrapped
 from .jets import Jet2
 from .liegeom import LegendreFrame, lie_inner, t0_jet
 
@@ -360,13 +361,14 @@ def reconstruct(result: TransformResult, det_rel_tol: float) -> dict:
     }
 
 
-def judge_reconstruction(diag: dict, points: np.ndarray, *, tol: float = 1e-8) -> None:
+def judge_reconstruction(diag: dict, points, *, tol: float = 1e-8) -> None:
     """Raise on :func:`reconstruct` diagnostics, in the order they arise.
 
     The transformed frame must certify at 1e-8, the reverse transform must be
     regular (:class:`NotRegular` names the first point of ``points``, the
-    batch that was transformed, where ``back_singular`` is set), and the frame
-    discrepancy must stay within ``tol`` (:class:`InvolutionFailure`).
+    batch that was transformed, that ``back_singular`` flags: see
+    :meth:`PointError.raise_first`), and the frame discrepancy must stay
+    within ``tol`` (:class:`InvolutionFailure`).
     """
     L.judge_frame(diag["hat_cert"], 1e-8)
     NotRegular.raise_first(diag["back_singular"], points, "congruence metric degenerates")
@@ -414,18 +416,20 @@ def _kept_heap():
         _LIBC.malloc_trim(0)  # once, so the writers and later walks start from a trimmed heap
 
 
-# Peaks that are minima; every other float peak is a maximum.
-_MINIMA = frozenset({"immersion_min", "hat_min_abs_det"})
+# Peaks that are minima, and int peaks that are counts.
+_MINIMA = frozenset({"immersion_min", "hat_min_abs_det", "min_det"})
+_COUNTS = frozenset({"n_singular"})
 
 
 def merge_peaks(old, new, key: str | None = None):
     """The peaks of two stretches of a batch as one, ``old`` coming first.
 
-    A peak is a float, a ``(value, flat index)`` pair, or a dict of peaks; None
-    stands for no peaks.  A float keeps the larger value, the smaller when its
-    ``key`` in a dict is one of ``_MINIMA``, and NaN wins as in ``np.max``.  A pair keeps the larger
-    value, and the earlier index on ties.  A key that only one side reports
-    keeps the peak it has.
+    A peak is a float, a ``(value, flat index)`` pair, an int, or a dict of
+    peaks; None stands for no peak.  A float keeps the larger value, the smaller
+    when its ``key`` in a dict is one of ``_MINIMA``, and NaN wins as in
+    ``np.max``.  A pair keeps the larger value, and the earlier index on ties.
+    An int, the :func:`first_flagged` index of a check, keeps the smaller; a
+    count (``_COUNTS``) adds.  A key that only one side reports keeps its peak.
     """
     if old is None or new is None:
         return new if old is None else old
@@ -433,29 +437,38 @@ def merge_peaks(old, new, key: str | None = None):
         return {k: merge_peaks(old.get(k), new.get(k), k) for k in old | new}
     if isinstance(old, tuple):
         return new if new[0] > old[0] else old
+    if isinstance(old, int):
+        return old + new if key in _COUNTS else min(old, new)
     return float((np.minimum if key in _MINIMA else np.maximum)(old, new))
+
+
+def first_flagged(mask: np.ndarray, key: slice) -> int | None:
+    """The peak of a point check on the block ``key``: the flat index of the
+    first point of ``mask``, or None."""
+    return key.start + int(np.argmax(mask)) if mask.any() else None
 
 
 @dataclass
 class BlockValues:
     """What :func:`eval_blocks` keeps of a batch: values and peaks, never jets."""
 
-    points: np.ndarray  # (N, 2) parameter points, wrapped into the chart's domain
+    points: Wrapped  # the batch's parameter points, wrapped into the chart's domain
     cert: dict  # the merged frame certificate
     values: dict[str, np.ndarray]  # each array the body returned, over the batch
-    peaks: dict | None  # the bodies' peaks, merged; None when no block had any
+    peaks: dict  # the bodies' peaks, merged
 
 
 def eval_blocks(
-    chart: CH.ChartSpec, points: np.ndarray, taus: list[tuple[E.TauExpr, int]],
-    body: Callable, *, contact_tol: float | None = None, order: int = 2,
+    chart: CH.ChartSpec, points: np.ndarray | Grid, taus: list[tuple[E.TauExpr, int]],
+    body: Callable, *, checks=(), contact_tol: float | None = None, order: int = 2,
 ) -> BlockValues:
     """Walk a flat batch of parameter points through ``body``, block by block.
 
-    Blocks hold :data:`BLOCK` points, half as many at ``order`` 3, whose jets
-    are twice as large.  Each block lifts its chart (:func:`charts.eval_chart`
-    records its certificate), then evaluates once each of ``taus``, expressions
-    with their jet orders.
+    Blocks hold :data:`BLOCK` points of ``points``, an (N, 2) array or a
+    :class:`gridio.Grid`, half as many at ``order`` 3, whose jets are twice
+    as large.  Each block lifts its chart (:func:`charts.eval_chart` records its
+    certificate), then evaluates once each of ``taus``, expressions with their
+    jet orders.
     ``body(frame, taus, key)`` gets the chart frame (jets of ``order``), the tau
     jets and the block's slice ``key`` of the batch.  It runs under
     ``np.errstate(all="ignore")``, handing numerical trouble back as a
@@ -466,18 +479,20 @@ def eval_blocks(
     Once the merged certificate fails :func:`liegeom.judge_frame` at ``contact_tol``
     (None: the chart's default), or a tau raises, later blocks are only lifted
     and evaluated.  After the walk the certificate is judged, then the first tau
-    that failed raises its first error, as in a single pass.  Callers judge the
-    rest on the merged values, so an error names the point the whole batch would.
+    that failed raises its first error, then the first of ``checks``, ``(peak
+    name, error class, message)``, that flags a point, as in a single pass.
+    Callers judge the rest on the merged peaks, so an error names the point the
+    whole batch would.
     """
-    flat = np.asarray(points, dtype=float)
-    wrapped = chart.domain.wrap(flat)
+    wrapped = Wrapped(chart.domain, points)
     contact_tol = contact_tol or CH.default_contact_tol(chart)
     size = BLOCK // 2 if order > 2 else BLOCK
-    cert, failed, errors, values, peaks = None, False, [None] * len(taus), {}, None
+    cert, failed, errors, values, peaks = None, False, [None] * len(taus), {}, {}
     with _kept_heap():
-        for start in range(0, len(flat), size):
+        for start in range(0, len(points), size):
             key = slice(start, start + size)
-            frame = CH.eval_chart(chart, flat[key], order)
+            block_points = points[key]
+            frame = CH.eval_chart(chart, block_points, order)
             cert = merge_peaks(cert, frame.cert)
             try:
                 L.judge_frame(cert, contact_tol)
@@ -486,7 +501,7 @@ def eval_blocks(
             tau_jets = []
             for k, (expr, tau_order) in enumerate(taus):
                 try:
-                    tau_jets.append(E.eval_at(expr, wrapped[key], tau_order))
+                    tau_jets.append(E.eval_at(expr, chart.domain.wrap(block_points), tau_order))
                 except DomainErrorJet as exc:
                     errors[k] = errors[k] or exc  # its first, in batch order
             if not (failed or any(errors)):
@@ -494,7 +509,7 @@ def eval_blocks(
                     block, block_peaks = body(frame, tau_jets, key)
                 for k in list(block):
                     if k not in values:
-                        values[k] = np.empty((len(flat),) + block[k].shape[1:], block[k].dtype)
+                        values[k] = np.empty((len(points),) + block[k].shape[1:], block[k].dtype)
                     values[k][key] = block.pop(k)  # the block's own copy is freed at once
                 peaks = merge_peaks(peaks, block_peaks)
             del frame, tau_jets  # their jets would otherwise live through the next block's
@@ -502,6 +517,8 @@ def eval_blocks(
     L.judge_frame(cert, contact_tol)
     if any(errors):
         raise next(exc for exc in errors if exc)
+    for name, cls, what in checks:
+        cls.raise_first(peaks.get(name), wrapped, what)
     return BlockValues(wrapped, cert, values, peaks)
 
 
@@ -520,15 +537,15 @@ _SUPPORTING = (
 class GridRun:
     """One chart/tau evaluation over a full grid, with derived diagnostics.
 
-    Per-point data are values on the flattened (row-major) grid; no jets are
-    kept.
+    Per-point data are what ``columns`` keeps, on the flattened (row-major)
+    grid; no jets are kept.
     """
 
     chart: CH.ChartSpec
     grid_shape: tuple[int, int]
-    points: np.ndarray  # (N, 2) parameter points, wrapped into the domain
+    points: np.ndarray | Grid  # (N, 2) parameter points, as given
     frame_cert: dict
-    singular: np.ndarray  # (N,) points failing the regularity screen
+    singular: int  # the number of points failing the regularity screen
     min_det: float
     columns: dict[str, np.ndarray]  # what the caller's ``columns`` kept; empty without it
     max_dalpha: float
@@ -542,11 +559,12 @@ class GridRun:
 
 def field_columns(res: TransformResult, pw: dict) -> dict:
     """What ``transform`` writes of a block: the first four components of f
-    and f_hat, then the fields.csv columns in file order, the last ones the
-    _POINTWISE residuals of ``pw``, :func:`pointwise_residuals` of ``res``
-    (NaN off the regular points)."""
+    and f_hat, the singular mask (left out of f_hat.obj), then the fields.csv
+    columns in file order, the last ones the _POINTWISE residuals of ``pw``,
+    :func:`pointwise_residuals` of ``res`` (NaN off the regular points)."""
     alpha = res.alpha.value
     cols = {"f": res.frame.f.value[:, :4], "f_hat": res.f_hat.value[:, :4]}
+    cols["singular"] = res.metric.singular
     cols |= {"tau": res.tau.value, "a": res.a.value, "b": res.b.value, "mu2": res.mu2.value}
     cols |= {"alpha_u": alpha[..., 0], "alpha_v": alpha[..., 1]}
     cols["dalpha_abs"] = np.abs(dalpha_components(res)[..., 0])
@@ -554,43 +572,46 @@ def field_columns(res: TransformResult, pw: dict) -> dict:
 
 
 def _run_block(
-    frame: LegendreFrame, tau: Jet2, start: int, det_rel_tol: float, columns: Callable | None
-) -> tuple[dict, dict | None]:
-    """Transform and verify one block; ``start`` is its first flat grid index.
+    frame: LegendreFrame, tau: Jet2, key: slice, det_rel_tol: float, columns: Callable | None
+) -> tuple[dict, dict]:
+    """Transform and verify one block, the slice ``key`` of the grid.
 
     The block is transformed once.  Degenerate points (a curvature-sphere
     crossing of tau) stay in it, masked by the transform's singular mask: every
     diagnostic leaves them out, and the report carries regular=False when any
-    exist.  Returns the block's values, and its peaks (None: no regular point).
-    The values are what the verdicts read (the masks, and ``det``), and
-    ``columns(res, pw)`` of the caller, if given.  The reverse transform's
-    singular mask is a value, False off the regular points.
+    exist.  Returns ``columns(res, pw)`` of the caller, if given, and the
+    block's peaks: its verdicts, min |det G| (NaN left out), and the residuals
+    where a point is regular.
     """
     res = transform(frame, tau, det_rel_tol=det_rel_tol)
     reg = ~res.metric.singular
-    values = {"not_finite": res.not_finite, "singular": res.metric.singular, "det": res.metric.det}
-    if not reg.any():  # reg is all False, and so is the reverse transform's mask
+    det = np.abs(res.metric.det[~np.isnan(res.metric.det)])
+    peaks = {
+        "not_finite": first_flagged(res.not_finite, key),
+        "n_singular": int(np.count_nonzero(res.metric.singular)),
+        "min_det": float(det.min()) if det.size else None,
+    }
+    if not reg.any():
         cols = columns(res, pointwise_residuals(res, alpha_hat(res))) if columns else {}
-        return values | {"back_singular": reg} | cols, None
+        return cols, peaks
     max_da, arg = ribaucour_residual(res)
-    peaks = {"dalpha": (max_da, start + arg[0])}
+    peaks["dalpha"] = (max_da, key.start + arg[0])
     peaks["max_alpha"] = max_abs_alpha(res)
     ah = alpha_hat(res)
     pw = pointwise_residuals(res, ah)
     peaks["suite"] = residual_suite(pw)
     peaks["curvature"] = curvature_identity(res, ah)
-    if columns:
-        values |= columns(res, pw)
+    values = columns(res, pw) if columns else {}
     del pw, ah  # would otherwise stay live through reconstruct's peak
     peaks["reconstruction"] = reconstruct(res, det_rel_tol)
-    values["back_singular"] = peaks["reconstruction"].pop("back_singular")
+    peaks["back_singular"] = first_flagged(peaks["reconstruction"].pop("back_singular"), key)
     return values, peaks
 
 
 def run_grid(
     chart: CH.ChartSpec,
     tau_expr: E.TauExpr,
-    points: np.ndarray,
+    points: np.ndarray | Grid,
     *,
     closedness_rel_tol: float = CLOSEDNESS_REL_TOL,
     det_rel_tol: float = DET_REL_TOL,
@@ -600,37 +621,36 @@ def run_grid(
 ) -> GridRun:
     """Evaluate, transform, and verify a scene on a batch of points.
 
-    The batch runs through :func:`eval_blocks`: the blocks return their values
-    and peaks, and the peaks are merged by :func:`merge_peaks` alone (the
-    closedness argmax keeps the first index on ties).  Every check is judged
-    on merged values in the order of a single pass (chart, certification, tau, a
-    finite transform, regularity, reconstruction).  Per point, only what the
-    verdicts read is kept, and what ``columns`` returns (see :func:`_run_block`
-    and :func:`field_columns`).
+    ``points`` is a :class:`gridio.Grid` or an array (..., 2), walked flat.
+    The batch runs through :func:`eval_blocks`: the blocks return their peaks,
+    and what ``columns`` keeps (see :func:`_run_block` and
+    :func:`field_columns`), and the peaks are merged by :func:`merge_peaks` alone
+    (the closedness argmax keeps the first index on ties).  Every check is judged
+    on merged peaks in the order of a single pass (chart, certification, tau, a
+    finite transform, regularity, reconstruction).
     """
-    pts = np.asarray(points, dtype=float)
-    grid_shape = tuple(int(n) for n in pts.shape[:-1])
+    flat = points if isinstance(points, Grid) else np.reshape(points, (-1, 2))
+    grid_shape = points.shape if flat is points else np.shape(points)[:-1]
     run = eval_blocks(
-        chart, pts.reshape(-1, pts.shape[-1]), [(tau_expr, 2)],
-        lambda frame, taus, key: _run_block(frame, taus[0], key.start, det_rel_tol, columns),
+        chart, flat, [(tau_expr, 2)],
+        lambda frame, taus, key: _run_block(frame, taus[0], key, det_rel_tol, columns),
+        checks=[("not_finite", DomainErrorJet, "transform is not finite")],
         contact_tol=contact_tol,
     )
-    v, peaks = run.values, run.peaks
-    DomainErrorJet.raise_first(v.pop("not_finite"), run.points, "transform is not finite")
-    singular, det, back_singular = (v.pop(k) for k in ("singular", "det", "back_singular"))
-    if singular.all():
-        NotRegular.raise_first(singular, run.points, "congruence metric degenerates")
+    peaks = run.peaks
+    if peaks["n_singular"] == len(flat):  # the first point is named
+        NotRegular.raise_first(0, run.points, "congruence metric degenerates")
     max_da, argmax = peaks["dalpha"]  # a regular point is left, so argmax is an index
-    recon = peaks["reconstruction"] | {"back_singular": back_singular}
+    recon = peaks["reconstruction"] | {"back_singular": peaks.get("back_singular")}
     judge_reconstruction(recon, run.points, tol=involution_tol)
     return GridRun(
         chart=chart,
-        grid_shape=grid_shape,
-        points=run.points,
+        grid_shape=tuple(int(n) for n in grid_shape),
+        points=flat,
         frame_cert=run.cert,
-        singular=singular,
-        min_det=float(np.nanmin(np.abs(det))),
-        columns=v,
+        singular=peaks["n_singular"],
+        min_det=peaks["min_det"],
+        columns=run.values,
         max_dalpha=max_da,
         dalpha_argmax=(argmax,),
         max_alpha=peaks["max_alpha"],
@@ -648,10 +668,10 @@ def diagnostic_report(run: GridRun) -> dict:
     return {
         "chart": CH.chart_to_json(run.chart),
         "grid": list(run.grid_shape),
-        "regular": not bool(run.singular.any()),
+        "regular": run.singular == 0,
         "min_det": run.min_det,
         "max_dalpha": run.max_dalpha,
-        "max_dalpha_at": [float(x) for x in run.points[run.dalpha_argmax[0]]],
+        "max_dalpha_at": [float(x) for x in run.chart.domain.wrap(run.points[run.dalpha_argmax])],
         "max_alpha": run.max_alpha,
         "ribaucour": run.ribaucour,
         "residuals": {

@@ -268,6 +268,40 @@ def test_bad_grid_flag(tmp_path):
     assert cli.main(["demoulin", "--scene", str(scene), "--theta", "0,x"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        # a scene file that is not UTF-8
+        (["check", "--scene", "{bad}"], "--scene"),
+        # --out names an existing file, or a path below one
+        (["check", "--scene", "{scene}", "--out", "{file}"], "--out"),
+        (["check", "--scene", "{scene}", "--out", "{file}/sub"], "--out"),
+        (["oracle", "--seed", "-1"], "--seed"),
+        # an empty angle list is not the scene's
+        (["demoulin", "--scene", "{scene}", "--theta", ""], "--theta"),
+    ],
+)
+def test_bad_flag_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, flag):
+    # a usage error, judged before any grid is walked: exit 2, never a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    file = tmp_path / "file"
+    file.write_text("", encoding="utf-8")
+    names = {"bad": bad, "scene": _scene(tmp_path, tau1="2"), "file": file}
+    argv = [a.format(**names) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "o")]
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a grid was walked")
+
+    monkeypatch.setattr(cli.RB, "eval_blocks", no_walk)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists() and file.is_file()
+
+
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 

@@ -63,6 +63,19 @@ def test_grid_spacing_and_seams():
         G.Grid(3, 8, dom)
 
 
+def test_a_grid_makes_its_points_a_slice_at_a_time():
+    # bit for bit the meshed axes, flattened, and the one point of an index
+    grid = G.Grid(13, 11, Domain((-3.0, 2.5), (0.1, 6.1), (True, False)))
+    uu, vv = np.meshgrid(grid.us, grid.vs, indexing="ij")
+    flat = np.stack([uu, vv], axis=-1).reshape(-1, 2)
+    assert len(grid) == len(flat) and grid.points().tobytes() == flat.tobytes()
+    for start in range(0, len(flat), 37):
+        assert grid[start : start + 37].tobytes() == flat[start : start + 37].tobytes()
+    assert grid[(100,)].tobytes() == flat[100].tobytes()
+    wrapped = G.Wrapped(grid.domain, grid)
+    assert wrapped[40:80].tobytes() == grid.domain.wrap(flat)[40:80].tobytes()
+
+
 def test_exterior_derivative_of_exact_form_vanishes_at_second_order():
     def au(u, v):
         return 0.3 * np.exp(0.3 * u) * np.sin(v) + 2 * np.cos(2 * u) * np.cos(3 * v)
