@@ -41,12 +41,13 @@ class Domain:
         return (self.u[1] - self.u[0], self.v[1] - self.v[0])
 
     def wrap(self, points: np.ndarray) -> np.ndarray:
+        """``points`` moved by whole periods into [lo, hi) on periodic axes; one there stays."""
         pts = np.array(points, dtype=float, copy=True)
-        for axis, ((lo, hi), per) in enumerate(
-            zip((self.u, self.v), self.periodic)
-        ):
-            if per:
-                pts[..., axis] = lo + np.mod(pts[..., axis] - lo, hi - lo)
+        for axis, ((lo, hi), per) in enumerate(zip((self.u, self.v), self.periodic)):
+            x = pts[..., axis]  # a view
+            out = per & ((x < lo) | (x >= hi))
+            wrapped = lo + np.mod(x[out] - lo, hi - lo)
+            x[out] = np.where(wrapped >= hi, lo, wrapped)  # hi itself, as rounding may give, is lo
         return pts
 
 
@@ -154,7 +155,7 @@ def number_from_json(value, key: str) -> float:
     return number
 
 
-def chart_from_json(obj: dict) -> ChartSpec:
+def chart_from_json(obj: dict, depth: int = 0) -> ChartSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SceneError("chart must be an object with a 'kind' key")
     kind = obj["kind"]
@@ -166,7 +167,9 @@ def chart_from_json(obj: dict) -> ChartSpec:
     if kind == "parallel_of":
         if "base" not in obj or "c" not in obj:
             raise SceneError("parallel_of chart needs 'base' and 'c'")
-        return ParallelOf(chart_from_json(obj["base"]), number_from_json(obj["c"], "c"))
+        if depth == E.MAX_DEPTH:  # its lift recurses once a level, as an expression's does
+            raise SceneError(f"'base' nests parallel_of charts more than {depth} deep")
+        return ParallelOf(chart_from_json(obj["base"], depth + 1), number_from_json(obj["c"], "c"))
     if kind == "custom":
         for key in ("f", "xi"):
             if key not in obj:

@@ -20,6 +20,8 @@ Reports are canonical JSON; identical scenes produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -103,6 +105,8 @@ def load_scene(path: str | Path) -> Scene:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SceneError(f"scene file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SceneError(f"--scene file {path} nests too deeply to parse") from exc
     return scene_from_json(obj)
 
 
@@ -199,26 +203,25 @@ def _emit(report: dict, out: Path, name: str, json_mode: bool):
         sys.stdout.write(G.canonical_json(report))
 
 
-def _run_grid(scene: Scene, columns=None) -> RB.GridRun:
+def _run_grid(scene: Scene, columns=None) -> tuple[dict, RB.BlockValues]:
     tol = scene.tolerances
-    return RB.run_grid(
+    report, run = RB.run_grid(
         scene.chart, scene.tau, _grid(scene), closedness_rel_tol=tol.closedness,
         det_rel_tol=tol.det_rel, involution_tol=tol.involution, contact_tol=tol.contact,
         columns=columns,
     )
+    report["tau_src"] = scene.tau_src
+    return report, run
 
 
 def cmd_check(scene: Scene, out: Path, json_mode: bool) -> int:
-    run = _run_grid(scene)
-    report = RB.diagnostic_report(run)
-    report["tau_src"] = scene.tau_src
-    report["frame_cert"] = run.frame_cert
+    report, run = _run_grid(scene)
+    cert = report["frame_cert"] = run.cert
     gates = [
         (
             "frame certification",
             True,
-            f"max contact residual = "
-            f"{max(run.frame_cert['contact_df'], run.frame_cert['contact_dxi']):.3e}",
+            f"max contact residual = {max(cert['contact_df'], cert['contact_dxi']):.3e}",
         )
     ] + _gates(report, scene.tolerances)
     ok = _print_gates(gates, json_mode)
@@ -227,15 +230,13 @@ def cmd_check(scene: Scene, out: Path, json_mode: bool) -> int:
 
 
 def cmd_transform(scene: Scene, out: Path, json_mode: bool, pole_flip: bool) -> int:
-    run = _run_grid(scene, RB.field_columns)
-    report = RB.diagnostic_report(run)
-    report["tau_src"] = scene.tau_src
+    report, run = _run_grid(scene, RB.field_columns)
     gates = _gates(report, scene.tolerances)
     ok = _print_gates(gates, json_mode)
 
     out.mkdir(parents=True, exist_ok=True)
     grid = _grid(scene)
-    cols = run.columns  # f, f_hat and the singular mask, then the fields.csv columns in order
+    cols = run.values  # f, f_hat and the singular mask, then the fields.csv columns in order
     f, f_hat, singular = (cols.pop(k) for k in ("f", "f_hat", "singular"))
     report["meshes"] = _write_meshes(out, grid, f, f_hat, singular, pole_flip)
     G.write_fields_csv(out / "fields.csv", grid, cols)
@@ -455,12 +456,26 @@ def _parse_grid_flag(text: str) -> tuple[int, int]:
     return _checked_grid(grid, "--grid")
 
 
+def _make_out(out: Path, flag: str, made: list[Path]) -> None:
+    """Make the directory ``--out`` names, before any walk, one level at a time so
+    that no depth of path recurses; ``made`` gets each directory made, deepest first."""
+    chain = (out, *out.parents)
+    try:
+        missing = list(itertools.takewhile(lambda p: not p.exists(), chain))
+        if not flag or not chain[len(missing)].is_dir():  # Path("") is the working directory
+            raise SceneError(f"--out {flag!r} is not a directory and cannot become one")
+        for path in reversed(missing):
+            path.mkdir()
+            made.insert(0, path)
+    except OSError as exc:
+        raise SceneError(f"--out {flag!r} cannot become a directory: {exc.strerror}") from exc
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = Path(args.out)
-    try:  # --out must be a directory, or able to become one, before any walk
-        if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
-            raise SceneError(f"--out {args.out!r} is not a directory and cannot become one")
+    out, made = Path(args.out), []
+    try:
+        _make_out(out, args.out, made)
         if args.command == "oracle":
             return cmd_oracle(args.seed, args.combos, out, args.json)
         scene = load_scene(args.scene)
@@ -480,10 +495,13 @@ def main(argv=None) -> int:
         if args.command == "export":
             return cmd_export(scene, out, args.json, args.pole_flip)
         raise SceneError(f"unknown command {args.command!r}")
-    except SceneError as exc:
-        print(f"scene error: {exc}", file=sys.stderr)
-        return 2
     except LieSphereError as exc:
+        for path in made:  # a run that fails leaves no directory it made empty
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        if isinstance(exc, SceneError):
+            print(f"scene error: {exc}", file=sys.stderr)
+            return 2
         print(f"verification error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

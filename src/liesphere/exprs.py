@@ -9,8 +9,8 @@ Grammar (documented in the README)::
     fn     := sin | cos | exp | ln
 
 Binary +, -, *, / are left associative; '^' binds tighter than unary minus
-(so ``-u^2`` is ``-(u^2)``) and does not chain.  Parsing is total: any
-grammar-valid string produces an AST, and ``parse(print(ast)) == ast``.
+(so ``-u^2`` is ``-(u^2)``) and does not chain.  Parsing is total: any grammar-valid
+string nesting at most :data:`MAX_DEPTH` levels produces an AST, and ``parse(print(ast)) == ast``.
 Evaluation happens in jet arithmetic, so every expression yields exact
 derivatives through order two, or three when asked.
 """
@@ -62,6 +62,11 @@ TauExpr = Union[Num, Var, Neg, BinOp, Call]
 VARIABLES = ("u", "v")
 FUNCTIONS = ("sin", "cos", "exp", "ln")
 
+# Levels an expression may nest: a parenthesis, call or unary minus opens one, and so
+# does each node of its tree.  Parsing, printing and evaluation recurse once a level
+# or more, so deeper input is refused before it meets Python's recursion limit.
+MAX_DEPTH = 100
+
 # ---------- tokenizer ----------
 
 _WS_RE = re.compile(r"\s*")
@@ -102,6 +107,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0  # open parentheses, calls and unary minus signs
 
     def peek(self):
         return self.tokens[self.i]
@@ -122,6 +128,22 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {text!r}", pos, expected=("end of input",))
+        level, depth = [node], 0
+        while level:  # the tree's depth, level by level, without recursion
+            level = [getattr(n, f) for n in level
+                     for f in ("arg", "left", "right") if hasattr(n, f)]
+            depth += 1
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nests more than {MAX_DEPTH} levels", 0)
+        return node
+
+    def nested(self, parse):
+        """``parse()`` one level further in, refused beyond :data:`MAX_DEPTH`."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"expression nests more than {MAX_DEPTH} levels", self.peek()[2])
+        node = parse()
+        self.depth -= 1
         return node
 
     def expr(self) -> TauExpr:
@@ -148,7 +170,7 @@ class _Parser:
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.factor())
+            return Neg(self.nested(self.factor))
         node = self.base()
         kind, text, _ = self.peek()
         if kind == "op" and text == "^":
@@ -165,18 +187,18 @@ class _Parser:
                 return Var(text)
             if text in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg = self.nested(self.expr)
                 self.expect_op(")")
                 return Call(text, arg)
             raise ParseError(
                 f"unknown identifier {text!r}", pos, expected=VARIABLES + FUNCTIONS
             )
         if kind == "op" and text == "(":
-            node = self.expr()
+            node = self.nested(self.expr)
             self.expect_op(")")
             return node
         if kind == "op" and text == "-":
-            return Neg(self.base())
+            return Neg(self.nested(self.base))
         raise ParseError(
             f"unexpected {text or 'end of input'!r}",
             pos,

@@ -533,30 +533,6 @@ _SUPPORTING = (
 )
 
 
-@dataclass
-class GridRun:
-    """One chart/tau evaluation over a full grid, with derived diagnostics.
-
-    Per-point data are what ``columns`` keeps, on the flattened (row-major)
-    grid; no jets are kept.
-    """
-
-    chart: CH.ChartSpec
-    grid_shape: tuple[int, int]
-    points: np.ndarray | Grid  # (N, 2) parameter points, as given
-    frame_cert: dict
-    singular: int  # the number of points failing the regularity screen
-    min_det: float
-    columns: dict[str, np.ndarray]  # what the caller's ``columns`` kept; empty without it
-    max_dalpha: float
-    dalpha_argmax: tuple
-    max_alpha: float
-    ribaucour: bool
-    residuals: dict
-    curvature: float  # max curvature-identity residual
-    reconstruction: dict
-
-
 def field_columns(res: TransformResult, pw: dict) -> dict:
     """What ``transform`` writes of a block: the first four components of f
     and f_hat, the singular mask (left out of f_hat.obj), then the fields.csv
@@ -611,78 +587,54 @@ def _run_block(
 def run_grid(
     chart: CH.ChartSpec,
     tau_expr: E.TauExpr,
-    points: np.ndarray | Grid,
+    grid: Grid,
     *,
     closedness_rel_tol: float = CLOSEDNESS_REL_TOL,
     det_rel_tol: float = DET_REL_TOL,
     involution_tol: float = 1e-8,
     contact_tol: float | None = None,
     columns: Callable | None = None,
-) -> GridRun:
-    """Evaluate, transform, and verify a scene on a batch of points.
+) -> tuple[dict, BlockValues]:
+    """Evaluate, transform, and verify a scene on a grid: ``(report, run)``.
 
-    ``points`` is a :class:`gridio.Grid` or an array (..., 2), walked flat.
-    The batch runs through :func:`eval_blocks`: the blocks return their peaks,
+    The grid runs through :func:`eval_blocks`: the blocks return their peaks,
     and what ``columns`` keeps (see :func:`_run_block` and
     :func:`field_columns`), and the peaks are merged by :func:`merge_peaks` alone
     (the closedness argmax keeps the first index on ties).  Every check is judged
     on merged peaks in the order of a single pass (chart, certification, tau, a
-    finite transform, regularity, reconstruction).
+    finite transform, regularity, reconstruction).  ``report`` is the CLI's JSON
+    report, built once from the merged peaks; ``run`` is the walk itself.
     """
-    flat = points if isinstance(points, Grid) else np.reshape(points, (-1, 2))
-    grid_shape = points.shape if flat is points else np.shape(points)[:-1]
     run = eval_blocks(
-        chart, flat, [(tau_expr, 2)],
+        chart, grid, [(tau_expr, 2)],
         lambda frame, taus, key: _run_block(frame, taus[0], key, det_rel_tol, columns),
         checks=[("not_finite", DomainErrorJet, "transform is not finite")],
         contact_tol=contact_tol,
     )
     peaks = run.peaks
-    if peaks["n_singular"] == len(flat):  # the first point is named
+    if peaks["n_singular"] == len(grid):  # the first point is named
         NotRegular.raise_first(0, run.points, "congruence metric degenerates")
     max_da, argmax = peaks["dalpha"]  # a regular point is left, so argmax is an index
-    recon = peaks["reconstruction"] | {"back_singular": peaks.get("back_singular")}
-    judge_reconstruction(recon, run.points, tol=involution_tol)
-    return GridRun(
-        chart=chart,
-        grid_shape=tuple(int(n) for n in grid_shape),
-        points=flat,
-        frame_cert=run.cert,
-        singular=peaks["n_singular"],
-        min_det=peaks["min_det"],
-        columns=run.values,
-        max_dalpha=max_da,
-        dalpha_argmax=(argmax,),
-        max_alpha=peaks["max_alpha"],
-        ribaucour=classify_ribaucour(max_da, peaks["max_alpha"], closedness_rel_tol),
-        residuals=peaks["suite"],
-        curvature=peaks["curvature"],
-        reconstruction=recon,
-    )
-
-
-def diagnostic_report(run: GridRun) -> dict:
-    """JSON-ready diagnostics in the report schema consumed by the CLI."""
-    supporting = {k: run.residuals[k] for k in _SUPPORTING}
-    supporting["mu_match"] = run.reconstruction["mu_match"]
-    return {
-        "chart": CH.chart_to_json(run.chart),
-        "grid": list(run.grid_shape),
-        "regular": run.singular == 0,
-        "min_det": run.min_det,
-        "max_dalpha": run.max_dalpha,
-        "max_dalpha_at": [float(x) for x in run.chart.domain.wrap(run.points[run.dalpha_argmax])],
-        "max_alpha": run.max_alpha,
-        "ribaucour": run.ribaucour,
+    suite, recon = peaks["suite"], peaks["reconstruction"]
+    back = {"back_singular": peaks.get("back_singular")}
+    judge_reconstruction(recon | back, run.points, tol=involution_tol)
+    supporting = {k: suite[k] for k in _SUPPORTING} | {"mu_match": recon["mu_match"]}
+    report = {
+        "chart": CH.chart_to_json(chart),
+        "grid": list(grid.shape),
+        "regular": peaks["n_singular"] == 0,
+        "min_det": peaks["min_det"],
+        "max_dalpha": max_da,
+        "max_dalpha_at": [float(x) for x in run.points[(argmax,)]],
+        "max_alpha": peaks["max_alpha"],
+        "ribaucour": classify_ribaucour(max_da, peaks["max_alpha"], closedness_rel_tol),
         "residuals": {
-            "eq6": run.residuals["eq6"],
-            "eq9": run.residuals["eq9"],
-            "eq10": run.reconstruction["eq10"],
-            "eq13": run.residuals["eq13"],
-            "involution": run.reconstruction["involution"],
-            "curvature_identity": run.curvature,
+            "eq6": suite["eq6"], "eq9": suite["eq9"], "eq10": recon["eq10"],
+            "eq13": suite["eq13"], "involution": recon["involution"],
+            "curvature_identity": peaks["curvature"],
         },
         "supporting_residuals": {  # null where not finite
             k: v if np.isfinite(v) else None for k, v in supporting.items()
         },
     }
+    return report, run

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from liesphere import charts as CH
 from liesphere import gridio as G
 
 ROOT2_INV = 1.0 / np.sqrt(2.0)
+
+# Example counts of the property tests that set none of their own (the CLI
+# sweep, test_cli.py::test_any_argv_exits_0_1_or_2): tier-1 runs them short, and
+# CI runs them long with --hypothesis-profile sweep.
+settings.register_profile("tier1", max_examples=30)
+settings.register_profile("sweep", max_examples=500)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -106,13 +106,13 @@ def test_criterion_05_classification():
     open_min = np.inf
     stable = True
     for n in (32, 64, 128):
-        pts = _grid_points(n)
-        run = RB.run_grid(CH.CliffordTorus(SQUARE_R), E.parse_tau("0.3*sin(u)"), pts)
-        closed_max = max(closed_max, run.max_dalpha)
-        stable &= run.ribaucour
-        run2 = RB.run_grid(CH.CliffordTorus(SQUARE_R), E.parse_tau("sin(u)*sin(v)"), pts)
-        open_min = min(open_min, run2.max_dalpha)
-        stable &= not run2.ribaucour
+        grid = G.Grid(n, n, CH.Domain())
+        rep, _ = RB.run_grid(CH.CliffordTorus(SQUARE_R), E.parse_tau("0.3*sin(u)"), grid)
+        closed_max = max(closed_max, rep["max_dalpha"])
+        stable &= rep["ribaucour"]
+        rep2, _ = RB.run_grid(CH.CliffordTorus(SQUARE_R), E.parse_tau("sin(u)*sin(v)"), grid)
+        open_min = min(open_min, rep2["max_dalpha"])
+        stable &= not rep2["ribaucour"]
     ok = closed_max < 1e-10 and open_min > 1e-2 and stable
     _report(5, ok, f"closed max|dalpha| {closed_max:.2e} < 1e-10, witness "
                    f"{open_min:.2e} > 1e-2, stable across 32/64/128")

@@ -73,6 +73,28 @@ def test_periodic_wrap(square_torus):
     np.testing.assert_allclose(a.f.value, b.f.value, atol=1e-12)
 
 
+def test_wrap_leaves_points_in_the_domain_alone():
+    # on an axis that does not start at 0, lo + ((x - lo) mod span) moves x by
+    # an ulp (0.1 became 0.1 + 8.3e-17 on [-pi, pi)); a point inside keeps its bits
+    dom = CH.Domain((-np.pi, np.pi), (0.0, 1.0), (True, False))
+    rng = np.random.default_rng(3)
+    inside = np.column_stack([rng.uniform(-np.pi, np.pi, 1000), rng.uniform(-5.0, 5.0, 1000)])
+    inside = np.concatenate([inside, [[0.1, 0.0], [2.9, 9.0], [-np.pi, -1.0]]])
+    assert dom.wrap(inside).tobytes() == inside.tobytes()
+    # a point outside moves by whole periods, as before, and lands in [lo, hi)
+    outside = inside + [[2 * np.pi, 0.0]] * rng.choice([-3, -1, 1, 2], size=(len(inside), 1))
+    once = dom.wrap(outside)
+    lo = -np.pi
+    np.testing.assert_array_equal(once[:, 0], lo + np.mod(outside[:, 0] - lo, 2 * np.pi))
+    assert np.all((once[:, 0] >= -np.pi) & (once[:, 0] < np.pi))
+    assert dom.wrap(once).tobytes() == once.tobytes()  # wrapping twice changes nothing
+    # one that would round to the end of the period, 0 + (-1e-20 mod 2 pi) = 2 pi,
+    # wraps to its start
+    assert CH.Domain().wrap(np.array([-1e-20, 7.0])).tolist() == [0.0, 7.0 - 2 * np.pi]
+    # a single point, and NaN, go through as well
+    assert np.isnan(dom.wrap(np.array([np.nan, 0.5]))[0])
+
+
 def test_bad_radius_rejected():
     with pytest.raises(SceneError):
         CH.CliffordTorus(1.2)

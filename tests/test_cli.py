@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -30,6 +31,13 @@ def _scene(tmp_path, name="scene.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(obj), encoding="utf-8")
     return path
+
+
+def _nested_parallel(depth: int) -> dict:
+    chart = {"kind": "clifford_torus", "r": SQUARE_R}
+    for _ in range(depth):
+        chart = {"kind": "parallel_of", "base": chart, "c": 0.1}
+    return chart
 
 
 def test_scene_validation_errors(tmp_path):
@@ -279,6 +287,13 @@ def test_bad_grid_flag(tmp_path):
         (["oracle", "--seed", "-1"], "--seed"),
         # an empty angle list is not the scene's
         (["demoulin", "--scene", "{scene}", "--theta", ""], "--theta"),
+        # a scene file that nests too deeply for JSON
+        (["check", "--scene", "{deep}"], "--scene"),
+        # --out names nothing, has a component longer than any file name, or is
+        # longer than any path; the directories made on the way are removed
+        (["check", "--scene", "{scene}", "--out", ""], "--out"),
+        (["export", "--scene", "{scene}", "--out", "{tmp}/o/" + "a" * 300], "--out"),
+        (["transform", "--scene", "{scene}", "--out", "{tmp}/o/" + ("a" * 200 + "/") * 25], "--out"),
     ],
 )
 def test_bad_flag_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, flag):
@@ -287,10 +302,14 @@ def test_bad_flag_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, flag):
     bad.write_bytes(b"\xff\xfe{}")
     file = tmp_path / "file"
     file.write_text("", encoding="utf-8")
-    names = {"bad": bad, "scene": _scene(tmp_path, tau1="2"), "file": file}
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(b"[" * 200_000)
+    names = {"bad": bad, "deep": deep, "scene": _scene(tmp_path, tau1="2"), "file": file}
+    names["tmp"] = tmp_path
     argv = [a.format(**names) for a in argv]
     if "--out" not in argv:
         argv += ["--out", str(tmp_path / "o")]
+    before = sorted(Path.cwd().iterdir())
 
     def no_walk(*args, **kwargs):
         raise AssertionError("a grid was walked")
@@ -300,6 +319,7 @@ def test_bad_flag_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, flag):
     err = capsys.readouterr().err
     assert flag in err and "Traceback" not in err
     assert not (tmp_path / "o").exists() and file.is_file()
+    assert sorted(Path.cwd().iterdir()) == before
 
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -495,6 +515,13 @@ def test_scene_tolerances_reach_every_command(
                 }
             },
         ),
+        # nesting deeper than the expressions' MAX_DEPTH, refused before any walk
+        ("tau", {"tau": "u" + "+u" * 3000}),
+        ("tau", {"tau": "-" * 3000 + "u"}),
+        ("tau", {"tau": "(" * 5000 + "u" + ")" * 5000}),
+        ("tau1", {"tau1": "sin(" * 200 + "u" + ")" * 200}),
+        ("'f'", {"chart": {"kind": "custom", "f": ["u" + "+u" * 200] + ["0"] * 3, "xi": ["0"] * 4}}),
+        ("'base'", {"chart": _nested_parallel(101)}),
     ],
 )
 def test_malformed_scene_values_exit_2(tmp_path, capsys, key, overrides):
@@ -699,3 +726,103 @@ def test_any_scene_value_exits_0_1_or_2(chart, path, value):
                     contextlib.redirect_stderr(io.StringIO()):
                 warnings.simplefilter("error", RuntimeWarning)
                 assert cli.main(argv) in (0, 1, 2)
+
+
+_SWEEP_SCENE = json.dumps({
+    "chart": {"kind": "clifford_torus", "r": SQUARE_R},
+    "tau": "0.3*sin(u)",
+    "tau1": "2 + 0.2*cos(v)",
+    "grid": [8, 8],
+    "thetas": [0.0, 0.3],
+})
+
+
+def _sweep_scene(**overrides) -> bytes:
+    return json.dumps(json.loads(_SWEEP_SCENE) | overrides).encode()
+
+
+_DEEP = (
+    b"[" * 200_000,
+    b'{"a": ' * 100_000,
+    _sweep_scene(tau="u" + "+u" * 3000),
+    _sweep_scene(tau="-" * 3000 + "u"),
+    _sweep_scene(tau1="(" * 5000 + "u" + ")" * 5000),
+    _sweep_scene(chart={"kind": "custom", "f": ["sin(" * 3000 + "u" + ")" * 3000] * 4,
+                        "xi": ["u"] * 4}),
+    _sweep_scene(chart=_nested_parallel(101)),
+)
+# scene files as raw bytes: valid (passing, or failing a gate), behind a BOM,
+# not UTF-8, truncated, or nested deeply
+_SCENE_BYTES = st.sampled_from([
+    _SWEEP_SCENE.encode(), _sweep_scene(tau="sin(u)*sin(v)"), _sweep_scene(tau="1"),
+    _sweep_scene(chart=_nested_parallel(2)),
+]) | st.one_of(
+    st.just(b"\xef\xbb\xbf" + _SWEEP_SCENE.encode()),
+    st.binary(min_size=1, max_size=4).map(lambda b: b"\xff" + b + _SWEEP_SCENE.encode()),
+    st.integers(0, len(_SWEEP_SCENE) - 1).map(lambda n: _SWEEP_SCENE.encode()[:n]),
+    st.sampled_from(_DEEP),
+)
+# each flag's valid and risky values: empty, blank, negative, non-numeric,
+# unicode digits, nan; none names a grid above 16 x 16 or more than 2 combos
+_RISKY = ("", " ", "-1", "0", "x", "nan", "١", "２", "٨x٨", "８x８")
+_FLAGS = {
+    "--scene": (("scene.json",), ("", " ", "missing.json", ".")),
+    "--grid": (("8x8", "16x16", "5x7"), _RISKY + ("١٦x١٦", "-8x8", "8x8x8", "4X4", "3x8", "17x4")),
+    "--out": (
+        ("out", "new/deeper", " "),
+        ("", "file", "file/sub", "a" * 300, ("a" * 200 + "/") * 25),
+    ),
+    "--theta": (("0,0.3", "0.5"), _RISKY + (",", "0,", "1e308", "inf", "-0")),
+    "--seed": (("0", "7"), _RISKY + ("9" * 30,)),
+    "--combos": (("1", "2"), _RISKY),
+}
+_SWITCHES = {
+    "check": ("--json",),
+    "transform": ("--json", "--pole-flip"),
+    "export": ("--json", "--pole-flip"),
+    "demoulin": ("--json", "--dual"),
+    "oracle": ("--json",),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_SWITCHES)))
+    flags = ["--scene", "--grid", "--out"]
+    flags += {"demoulin": ["--theta"], "oracle": ["--seed"]}.get(command, [])
+    argv = [command]
+    for flag in flags:  # a risky value one time in four; --scene is never left out
+        valid, risky = _FLAGS[flag]
+        left_out = st.none() if flag != "--scene" else st.sampled_from(valid)
+        value = draw(st.one_of(left_out, st.sampled_from(valid), st.sampled_from(valid + risky)))
+        if value is not None:
+            argv += [flag, value]
+    if command == "oracle":  # its default is 20 combos
+        argv += ["--combos", draw(st.sampled_from(_FLAGS["--combos"][0] + _FLAGS["--combos"][1]))]
+    return argv + [s for s in _SWITCHES[command] if draw(st.booleans())]
+
+
+@given(argv=_argv(), scene=_SCENE_BYTES)
+@settings(deadline=None)  # examples: the tests/conftest.py profiles
+def test_any_argv_exits_0_1_or_2(argv, scene):
+    # any flags, scene bytes and output path: a verdict, a scene error or
+    # argparse's usage error, never a traceback or a leaked RuntimeWarning
+    cwd = Path.cwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("scene.json").write_bytes(scene)
+            Path("file").write_text("", encoding="utf-8")
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error", RuntimeWarning)
+                warnings.simplefilter("ignore", PoleClipWarning)  # clipped meshes are written
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse's usage errors
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -130,6 +130,26 @@ def test_roundtrip_random_asts(ast):
     assert E.parse_tau(E.to_source(ast)) == ast
 
 
+def test_nesting_is_refused_beyond_max_depth():
+    # each of these overflowed Python's recursion limit in parsing or evaluation
+    for src in ("u" + "+u" * 3000, "-" * 3000 + "u", "(" * 5000 + "u" + ")" * 5000):
+        with pytest.raises(ParseError, match=f"nests more than {E.MAX_DEPTH} levels"):
+            E.parse_tau(src)
+    n = E.MAX_DEPTH
+    # a chain of n - 1 operators, n - 1 minus signs, n parentheses: n levels each
+    for src, deeper in [
+        ("u" + "+u" * (n - 1), "u" + "+u" * n),
+        ("-" * (n - 1) + "u", "-" * n + "u"),
+        ("(" * n + "u" + ")" * n, "(" * (n + 1) + "u" + ")" * (n + 1)),
+        ("sin(" * (n - 1) + "u" + ")" * (n - 1), "sin(" * n + "u" + ")" * n),
+    ]:
+        ast = E.parse_tau(src)
+        assert E.parse_tau(E.to_source(ast)) == ast
+        assert np.isfinite(E.eval_at(ast, np.array([0.5, 0.5])).value)
+        with pytest.raises(ParseError):
+            E.parse_tau(deeper)
+
+
 def test_eval_matches_fd_on_random_smooth_expressions():
     rng = np.random.default_rng(11)
     for _ in range(6):

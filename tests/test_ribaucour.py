@@ -285,7 +285,7 @@ def test_check_builds_no_order_2_vector_product(square_torus, monkeypatch):
     monkeypatch.setattr(Jet2, "__mul__", spy)
     monkeypatch.setattr(Jet2, "__rmul__", spy)
     grid = Grid(16, 16, square_torus.domain)
-    RB.run_grid(square_torus, E.parse_tau("0.3*sin(u)"), grid.points())
+    RB.run_grid(square_torus, E.parse_tau("0.3*sin(u)"), grid)
     assert built == []
 
 
@@ -466,8 +466,7 @@ def test_curvature_identity_off_the_closed_locus(square_torus):
 
 def test_run_grid_report_schema(square_torus):
     grid = Grid(16, 16, square_torus.domain)
-    run = RB.run_grid(square_torus, E.parse_tau("0.3*sin(u)"), grid.points())
-    rep = RB.diagnostic_report(run)
+    rep, _ = RB.run_grid(square_torus, E.parse_tau("0.3*sin(u)"), grid)
     assert set(rep["residuals"].keys()) == {
         "eq6", "eq9", "eq10", "eq13", "involution", "curvature_identity",
     }
@@ -476,21 +475,23 @@ def test_run_grid_report_schema(square_torus):
     assert rep["grid"] == [16, 16]
 
 
-def test_supporting_residuals_are_reported(square_torus):
+def test_supporting_residuals_are_reported(square_torus, monkeypatch):
     grid = Grid(16, 16, square_torus.domain)
-    run = RB.run_grid(square_torus, E.parse_tau("0.3*sin(u)"), grid.points())
-    rep = RB.diagnostic_report(run)["supporting_residuals"]
-    assert rep == {
-        **{k: run.residuals[k] for k in (
+    rep, run = RB.run_grid(square_torus, E.parse_tau("0.3*sin(u)"), grid)
+    assert rep["supporting_residuals"] == {
+        **{k: run.peaks["suite"][k] for k in (
             "fcheck_orth_f", "fcheck_orth_xi", "mu2_match", "envelope", "metric_match",
             "alpha_forms", "hat_min_abs_det",
         )},
-        "mu_match": run.reconstruction["mu_match"],
+        "mu_match": run.peaks["reconstruction"]["mu_match"],
     }
     # a value that is not finite is written as null
-    run.residuals["envelope"] = np.inf
-    run.reconstruction["mu_match"] = np.nan
-    rep = RB.diagnostic_report(run)
+    suite, reconstruct = RB.residual_suite, RB.reconstruct
+    monkeypatch.setattr(RB, "residual_suite", lambda pw: suite(pw) | {"envelope": np.inf})
+    monkeypatch.setattr(
+        RB, "reconstruct", lambda *args: reconstruct(*args) | {"mu_match": np.nan}
+    )
+    rep, _ = RB.run_grid(square_torus, E.parse_tau("0.3*sin(u)"), grid)
     assert rep["supporting_residuals"]["envelope"] is None
     assert rep["supporting_residuals"]["mu_match"] is None
     assert json.loads(G.canonical_json(rep)) == rep
@@ -499,16 +500,16 @@ def test_supporting_residuals_are_reported(square_torus):
 def test_run_grid_notregular_when_everywhere_singular(square_torus):
     grid = Grid(8, 8, square_torus.domain)
     with pytest.raises(NotRegular):
-        RB.run_grid(square_torus, E.parse_tau("1"), grid.points())
+        RB.run_grid(square_torus, E.parse_tau("1"), grid)
 
 
 @pytest.mark.parametrize("n", [32, 64, 128])
 def test_classification_stable_under_refinement(square_torus, n):
     grid = Grid(n, n, square_torus.domain)
-    run = RB.run_grid(square_torus, E.parse_tau("0.3*sin(u)"), grid.points())
-    assert run.ribaucour
-    run2 = RB.run_grid(square_torus, E.parse_tau("sin(u)*sin(v)"), grid.points())
-    assert not run2.ribaucour
+    rep, _ = RB.run_grid(square_torus, E.parse_tau("0.3*sin(u)"), grid)
+    assert rep["ribaucour"]
+    rep2, _ = RB.run_grid(square_torus, E.parse_tau("sin(u)*sin(v)"), grid)
+    assert not rep2["ribaucour"]
 
 
 # ---------- blocks ----------
@@ -525,30 +526,29 @@ def _scene_run(name, monkeypatch, block, grid=(20, 19), columns=None, **override
     """run_grid on a shipped scene with ``RB.BLOCK`` set to ``block``."""
     scene = _scene(name, **overrides)
     monkeypatch.setattr(RB, "BLOCK", block)
-    points = Grid(*grid, scene.chart.domain).points()
-    return RB.run_grid(scene.chart, scene.tau, points, columns=columns)
+    return RB.run_grid(scene.chart, scene.tau, Grid(*grid, scene.chart.domain), columns=columns)
 
 
 @pytest.mark.parametrize("name", ["check_sinu.json", "check_sinusinv.json", "check_custom.json"])
 def test_blocks_cannot_change_results(name, monkeypatch):
     # 20 x 19 = 380 points: ten blocks of 37 and a last one of 10
-    whole = _scene_run(name, monkeypatch, 380, columns=RB.field_columns)
-    split = _scene_run(name, monkeypatch, 37, columns=RB.field_columns)
-    assert RB.diagnostic_report(split) == RB.diagnostic_report(whole)
-    assert split.frame_cert == whole.frame_cert
-    assert split.residuals == whole.residuals
-    assert split.curvature == whole.curvature
-    for key in ("points", "singular"):
-        np.testing.assert_array_equal(getattr(split, key), getattr(whole, key))
-    a, b = split.columns, whole.columns
+    whole_report, whole = _scene_run(name, monkeypatch, 380, columns=RB.field_columns)
+    split_report, split = _scene_run(name, monkeypatch, 37, columns=RB.field_columns)
+    assert split_report == whole_report
+    assert split.cert == whole.cert
+    assert split.peaks["suite"] == whole.peaks["suite"]
+    assert split.peaks["curvature"] == whole.peaks["curvature"]
+    np.testing.assert_array_equal(split.points[:], whole.points[:])
+    assert split.peaks["n_singular"] == whole.peaks["n_singular"]
+    a, b = split.values, whole.values
     assert list(a) == list(b)
     for key in a:
         np.testing.assert_array_equal(a[key], b[key])  # NaN == NaN here
     # check keeps no per-point column, and its verdicts are the same
-    bare = _scene_run(name, monkeypatch, 37)
-    assert bare.columns == {}
-    assert RB.diagnostic_report(bare) == RB.diagnostic_report(whole)
-    np.testing.assert_array_equal(bare.singular, whole.singular)
+    bare_report, bare = _scene_run(name, monkeypatch, 37)
+    assert bare.values == {}
+    assert bare_report == whole_report
+    assert bare.peaks["n_singular"] == whole.peaks["n_singular"]
 
 
 def _bits(peaks: dict) -> dict:
@@ -561,21 +561,23 @@ def test_masked_degenerate_points_match_the_regular_subset_route(block, monkeypa
     # block, or 111 blocks of 37.  Each block is transformed once, and its
     # reverse transform once, with the degenerate points masked in place.
     scene = _scene("check_sinusinv.json")
-    points = Grid(64, 64, scene.chart.domain).points().reshape(-1, 2)
+    grid = Grid(64, 64, scene.chart.domain)
+    points = grid.points().reshape(-1, 2)
     frame = CH.eval_chart(scene.chart, points)
     ref = subset_route(frame, E.eval_at(scene.tau, scene.chart.domain.wrap(points)))
     monkeypatch.setattr(RB, "BLOCK", block)
     results = _transforms(monkeypatch)
-    run = RB.run_grid(scene.chart, scene.tau, points, columns=RB.field_columns)
+    _, run = RB.run_grid(scene.chart, scene.tau, grid, columns=RB.field_columns)
+    peaks = run.peaks
     assert len(results) == 2 * -(-len(points) // block)
-    assert run.singular == 4
-    assert _bits(run.residuals) == _bits(ref["suite"])
-    assert _bits({"curvature": run.curvature}) == _bits({"curvature": ref["curvature"]})
-    recon, ref_recon = dict(run.reconstruction), dict(ref["reconstruction"])
-    assert recon.pop("back_singular") is None and not ref_recon.pop("back_singular").any()
+    assert peaks["n_singular"] == 4
+    assert _bits(peaks["suite"]) == _bits(ref["suite"])
+    assert _bits({"curvature": peaks["curvature"]}) == _bits({"curvature": ref["curvature"]})
+    recon, ref_recon = dict(peaks["reconstruction"]), dict(ref["reconstruction"])
+    assert peaks.get("back_singular") is None and not ref_recon.pop("back_singular").any()
     assert _bits(recon) == _bits(ref_recon)
     for key, column in ref["columns"].items():
-        assert run.columns[key].tobytes() == column.tobytes(), key
+        assert run.values[key].tobytes() == column.tobytes(), key
 
 
 def test_reverse_transform_error_names_the_grid_index(monkeypatch):
@@ -591,11 +593,11 @@ def test_reverse_transform_error_names_the_grid_index(monkeypatch):
 
     monkeypatch.setattr(RB, "reconstruct", flag_last_regular)
     scene = _scene("check_sinusinv.json")
-    points = Grid(64, 64, scene.chart.domain).points()
+    grid = Grid(64, 64, scene.chart.domain)
     with pytest.raises(NotRegular) as info:
-        RB.run_grid(scene.chart, scene.tau, points)
+        RB.run_grid(scene.chart, scene.tau, grid)
     exc = info.value
-    wrapped_points = scene.chart.domain.wrap(points.reshape(-1, 2))
+    wrapped_points = scene.chart.domain.wrap(grid.points().reshape(-1, 2))
     assert exc.index == (4095,)
     np.testing.assert_array_equal(wrapped_points[exc.index], exc.point)
 
@@ -672,10 +674,17 @@ def test_closedness_peak_in_a_later_block(copies, monkeypatch):
     assert first == 129 and np.count_nonzero(d == d[first]) == copies
     for block in (37, 380):
         monkeypatch.setattr(RB, "BLOCK", block)
-        run = RB.run_grid(chart, E.parse_tau(tau_src), points)
-        assert run.dalpha_argmax == (first,)
-        assert run.max_dalpha == d[first]
-        assert RB.diagnostic_report(run)["max_dalpha_at"] == points[first].tolist()
+        if copies == 1:
+            report, run = RB.run_grid(chart, E.parse_tau(tau_src), Grid(20, 19, chart.domain))
+            assert report["max_dalpha"] == d[first]
+            assert report["max_dalpha_at"] == points[first].tolist()
+        else:  # no grid holds two copies of one: the grid runner's block body walks them
+            run = RB.eval_blocks(
+                chart, points, [(E.parse_tau(tau_src), 2)],
+                lambda frame, taus, key: RB._run_block(frame, taus[0], key, RB.DET_REL_TOL, None),
+            )
+        assert run.peaks["dalpha"] == (d[first], first)
+        assert run.points[(first,)].tolist() == points[first].tolist()
 
 
 def test_merge_peaks_rule():
@@ -713,9 +722,9 @@ def test_nan_in_a_later_block_fails_certification(square_torus, monkeypatch):
 
     monkeypatch.setattr(L, "frame_residuals", late_nan)
     monkeypatch.setattr(RB, "BLOCK", 37)
-    points = Grid(20, 19, square_torus.domain).points()
+    grid = Grid(20, 19, square_torus.domain)
     with pytest.raises(ContactViolation, match="not finite"):
-        RB.run_grid(square_torus, E.parse_tau("0.3*sin(u)"), points)
+        RB.run_grid(square_torus, E.parse_tau("0.3*sin(u)"), grid)
 
 
 def _cli_outputs(argv, name, overrides, tmp_path, monkeypatch, capsys, block):
@@ -938,15 +947,15 @@ def test_every_walk_keeps_the_heap_then_trims_it(square_torus, monkeypatch):
     spy = _AllocatorSpy()
     monkeypatch.setattr(RB, "_LIBC", spy)
     walk = [("mallopt", -3, 4 << 20), ("mallopt", -1, 64 << 20), ("malloc_trim", 0)]
-    points = Grid(16, 16, square_torus.domain).points()
-    RB.run_grid(square_torus, E.parse_tau("0.3*sin(u)"), points)
+    grid = Grid(16, 16, square_torus.domain)
+    RB.run_grid(square_torus, E.parse_tau("0.3*sin(u)"), grid)
     assert spy.calls == walk
 
     def body(frame, taus, key):
         raise ValueError("a body that raises")
 
     with pytest.raises(ValueError):  # the heap is trimmed all the same
-        RB.eval_blocks(square_torus, points.reshape(-1, 2), [], body)
+        RB.eval_blocks(square_torus, grid.points().reshape(-1, 2), [], body)
     assert spy.calls == walk + walk
 
 
@@ -967,10 +976,10 @@ def test_run_grid_memory_does_not_grow_with_the_grid(square_torus):
     tau = E.parse_tau("0.3*sin(u)")
 
     def peak(n):
-        points = Grid(n, n, square_torus.domain).points()
+        grid = Grid(n, n, square_torus.domain)
         tracemalloc.start()
         try:
-            RB.run_grid(square_torus, tau, points)
+            RB.run_grid(square_torus, tau, grid)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -991,5 +1000,5 @@ def test_run_grid_carries_no_third_slot(monkeypatch):
 
     monkeypatch.setattr(Jet2, "__init__", spy)
     grid = Grid(*scene.grid, scene.chart.domain)
-    assert RB.run_grid(scene.chart, scene.tau, grid.points()).ribaucour
+    assert RB.run_grid(scene.chart, scene.tau, grid)[0]["ribaucour"]
     assert len(orders) > 100 and not any(orders)
