@@ -339,9 +339,10 @@ def reconstruct(result: TransformResult, det_rel_tol: float) -> dict:
     discrepancy of the reconstructed frame, the residual of the reverse normal
     component identity f_check_hat = f_check + mu^2 (f - f_hat), the length
     check |f_check_hat| = mu, the transformed frame's certificate ``hat_cert``
-    (:func:`liegeom.frame_residuals` over the regular points), and the mask
-    ``back_singular`` of regular points where the reverse transform
-    degenerates under the regularity screen at ``det_rel_tol``.  Nothing is
+    (:func:`liegeom.frame_residuals` over the regular points), and the masks
+    ``back_not_finite`` and ``back_singular`` of regular points where the
+    reverse transform is not finite, or degenerates under the regularity screen
+    at ``det_rel_tol`` (the former among them).  Nothing is
     judged here: :func:`judge_reconstruction` raises on the diagnostics, once
     those of every block are merged.
     """
@@ -357,6 +358,7 @@ def reconstruct(result: TransformResult, det_rel_tol: float) -> dict:
         "eq10": _vmax(_nan_at(singular, back.f_check.value - f_check_hat(result).value)),
         "mu_match": _vmax(_nan_at(singular, mu_check - result.mu2.value)),
         "hat_cert": hat_frame.cert,
+        "back_not_finite": back.not_finite & ~singular,
         "back_singular": back.metric.singular & ~singular,
     }
 
@@ -365,12 +367,14 @@ def judge_reconstruction(diag: dict, points, *, tol: float = 1e-8) -> None:
     """Raise on :func:`reconstruct` diagnostics, in the order they arise.
 
     The transformed frame must certify at 1e-8, the reverse transform must be
-    regular (:class:`NotRegular` names the first point of ``points``, the
-    batch that was transformed, that ``back_singular`` flags: see
+    finite (:class:`DomainErrorJet`) and regular (:class:`NotRegular`), each
+    naming the first point of ``points``, the batch that was transformed, that
+    ``back_not_finite`` or ``back_singular`` flags (see
     :meth:`PointError.raise_first`), and the frame discrepancy must stay
     within ``tol`` (:class:`InvolutionFailure`).
     """
     L.judge_frame(diag["hat_cert"], 1e-8)
+    DomainErrorJet.raise_first(diag["back_not_finite"], points, "reverse transform is not finite")
     NotRegular.raise_first(diag["back_singular"], points, "congruence metric degenerates")
     if diag["involution"] > tol:
         raise InvolutionFailure(
@@ -580,7 +584,8 @@ def _run_block(
     values = columns(res, pw) if columns else {}
     del pw, ah  # would otherwise stay live through reconstruct's peak
     peaks["reconstruction"] = reconstruct(res, det_rel_tol)
-    peaks["back_singular"] = first_flagged(peaks["reconstruction"].pop("back_singular"), key)
+    for check in ("back_not_finite", "back_singular"):
+        peaks[check] = first_flagged(peaks["reconstruction"].pop(check), key)
     return values, peaks
 
 
@@ -616,7 +621,7 @@ def run_grid(
         NotRegular.raise_first(0, run.points, "congruence metric degenerates")
     max_da, argmax = peaks["dalpha"]  # a regular point is left, so argmax is an index
     suite, recon = peaks["suite"], peaks["reconstruction"]
-    back = {"back_singular": peaks.get("back_singular")}
+    back = {check: peaks.get(check) for check in ("back_not_finite", "back_singular")}
     judge_reconstruction(recon | back, run.points, tol=involution_tol)
     supporting = {k: suite[k] for k in _SUPPORTING} | {"mu_match": recon["mu_match"]}
     report = {

@@ -276,8 +276,9 @@ def subset_route(frame: LegendreFrame, tau: Jet2, det_rel_tol: float = RB.DET_RE
     The regular points of the batch's transform are transformed a second time
     on their own (``Jet2.batch``), and the identity suite, the curvature
     identity and the reconstruction read that second transform.  Returns
-    ``suite``, ``curvature``, ``reconstruction`` (``back_singular`` scattered
-    onto the batch) and the ``res_eq*`` columns, NaN off the regular points.
+    ``suite``, ``curvature``, ``reconstruction`` (``back_not_finite`` and
+    ``back_singular`` scattered onto the batch) and the ``res_eq*`` columns,
+    NaN off the regular points.
     """
     reg = ~RB.transform(frame, tau, det_rel_tol=det_rel_tol).metric.singular
     regular = LegendreFrame(frame.f.batch(reg), frame.xi.batch(reg), frame.cert)
@@ -285,8 +286,10 @@ def subset_route(frame: LegendreFrame, tau: Jet2, det_rel_tol: float = RB.DET_RE
     ah = RB.alpha_hat(clean)
     pw = RB.pointwise_residuals(clean, ah)
     recon = RB.reconstruct(clean, det_rel_tol)
-    back = np.zeros(reg.shape, bool)
-    back[reg] = recon["back_singular"]
+    back = {}
+    for check in ("back_not_finite", "back_singular"):
+        back[check] = np.zeros(reg.shape, bool)
+        back[check][reg] = recon[check]
     columns = {}
     for key in ("eq6", "eq9", "eq13"):
         columns[f"res_{key}"] = np.full(reg.shape, np.nan)
@@ -294,7 +297,7 @@ def subset_route(frame: LegendreFrame, tau: Jet2, det_rel_tol: float = RB.DET_RE
     return {
         "suite": RB.residual_suite(pw),
         "curvature": RB.curvature_identity(clean, ah),
-        "reconstruction": recon | {"back_singular": back},
+        "reconstruction": recon | back,
         "columns": columns,
     }
 

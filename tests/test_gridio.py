@@ -1,7 +1,12 @@
 """Oracle, grid circulation checks, and exporters."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liesphere import charts as CH
 from liesphere import exprs as E
@@ -263,3 +268,78 @@ def test_csv_matches_per_value_formatting(tmp_path):
         for k in range(5120)
     ]
     assert (tmp_path / "f.csv").read_text(encoding="utf-8") == "\n".join(rows) + "\n"
+
+
+# Bit patterns a repeating column draws from: both zeros, NaNs of both signs
+# and of different payloads, both infinities and subnormals.
+_PATTERNS = [
+    0x0000000000000000, 0x8000000000000000,  # 0.0, -0.0
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123,  # quiet NaNs
+    0x7FF0000000000001, 0xFFF4000000000000,  # signalling NaNs
+    0x7FF0000000000000, 0xFFF0000000000000,  # inf, -inf
+    0x0000000000000001, 0x800FFFFFFFFFFFFF, 0x0000000000080000,  # subnormals
+]
+# Grids of _ROWS - 1, _ROWS, _ROWS + 1 and 2 _ROWS + 2 rows: the last pass is
+# short, full, one row, or two rows.
+_STRADDLE = [(5, 819), (4, 1024), (17, 241), (34, 241)]
+
+
+def _repeating_column(kind, pool, n, rng):
+    """``n`` bit patterns of ``kind``: drawn from ``pool``; in each pass of k
+    rows, k // 2 distinct ones (``pool`` first, at least one) tiled over the
+    pass and shuffled; or mostly distinct, with ``pool`` among them."""
+    if kind == "few":
+        return pool[rng.integers(len(pool), size=n)]
+    passes = []
+    for start in range(0, n, G._ROWS):
+        k = min(G._ROWS, n - start)
+        if kind == "half":
+            fresh = rng.integers(2**64, size=k, dtype=np.uint64)
+            distinct = list(dict.fromkeys([*pool.tolist(), *fresh.tolist()]))[: max(k // 2, 1)]
+            passes.append(rng.permutation(np.resize(np.array(distinct, np.uint64), k)))
+        else:
+            col = rng.integers(2**64, size=k, dtype=np.uint64)
+            col[rng.integers(k, size=len(pool))] = pool
+            passes.append(col)
+    return np.concatenate(passes)
+
+
+def _assert_lines(path, lines):
+    """``path`` holds ``lines``, each ended by a newline; a miss names its first line."""
+    text = path.read_text(encoding="utf-8")
+    got = text.split("\n")
+    first = next((k for k, (a, b) in enumerate(zip(got, lines)) if a != b), None)
+    assert first is None, (first, got[first], lines[first])
+    assert text == "\n".join(lines) + "\n"
+
+
+@given(
+    shape=st.sampled_from(_STRADDLE),
+    kinds=st.lists(st.sampled_from(["few", "half", "distinct"]), min_size=1, max_size=4),
+    pool=st.lists(st.sampled_from(_PATTERNS) | st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(deadline=None)  # examples: the tests/conftest.py profiles
+def test_text_writers_match_per_value_formatting_on_repeating_columns(shape, kinds, pool, seed):
+    # the writers format each distinct bit pattern of a pass once, where at
+    # most half of the pass's values are distinct; the text is still f"{x:.17g}"
+    # of every value, -0.0 apart from 0.0
+    assert {nu * nv for nu, nv in _STRADDLE} == {G._ROWS - 1, G._ROWS, G._ROWS + 1, 2 * G._ROWS + 2}
+    rng = np.random.default_rng(seed)
+    grid = G.Grid(*shape, Domain())
+    n, pool = len(grid), np.array(pool, np.uint64)
+    cols = {f"c{j}": _repeating_column(kind, pool, n, rng).view(float) for j, kind in enumerate(kinds)}
+    with tempfile.TemporaryDirectory() as tmp:
+        G.write_fields_csv(Path(tmp) / "f.csv", grid, cols)
+        pts = grid.points().reshape(-1, 2)
+        rows = ["u,v," + ",".join(cols)] + [
+            ",".join(f"{x:.17g}" for x in (*pts[k].tolist(), *(col[k] for col in cols.values())))
+            for k in range(n)
+        ]
+        _assert_lines(Path(tmp) / "f.csv", rows)
+        pts4 = np.zeros(shape + (4,))  # x4 = 0: the projection divides by exactly 1
+        for j in range(3):
+            pts4[..., j] = list(cols.values())[j % len(cols)].reshape(shape)
+        with np.errstate(invalid="ignore"):  # dividing quiets a signalling NaN, flagged invalid
+            mesh = G.export_obj(Path(tmp) / "f.obj", pts4, grid)
+        _assert_lines(Path(tmp) / "f.obj", _ref_obj(mesh).splitlines())

@@ -574,7 +574,8 @@ def test_masked_degenerate_points_match_the_regular_subset_route(block, monkeypa
     assert _bits(peaks["suite"]) == _bits(ref["suite"])
     assert _bits({"curvature": peaks["curvature"]}) == _bits({"curvature": ref["curvature"]})
     recon, ref_recon = dict(peaks["reconstruction"]), dict(ref["reconstruction"])
-    assert peaks.get("back_singular") is None and not ref_recon.pop("back_singular").any()
+    for check in ("back_not_finite", "back_singular"):
+        assert peaks.get(check) is None and not ref_recon.pop(check).any()
     assert _bits(recon) == _bits(ref_recon)
     for key, column in ref["columns"].items():
         assert run.values[key].tobytes() == column.tobytes(), key
@@ -600,6 +601,31 @@ def test_reverse_transform_error_names_the_grid_index(monkeypatch):
     wrapped_points = scene.chart.domain.wrap(grid.points().reshape(-1, 2))
     assert exc.index == (4095,)
     np.testing.assert_array_equal(wrapped_points[exc.index], exc.point)
+
+
+def test_reverse_transform_that_is_not_finite_names_its_grid_index(monkeypatch):
+    # check_sinusinv's 64 x 64 in blocks of 1024: each block transforms, then
+    # transforms back; the third block's reverse transform is made not finite
+    # at its point 297, grid point 2345, marked as transform marks such a point.
+    # The run reports a transform that is not finite there, not a degenerate metric
+    transform, calls = RB.transform, []
+
+    def not_finite_once(*args, **kwargs):
+        res = transform(*args, **kwargs)
+        calls.append(res)
+        if len(calls) == 6:
+            res.not_finite[297] = res.metric.singular[297] = True
+        return res
+
+    monkeypatch.setattr(RB, "BLOCK", 1024)
+    monkeypatch.setattr(RB, "transform", not_finite_once)
+    scene = _scene("check_sinusinv.json")
+    grid = Grid(64, 64, scene.chart.domain)
+    with pytest.raises(DomainErrorJet, match="^reverse transform is not finite at") as info:
+        RB.run_grid(scene.chart, scene.tau, grid)
+    exc = info.value
+    assert len(calls) == 8 and exc.index == (2345,)
+    np.testing.assert_array_equal(scene.chart.domain.wrap(grid[2345:2346])[0], exc.point)
 
 
 def _with_chart(name, overrides):
