@@ -197,7 +197,6 @@ def _print_gates(gates, json_mode: bool):
 
 
 def _emit(report: dict, out: Path, name: str, json_mode: bool):
-    out.mkdir(parents=True, exist_ok=True)
     G.write_json(out / name, report)
     if json_mode:
         sys.stdout.write(G.canonical_json(report))
@@ -234,7 +233,6 @@ def cmd_transform(scene: Scene, out: Path, json_mode: bool, pole_flip: bool) -> 
     gates = _gates(report, scene.tolerances)
     ok = _print_gates(gates, json_mode)
 
-    out.mkdir(parents=True, exist_ok=True)
     grid = _grid(scene)
     cols = run.values  # f, f_hat and the singular mask, then the fields.csv columns in order
     f, f_hat, singular = (cols.pop(k) for k in ("f", "f_hat", "singular"))
@@ -246,12 +244,21 @@ def cmd_transform(scene: Scene, out: Path, json_mode: bool, pole_flip: bool) -> 
     return 0 if ok else 1
 
 
+def _export_obj(path: Path, points4, grid, **kwargs) -> G.MeshExport:
+    """:func:`gridio.export_obj`, with a stderr line naming the file when its mesh
+    clips vertices at the stereographic pole."""
+    mesh = G.export_obj(path, points4, grid, **kwargs)
+    if mesh.clipped:
+        print(f"{path}: {mesh.clipped} vertices clipped at the stereographic pole", file=sys.stderr)
+    return mesh
+
+
 def _write_meshes(out: Path, grid, f, f_hat, singular, pole_flip: bool) -> dict:
     """Write f.obj and f_hat.obj and return the report's ``meshes``; f_hat is NaN
     at the ``singular`` points, so those vertices are left out."""
     shape = grid.shape + (4,)
-    mesh_f = G.export_obj(out / "f.obj", f[:, :4].reshape(shape), grid, pole_flip=pole_flip)
-    mesh_fh = G.export_obj(
+    mesh_f = _export_obj(out / "f.obj", f[:, :4].reshape(shape), grid, pole_flip=pole_flip)
+    mesh_fh = _export_obj(
         out / "f_hat.obj", f_hat[:, :4].reshape(shape), grid, pole_flip=pole_flip, drop=singular
     )
     meshes = {
@@ -284,14 +291,13 @@ def cmd_demoulin(scene: Scene, out: Path, json_mode: bool) -> int:
     dual = D.dual_family_step(family) if scene.dual else None
     # per-theta artifacts: representative-function grids and member meshes; each
     # mesh is written as its member is reported, in theta order
-    out.mkdir(parents=True, exist_ok=True)
     member_cols: dict[str, np.ndarray] = {}
 
-    def write(member):
+    def write(tau, f_hat):  # tau is NaN where the member is masked
         k = len(member_cols)
-        member_cols[f"tau_theta_{k}"] = member.tau
-        fh4 = member.f_hat.reshape(grid.shape + (4,))
-        G.export_obj(out / f"fhat_theta_{k}.obj", fh4, grid, drop=member.mask)
+        member_cols[f"tau_theta_{k}"] = tau
+        fh4 = f_hat.reshape(grid.shape + (4,))
+        _export_obj(out / f"fhat_theta_{k}.obj", fh4, grid, drop=np.isnan(tau))
 
     report = D.family_report(
         family, scene.thetas, dual=dual, closedness_rel_tol=tol.member_closedness, each=write
@@ -406,7 +412,6 @@ def cmd_export(scene: Scene, out: Path, json_mode: bool, pole_flip: bool) -> int
     )
     cols = run.values  # tau, a and b, then what the meshes read
     f, f_hat, singular = (cols.pop(k) for k in ("f", "f_hat", "singular"))
-    out.mkdir(parents=True, exist_ok=True)
     meshes = _write_meshes(out, grid, f, f_hat, singular, pole_flip)
     if meshes.get("dropped") and not json_mode:
         print(f"exported f_hat without its {meshes['dropped']} degenerate points")

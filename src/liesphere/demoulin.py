@@ -26,7 +26,7 @@ chart whose transforms exist, this module builds:
 
 Each of these walks its grid in blocks of :func:`ribaucour.eval_blocks`, and
 keeps per-point values, never jets; every member and the parallel sections
-share one walk, :func:`member_pass`.
+share one walk, :func:`family_report`'s.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .errors import (
     NotRibaucour,
     PathDependence,
 )
-from .gridio import Grid, Wrapped
+from .gridio import Grid
 from .jets import Jet2
 from .liegeom import lie_inner, t0_jet
 
@@ -214,19 +214,6 @@ def bianchi_check(r0: ROperator, r1: ROperator) -> BianchiReport:
 
 
 @dataclass
-class FamilyMember:
-    theta: float
-    tau: np.ndarray  # (N,) values of tau_theta, NaN under the mask
-    mask: np.ndarray  # True where the denominator (or regularity) fails
-    not_finite: int | None  # the first point where the member's transform is not finite
-    f_hat: np.ndarray  # (N, 4) first four components of f_hat; garbage under the mask
-    max_dalpha: float  # max |d alpha| off the mask; -inf when no point is left
-    max_alpha: float  # max |alpha| off the mask
-    denominator_masked: int  # points masked by the denominator
-    regularity_masked: int  # further points where the member's transform is singular
-
-
-@dataclass
 class DemoulinFamily:
     """What the members share; per-point data are indexed by generator, on the flat grid."""
 
@@ -361,13 +348,15 @@ def _snap_trig(theta: float) -> tuple[float, float]:
 
 
 def demoulin_tau(frame: L.LegendreFrame, taus, exps, c: float, s: float, eps: float,
-                 det_rel_tol: float) -> tuple[dict, dict]:
-    """The member at cos/sin ``c``, ``s`` on one block, from the generators'
-    jets ``taus`` and ``exps`` = (e^{t0~}, e^{t1~}): its values and closedness.
+                 det_rel_tol: float, key: slice) -> tuple[dict, dict]:
+    """The member at cos/sin ``c``, ``s`` on the block ``key``, from the generators'
+    jets ``taus`` and ``exps`` = (e^{t0~}, e^{t1~}): its values and peaks.
 
-    Points where the denominator falls under ``eps`` are ``masked``; the
-    ``mask`` adds those where the member's own transform is singular or not
-    finite (``not_finite``, a mask too), and tau is NaN under it.
+    Points where the denominator falls under ``eps`` are masked, and so are those
+    where the member's own transform is singular or not finite; tau is NaN under
+    the mask.  The peaks count the two kinds (``denominator_masked``, then
+    ``regularity_masked``), name the first not-finite point, and hold the
+    closedness off the mask.
     """
     num = c * exps[1] * taus[0] + s * exps[0] * taus[1]
     den = c * exps[1] + s * exps[0]
@@ -376,11 +365,16 @@ def demoulin_tau(frame: L.LegendreFrame, taus, exps, c: float, s: float, eps: fl
     del num, den  # not live through the transform's peak
     res = RB.transform(frame, tau_theta, det_rel_tol=det_rel_tol)
     mask = masked | res.metric.singular
-    values = {"tau": np.where(mask, np.nan, tau_theta.value), "mask": mask, "masked": masked}
-    values["not_finite"] = res.not_finite
+    values = {"tau": np.where(mask, np.nan, tau_theta.value)}
     values["f_hat"] = res.f_hat.value[:, :4].copy()  # not a view that keeps all of f_hat
-    return values, {"max_dalpha": RB.ribaucour_residual(res, mask)[0],
-                    "max_alpha": RB.max_abs_alpha(res, mask)}
+    n_masked = int(np.count_nonzero(masked))
+    return values, {
+        "max_dalpha": RB.ribaucour_residual(res, mask)[0],
+        "max_alpha": RB.max_abs_alpha(res, mask),
+        "not_finite": RB.first_flagged(res.not_finite, key),
+        "denominator_masked": n_masked,
+        "regularity_masked": int(np.count_nonzero(mask)) - n_masked,
+    }
 
 
 def parallel_sections(frame: L.LegendreFrame, taus, exps, f_hats) -> float:
@@ -402,70 +396,25 @@ def parallel_sections(frame: L.LegendreFrame, taus, exps, f_hats) -> float:
     return w
 
 
-def member_pass(family: DemoulinFamily, thetas) -> tuple[list[FamilyMember], float]:
-    """The members at ``thetas`` and the parallel residual, in one walk of the grid.
-
-    Each block evaluates tau0, tau1 and e^{tau_tilde_i} once, for
-    :func:`demoulin_tau` at every theta off the endpoints and for
-    :func:`parallel_sections`.  An endpoint member (theta a multiple of pi/2)
-    is that walk's tau0 or tau1, with the generator's f_hat and closedness.
-    """
-    trig = [_snap_trig(float(theta)) for theta in thetas]
-    # the mask threshold is scaled by the grid-wide maxima of e^tau_tilde
-    eps = MASK_EPS_REL * sum(float(np.exp(pot.data.max())) for pot in family.tilde)
-
-    def body(frame, taus, key):
-        exps = [J.exp(family.tilde_jet(k, key)) for k in (0, 1)]
-        values, peaks = {}, {}
-        for i, (c, s) in enumerate(trig):
-            if s == 0.0 or c == 0.0:  # an endpoint
-                values[f"tau{i}"] = taus[0 if s == 0.0 else 1].value
-                continue
-            block, peak = demoulin_tau(frame, taus, exps, c, s, eps, family.det_rel_tol)
-            peak["not_finite"] = RB.first_flagged(block.pop("not_finite"), key)
-            peaks[f"member{i}"] = peak
-            values |= {f"{name}{i}": val for name, val in block.items()}
-        f_hats = [fh[key] for fh in family.f_hat]
-        return values, peaks | {"parallel": parallel_sections(frame, taus, exps, f_hats)}
-
-    taus = [(family.tau0_expr, 2), (family.tau1_expr, 2)]
-    # redundant: build_family judged this grid at this tolerance; every walk certifies
-    run = RB.eval_blocks(family.chart, family.grid, taus, body, contact_tol=family.contact_tol)
-    v, peaks = run.values, run.peaks
-    members = []
-    for i, (theta, (c, s)) in enumerate(zip(thetas, trig)):
-        tau, peak = v.pop(f"tau{i}"), peaks.get(f"member{i}")
-        if peak is None:  # an endpoint, with the generator's f_hat and closedness
-            k = 0 if s == 0.0 else 1
-            f_hat, peak = family.f_hat[k][:, :4], family.certification[f"tau{k}"]
-            mask = masked = np.zeros(len(tau), bool)
-        else:
-            f_hat, mask, masked = (v.pop(f"{k}{i}") for k in ("f_hat", "mask", "masked"))
-        members.append(FamilyMember(
-            float(theta), tau, mask, peak.get("not_finite"), f_hat, peak["max_dalpha"],
-            peak["max_alpha"], int(masked.sum()), int(mask.sum() - masked.sum()),
-        ))
-    return members, peaks["parallel"]
-
-
-def member_closedness(member: FamilyMember, rel_tol: float = RB.CLOSEDNESS_REL_TOL) -> dict:
-    """Closedness re-verification of one member on its unmasked set, and its mask counts.
+def member_closedness(theta: float, peak: dict, size: int,
+                      rel_tol: float = RB.CLOSEDNESS_REL_TOL) -> dict:
+    """The record of the member at ``theta`` from its merged ``peak`` over ``size``
+    points: its mask counts, and its closedness on the unmasked set.
 
     A member masked on more than half the grid raises :class:`FullyMasked`.
     """
-    frac = float(member.mask.mean())
+    frac = (peak["denominator_masked"] + peak["regularity_masked"]) / size
     if frac > 0.5:
-        raise FullyMasked(
-            f"family member theta={member.theta!r} singular on {frac:.0%} of the grid"
-        )
+        raise FullyMasked(f"family member theta={theta!r} singular on {frac:.0%} of the grid")
+    maxd, maxa = peak["max_dalpha"], peak["max_alpha"]
     return {
-        "theta": float(member.theta),
+        "theta": theta,
         "masked_fraction": frac,
-        "denominator_masked": member.denominator_masked,
-        "regularity_masked": member.regularity_masked,
-        "max_dalpha": member.max_dalpha,
-        "max_alpha": member.max_alpha,
-        "ribaucour": RB.classify_ribaucour(member.max_dalpha, member.max_alpha, rel_tol),
+        "denominator_masked": peak["denominator_masked"],
+        "regularity_masked": peak["regularity_masked"],
+        "max_dalpha": maxd,
+        "max_alpha": maxa,
+        "ribaucour": RB.classify_ribaucour(maxd, maxa, rel_tol),
     }
 
 
@@ -566,12 +515,7 @@ def _default_patch(chart: CH.ChartSpec) -> Grid:
     return Grid(64, 64, CH.Domain(*axes, (False, False)))
 
 
-def dual_family_step(
-    family: DemoulinFamily,
-    patch: Grid | None = None,
-    *,
-    w_init: float = 0.0,
-) -> DualResult:
+def dual_family_step(family: DemoulinFamily, patch: Grid | None = None) -> DualResult:
     """Integrate the dual-family system on a simply connected patch.
 
     The scalar w = ln(tau0 - tau_hat0) satisfies
@@ -600,10 +544,10 @@ def dual_family_step(
         return {key: np.moveaxis(val, axis, 0)[0] for key, val in fields.items()}
 
     # row-first: march u along the base row, then v upward for all columns
-    w_base = _sweep(w_init, first(nodes, 1), first(umids, 1), patch.hu, 0, 0)
+    w_base = _sweep(0.0, first(nodes, 1), first(umids, 1), patch.hu, 0, 0)
     w_row = _sweep(w_base, nodes, vmids, patch.hv, 1, 1)
     # column-first: v along the base column, then u for all rows
-    w_base = _sweep(w_init, first(nodes, 0), first(vmids, 0), patch.hv, 1, 0)
+    w_base = _sweep(0.0, first(nodes, 0), first(vmids, 0), patch.hv, 1, 0)
     w_col = _sweep(w_base, nodes, umids, patch.hu, 0, 0)
     consistency = float(np.max(np.abs(w_row - w_col)))
 
@@ -629,30 +573,62 @@ def family_report(
     *,
     dual: DualResult | None = None,
     closedness_rel_tol: float = RB.CLOSEDNESS_REL_TOL,
-    each: Callable[[FamilyMember], None] | None = None,
+    each: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> dict:
     """JSON-ready family report; members are classified at ``closedness_rel_tol``.
 
-    The members and the parallel residual come from one :func:`member_pass`.
-    The members are judged in theta order (a not-finite transform first) and each
-    is handed to ``each(member)`` when given, so one that raises leaves those
-    before it handed over.  An endpoint's tau must equal build_family's values.
+    The members at ``thetas`` and the parallel residual come from one walk of the
+    grid: each block evaluates tau0, tau1 and e^{tau_tilde_i} once, for
+    :func:`demoulin_tau` at every theta off the endpoints and for
+    :func:`parallel_sections`.  An endpoint member (theta a multiple of pi/2) is
+    that walk's tau0 or tau1, with the generator's f_hat and closedness; at 0 and
+    pi/2 its tau must equal build_family's values.  The members are judged from
+    their merged peaks in theta order (a not-finite transform first, then
+    :func:`member_closedness`), and each is handed to ``each(tau, f_hat)`` when
+    given, so one that raises leaves those before it handed over.
     """
-    built, parallel = member_pass(family, thetas)
-    points = Wrapped(family.chart.domain, family.grid)
+    trig = [_snap_trig(float(theta)) for theta in thetas]
+    # the mask threshold is scaled by the grid-wide maxima of e^tau_tilde
+    eps = MASK_EPS_REL * sum(float(np.exp(pot.data.max())) for pot in family.tilde)
+
+    def body(frame, taus, key):
+        exps = [J.exp(family.tilde_jet(k, key)) for k in (0, 1)]
+        values, peaks = {}, {}
+        for i, (c, s) in enumerate(trig):
+            if s == 0.0 or c == 0.0:  # an endpoint
+                values[f"tau{i}"] = taus[0 if s == 0.0 else 1].value
+                continue
+            block, peaks[f"member{i}"] = demoulin_tau(
+                frame, taus, exps, c, s, eps, family.det_rel_tol, key
+            )
+            values |= {f"{name}{i}": val for name, val in block.items()}
+        f_hats = [fh[key] for fh in family.f_hat]
+        return values, peaks | {"parallel": parallel_sections(frame, taus, exps, f_hats)}
+
+    taus = [(family.tau0_expr, 2), (family.tau1_expr, 2)]
+    # redundant: build_family judged this grid at this tolerance; every walk certifies
+    run = RB.eval_blocks(family.chart, family.grid, taus, body, contact_tol=family.contact_tol)
+    v, peaks = run.values, run.peaks
     members = []
     endpoints_ok = True
-    for member in built:
-        what = f"transform of family member theta={member.theta!r} is not finite"
-        DomainErrorJet.raise_first(member.not_finite, points, what)
-        rec = member_closedness(member, closedness_rel_tol)
+    for i, (theta, (c, s)) in enumerate(zip(map(float, thetas), trig)):
+        tau, peak = v.pop(f"tau{i}"), peaks.get(f"member{i}")
+        if peak is None:  # an endpoint, with the generator's f_hat and closedness
+            k = 0 if s == 0.0 else 1
+            f_hat, peak = family.f_hat[k][:, :4], family.certification[f"tau{k}"]
+            peak = peak | {"denominator_masked": 0, "regularity_masked": 0}
+        else:
+            f_hat = v.pop(f"f_hat{i}")
+        what = f"transform of family member theta={theta!r} is not finite"
+        DomainErrorJet.raise_first(peak.get("not_finite"), run.points, what)
+        rec = member_closedness(theta, peak, len(tau), closedness_rel_tol)
         for k, (label, at) in enumerate((("tau0", 0.0), ("tau1", HALF_PI))):
-            if member.theta == at:
+            if theta == at:
                 rec["endpoint"] = label
-                endpoints_ok &= np.array_equal(member.tau, family.tau[k])
+                endpoints_ok &= np.array_equal(tau, family.tau[k])
         members.append(rec)
         if each is not None:
-            each(member)
+            each(tau, f_hat)
     periods = [r for pot in family.tilde for r in pot.period_residuals.values()]
     rep = {
         "tau0_src": E.to_source(family.tau0_expr),
@@ -667,7 +643,7 @@ def family_report(
         "r_relation_residual": family.r_relation_residual,
         "r_symmetry_residual": family.r_symmetry_residual,
         "members": members,
-        "parallel_residual": parallel,
+        "parallel_residual": peaks["parallel"],
     }
     if dual is not None:
         rep["dual"] = {

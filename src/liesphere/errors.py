@@ -103,7 +103,3 @@ class BianchiViolation(LieSphereError):
 
 class SceneError(LieSphereError):
     """Scene file missing, malformed, or failing validation."""
-
-
-class PoleClipWarning(UserWarning):
-    """Vertices near the stereographic pole were dropped from an export."""

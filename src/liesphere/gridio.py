@@ -11,14 +11,12 @@ JSON files.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .charts import Domain
-from .errors import PoleClipWarning
 from .jets import Jet2, packed_index, packed_len
 
 
@@ -233,9 +231,9 @@ def mesh_from_grid(
     """Build the quad mesh of a (nu, nv, 4) sphere-valued field.
 
     Vertices are emitted row-major; faces wrap across periodic seams.
-    Vertices at the projection pole are clipped (with a warning) together
-    with any face touching them; ``drop`` marks additional vertices to omit
-    silently (e.g. masked family points).
+    Vertices at the projection pole are clipped, together with any face
+    touching them, and counted in ``clipped``; ``drop`` marks additional
+    vertices to omit (e.g. masked family points), counted in ``dropped``.
     """
     nu, nv = grid.shape
     proj, near = stereographic(points4.reshape(nu, nv, 4), pole_flip=pole_flip)
@@ -254,11 +252,6 @@ def mesh_from_grid(
 
     clipped = int(near.sum())
     if bad.any():
-        if clipped:
-            warnings.warn(
-                f"{clipped} vertices clipped at the stereographic pole",
-                PoleClipWarning,
-            )
         keep = ~bad
         remap = -np.ones(len(verts), dtype=int)
         remap[keep] = np.arange(int(keep.sum()))

@@ -422,7 +422,7 @@ def _kept_heap():
 
 # Peaks that are minima, and int peaks that are counts.
 _MINIMA = frozenset({"immersion_min", "hat_min_abs_det", "min_det"})
-_COUNTS = frozenset({"n_singular"})
+_COUNTS = frozenset({"n_singular", "denominator_masked", "regularity_masked"})
 
 
 def merge_peaks(old, new, key: str | None = None):

@@ -158,14 +158,17 @@ def test_criterion_08_bianchi_and_family():
     comm = family.bianchi.commutator_max
     worst_member = 0.0
     endpoints = True
-    members, parallel = D.member_pass(family, [k * np.pi / 8.0 for k in range(8)])
-    for k, member in enumerate(members):
-        rec = D.member_closedness(member)
+    taus = []
+    report = D.family_report(
+        family, [k * np.pi / 8.0 for k in range(8)], each=lambda tau, f_hat: taus.append(tau)
+    )
+    parallel = report["parallel_residual"]
+    for k, rec in enumerate(report["members"]):
         worst_member = max(worst_member, rec["max_dalpha"])
         if k == 0:
-            endpoints &= np.array_equal(member.tau, family.tau[0])
+            endpoints &= np.array_equal(taus[k], family.tau[0])
         if k == 4:
-            endpoints &= np.array_equal(member.tau, family.tau[1])
+            endpoints &= np.array_equal(taus[k], family.tau[1])
     elapsed = time.perf_counter() - t0
     ok = (
         comm < 1e-8

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liesphere import cli
-from liesphere.errors import PoleClipWarning, SceneError
+from liesphere.errors import SceneError
 from reference import parse_obj
 
 SQUARE_R = 0.7071067811865476
@@ -249,11 +249,15 @@ def test_export_command(tmp_path):
     assert (out / "fields.csv").exists()
 
 
-def test_export_leaves_degenerate_points_out_of_f_hat(tmp_path):
+def _clip_line(path, n: int) -> str:
+    return f"{path}: {n} vertices clipped at the stereographic pole\n"
+
+
+def test_export_leaves_degenerate_points_out_of_f_hat(tmp_path, capsys):
     out = tmp_path / "out"
     scene = str(SCENES / "check_sinusinv.json")
-    with pytest.warns(PoleClipWarning):
-        assert cli.main(["export", "--scene", scene, "--out", str(out)]) == 0
+    assert cli.main(["export", "--scene", scene, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == _clip_line(out / "f_hat.obj", 4)
     meshes = json.loads((out / "export.json").read_text())["meshes"]
     for name in ("f", "f_hat"):
         text = (out / f"{name}.obj").read_text()
@@ -345,11 +349,11 @@ def test_field_residuals_peak_at_the_reported_values(tmp_path, name):
         assert max(column) == report["residuals"][key]
 
 
-def test_transform_drops_degenerate_points_from_f_hat_obj(tmp_path):
+def test_transform_drops_degenerate_points_from_f_hat_obj(tmp_path, capsys):
     out = tmp_path / "out"
     scene = str(SCENES / "check_sinusinv.json")
-    with pytest.warns(PoleClipWarning):
-        assert cli.main(["transform", "--scene", scene, "--out", str(out)]) == 1  # not regular
+    assert cli.main(["transform", "--scene", scene, "--out", str(out)]) == 1  # not regular
+    assert capsys.readouterr().err == _clip_line(out / "f_hat.obj", 4)
     for name in ("f.obj", "f_hat.obj"):
         text = (out / name).read_text()
         assert "nan" not in text
@@ -396,6 +400,52 @@ def test_failing_member_leaves_the_meshes_before_it(tmp_path, capsys):
     assert cli.main(["demoulin", "--scene", str(scene), "--out", str(out)]) == 1
     assert "FullyMasked: family member theta=2.356194490192345" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["fhat_theta_0.obj"]
+
+
+def test_each_clipping_mesh_is_a_stderr_line(tmp_path, capsys):
+    # a great sphere whose transforms by the constants 2 and 3 are great spheres
+    # too; the endpoint members at 0 and pi both carry tau0's f_hat, which meets
+    # the pole at (u, v) = (pi/2, 0): two meshes clip one vertex each
+    scene = _scene(
+        tmp_path,
+        chart={
+            "kind": "custom",
+            "f": ["cos(v)*cos(u)", "sin(v)", "-0.8*cos(v)*sin(u)", "0.6*cos(v)*sin(u)"],
+            "xi": ["0", "0", "-0.6", "-0.8"],
+            "domain": {"u": [0, 2 * np.pi], "v": [-1, 1], "periodic": [True, False]},
+        },
+        tau="2", tau1="3", grid=[16, 5], thetas=[0.0, np.pi, 0.3],
+    )
+    out = tmp_path / "out"
+    assert cli.main(["demoulin", "--scene", str(scene), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err == _clip_line(out / "fhat_theta_0.obj", 1) + _clip_line(out / "fhat_theta_1.obj", 1)
+    for k in (0, 1):
+        verts, _ = parse_obj((out / f"fhat_theta_{k}.obj").read_text())
+        assert len(verts) == 16 * 5 - 1
+
+
+def test_member_meshes_leave_out_exactly_the_masked_points(tmp_path):
+    # the first member masks points where its transform is singular, the second
+    # where its denominator vanishes
+    scene = _shipped_scene(
+        tmp_path, "demoulin_sinu.json", grid=[20, 19], thetas=[np.pi / 4, 3 * np.pi / 4]
+    )
+    out = tmp_path / "out"
+    assert cli.main(["demoulin", "--scene", str(scene), "--out", str(out)]) == 0
+    members = json.loads((out / "family.json").read_text())["members"]
+    with open(out / "family_fields.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert members[0]["regularity_masked"] > 0 and members[1]["denominator_masked"] > 0
+    for k, rec in enumerate(members):
+        masked = np.array([row[f"tau_theta_{k}"] == "nan" for row in rows]).reshape(20, 19)
+        assert rec["denominator_masked"] + rec["regularity_masked"] == masked.sum()
+        verts, faces = parse_obj((out / f"fhat_theta_{k}.obj").read_text())
+        assert len(verts) == len(rows) - rec["denominator_masked"] - rec["regularity_masked"]
+        # the faces kept are the cells of the periodic grid with no masked corner
+        corners = masked | np.roll(masked, -1, 0) | np.roll(masked, -1, 1)
+        corners |= np.roll(masked, (-1, -1), (0, 1))
+        assert len(faces) == np.count_nonzero(~corners)
 
 
 def test_reverse_transform_honours_det_rel(tmp_path, capsys):
@@ -817,7 +867,6 @@ def test_any_argv_exits_0_1_or_2(argv, scene):
             with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(err):
                 warnings.simplefilter("error", RuntimeWarning)
-                warnings.simplefilter("ignore", PoleClipWarning)  # clipped meshes are written
                 try:
                     code = cli.main(argv)
                 except SystemExit as exc:  # argparse's usage errors

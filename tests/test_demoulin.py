@@ -45,8 +45,15 @@ def _tau_jets(family):
     return [E.eval_at(expr, points) for expr in (family.tau0_expr, family.tau1_expr)]
 
 
-def _member(family, theta):
-    return D.member_pass(family, [theta])[0][0]
+def _members(family, thetas):
+    """The family report at ``thetas``, and the (tau, f_hat) handed over for each member."""
+    handed = []
+    report = D.family_report(family, thetas, each=lambda tau, f_hat: handed.append((tau, f_hat)))
+    return report, handed
+
+
+def _member_tau(family, theta):
+    return _members(family, [theta])[1][0][0]
 
 
 @pytest.fixture(scope="module")
@@ -173,9 +180,9 @@ def test_bianchi_negative_control():
 
 
 def test_family_endpoints_bitwise(family_64):
-    m0, m1 = D.member_pass(family_64, [0.0, np.pi / 2.0])[0]
-    assert np.array_equal(m0.tau, family_64.tau[0])
-    assert np.array_equal(m1.tau, family_64.tau[1])
+    (tau0, _), (tau1, _) = _members(family_64, [0.0, np.pi / 2.0])[1]
+    assert np.array_equal(tau0, family_64.tau[0])
+    assert np.array_equal(tau1, family_64.tau[1])
 
 
 def test_family_of_constants(const_family):
@@ -184,33 +191,36 @@ def test_family_of_constants(const_family):
     # chart, so the samples stay away from it.
     c = 2.0
     for theta in (0.3, 0.9, 1.2):
-        member = _member(const_family, theta)
+        vals = _member_tau(const_family, theta)
         expected = c * np.sin(theta) / (np.cos(theta) + np.sin(theta))
-        vals = member.tau
         assert np.nanmax(np.abs(vals - expected)) < 1e-14
         assert np.nanstd(vals) < 1e-14  # constant on the grid
 
 
 def test_family_quarter_turn_closed_form(family_64):
-    member = _member(family_64, np.pi / 4.0)
+    tau = _member_tau(family_64, np.pi / 4.0)
     grid = family_64.grid
     tau0 = family_64.tau[0].reshape(grid.shape)
     expected = (tau0 + 2.0 * (1.0 + tau0)) / (1.0 + (1.0 + tau0))
-    diff = np.abs(member.tau - expected.reshape(-1))
+    diff = np.abs(tau - expected.reshape(-1))
     assert np.nanmax(diff) < 1e-5
 
 
 def test_family_members_stay_closed(family_64):
-    for member in D.member_pass(family_64, [k * np.pi / 8.0 for k in range(8)])[0]:
-        rec = D.member_closedness(member)
+    for rec in D.family_report(family_64, [k * np.pi / 8.0 for k in range(8)])["members"]:
         assert rec["max_dalpha"] < 1e-7 * (1.0 + rec["max_alpha"])
         assert rec["masked_fraction"] <= 0.5
 
 
 def test_family_masks_are_reported(family_64):
-    member, member2 = D.member_pass(family_64, [3.0 * np.pi / 4.0, np.pi / 4.0])[0]
-    assert member.denominator_masked > 0
-    assert member2.regularity_masked > 0
+    report, handed = _members(family_64, [3.0 * np.pi / 4.0, np.pi / 4.0])
+    member, member2 = report["members"]
+    assert member["denominator_masked"] > 0
+    assert member2["regularity_masked"] > 0
+    # the counts are the points where the tau handed over is NaN
+    for rec, (tau, _) in zip(report["members"], handed):
+        masked = rec["denominator_masked"] + rec["regularity_masked"]
+        assert np.count_nonzero(np.isnan(tau)) == masked
 
 
 def test_gauge_shift_reparametrizes_theta(family_64):
@@ -225,10 +235,10 @@ def test_gauge_shift_reparametrizes_theta(family_64):
         ),
     )
     theta = 0.6
-    member_shifted = _member(shifted, theta)
+    tau_shifted = _member_tau(shifted, theta)
     theta_prime = np.arctan2(np.sin(theta) * np.exp(c0), np.cos(theta) * np.exp(c1))
-    member_orig = _member(family_64, theta_prime)
-    diff = np.abs(member_shifted.tau - member_orig.tau)
+    tau_orig = _member_tau(family_64, theta_prime)
+    diff = np.abs(tau_shifted - tau_orig)
     assert np.nanmax(diff) < 1e-12
 
 
@@ -253,18 +263,18 @@ def test_fully_masked_member(const_family):
     # equal potentials everywhere: the denominator of the 3 pi / 4 member
     # vanishes on the whole grid
     with pytest.raises(FullyMasked):
-        D.member_closedness(_member(const_family, 3.0 * np.pi / 4.0))
+        D.family_report(const_family, [3.0 * np.pi / 4.0])
 
 
 # ---------- parallel sections ----------
 
 
 def test_parallel_sections_constants(const_family):
-    assert D.member_pass(const_family, [])[1] < 1e-10
+    assert D.family_report(const_family, [])["parallel_residual"] < 1e-10
 
 
 def test_parallel_sections_general(family_64):
-    assert D.member_pass(family_64, [])[1] < 1e-7
+    assert D.family_report(family_64, [])["parallel_residual"] < 1e-7
 
 
 def test_parallel_sections_negative_control(family_64):
@@ -343,10 +353,14 @@ def test_sweep_matches_closed_forms(axis):
     np.testing.assert_allclose(w, exact, rtol=0, atol=1e-10)  # RK4 error: 4.6e-12
 
 
-def test_dual_step_blowup_guard(family_64):
+def test_dual_step_blowup_guard(square_torus):
+    # tau0 = 0.3 sin(u) and tau1 = 0.2 cos(v) cross on the patch, where
+    # w = ln(tau0 - tau_hat0) leaves its range
+    grid = G.Grid(11, 11, square_torus.domain)
+    fam = D.build_family(square_torus, E.parse_tau("0.3*sin(u)"), E.parse_tau("0.2*cos(v)"), grid)
     patch = G.Grid(16, 16, Domain((0.1, 6.1), (0.1, 6.1), (False, False)))
     with pytest.raises(BlowUp, match=r"parameter point \[") as exc:
-        D.dual_family_step(family_64, patch, w_init=19.0)
+        D.dual_family_step(fam, patch)
     # the error names a node of the patch
     assert np.all((exc.value.point >= 0.1) & (exc.value.point <= 6.1))
 

@@ -19,6 +19,19 @@ def test_src_names_no_linalg():
     assert offenders == []
 
 
+def test_src_imports_no_warnings():
+    # the engine reports through return values and typed errors, and the CLI
+    # prints what a user should see; a warning carries its source line to stderr
+    offenders = [
+        f"{p.name}:{node.lineno}"
+        for p in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(a.name == "warnings" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "warnings"
+    ]
+    assert offenders == []
+
+
 def test_every_src_definition_is_used_in_src():
     # a top-level def or class that no code in src/ names is reached only by
     # tests: it belongs in the product's call graph or in tests/reference.py

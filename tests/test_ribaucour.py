@@ -262,7 +262,7 @@ def test_family_and_dual_step_build_alpha_only_where_read(square_torus, monkeypa
     grid = Grid(16, 16, square_torus.domain)
     tau0, tau1 = E.parse_tau("0.3*sin(u)"), E.parse_tau("2 + 0.2*cos(v)")
     family = D.build_family(square_torus, tau0, tau1, grid)
-    D.member_pass(family, [0.3])
+    D.family_report(family, [0.3])
     # both generators and the member read alpha; nothing reads xi_hat
     assert [_built(res) for res in results] == [{"alpha"}] * 3
     results.clear()
@@ -827,7 +827,8 @@ def test_first_index_peaks_name_the_first_point_of_one_pass(
 
 def _family_run(name, monkeypatch, block, **overrides):
     """build_family, the members, parallel sections and the dual step (if the
-    scene asks), in the CLI's order, on a 20 x 19 grid at ``RB.BLOCK = block``."""
+    scene asks), in the CLI's order, on a 20 x 19 grid at ``RB.BLOCK = block``:
+    the family report and each member's (tau, f_hat)."""
     obj = json.loads((SCENES / name).read_text(encoding="utf-8"))
     obj.update(_with_chart(name, overrides))
     scene = cli.scene_from_json(obj)
@@ -835,7 +836,9 @@ def _family_run(name, monkeypatch, block, **overrides):
     family = D.build_family(scene.chart, scene.tau, scene.tau1, Grid(20, 19, scene.chart.domain))
     dual = D.dual_family_step(family) if scene.dual else None
     members = []
-    report = D.family_report(family, scene.thetas, dual=dual, each=members.append)
+    report = D.family_report(
+        family, scene.thetas, dual=dual, each=lambda tau, f_hat: members.append((tau, f_hat))
+    )
     return report, members
 
 
@@ -849,10 +852,9 @@ def test_family_blocks_cannot_change_results(name, overrides, monkeypatch):
     split_report, split = _family_run(name, monkeypatch, 37, **overrides)
     assert split_report == whole_report
     assert len(split) == len(whole) == 8
-    for a, b in zip(split, whole):
-        np.testing.assert_array_equal(a.tau, b.tau)  # NaN == NaN here
-        for key in ("mask", "f_hat"):
-            np.testing.assert_array_equal(getattr(a, key), getattr(b, key))
+    for (tau_a, f_hat_a), (tau_b, f_hat_b) in zip(split, whole):
+        np.testing.assert_array_equal(tau_a, tau_b)  # NaN == NaN here, so the masks agree
+        np.testing.assert_array_equal(f_hat_a, f_hat_b)
 
 
 def _family_raised(name, monkeypatch, block, **overrides):
