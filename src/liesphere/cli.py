@@ -292,12 +292,14 @@ def cmd_demoulin(scene: Scene, out: Path, json_mode: bool) -> int:
     # per-theta artifacts: representative-function grids and member meshes; each
     # mesh is written as its member is reported, in theta order
     member_cols: dict[str, np.ndarray] = {}
+    clipped = []  # per member mesh
 
     def write(tau, f_hat):  # tau is NaN where the member is masked
         k = len(member_cols)
         member_cols[f"tau_theta_{k}"] = tau
         fh4 = f_hat.reshape(grid.shape + (4,))
-        _export_obj(out / f"fhat_theta_{k}.obj", fh4, grid, drop=np.isnan(tau))
+        mesh = _export_obj(out / f"fhat_theta_{k}.obj", fh4, grid, drop=np.isnan(tau))
+        clipped.append(mesh.clipped)
 
     report = D.family_report(
         family, scene.thetas, dual=dual, closedness_rel_tol=tol.member_closedness, each=write
@@ -305,6 +307,7 @@ def cmd_demoulin(scene: Scene, out: Path, json_mode: bool) -> int:
     parallel = report["parallel_residual"]
     G.write_fields_csv(out / "family_fields.csv", grid, member_cols)
     report["theta_meshes"] = {f"fhat_theta_{k}.obj": float(t) for k, t in enumerate(scene.thetas)}
+    report["clipped"] = sum(clipped)
 
     checks = [
         ("bianchi commutator", norm < tol.bianchi, f"norm = {norm:.3e}"),

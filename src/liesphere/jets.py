@@ -13,7 +13,11 @@ the value, so elementwise operations broadcast the value against whole slots
 and run over all points and components at once; this is how whole parameter
 grids and vector-valued quantities are processed in single vectorized calls.
 Value axes are addressed by negative positions, which mean the same axis in
-the value and in every slot.
+the value and in every slot.  In memory the batch axes (a value's leading ones)
+are innermost: :func:`stack` and :func:`liegeom.spatial_vector` allocate the
+component axis outermost, and numpy keeps its operands' order in elementwise
+results and in ``x.grad[rows]``, so a scalar times a vector runs one loop over
+the batch per component.  Shapes and bits do not depend on the layout.
 
 A jet has an order, the number of derivative slots present: 0 to 3, and 2 for
 a seed unless asked otherwise.  :meth:`Jet2.deriv` lowers the order by one, since
@@ -165,6 +169,8 @@ class Jet2:
         if self.grad is None:
             raise ValueError("an order-0 jet carries no derivatives")
         row = [packed_index(i, k, self.m) for k in range(self.m)]
+        if row == list(range(row[0], row[0] + self.m)):  # always at m = 2
+            row = slice(row[0], row[0] + self.m)  # a view keeps the slot's memory order
         hess_row = None if self.hess is None else self.hess[row]
         third_row = None
         if self.third is not None:
@@ -370,7 +376,7 @@ def stack(jets: Sequence[Jet2], axis: int = -1) -> Jet2:
 
     def slot(name: str, lead: tuple = ()) -> np.ndarray:
         parts = [np.broadcast_to(getattr(j, name), lead + shape) for j in jets]
-        return np.stack(parts, axis=axis)
+        return np.moveaxis(np.stack(parts), 0, axis)  # the batch axis stays innermost
 
     return _combine(
         jets,
@@ -385,8 +391,8 @@ def wsum(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """Sum of an array over ``axis``.
 
     Terms are added one at a time in index order, each a full-length elementwise
-    operation; ``np.sum`` over a short axis loops per element, and it adds fewer
-    than 8 terms in this same order.
+    operation.  ``np.sum`` does not give the same bits: it starts from +0.0, so a
+    sum of -0.0 terms comes out +0.0, where this one keeps the sign bit.
     """
     terms = iter(np.moveaxis(a, axis, 0))
     out = next(terms)

@@ -57,10 +57,11 @@ def spatial_vector(components: list[Jet2]) -> Jet2:
     """Assemble a full vector jet from spatial parts, zero time components."""
     order = min(c.order for c in components)
     parts = [(c.value, c.grad, c.hess, c.third)[: order + 1] for c in components]
-    slots = [np.zeros(a.shape + (len(parts) + 2,)) for a in parts[0]] + [None] * (3 - order)
+    slots = [np.zeros((len(parts) + 2,) + a.shape) for a in parts[0]]
     for i, part in enumerate(parts):
         for out, a in zip(slots, part):
-            out[..., i] = a
+            out[i] = a
+    slots = [np.moveaxis(a, 0, -1) for a in slots] + [None] * (3 - order)
     return Jet2(slots[0], slots[1], slots[2], components[0].m, slots[3])
 
 

@@ -153,7 +153,8 @@ def transform(
         f_check = f_check + tg[i].vec() * V[i]
     mu2 = J.jsum(tgrad * dtau_vec, axis=-1)  # d tau (grad tau)
 
-    denom = tau * tau + mu2 + 1.0
+    t = tau.truncate(mu2.order)  # + mu2 would drop tau's slots above it
+    denom = t * t + mu2 + 1.0
     a = 1.0 - 2.0 / denom
     b = tau * (a - 1.0)
 

@@ -420,6 +420,7 @@ def test_each_clipping_mesh_is_a_stderr_line(tmp_path, capsys):
     assert cli.main(["demoulin", "--scene", str(scene), "--out", str(out)]) == 0
     err = capsys.readouterr().err
     assert err == _clip_line(out / "fhat_theta_0.obj", 1) + _clip_line(out / "fhat_theta_1.obj", 1)
+    assert json.loads((out / "family.json").read_text())["clipped"] == 2
     for k in (0, 1):
         verts, _ = parse_obj((out / f"fhat_theta_{k}.obj").read_text())
         assert len(verts) == 16 * 5 - 1

@@ -254,6 +254,15 @@ def test_stack_jsum_take_shapes():
     assert ex.value.shape == (6, 1)
 
 
+def test_wsum_keeps_the_sign_of_negative_zero():
+    # np.sum starts from +0.0, so it would turn a sum of -0.0 terms into +0.0
+    terms = np.full((5, 6), -0.0)
+    for a in (terms, np.moveaxis(np.ascontiguousarray(terms.T), 0, -1)):  # either layout
+        assert np.signbit(J.wsum(a)).all() and np.signbit(J.wsum(a, 0)).all()
+    u = J.seed(np.full((5, 2), -0.0))[0]
+    assert np.signbit(J.jsum(J.stack([u, u, u])).value).all()
+
+
 def test_three_variable_jets_are_exact():
     # the arithmetic is dimension-generic; check m = 3 against hand analytics
     x0, y0, z0 = 0.4, -0.7, 1.1

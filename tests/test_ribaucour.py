@@ -273,12 +273,15 @@ def test_family_and_dual_step_build_alpha_only_where_read(square_torus, monkeypa
 
 
 def test_check_builds_no_order_2_vector_product(square_torus, monkeypatch):
-    # no reader takes the Hessian of a vector- or matrix-valued product
+    # no reader takes the Hessian of a product with a jet or an array operand
+    # (an array is lifted to a constant jet and runs the full product rule), nor
+    # of a vector- or matrix-valued jet scaled by a number; a number times a
+    # scalar jet only scales the slots that jet has
     mul, built = Jet2.__mul__, []
 
     def spy(x, y):
         out = mul(x, y)
-        if out.order == 2 and out.value.ndim > 1:
+        if out.order == 2 and (not J._is_number(y) or out.value.ndim > 1):
             built.append(out.value.shape)
         return out
 
@@ -310,6 +313,78 @@ def test_identity_suite_at_round_off(square_torus, random_points):
         np.nanmin(np.abs(res.metric.det)), rel=1e-9
     )
     assert max(np.max(pw[k]) for k in ("eq6", "eq9", "eq13")) < 1e-12
+
+
+# ---------- memory layout ----------
+
+_SLOTS = ("value", "grad", "hess", "third")
+
+
+def _c_ordered(jet: Jet2) -> Jet2:
+    """``jet`` with every slot copied to C order: the component axis innermost."""
+    slots = [getattr(jet, slot) for slot in _SLOTS]
+    slots = [None if a is None else np.ascontiguousarray(a) for a in slots]
+    return Jet2(slots[0], slots[1], slots[2], jet.m, slots[3])
+
+
+def _batch_stride_is_smallest(a: np.ndarray, batch: int) -> bool:
+    others = [abs(s) for k, (s, n) in enumerate(zip(a.strides, a.shape)) if k != batch and n > 1]
+    return abs(a.strides[batch]) < min(others)
+
+
+def test_vector_and_matrix_jets_keep_the_batch_axis_innermost(square_torus, random_points):
+    """A speed invariant, not a correctness one, and it depends on the numpy
+    version: the layout is carried through the engine by numpy keeping its
+    inputs' memory order in elementwise results, fancy indexing and
+    ``np.stack``, observed on numpy 2.4.  Bits never depend on the layout
+    (``test_layout_never_moves_bits``)."""
+    frame, tau = _frame_and_tau(square_torus, "0.2*sin(u)+0.1*cos(v)", random_points)
+    res = RB.transform(frame, tau)
+    u, v = J.seed(random_points, order=3)
+    jets = {
+        "stack": J.stack([u, v, u * v]),
+        "mat_from_rows": J.mat_from_rows([[u, v], [v, u * v]]),
+        "spatial_vector": L.spatial_vector([u, v, u * v, v - u]),
+        "f": frame.f, "xi": frame.xi, "f_hat": res.f_hat, "f_check": res.f_check,
+        "G": res.metric.G, "Ginv": res.metric.Ginv,
+    } | {f"V{i}": V for i, V in enumerate(res.metric.V)}
+    for name, jet in jets.items():
+        assert jet.order > 0
+        for k, slot in enumerate(_SLOTS[: jet.order + 1]):
+            batch = min(k, 1)  # a derivative slot's batch axis follows its derivative axis
+            assert _batch_stride_is_smallest(getattr(jet, slot), batch), (name, slot)
+    # a partial's gradient is a view of Hessian rows, so one component of it is
+    # one block of memory, not rows a whole vector apart
+    for i in range(2):
+        grad = frame.f.deriv(i).grad
+        assert all(grad[..., k].flags.c_contiguous for k in range(grad.shape[-1])), i
+
+
+@pytest.mark.parametrize("src", ["0.2*sin(u)+0.1*cos(v)", "sin(u)*sin(v)"])
+def test_layout_never_moves_bits(square_torus, src):
+    # a frame of C-ordered copies transforms to the same bytes in every slot
+    points = _flat_points(square_torus, Grid(16, 16, square_torus.domain))
+    frame, tau = _frame_and_tau(square_torus, src, points)
+    c_frame = L.LegendreFrame(_c_ordered(frame.f), _c_ordered(frame.xi), frame.cert)
+    assert not _batch_stride_is_smallest(c_frame.f.value, 0)
+    got, want = RB.transform(c_frame, tau), RB.transform(frame, tau)
+
+    def jets(r):
+        return [r.f_hat, r.f_check, r.xi_hat, r.alpha, r.a, r.b, r.mu2,
+                r.metric.G, r.metric.Ginv, *r.metric.V, RB.alpha_hat(r)]
+
+    for x, y in zip(jets(got), jets(want)):
+        for slot in _SLOTS:
+            a, b = getattr(x, slot), getattr(y, slot)
+            assert (a is None) == (b is None) and (a is None or a.shape == b.shape), slot
+            assert a is None or a.tobytes() == b.tobytes(), slot
+    for a, b in [(got.metric.det, want.metric.det), (got.metric.singular, want.metric.singular)]:
+        assert a.tobytes() == b.tobytes()
+    pw_got = RB.pointwise_residuals(got, RB.alpha_hat(got))
+    pw_want = RB.pointwise_residuals(want, RB.alpha_hat(want))
+    assert {k: v.tobytes() for k, v in pw_got.items()} == {
+        k: v.tobytes() for k, v in pw_want.items()
+    }
 
 
 # ---------- closedness ----------
