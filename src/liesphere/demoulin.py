@@ -173,19 +173,20 @@ def r_operator(frame: L.LegendreFrame, result: RB.TransformResult) -> ROperator:
     m = frame.m
     B = RB.corrected_differential(frame.f.truncate(1), result.alpha.truncate(0)).value
     Bh = RB.corrected_differential(result.f_hat.truncate(1), RB.alpha_hat(result).truncate(0)).value
-    gram = Jet2(L.pairing(B, B), None, None, m)  # order 0: mat_inverse on plain matrices
+    gram = L.pairing(B, B)
     det = J.det2(gram)
-    singular = J.singular_mask(gram.value, 1e-12, det.value)
+    singular = J.singular_mask(gram, 1e-12, det)
     if np.any(singular):
         raise IllPosed(ILL_POSED)
-    entries = J.mat_inverse(gram, det, singular).value @ L.pairing(B, Bh)
+    inverse = J.mat_inverse(*(gram[..., i, j] for i in (0, 1) for j in (0, 1)), det, singular)
+    entries = np.stack(inverse, axis=-1).reshape(det.shape + (2, 2)) @ L.pairing(B, Bh)
 
     # verify the defining relation columnwise, plain component norm
     rel = 0.0
     for j in range(m):
         recon = sum(B[..., k, :] * entries[..., k, j][..., None] for k in range(m))
         rel = max(rel, float(np.max(np.abs(recon - Bh[..., j, :]))))
-    sym = gram.value @ entries
+    sym = gram @ entries
     sym_res = float(np.max(np.abs(sym - np.swapaxes(sym, -1, -2))))
     return ROperator(entries, rel, sym_res, Bh)
 

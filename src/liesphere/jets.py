@@ -14,10 +14,10 @@ and run over all points and components at once; this is how whole parameter
 grids and vector-valued quantities are processed in single vectorized calls.
 Value axes are addressed by negative positions, which mean the same axis in
 the value and in every slot.  In memory the batch axes (a value's leading ones)
-are innermost: :func:`stack` and :func:`liegeom.spatial_vector` allocate the
-component axis outermost, and numpy keeps its operands' order in elementwise
-results and in ``x.grad[rows]``, so a scalar times a vector runs one loop over
-the batch per component.  Shapes and bits do not depend on the layout.
+are innermost: :func:`stack` allocates the new component axis outermost, and
+numpy keeps its operands' order in elementwise results and in ``x.grad[i]``,
+so a scalar times a vector runs one loop over the batch per component.  Shapes
+and bits do not depend on the layout.
 
 A jet has an order, the number of derivative slots present: 0 to 3, and 2 for
 a seed unless asked otherwise.  :meth:`Jet2.deriv` lowers the order by one, since
@@ -26,8 +26,15 @@ Jet arithmetic is triangular in the slots (values depend on values, gradients
 on values and gradients), so every operation returns the lowest order of its
 operands and never computes a slot that order cannot know.  A number (or 0-d
 array) operand is not lifted to a jet: it scales or shifts the slots present,
-so it never changes a jet's order.  The 2x2 matrices (m = 2) go through the
-closed-forms :func:`det2`, :func:`eigmin2` and :func:`mat_inverse`, not LAPACK.
+so it never changes a jet's order.  An operation pays for little beyond its
+arithmetic: the constructor takes float64 arrays as they are, the Hessian's
+cross terms are summed entry by entry, and :func:`stack`, :func:`wsum` and
+:meth:`Jet2.expand` index and assign instead of moving axes.
+
+A 2x2 matrix (m = 2) is never a matrix jet.  The closed forms :func:`det2` and
+:func:`eigmin2` take arrays, and the one cofactor inverse :func:`mat_inverse`
+takes the entries a, b, c, d (scalar jets or arrays) and det = a d - b c, and
+returns d r, -b r, -c r and a r, r = 1/det being NaN at the singular points.
 
 Nothing here screens for trouble: a division by zero, a ln off its domain or
 an overflow leaves slots that are not finite (and a ``RuntimeWarning`` outside
@@ -38,13 +45,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainErrorJet
-
-Scalar = Union[int, float, np.ndarray]
 
 
 def packed_len(m: int) -> int:
@@ -54,8 +59,7 @@ def packed_len(m: int) -> int:
 @lru_cache(maxsize=None)
 def _tri(m: int):
     """Row/col index arrays of the packed upper triangle, row-major."""
-    rows, cols = np.triu_indices(m)
-    return rows, cols
+    return np.triu_indices(m)
 
 
 def packed_index(i: int, j: int, m: int) -> int:
@@ -80,6 +84,27 @@ def _tri3(m: int):
     return pos, np.array(pair), np.array([[t[c] for t in triples] for _, _, c in splits])
 
 
+@lru_cache(maxsize=None)
+def _deriv_rows(i: int, m: int):
+    """Where the i-th partial's gradient and Hessian sit in the Hessian and third
+    slots.  The first is a slice when the row is contiguous, as it always is at
+    m = 2, so that it is a view that keeps the slot's memory order."""
+    row = [packed_index(i, k, m) for k in range(m)]
+    if row == list(range(row[0], row[0] + m)):
+        row = slice(row[0], row[0] + m)
+    return row, _tri3(m)[0][i][_tri(m)]
+
+
+_FLOAT = np.dtype(float)
+
+
+def _floats(a) -> np.ndarray:
+    """``a`` as a float64 array; one that already is one passes without a numpy call."""
+    if a.__class__ is np.ndarray and a.dtype is _FLOAT:
+        return a
+    return np.asarray(a, dtype=float)
+
+
 class Jet2:
     """Value, gradient, packed Hessian and third partials of a quantity of m variables.
 
@@ -89,10 +114,10 @@ class Jet2:
     __slots__ = ("value", "grad", "hess", "third", "m")
 
     def __init__(self, value, grad, hess, m: int, third=None):
-        self.value = np.asarray(value, dtype=float)
-        self.grad = None if grad is None else np.asarray(grad, dtype=float)
-        self.hess = None if hess is None else np.asarray(hess, dtype=float)
-        self.third = None if third is None else np.asarray(third, dtype=float)
+        self.value = _floats(value)
+        self.grad = None if grad is None else _floats(grad)
+        self.hess = None if hess is None else _floats(hess)
+        self.third = None if third is None else _floats(third)
         self.m = int(m)
 
     @property
@@ -103,14 +128,14 @@ class Jet2:
     # ---------- constructors ----------
 
     @staticmethod
-    def constant(value: Scalar, m: int, order: int = 2) -> "Jet2":
+    def constant(value: float | np.ndarray, m: int, order: int = 2) -> "Jet2":
         v = np.asarray(value, dtype=float)
         lens = (m, packed_len(m), m * (m + 1) * (m + 2) // 6)
         g, h, t = (np.zeros((n,) + v.shape) if k < order else None for k, n in enumerate(lens))
         return Jet2(v, g, h, m, t)
 
     @staticmethod
-    def variable(value: Scalar, index: int, m: int, order: int = 2) -> "Jet2":
+    def variable(value: float | np.ndarray, index: int, m: int, order: int = 2) -> "Jet2":
         """Coordinate seed: unit gradient in slot ``index``, zero higher slots."""
         x = Jet2.constant(value, m, order)
         x.grad[index] = 1.0
@@ -124,28 +149,30 @@ class Jet2:
         # at this jet's order, so that a number never lowers it
         return Jet2.constant(other, self.m, self.order)
 
-    def _map(self, on_value, on_derivs=None) -> "Jet2":
+    def map(self, on_value, on_derivs=None) -> "Jet2":
         """Apply ``on_value`` to the value and ``on_derivs`` to each slot present.
 
         ``on_derivs`` defaults to ``on_value``, right for any map that addresses
         value axes by negative position.
         """
         on_derivs = on_derivs or on_value
-        slots = (self.grad, self.hess, self.third)
-        g, h, t = (None if a is None else on_derivs(a) for a in slots)
-        return Jet2(on_value(self.value), g, h, self.m, t)
+        g, h, t = self.grad, self.hess, self.third
+        return Jet2(
+            on_value(self.value),
+            None if g is None else on_derivs(g),
+            None if h is None else on_derivs(h),
+            self.m,
+            None if t is None else on_derivs(t),
+        )
 
     # ---------- shape helpers ----------
-
-    @property
-    def shape(self):
-        return self.value.shape
 
     def expand(self, axis: int) -> "Jet2":
         """Insert a broadcast axis at (negative) value position ``axis``."""
         if axis >= 0:
             raise ValueError("expand wants a negative axis")
-        return self._map(lambda a: np.expand_dims(a, axis))
+        key = (Ellipsis, None) + (slice(None),) * (-1 - axis)
+        return self.map(lambda a: a[key])
 
     def vec(self) -> "Jet2":
         """Scalar jet made broadcastable against component-carrying jets."""
@@ -153,12 +180,12 @@ class Jet2:
 
     def take(self, key) -> "Jet2":
         """Select along the last value axis (component selection)."""
-        return self._map(lambda a: a[..., key])
+        return self.map(lambda a: a[..., key])
 
     def batch(self, key) -> "Jet2":
         """Index leading (batch) axes."""
         slot_key = (slice(None),) + (key if isinstance(key, tuple) else (key,))
-        return self._map(lambda a: a[key], lambda a: a[slot_key])
+        return self.map(lambda a: a[key], lambda a: a[slot_key])
 
     def deriv(self, i: int) -> "Jet2":
         """Jet of the i-th first partial, one order below this jet.
@@ -168,14 +195,11 @@ class Jet2:
         """
         if self.grad is None:
             raise ValueError("an order-0 jet carries no derivatives")
-        row = [packed_index(i, k, self.m) for k in range(self.m)]
-        if row == list(range(row[0], row[0] + self.m)):  # always at m = 2
-            row = slice(row[0], row[0] + self.m)  # a view keeps the slot's memory order
-        hess_row = None if self.hess is None else self.hess[row]
-        third_row = None
-        if self.third is not None:
-            third_row = self.third[_tri3(self.m)[0][i][_tri(self.m)]]
-        return Jet2(self.grad[i], hess_row, third_row, self.m)
+        row, third_row = _deriv_rows(i, self.m)
+        h, t = self.hess, self.third
+        return Jet2(
+            self.grad[i], None if h is None else h[row], None if t is None else t[third_row], self.m
+        )
 
     def truncate(self, order: int) -> "Jet2":
         """This jet without its slots above ``order``, for a reader that needs no more."""
@@ -196,9 +220,14 @@ class Jet2:
         x, y = _aligned(self, self._lift(other))
         if reflected:
             x, y = y, x
-        grad, hess = lambda: op(x.grad, y.grad), lambda: op(x.hess, y.hess)
-        third = lambda: op(x.third, y.third)  # noqa: E731
-        return _combine((x, y), op(x.value, y.value), grad, hess, third)
+        order = min(x.order, y.order)
+        return Jet2(
+            op(x.value, y.value),
+            op(x.grad, y.grad) if order > 0 else None,
+            op(x.hess, y.hess) if order > 1 else None,
+            x.m,
+            op(x.third, y.third) if order > 2 else None,
+        )
 
     def __add__(self, other):
         return self._zip(other, np.add)
@@ -212,28 +241,28 @@ class Jet2:
         return self._zip(other, np.subtract, reflected=True)
 
     def __neg__(self):
-        return self._map(np.negative)
+        return self.map(np.negative)
 
     def __mul__(self, other):
         if _is_number(other):
-            return self._map(lambda a: a * other)
+            return self.map(lambda a: a * other)
         x, y = _aligned(self, self._lift(other))
-        rows, cols = _tri(self.m)
-        _, pair, single = _tri3(self.m)
-        va, vb = x.value, y.value
-        return _combine(
-            (x, y),
-            va * vb,
-            lambda: x.grad * vb + y.grad * va,
-            lambda: x.hess * vb
-            + y.hess * va
-            + x.grad[rows] * y.grad[cols]
-            + x.grad[cols] * y.grad[rows],
-            lambda: x.third * vb
-            + y.third * va
-            + (x.hess[pair] * y.grad[single]).sum(axis=0)
-            + (x.grad[single] * y.hess[pair]).sum(axis=0),
-        )
+        order, m, va, vb = min(x.order, y.order), self.m, x.value, y.value
+        xg, yg, grad, hess, third = x.grad, y.grad, None, None, None
+        if order > 0:
+            grad = xg * vb
+            grad += yg * va
+        if order > 1:
+            hess = x.hess * vb  # the product's full shape, summed into in place
+            hess += y.hess * va
+            for k, (i, j) in enumerate(zip(*_tri(m))):  # entry by entry, not gathered
+                hess[k] += xg[i] * yg[j]
+                hess[k] += xg[j] * yg[i]
+        if order > 2:
+            _, pair, single = _tri3(m)
+            third = x.third * vb + y.third * va + (x.hess[pair] * yg[single]).sum(axis=0)
+            third += (xg[single] * y.hess[pair]).sum(axis=0)
+        return Jet2(va * vb, grad, hess, m, third)
 
     __rmul__ = __mul__
 
@@ -266,30 +295,19 @@ class Jet2:
 
 def _is_number(x) -> bool:
     """A number or a 0-d array: an operand that acts on the slots without becoming a jet."""
-    return not isinstance(x, Jet2) and np.ndim(x) == 0
+    return x.__class__ in (float, int) or (not isinstance(x, Jet2) and np.ndim(x) == 0)
 
 
-def _combine(operands, value, grad, hess, third) -> Jet2:
-    """Jet at the lowest order of ``operands``; the callables build its slots."""
-    order = min(x.order for x in operands)
-    return Jet2(
-        value,
-        grad() if order > 0 else None,
-        hess() if order > 1 else None,
-        operands[0].m,
-        third() if order > 2 else None,
-    )
+def _aligned(x: Jet2, y: Jet2) -> tuple[Jet2, Jet2]:
+    """x and y, the one of lower value rank :func:`_padded` to the other's, so
+    that slots broadcast against each other as values do."""
+    d = x.value.ndim - y.value.ndim
+    return (x, y) if d == 0 else (x, _padded(y, d)) if d > 0 else (_padded(x, -d), y)
 
 
-def _aligned(*jets: Jet2) -> list[Jet2]:
-    """The jets with the slots of every lower-rank value padded by unit axes after
-    the derivative axis, so that slots broadcast against each other as values do."""
-    ndim = max(j.value.ndim for j in jets)
-
-    def pad(a: np.ndarray) -> np.ndarray:
-        return a.reshape(a.shape[:1] + (1,) * (ndim + 1 - a.ndim) + a.shape[1:])
-
-    return [j if j.value.ndim == ndim else j._map(lambda a: a, pad) for j in jets]
+def _padded(x: Jet2, n: int) -> Jet2:
+    """x with n unit axes after the derivative axis of each slot, as a value of n more axes."""
+    return x.map(lambda a: a, lambda a: a.reshape(a.shape[:1] + (1,) * n + a.shape[1:]))
 
 
 def _recip(x: Jet2) -> Jet2:
@@ -299,17 +317,18 @@ def _recip(x: Jet2) -> Jet2:
 
 def _chain(x: Jet2, f: np.ndarray, fp: np.ndarray, fpp: np.ndarray, fppp) -> Jet2:
     """Jet of an elementary function of x (Faa di Bruno); ``fppp()`` runs at order 3 only."""
-    rows, cols = _tri(x.m)
-    _, pair, single = _tri3(x.m)
-    return _combine(
-        (x,),
-        f,
-        lambda: fp * x.grad,
-        lambda: fp * x.hess + fpp * (x.grad[rows] * x.grad[cols]),
-        lambda: fp * x.third
-        + fpp * (x.hess[pair] * x.grad[single]).sum(axis=0)
-        + fppp() * np.prod(x.grad[single], axis=0),
-    )
+    order, g, grad, hess, third = x.order, x.grad, None, None, None
+    if order > 0:
+        grad = fp * g
+    if order > 1:
+        hess = fp * x.hess
+        for k, (i, j) in enumerate(zip(*_tri(x.m))):  # entry by entry, not gathered
+            hess[k] += fpp * (g[i] * g[j])
+    if order > 2:
+        _, pair, single = _tri3(x.m)
+        third = fp * x.third + fpp * (x.hess[pair] * g[single]).sum(axis=0)
+        third += fppp() * np.prod(g[single], axis=0)
+    return Jet2(f, grad, hess, x.m, third)
 
 
 def sin(x: Jet2) -> Jet2:
@@ -366,25 +385,37 @@ def seed(points: np.ndarray, order: int = 2) -> tuple[Jet2, ...]:
 
 
 def stack(jets: Sequence[Jet2], axis: int = -1) -> Jet2:
-    """Stack jets along a new (negative) value axis."""
+    """Stack jets along a new (negative) value axis, at the lowest order of the jets.
+
+    Each slot is filled part by part into one array whose new axis is outermost,
+    which keeps the batch axes innermost in memory, and is then transposed once.
+    """
     if axis >= 0:
         raise ValueError("stack wants a negative axis")
-    m = jets[0].m
-    # Broadcast all operands to a common batch shape before stacking.
     shape = np.broadcast_shapes(*(j.value.shape for j in jets))
-    jets = _aligned(*jets)
+    n = len(shape)
+    jets = [j if j.value.ndim == n else _padded(j, n - j.value.ndim) for j in jets]
+    order = min(j.order for j in jets)
 
-    def slot(name: str, lead: tuple = ()) -> np.ndarray:
-        parts = [np.broadcast_to(getattr(j, name), lead + shape) for j in jets]
-        return np.moveaxis(np.stack(parts), 0, axis)  # the batch axis stays innermost
+    def slot(parts: list, lead: tuple) -> np.ndarray:
+        full = lead + shape
+        # in memory: the new axis, then the axes of the parts in the first one's order
+        mem = range(len(full))
+        if parts[0].shape == full:
+            mem = sorted(mem, key=parts[0].strides.__getitem__, reverse=True)
+        out = np.empty((len(parts),) + tuple(full[i] for i in mem))
+        out = out.transpose((0,) + tuple(1 + mem.index(i) for i in range(len(full))))
+        for k, a in enumerate(parts):
+            out[k] = a  # broadcasts
+        p = out.ndim + axis
+        return out.transpose(tuple(range(1, p + 1)) + (0,) + tuple(range(p + 1, out.ndim)))
 
-    return _combine(
-        jets,
-        slot("value"),
-        lambda: slot("grad", (m,)),
-        lambda: slot("hess", (packed_len(m),)),
-        lambda: slot("third", jets[0].third.shape[:1]),
-    )
+    slots = [slot([j.value for j in jets], ())]
+    for k in range(order):
+        parts = [(j.grad, j.hess, j.third)[k] for j in jets]
+        slots.append(slot(parts, parts[0].shape[:1]))
+    slots += [None] * (3 - order)
+    return Jet2(slots[0], slots[1], slots[2], jets[0].m, slots[3])
 
 
 def wsum(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -394,47 +425,25 @@ def wsum(a: np.ndarray, axis: int = -1) -> np.ndarray:
     operation.  ``np.sum`` does not give the same bits: it starts from +0.0, so a
     sum of -0.0 terms comes out +0.0, where this one keeps the sign bit.
     """
-    terms = iter(np.moveaxis(a, axis, 0))
-    out = next(terms)
-    for t in terms:
-        out = out + t
+    pre = (slice(None),) * (axis % a.ndim)
+    out = a[pre + (0,)]
+    for k in range(1, a.shape[axis]):
+        out = out + a[pre + (k,)]
     return out
 
 
-def jsum(x: Jet2, axis: int = -1) -> Jet2:
-    """:func:`wsum` of a jet over a (negative) value axis."""
-    if axis >= 0:
-        raise ValueError("jsum wants a negative axis")
-    return x._map(lambda a: wsum(a, axis))
+# ---------- 2x2 matrices ----------
 
 
-# ---------- small dense matrices over jets ----------
-
-
-def mat_el(A, i: int, j: int):
-    """Entry (i, j) of a matrix jet or array (the last two value axes are the matrix)."""
-    return A._map(lambda a: a[..., i, j]) if isinstance(A, Jet2) else A[..., i, j]
-
-
-def mat_from_rows(rows: Sequence[Sequence[Jet2]]) -> Jet2:
-    return stack([stack(list(r), axis=-1) for r in rows], axis=-2)
-
-
-def mat_vec(A: Jet2, x: Jet2) -> Jet2:
-    """Matrix–vector product; A is ``(..., n, k)``, x is ``(..., k)``."""
-    return jsum(A * x.expand(-2), axis=-1)
-
-
-def _entries(A):
-    """Entries a, b, c, d of the 2x2 matrices on the last two axes of an array or a matrix jet."""
+def _entries(A: np.ndarray):
+    """Entries a, b, c, d of the 2x2 matrices on the last two axes of an array."""
     if A.shape[-2:] != (2, 2):
         raise ValueError("the 2x2 kernels take 2x2 matrices")
-    return [mat_el(A, i, j) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    return A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
 
 
-def det2(A):
-    """Determinant a d - b c of 2x2 matrices: of an array, or of a matrix jet with
-    exact slots and the value bits of ``det2(A.value)``."""
+def det2(A: np.ndarray) -> np.ndarray:
+    """Determinant a d - b c of 2x2 matrices."""
     a, b, c, d = _entries(A)
     return a * d - b * c
 
@@ -453,18 +462,15 @@ def singular_mask(A: np.ndarray, rel_tol: float, det: np.ndarray) -> np.ndarray:
     return (np.abs(det) < rel_tol * scale**n) | (scale == 0)
 
 
-def _nan_where(x: Jet2, bad: np.ndarray) -> Jet2:
-    if not np.any(bad):
-        return x
-    return x._map(lambda a: np.where(bad, np.nan, a))
+def mat_inverse(a, b, c, d, det, singular: np.ndarray) -> tuple:
+    """Entries (0, 0), (0, 1), (1, 0), (1, 1) of the inverse of [[a, b], [c, d]]
+    by cofactors, NaN at the ``singular`` points.
 
-
-def mat_inverse(A: Jet2, det: Jet2, singular: np.ndarray) -> Jet2:
-    """Inverse of a 2x2 matrix jet by cofactors, NaN at the ``singular`` points.
-
-    ``det`` is :func:`det2` of ``A`` and ``singular`` the caller's
-    :func:`singular_mask` of its value.  An order-0 jet inverts plain matrices.
+    The entries are scalar jets or plain arrays, ``det`` is a d - b c of the same
+    kind, and ``singular`` the caller's :func:`singular_mask` of its values.
     """
-    a, b, c, d = _entries(A)
-    adj = mat_from_rows([[d, -b], [-c, a]])
-    return adj * _recip(_nan_where(det, singular)).expand(-1).expand(-1)
+    if np.any(singular):
+        nan_at = lambda x: np.where(singular, np.nan, x)  # noqa: E731
+        det = det.map(nan_at) if isinstance(det, Jet2) else nan_at(det)
+    r = _recip(det) if isinstance(det, Jet2) else 1.0 / det
+    return d * r, -b * r, -c * r, a * r

@@ -21,17 +21,20 @@ from .errors import ContactViolation, NotImmersed
 from .jets import Jet2
 
 
+def _signed_sum(p: np.ndarray) -> np.ndarray:
+    """Componentwise products (last axis) summed with the signature: the m+2
+    spatial ones added, the two time-like ones subtracted."""
+    return J.wsum(p[..., :-2]) - p[..., -2] - p[..., -1]
+
+
 def lie_inner(x: Jet2, y: Jet2) -> Jet2:
-    """Signature-(m+2, 2) inner product of two vector jets: the m+2 spatial
-    products summed, the two time-like ones subtracted."""
-    p = x * y
-    return J.jsum(p.take(slice(None, -2))) - p.take(-2) - p.take(-1)
+    """Signature-(m+2, 2) inner product of two vector jets, slot by slot of their product."""
+    return (x * y).map(_signed_sum)
 
 
 def inner_value(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The inner product on plain component arrays (last axis), broadcasting."""
-    p = x * y
-    return J.wsum(p[..., :-2]) - p[..., -2] - p[..., -1]
+    return _signed_sum(x * y)
 
 
 def pairing(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -55,14 +58,8 @@ def t1_jet(m: int) -> np.ndarray:
 
 def spatial_vector(components: list[Jet2]) -> Jet2:
     """Assemble a full vector jet from spatial parts, zero time components."""
-    order = min(c.order for c in components)
-    parts = [(c.value, c.grad, c.hess, c.third)[: order + 1] for c in components]
-    slots = [np.zeros((len(parts) + 2,) + a.shape) for a in parts[0]]
-    for i, part in enumerate(parts):
-        for out, a in zip(slots, part):
-            out[i] = a
-    slots = [np.moveaxis(a, 0, -1) for a in slots] + [None] * (3 - order)
-    return Jet2(slots[0], slots[1], slots[2], components[0].m, slots[3])
+    zero = Jet2.constant(0.0, components[0].m, min(c.order for c in components))
+    return J.stack(list(components) + [zero, zero])
 
 
 @dataclass

@@ -68,8 +68,8 @@ CLOSEDNESS_REL_TOL = 1e-7
 class MinusMetric:
     """Gram matrix of the congruence metric in the coordinate basis."""
 
-    G: Jet2  # values (..., m, m)
-    Ginv: Jet2
+    G: np.ndarray  # values (..., 2, 2), for the regularity screen and metric_match
+    Ginv: tuple[Jet2, Jet2, Jet2, Jet2]  # entries 00, 01, 10, 11 of the inverse
     det: np.ndarray
     singular: np.ndarray  # points failing the screen, and where the transform is not finite
     V: list[Jet2]  # (-dxi + tau df)(d_i), reused by the transform
@@ -98,8 +98,8 @@ class TransformResult:
     @cached_property
     def alpha(self) -> Jet2:
         """(d_i f, -f_check), components along the last value axis; grads are exact."""
-        f, m = self.frame.f, self.frame.m
-        return J.stack([lie_inner(f.deriv(i), -self.f_check) for i in range(m)], axis=-1)
+        f, fc = self.frame.f, -self.f_check
+        return J.stack([lie_inner(f.deriv(i), fc) for i in range(self.frame.m)])
 
 
 def minus_metric(
@@ -109,16 +109,18 @@ def minus_metric(
 
     Positive definite exactly at the regular points; degenerate points are
     NaN-masked in ``Ginv`` and recorded in ``singular``, for the caller to
-    judge with :meth:`NotRegular.raise_first` once every block is in.
+    judge with :meth:`NotRegular.raise_first` once every block is in.  The
+    entries are scalar jets (m = 2); ``G`` keeps their values.
     """
-    m = frame.m
     tv = tau.vec()
-    V = [(-frame.xi.deriv(i)) + tv * frame.f.deriv(i) for i in range(m)]
-    upper = {(i, k): lie_inner(V[i], V[k]) for i in range(m) for k in range(i, m)}
-    G = J.mat_from_rows([[upper[min(i, k), max(i, k)] for k in range(m)] for i in range(m)])
-    det = J.det2(G)
-    singular = J.singular_mask(G.value, det_rel_tol, det.value)
-    Ginv = J.mat_inverse(G, det, singular)
+    V = [(-frame.xi.deriv(i)) + tv * frame.f.deriv(i) for i in range(frame.m)]
+    V0, V1 = V
+    g00, g01, g11 = lie_inner(V0, V0), lie_inner(V0, V1), lie_inner(V1, V1)
+    det = g00 * g11 - g01 * g01
+    G = np.array([[g00.value, g01.value], [g01.value, g11.value]])
+    G = np.moveaxis(G, (0, 1), (-2, -1))  # the batch axes innermost, as in the jets
+    singular = J.singular_mask(G, det_rel_tol, det.value)
+    Ginv = J.mat_inverse(g00, g01, g01, g11, det, singular)
     return MinusMetric(G, Ginv, det.value, singular, V)
 
 
@@ -140,18 +142,12 @@ def transform(
     value and gradient slots is not finite, or its terms would overflow every
     identity; ``not_finite`` marks those points, and they join ``metric.singular``.
     """
-    m = frame.m
     metric = minus_metric(frame, tau, det_rel_tol=det_rel_tol)
-    V = metric.V
-    dtau = [tau.deriv(i) for i in range(m)]
-    dtau_vec = J.stack(dtau, axis=-1)
-    tgrad = J.mat_vec(metric.Ginv, dtau_vec)  # components of the metric gradient
-    tg = [tgrad.take(i) for i in range(m)]
-
-    f_check = tg[0].vec() * V[0]
-    for i in range(1, m):
-        f_check = f_check + tg[i].vec() * V[i]
-    mu2 = J.jsum(tgrad * dtau_vec, axis=-1)  # d tau (grad tau)
+    (i00, i01, i10, i11), (V0, V1) = metric.Ginv, metric.V
+    d0, d1 = tau.deriv(0), tau.deriv(1)
+    tg0, tg1 = i00 * d0 + i01 * d1, i10 * d0 + i11 * d1  # components of the metric gradient
+    f_check = tg0.vec() * V0 + tg1.vec() * V1
+    mu2 = tg0 * d0 + tg1 * d1  # d tau (grad tau)
 
     t = tau.truncate(mu2.order)  # + mu2 would drop tau's slots above it
     denom = t * t + mu2 + 1.0
@@ -240,11 +236,8 @@ def f_check_hat(result: TransformResult) -> Jet2:
 
 def alpha_hat(result: TransformResult) -> Jet2:
     """The 1-form of the transformed frame, (d_i f_hat, -f_check_hat)."""
-    fch = f_check_hat(result)
-    m = result.frame.m
-    return J.stack(
-        [lie_inner(result.f_hat.deriv(i), -fch) for i in range(m)], axis=-1
-    )
+    fch = -f_check_hat(result)
+    return J.stack([lie_inner(result.f_hat.deriv(i), fch) for i in range(result.frame.m)])
 
 
 def corrected_differential(f: Jet2, alpha: Jet2) -> Jet2:
@@ -307,7 +300,7 @@ def pointwise_residuals(result: TransformResult, ah: Jet2) -> dict[str, np.ndarr
     # The transformed frame induces the same congruence metric.
     rows = np.moveaxis(Vh, 0, -2)  # row i is Vh[i], the layout of L.pairing
     Ghat = L.pairing(rows, rows)
-    pw["metric_match"] = np.max(np.abs(Ghat - result.metric.G.value), axis=(-2, -1))
+    pw["metric_match"] = np.max(np.abs(Ghat - result.metric.G), axis=(-2, -1))
     pw["hat_abs_det"] = np.abs(J.det2(Ghat))
 
     # eq13: alpha + alpha_hat = d ln(1 - a), using (f, f_hat) = a.
@@ -432,7 +425,8 @@ def merge_peaks(old, new, key: str | None = None):
     A peak is a float, a ``(value, flat index)`` pair, an int, or a dict of
     peaks; None stands for no peak.  A float keeps the larger value, the smaller
     when its ``key`` in a dict is one of ``_MINIMA``, and NaN wins as in
-    ``np.max``.  A pair keeps the larger value, and the earlier index on ties.
+    ``np.max``.  A pair keeps the larger value, and the earlier index on ties;
+    NaN wins there too, at its first index, as ``np.argmax`` finds it in one pass.
     An int, the :func:`first_flagged` index of a check, keeps the smaller; a
     count (``_COUNTS``) adds.  A key that only one side reports keeps its peak.
     """
@@ -440,8 +434,8 @@ def merge_peaks(old, new, key: str | None = None):
         return new if old is None else old
     if isinstance(old, dict):
         return {k: merge_peaks(old.get(k), new.get(k), k) for k in old | new}
-    if isinstance(old, tuple):
-        return new if new[0] > old[0] else old
+    if isinstance(old, tuple):  # NaN wins, as for floats: new's only where old's is not NaN
+        return new if new[0] > old[0] or np.isnan(new[0]) > np.isnan(old[0]) else old
     if isinstance(old, int):
         return old + new if key in _COUNTS else min(old, new)
     return float((np.minimum if key in _MINIMA else np.maximum)(old, new))

@@ -1,10 +1,11 @@
 """Independent references that tests compare the engine against.
 
 None of this is used by the engine itself: point-major jet arithmetic, the
-hypersurface (shape-operator) route to f_check, the diagnostics of a batch
-with its degenerate points cut out, plaquette circulations of a
-sampled 1-form, an OBJ reader, the product torus written as custom-chart text,
-and its principal curvatures.
+structural kernels built from np.stack and np.moveaxis, 2x2 matrices as rows
+of scalar jets, the hypersurface (shape-operator) route to f_check, the
+diagnostics of a batch with its degenerate points cut out, plaquette
+circulations of a sampled 1-form, an OBJ reader, the product torus written as
+custom-chart text, and its principal curvatures.
 """
 
 from __future__ import annotations
@@ -193,12 +194,14 @@ def pm_jsum(x: PointMajor, axis: int = -1) -> PointMajor:
     return x._map(lambda a: a.sum(axis=axis), lambda a: a.sum(axis=axis - 1))
 
 
+def pm_entry(A: PointMajor, i: int, j: int) -> PointMajor:
+    """Entry (i, j) of a point-major matrix jet (the last two value axes)."""
+    return A._map(lambda x: x[..., i, j], lambda x: x[..., i, j, :])
+
+
 def pm_mat_inverse(A: PointMajor, singular: np.ndarray) -> PointMajor:
     """2x2 inverse by cofactors, NaN at the ``singular`` points."""
-    a, b, c, d = (
-        A._map(lambda x: x[..., i, j], lambda x: x[..., i, j, :])
-        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))
-    )
+    a, b, c, d = (pm_entry(A, i, j) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
     det = a * d - b * c
     if np.any(singular):
         det = det._map(
@@ -209,24 +212,86 @@ def pm_mat_inverse(A: PointMajor, singular: np.ndarray) -> PointMajor:
     return adj * pm_apply("recip", det).expand(-1).expand(-1)
 
 
-# ---------- small dense matrices over jets ----------
+# ---------- structural kernels, built as the engine once built them ----------
+#
+# np.stack + np.moveaxis per slot, a sum over a moveaxis view, np.expand_dims,
+# and the Lie inner product as a product, a sum over components and two
+# differences of jets.  The engine's kernels index and assign instead, and must
+# reproduce these bit for bit.
 
 
-def mat_mul(A: Jet2, B: Jet2) -> Jet2:
-    """Matrix product; A is ``(..., n, k)``, B is ``(..., k, p)``."""
-    return J.jsum(A.expand(-1) * B.expand(-3), axis=-2)
+def ref_wsum(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    terms = iter(np.moveaxis(a, axis, 0))
+    out = next(terms)
+    for t in terms:
+        out = out + t
+    return out
 
 
-def mat_identity(n: int, m: int) -> Jet2:
-    return Jet2.constant(np.eye(n), m)
+def ref_expand(x: Jet2, axis: int) -> Jet2:
+    return x.map(lambda a: np.expand_dims(a, axis))
 
 
-def _singular(A: Jet2, rel_tol: float) -> np.ndarray:
-    return J.singular_mask(A.value, rel_tol, J.det2(A.value))
+def ref_stack(jets: list, axis: int = -1) -> Jet2:
+    shape = np.broadcast_shapes(*(j.value.shape for j in jets))
+
+    def pad(a: np.ndarray) -> np.ndarray:  # a derivative slot, as a value of len(shape) axes
+        return a.reshape(a.shape[:1] + (1,) * (len(shape) + 1 - a.ndim) + a.shape[1:])
+
+    jets = [j.map(lambda a: a, pad) for j in jets]
+    order = min(j.order for j in jets)
+
+    def slot(k: int) -> np.ndarray:
+        parts = [(j.value, j.grad, j.hess, j.third)[k] for j in jets]
+        lead = parts[0].shape[:1] if k else ()
+        return np.moveaxis(np.stack([np.broadcast_to(a, lead + shape) for a in parts]), 0, axis)
+
+    slots = [slot(k) for k in range(order + 1)] + [None] * (3 - order)
+    return Jet2(slots[0], slots[1], slots[2], jets[0].m, slots[3])
 
 
-def _inverse(A: Jet2, rel_tol: float) -> Jet2:
-    return J.mat_inverse(A, J.det2(A), _singular(A, rel_tol))
+def ref_lie_inner(x: Jet2, y: Jet2) -> Jet2:
+    p = x * y
+    return p.take(slice(None, -2)).map(ref_wsum) - p.take(-2) - p.take(-1)
+
+
+# ---------- small matrices as rows of scalar jets ----------
+
+
+def mat_values(A: list) -> np.ndarray:
+    """The values of a matrix of scalar jets, given as rows, as an array ``(..., n, k)``."""
+    values = np.broadcast_arrays(*(x.value for row in A for x in row))
+    return np.stack(values, axis=-1).reshape(values[0].shape + (len(A), len(A[0])))
+
+
+def _dot(xs: list, ys: list) -> Jet2:
+    out = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        out = out + x * y
+    return out
+
+
+def mat_mul(A: list, B: list) -> list:
+    """Matrix product of rows of scalar jets; sums run in index order."""
+    return [[_dot(row, [r[j] for r in B]) for j in range(len(B[0]))] for row in A]
+
+
+def mat_vec(A: list, x: list) -> list:
+    return [_dot(row, x) for row in A]
+
+
+def singular(A: list, rel_tol: float) -> np.ndarray:
+    """The engine's regularity screen of a 2x2 matrix of scalar jets, at ``rel_tol``."""
+    values = mat_values(A)
+    return J.singular_mask(values, rel_tol, J.det2(values))
+
+
+def mat_inverse(A: list, rel_tol: float) -> list:
+    """:func:`jets.mat_inverse` of a 2x2 matrix of scalar jets, as rows, NaN where
+    the matrix fails :func:`singular` at ``rel_tol``."""
+    (a, b), (c, d) = A
+    i00, i01, i10, i11 = J.mat_inverse(a, b, c, d, a * d - b * c, singular(A, rel_tol))
+    return [[i00, i01], [i10, i11]]
 
 
 # ---------- the hypersurface route ----------
@@ -247,23 +312,19 @@ def shape_operator_path(
     m = frame.m
     df = [frame.f.deriv(i) for i in range(m)]
     dxi = [frame.xi.deriv(i) for i in range(m)]
-    g = J.mat_from_rows([[lie_inner(df[i], df[k]) for k in range(m)] for i in range(m)])
-    if np.any(_singular(g, det_rel_tol)):
+    g = [[lie_inner(df[i], df[k]) for k in range(m)] for i in range(m)]
+    if np.any(singular(g, det_rel_tol)):
         raise NotHypersurface("induced metric (df, df) is singular in the batch")
-    ginv = _inverse(g, det_rel_tol)
-    S = J.mat_from_rows(
-        [[-lie_inner(df[i], dxi[k]) for k in range(m)] for i in range(m)]
-    )
+    ginv = mat_inverse(g, det_rel_tol)
+    S = [[-lie_inner(df[i], dxi[k]) for k in range(m)] for i in range(m)]
     A = mat_mul(ginv, S)
-    M = A + mat_identity(m, m) * tau.vec().vec()
-    if np.any(_singular(M, det_rel_tol)):
+    M = [[A[i][k] + tau if i == k else A[i][k] for k in range(m)] for i in range(m)]
+    if np.any(singular(M, det_rel_tol)):
         raise NotRegular("A + tau Id is singular in the batch")
-    Minv = _inverse(M, det_rel_tol)
-    dtau_vec = J.stack([tau.deriv(i) for i in range(m)], axis=-1)
-    w = J.mat_vec(Minv, J.mat_vec(ginv, dtau_vec))
-    out = w.take(0).vec() * df[0]
+    w = mat_vec(mat_inverse(M, det_rel_tol), mat_vec(ginv, [tau.deriv(i) for i in range(m)]))
+    out = w[0].vec() * df[0]
     for i in range(1, m):
-        out = out + w.take(i).vec() * df[i]
+        out = out + w[i].vec() * df[i]
     return out
 
 

@@ -9,18 +9,24 @@ from hypothesis import strategies as st
 
 from liesphere import exprs as E
 from liesphere import jets as J
+from liesphere import liegeom as L
 from liesphere.errors import DomainErrorJet
 from liesphere.gridio import fd_jet_oracle
 from liesphere.jets import Jet2
 from liesphere.liegeom import spatial_vector, t0_jet, t1_jet
 import reference as R
-from reference import mat_mul
+from reference import mat_mul, mat_values
 
 
 def _inverse(A):
-    """jets.mat_inverse, NaN where A fails the engine's regularity screen."""
-    det = J.det2(A)
-    return J.mat_inverse(A, det, J.singular_mask(A.value, 1e-10, det.value))
+    """jets.mat_inverse of a 2x2 matrix of scalar jets (rows), NaN where A fails
+    the engine's regularity screen."""
+    return R.mat_inverse(A, 1e-10)
+
+
+def _slot_max(A, slot):
+    """Max |entry| of one slot over every entry of a matrix of scalar jets."""
+    return max(np.max(np.abs(getattr(x, slot))) for row in A for x in row)
 
 
 def test_square_of_seed():
@@ -162,26 +168,24 @@ def test_products_take_the_lowest_order():
 
 
 def test_identity_matrix_inverse():
-    eye = Jet2.constant(np.eye(2), 2)
+    eye = [[Jet2.constant(float(i == j), 2) for j in range(2)] for i in range(2)]
     inv = _inverse(eye)
-    np.testing.assert_allclose(inv.value, np.eye(2), atol=0)
-    assert np.all(inv.grad == 0.0)
+    np.testing.assert_allclose(mat_values(inv), np.eye(2), atol=0)
+    assert _slot_max(inv, "grad") == 0.0
 
 
 def test_diagonal_jet_inverse():
     u = Jet2.variable(0.0, 0, 1)
-    G = J.mat_from_rows(
-        [
-            [1.0 + u, Jet2.constant(0.0, 1)],
-            [Jet2.constant(0.0, 1), Jet2.constant(2.0, 1)],
-        ]
-    )
+    G = [
+        [1.0 + u, Jet2.constant(0.0, 1)],
+        [Jet2.constant(0.0, 1), Jet2.constant(2.0, 1)],
+    ]
     Gi = _inverse(G)
-    e00 = J.mat_el(Gi, 0, 0)
+    e00 = Gi[0][0]
     assert e00.value == pytest.approx(1.0)
     assert e00.grad[0] == pytest.approx(-1.0)
     assert e00.hess[0] == pytest.approx(2.0)
-    assert J.mat_el(Gi, 1, 1).value == pytest.approx(0.5)
+    assert Gi[1][1].value == pytest.approx(0.5)
 
 
 @st.composite
@@ -211,14 +215,13 @@ def test_matrix_inverse_is_two_sided(data):
         ]
         for i in range(2)
     ]
-    G = J.mat_from_rows(entries)
-    Gi = _inverse(G)
-    left = mat_mul(G, Gi)
-    right = mat_mul(Gi, G)
+    Gi = _inverse(entries)
+    left = mat_mul(entries, Gi)
+    right = mat_mul(Gi, entries)
     for prod in (left, right):
-        np.testing.assert_allclose(prod.value, np.eye(2), atol=1e-12)
-        assert np.max(np.abs(prod.grad)) < 1e-12
-        assert np.max(np.abs(prod.hess)) < 1e-12
+        np.testing.assert_allclose(mat_values(prod), np.eye(2), atol=1e-12)
+        assert _slot_max(prod, "grad") < 1e-12
+        assert _slot_max(prod, "hess") < 1e-12
 
 
 def test_singular_matrix_poisons_its_index():
@@ -227,16 +230,20 @@ def test_singular_matrix_poisons_its_index():
     vals[0] = [[2.0, 0.0], [0.0, 1.0]]
     vals[1] = [[1.0, 0.5], [0.0, 1.0]]
     vals[3] = [[3.0, 0.0], [0.2, 1.0]]
-    A = Jet2.constant(vals, 2)
+    a, b, c, d = (Jet2.constant(vals[:, i, j], 2) for i in range(2) for j in range(2))
     singular = J.singular_mask(vals, 1e-10, J.det2(vals))
     assert np.flatnonzero(singular).tolist() == [2]
-    Ai = J.mat_inverse(A, J.det2(A), singular)
-    for slot in ("value", "grad", "hess"):
-        assert np.isnan(getattr(Ai.batch(2), slot)).all()
-        assert np.isfinite(getattr(Ai.batch([0, 1, 3]), slot)).all()
-    np.testing.assert_allclose(Ai.value[[0, 1, 3]], np.linalg.inv(vals[[0, 1, 3]]))
-    with pytest.raises(ValueError):
-        J.mat_inverse(Jet2.constant(np.eye(3), 2), Jet2.constant(1.0, 2), np.zeros((), bool))
+    Ai = J.mat_inverse(a, b, c, d, a * d - b * c, singular)
+    for entry in Ai:
+        for slot in ("value", "grad", "hess"):
+            assert np.isnan(getattr(entry.batch(2), slot)).all()
+            assert np.isfinite(getattr(entry.batch([0, 1, 3]), slot)).all()
+    inv = np.stack([x.value for x in Ai], axis=-1).reshape(4, 2, 2)
+    np.testing.assert_allclose(inv[[0, 1, 3]], np.linalg.inv(vals[[0, 1, 3]]))
+    # the 2x2 kernels take 2x2 matrices
+    for kernel in (J.det2, J.eigmin2):
+        with pytest.raises(ValueError):
+            kernel(np.eye(3))
 
 
 def test_stack_jsum_take_shapes():
@@ -246,7 +253,7 @@ def test_stack_jsum_take_shapes():
     vecjet = J.stack([u, v, u * v], axis=-1)
     assert vecjet.value.shape == (6, 3)
     assert vecjet.grad.shape == (2, 6, 3)
-    total = J.jsum(vecjet, axis=-1)
+    total = vecjet.map(J.wsum)
     np.testing.assert_allclose(total.value, pts[:, 0] + pts[:, 1] + pts[:, 0] * pts[:, 1])
     sel = vecjet.take(2)
     np.testing.assert_allclose(sel.value, (u * v).value)
@@ -260,7 +267,7 @@ def test_wsum_keeps_the_sign_of_negative_zero():
     for a in (terms, np.moveaxis(np.ascontiguousarray(terms.T), 0, -1)):  # either layout
         assert np.signbit(J.wsum(a)).all() and np.signbit(J.wsum(a, 0)).all()
     u = J.seed(np.full((5, 2), -0.0))[0]
-    assert np.signbit(J.jsum(J.stack([u, u, u])).value).all()
+    assert np.signbit(J.stack([u, u, u]).map(J.wsum).value).all()
 
 
 def test_three_variable_jets_are_exact():
@@ -288,10 +295,10 @@ def test_three_variable_jets_are_exact():
         ],
         atol=1e-14,
     )
-    M = J.mat_from_rows([[2.0 + x, y], [y, 3.0 + x * z]])
+    M = [[2.0 + x, y], [y, 3.0 + x * z]]
     prod = mat_mul(M, _inverse(M))
-    np.testing.assert_allclose(prod.value, np.eye(2), atol=1e-13)
-    assert np.max(np.abs(prod.grad)) < 1e-13
+    np.testing.assert_allclose(mat_values(prod), np.eye(2), atol=1e-13)
+    assert _slot_max(prod, "grad") < 1e-13
 
 
 def test_fd_convergence_order_of_jets():
@@ -437,7 +444,7 @@ def test_structural_operations_match_point_major_bits(order):
     refs = [ru, rv, rw, rz, R.pm_apply("sin", rw), R.pm_apply("exp", rz)]
     F, rF = J.stack(comps), R.pm_stack(refs)  # values (4, 5, 6)
     _assert_same_bits(F, rF)
-    _assert_same_bits(J.jsum(F * F), R.pm_jsum(rF * rF))
+    _assert_same_bits((F * F).map(J.wsum), R.pm_jsum(rF * rF))
     _assert_same_bits(F.take(2), rF.take(2))
     _assert_same_bits(F.expand(-2), rF.expand(-2))
     mask = np.arange(20).reshape(4, 5) % 3 == 0
@@ -461,19 +468,86 @@ def test_structural_operations_match_point_major_bits(order):
     _assert_same_bits(J.stack([c, w]), R.pm_stack([rc, rw]))
 
 
+# signed zeros, NaN and infinities, drawn among numbers of mixed magnitudes
+_SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+
+
+def _drawn_jet(data, shape, m):
+    """A jet of m variables at a drawn order over values of ``shape``, each slot
+    in C or Fortran order, so that the stacked layouts vary too."""
+    order = data.draw(st.integers(0, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    share = data.draw(st.sampled_from([0.0, 0.1, 0.5]))  # of special values
+    slots = []
+    for n in (1, m, J.packed_len(m), m * (m + 1) * (m + 2) // 6)[: order + 1]:
+        a = rng.standard_normal((n,) + shape) * 10.0 ** rng.uniform(-3, 3, (n,) + shape)
+        special = rng.random(a.shape) < share
+        a[special] = rng.choice(_SPECIALS, np.count_nonzero(special))
+        slots.append(np.array(a, order="F") if data.draw(st.booleans()) else a)
+    slots[0] = slots[0].reshape(shape)
+    slots += [None] * (3 - order)
+    return Jet2(slots[0], slots[1], slots[2], m, slots[3])
+
+
+def _broadcastable(data, shape):
+    """A shape that broadcasts to ``shape``: a suffix of it, some axes of length 1."""
+    tail = shape[data.draw(st.integers(0, len(shape))):]
+    return tuple(1 if data.draw(st.booleans()) else n for n in tail)
+
+
+def _assert_identical(got, want):
+    """Two jets agree in order, and in the shape and bytes of every slot."""
+    for name in ("value", "grad", "hess", "third"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if b is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@given(data=st.data())
+@settings(deadline=None)  # examples: the tests/conftest.py profiles
+def test_structural_kernels_match_their_reference_bits(data):
+    # stack, wsum, expand and lie_inner index and assign where the engine once
+    # stacked, moved axes and summed jets; every slot keeps its bytes, -0.0,
+    # NaN and infinities included, over drawn ranks, axes and broadcasting
+    m = data.draw(st.integers(1, 3))
+    shape = tuple(data.draw(st.lists(st.integers(1, 3), max_size=3)))
+    with np.errstate(all="ignore"):
+        parts = [
+            _drawn_jet(data, _broadcastable(data, shape) if k else shape, m)
+            for k in range(data.draw(st.integers(1, 4)))
+        ]
+        axis = data.draw(st.integers(-len(shape) - 1, -1))
+        _assert_identical(J.stack(parts, axis), R.ref_stack(parts, axis))
+        for x in parts:
+            axis = data.draw(st.integers(-x.value.ndim - 1, -1))
+            _assert_identical(x.expand(axis), R.ref_expand(x, axis))
+            for a in (x.grad, x.hess, x.third):
+                if a is not None:
+                    axis = data.draw(st.integers(-a.ndim, a.ndim - 1))
+                    got, want = J.wsum(a, axis), R.ref_wsum(a, axis)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        n = data.draw(st.integers(3, 6))  # components: at least one spatial
+        x = _drawn_jet(data, shape + (n,), m)
+        y = _drawn_jet(data, _broadcastable(data, shape) + (n,), m)
+        for a, b in ((x, y), (y, x)):
+            _assert_identical(L.lie_inner(a, b), R.ref_lie_inner(a, b))
+
+
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_matrix_inverse_matches_point_major_bits(order):
     (u, v), (ru, rv) = _seeded(order)
     (w, z), (rw, rz) = _operands(u, v), _operands(ru, rv)
-    A = J.mat_from_rows([[w, u], [v, z]])
     rA = R.pm_stack([R.pm_stack([rw, ru]), R.pm_stack([rv, rz])], axis=-2)
-    _assert_same_bits(A, rA)
+    _assert_same_bits(J.stack([J.stack([w, u]), J.stack([v, z])], axis=-2), rA)
     singular = np.zeros((4, 5), bool)
     singular[1, 2] = singular[3, 0] = True
     for mask in (singular, np.zeros_like(singular)):
-        Ai = J.mat_inverse(A, J.det2(A), mask)
-        _assert_same_bits(Ai, R.pm_mat_inverse(rA, mask))
-        assert np.isnan(Ai.value[mask]).all() and np.isfinite(Ai.value[~mask]).all()
+        Ai = J.mat_inverse(w, u, v, z, w * z - u * v, mask)
+        rAi = R.pm_mat_inverse(rA, mask)
+        for entry, (i, j) in zip(Ai, ((0, 0), (0, 1), (1, 0), (1, 1))):
+            _assert_same_bits(entry, R.pm_entry(rAi, i, j))
+            assert np.isnan(entry.value[mask]).all() and np.isfinite(entry.value[~mask]).all()
 
 
 # ---------- closed-form 2x2 kernels, with LAPACK as the reference ----------
@@ -494,10 +568,11 @@ def _scale(A):
 
 
 def _solve(A, B):
-    """A^-1 B with the inverse of :func:`jets.mat_inverse` on order-0 jets, as in r_operator."""
-    M = Jet2(A, None, None, 2)
-    det = J.det2(M)
-    return J.mat_inverse(M, det, np.zeros(det.shape, bool)).value @ B
+    """A^-1 B with the entries of :func:`jets.mat_inverse` on plain arrays, as in r_operator."""
+    det = J.det2(A)
+    entries = (A[..., i, j] for i in (0, 1) for j in (0, 1))
+    inv = J.mat_inverse(*entries, det, np.zeros(det.shape, bool))
+    return np.stack(inv, axis=-1).reshape(det.shape + (2, 2)) @ B
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -560,8 +635,8 @@ def test_2x2_kernels_pass_nan_through_silently():
 def test_jet_determinant_value_is_the_value_kernel():
     (u, v), _ = _seeded(2)
     w, z = _operands(u, v)
-    A = J.mat_from_rows([[w, u], [v, z]])
-    assert J.det2(A).value.tobytes() == J.det2(A.value).tobytes()
+    # the determinant jet a d - b c, as minus_metric forms it
+    assert (w * z - u * v).value.tobytes() == J.det2(mat_values([[w, u], [v, z]])).tobytes()
 
 
 # ---------- number operands act on the slots ----------

@@ -53,7 +53,7 @@ def test_metric_at_zero_tau(square_torus, random_points):
     frame, tau = _frame_and_tau(square_torus, "0", random_points)
     met = RB.minus_metric(frame, tau)
     np.testing.assert_allclose(
-        met.G.value, np.broadcast_to(np.eye(2) / 2.0, met.G.value.shape), atol=1e-14
+        met.G, np.broadcast_to(np.eye(2) / 2.0, met.G.shape), atol=1e-14
     )
 
 
@@ -66,7 +66,7 @@ def test_metric_closed_form(square_torus, random_points):
     expected = np.zeros(tv.shape + (2, 2))
     expected[..., 0, 0] = (1.0 + tv) ** 2 / 2.0
     expected[..., 1, 1] = (tv - 1.0) ** 2 / 2.0
-    np.testing.assert_allclose(met.G.value, expected, atol=1e-14)
+    np.testing.assert_allclose(met.G, expected, atol=1e-14)
 
 
 def test_metric_degenerates_at_principal_curvature(square_torus, random_points):
@@ -81,7 +81,7 @@ def test_metric_degenerates_at_principal_curvature(square_torus, random_points):
 def test_metric_positive_definite_at_regular_points(square_torus, random_points):
     frame, tau = _frame_and_tau(square_torus, "0.3*sin(u)", random_points)
     met = RB.minus_metric(frame, tau)
-    eig = np.linalg.eigvalsh(met.G.value)
+    eig = np.linalg.eigvalsh(met.G)
     assert np.min(eig) > 0.0
 
 
@@ -180,7 +180,7 @@ def test_jet_orders_through_the_transform(square_torus, torus_frame_16):
     tau = E.eval_at(E.parse_tau("0.3*sin(u)"), _flat_points(square_torus, grid))
     res = RB.transform(frame, tau)
     assert res.alpha.order == 1 and res.alpha.grad is not None
-    assert res.f_hat.order == 1 and res.metric.G.order == 1
+    assert res.f_hat.order == 1 and all(x.order == 1 for x in res.metric.Ginv)
     assert RB.alpha_hat(res).grad is None
 
 
@@ -335,24 +335,24 @@ def _batch_stride_is_smallest(a: np.ndarray, batch: int) -> bool:
 def test_vector_and_matrix_jets_keep_the_batch_axis_innermost(square_torus, random_points):
     """A speed invariant, not a correctness one, and it depends on the numpy
     version: the layout is carried through the engine by numpy keeping its
-    inputs' memory order in elementwise results, fancy indexing and
-    ``np.stack``, observed on numpy 2.4.  Bits never depend on the layout
-    (``test_layout_never_moves_bits``)."""
+    inputs' memory order in elementwise results and fancy indexing, and by
+    ``jets.stack`` keeping its parts', observed on numpy 2.4.  Bits never
+    depend on the layout (``test_layout_never_moves_bits``)."""
     frame, tau = _frame_and_tau(square_torus, "0.2*sin(u)+0.1*cos(v)", random_points)
     res = RB.transform(frame, tau)
     u, v = J.seed(random_points, order=3)
     jets = {
         "stack": J.stack([u, v, u * v]),
-        "mat_from_rows": J.mat_from_rows([[u, v], [v, u * v]]),
+        "stack of rows": J.stack([J.stack([u, v]), J.stack([v, u * v])], axis=-2),
         "spatial_vector": L.spatial_vector([u, v, u * v, v - u]),
         "f": frame.f, "xi": frame.xi, "f_hat": res.f_hat, "f_check": res.f_check,
-        "G": res.metric.G, "Ginv": res.metric.Ginv,
     } | {f"V{i}": V for i, V in enumerate(res.metric.V)}
     for name, jet in jets.items():
         assert jet.order > 0
         for k, slot in enumerate(_SLOTS[: jet.order + 1]):
             batch = min(k, 1)  # a derivative slot's batch axis follows its derivative axis
             assert _batch_stride_is_smallest(getattr(jet, slot), batch), (name, slot)
+    assert _batch_stride_is_smallest(res.metric.G, 0)  # the metric's values
     # a partial's gradient is a view of Hessian rows, so one component of it is
     # one block of memory, not rows a whole vector apart
     for i in range(2):
@@ -371,14 +371,15 @@ def test_layout_never_moves_bits(square_torus, src):
 
     def jets(r):
         return [r.f_hat, r.f_check, r.xi_hat, r.alpha, r.a, r.b, r.mu2,
-                r.metric.G, r.metric.Ginv, *r.metric.V, RB.alpha_hat(r)]
+                *r.metric.Ginv, *r.metric.V, RB.alpha_hat(r)]
 
     for x, y in zip(jets(got), jets(want)):
         for slot in _SLOTS:
             a, b = getattr(x, slot), getattr(y, slot)
             assert (a is None) == (b is None) and (a is None or a.shape == b.shape), slot
             assert a is None or a.tobytes() == b.tobytes(), slot
-    for a, b in [(got.metric.det, want.metric.det), (got.metric.singular, want.metric.singular)]:
+    for a, b in [(got.metric.G, want.metric.G), (got.metric.det, want.metric.det),
+                 (got.metric.singular, want.metric.singular)]:
         assert a.tobytes() == b.tobytes()
     pw_got = RB.pointwise_residuals(got, RB.alpha_hat(got))
     pw_want = RB.pointwise_residuals(want, RB.alpha_hat(want))
@@ -810,6 +811,44 @@ def test_merge_peaks_rule():
     for key in ("eq6", "immersion_min"):
         assert np.isnan(RB.merge_peaks(1.0, np.nan, key))
         assert np.isnan(RB.merge_peaks(np.nan, 1.0, key))
+
+
+def test_merge_peaks_nan_pair_wins_at_its_first_index():
+    # a (value, index) pair follows the float rule: NaN wins, in either block
+    nan = float("nan")
+    for old, new, want in [
+        ((1.0, 2), (nan, 5), 5),
+        ((nan, 2), (1.0, 5), 2),
+        ((nan, 2), (nan, 5), 2),
+        ((-np.inf, None), (nan, 5), 5),
+    ]:
+        value, index = RB.merge_peaks(old, new)
+        assert np.isnan(value) and index == want
+    assert RB.merge_peaks((1.0, 2), (3.0, 5)) == (3.0, 5)
+
+
+def test_nan_closedness_peak_in_a_later_block_matches_the_whole_grid(square_torus, monkeypatch):
+    # 20 x 19 = 380 points in blocks of 37: d alpha is NaN at point 300 alone,
+    # in the ninth block, after eight blocks of finite peaks
+    grid = Grid(20, 19, square_torus.domain)
+    target = CH.eval_chart(square_torus, grid.points().reshape(-1, 2)[300:301]).f.value[0]
+    components = RB.dalpha_components
+
+    def nan_at_target(result):
+        d = components(result)
+        d[np.all(result.frame.f.value == target, axis=-1)] = np.nan
+        return d
+
+    monkeypatch.setattr(RB, "dalpha_components", nan_at_target)
+    runs = {}
+    for block in (380, 37):
+        monkeypatch.setattr(RB, "BLOCK", block)
+        runs[block] = RB.run_grid(square_torus, E.parse_tau("0.3*sin(u)"), grid)
+    for report, run in runs.values():
+        value, index = run.peaks["dalpha"]
+        assert np.isnan(value) and index == 300
+        assert np.isnan(report["max_dalpha"]) and not report["ribaucour"]
+        assert report["max_dalpha_at"] == [float(x) for x in run.points[(300,)]]
 
 
 def test_nan_in_a_later_block_fails_certification(square_torus, monkeypatch):
