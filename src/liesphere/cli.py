@@ -232,12 +232,7 @@ def cmd_transform(scene: Scene, out: Path, json_mode: bool, pole_flip: bool) -> 
     report, run = _run_grid(scene, RB.field_columns)
     gates = _gates(report, scene.tolerances)
     ok = _print_gates(gates, json_mode)
-
-    grid = _grid(scene)
-    cols = run.values  # f, f_hat and the singular mask, then the fields.csv columns in order
-    f, f_hat, singular = (cols.pop(k) for k in ("f", "f_hat", "singular"))
-    report["meshes"] = _write_meshes(out, grid, f, f_hat, singular, pole_flip)
-    G.write_fields_csv(out / "fields.csv", grid, cols)
+    report["meshes"] = _write_meshes_and_fields(out, _grid(scene), run.values, pole_flip)
     _emit(report, out, "report.json", json_mode)
     if not json_mode:
         print(f"wrote f.obj, f_hat.obj, fields.csv, report.json to {out}")
@@ -253,17 +248,19 @@ def _export_obj(path: Path, points4, grid, **kwargs) -> G.MeshExport:
     return mesh
 
 
-def _write_meshes(out: Path, grid, f, f_hat, singular, pole_flip: bool) -> dict:
-    """Write f.obj and f_hat.obj and return the report's ``meshes``; f_hat is NaN
-    at the ``singular`` points, so those vertices are left out."""
-    shape = grid.shape + (4,)
-    mesh_f = _export_obj(out / "f.obj", f[:, :4].reshape(shape), grid, pole_flip=pole_flip)
+def _write_meshes_and_fields(out: Path, grid, cols: dict, pole_flip: bool) -> dict:
+    """Write f.obj, f_hat.obj and fields.csv of a walk's ``cols`` and return the
+    report's ``meshes``.  ``cols`` holds f, f_hat and the singular mask, popped
+    as the meshes are written (f_hat is NaN at the singular points, so those
+    vertices are left out), then the fields.csv columns in order."""
+    mesh_f = _export_obj(out / "f.obj", cols.pop("f"), grid, pole_flip=pole_flip)
     mesh_fh = _export_obj(
-        out / "f_hat.obj", f_hat[:, :4].reshape(shape), grid, pole_flip=pole_flip, drop=singular
+        out / "f_hat.obj", cols.pop("f_hat"), grid, pole_flip=pole_flip, drop=cols.pop("singular")
     )
+    G.write_fields_csv(out / "fields.csv", grid, cols)
     meshes = {
-        "f": {"vertices": len(mesh_f.vertices), "faces": len(mesh_f.faces)},
-        "f_hat": {"vertices": len(mesh_fh.vertices), "faces": len(mesh_fh.faces)},
+        "f": {"vertices": mesh_f.vertices, "faces": mesh_f.faces},
+        "f_hat": {"vertices": mesh_fh.vertices, "faces": mesh_fh.faces},
         "clipped": mesh_f.clipped + mesh_fh.clipped,
     }
     if mesh_fh.dropped:
@@ -297,8 +294,7 @@ def cmd_demoulin(scene: Scene, out: Path, json_mode: bool) -> int:
     def write(tau, f_hat):  # tau is NaN where the member is masked
         k = len(member_cols)
         member_cols[f"tau_theta_{k}"] = tau
-        fh4 = f_hat.reshape(grid.shape + (4,))
-        mesh = _export_obj(out / f"fhat_theta_{k}.obj", fh4, grid, drop=np.isnan(tau))
+        mesh = _export_obj(out / f"fhat_theta_{k}.obj", f_hat, grid, drop=np.isnan(tau))
         clipped.append(mesh.clipped)
 
     report = D.family_report(
@@ -409,16 +405,11 @@ def cmd_export(scene: Scene, out: Path, json_mode: bool, pole_flip: bool) -> int
         cols["f_hat"] = res.f_hat.value[:, :4]
         return cols, {"not_finite": RB.first_flagged(res.not_finite, key)}
 
-    run = RB.eval_blocks(
-        scene.chart, grid, [(scene.tau, 2)], body,
-        checks=[("not_finite", DomainErrorJet, "transform is not finite")], contact_tol=tol.contact,
-    )
-    cols = run.values  # tau, a and b, then what the meshes read
-    f, f_hat, singular = (cols.pop(k) for k in ("f", "f_hat", "singular"))
-    meshes = _write_meshes(out, grid, f, f_hat, singular, pole_flip)
+    run = RB.eval_blocks(scene.chart, grid, [(scene.tau, 2)], body, contact_tol=tol.contact)
+    DomainErrorJet.raise_first(run.peaks["not_finite"], run.points, "transform is not finite")
+    meshes = _write_meshes_and_fields(out, grid, run.values, pole_flip)
     if meshes.get("dropped") and not json_mode:
         print(f"exported f_hat without its {meshes['dropped']} degenerate points")
-    G.write_fields_csv(out / "fields.csv", grid, cols)
     _emit({"meshes": meshes}, out, "export.json", json_mode)
     return 0
 
@@ -503,14 +494,15 @@ def main(argv=None) -> int:
         if args.command == "export":
             return cmd_export(scene, out, args.json, args.pole_flip)
         raise SceneError(f"unknown command {args.command!r}")
-    except LieSphereError as exc:
+    except (LieSphereError, MemoryError) as exc:  # MemoryError: a grid too large to hold
         for path in made:  # a run that fails leaves no directory it made empty
             with contextlib.suppress(OSError):
                 path.rmdir()
         if isinstance(exc, SceneError):
             print(f"scene error: {exc}", file=sys.stderr)
             return 2
-        print(f"verification error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"verification error: {name}: {exc}", file=sys.stderr)
         return 1
 
 

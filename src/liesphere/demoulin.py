@@ -464,13 +464,13 @@ def _dual_fields(family: DemoulinFamily, points: np.ndarray, order: int = 2) -> 
         return out, {name: RB.first_flagged(mask, key) for name, mask in flags.items()}
 
     taus = [(family.tau0_expr, order), (family.tau1_expr, order - 1)]
-    checks = [(f"{name}{k}", cls, what) for k in (0, 1) for name, cls, what in (
-        ("not_finite", DomainErrorJet, f"transform of tau{k} is not finite"),
-        ("singular", NotRegular, "congruence metric degenerates"))]
     run = RB.eval_blocks(
-        family.chart, points.reshape(-1, 2), taus, body, checks=checks,
-        contact_tol=family.contact_tol, order=order,
+        family.chart, points.reshape(-1, 2), taus, body, contact_tol=family.contact_tol, order=order
     )
+    for k in (0, 1):
+        what = f"transform of tau{k} is not finite"
+        DomainErrorJet.raise_first(run.peaks[f"not_finite{k}"], run.points, what)
+        NotRegular.raise_first(run.peaks[f"singular{k}"], run.points, "congruence metric degenerates")
     return {k: v.reshape(points.shape[:-1] + v.shape[1:]) for k, v in run.values.items()}
 
 

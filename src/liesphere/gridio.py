@@ -198,14 +198,14 @@ def _format_rows(head: str, spec: str, sep: str, n: int, columns: Callable) -> I
         yield row * len(table) % tuple(table.ravel().tolist())
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeshExport:
-    """Stereographic image of a grid of unit-sphere points, as quads."""
+    """The counts of a mesh :func:`export_obj` wrote."""
 
-    vertices: np.ndarray  # (N, 3)
-    faces: np.ndarray  # (F, 4), zero-based
-    clipped: int = 0  # vertices clipped at the pole
-    dropped: int = 0  # further vertices omitted as ``drop`` asked
+    vertices: int
+    faces: int
+    clipped: int  # vertices clipped at the pole
+    dropped: int  # further vertices omitted as ``drop`` asked
 
 
 def stereographic(points4: np.ndarray, *, pole_flip: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -221,54 +221,6 @@ def stereographic(points4: np.ndarray, *, pole_flip: bool = False) -> tuple[np.n
     return proj, near
 
 
-def mesh_from_grid(
-    points4: np.ndarray,
-    grid: Grid,
-    *,
-    pole_flip: bool = False,
-    drop: np.ndarray | None = None,
-) -> MeshExport:
-    """Build the quad mesh of a (nu, nv, 4) sphere-valued field.
-
-    Vertices are emitted row-major; faces wrap across periodic seams.
-    Vertices at the projection pole are clipped, together with any face
-    touching them, and counted in ``clipped``; ``drop`` marks additional
-    vertices to omit (e.g. masked family points), counted in ``dropped``.
-    """
-    nu, nv = grid.shape
-    proj, near = stereographic(points4.reshape(nu, nv, 4), pole_flip=pole_flip)
-    verts = proj.reshape(-1, 3)
-    bad = near.reshape(-1)
-    if drop is not None:
-        bad = bad | np.asarray(drop, dtype=bool).reshape(-1)
-    per_u, per_v = grid.domain.periodic
-
-    i = np.arange(nu if per_u else nu - 1)[:, None]
-    j = np.arange(nv if per_v else nv - 1)[None, :]
-    row0, row1 = i * nv, (i + 1) % nu * nv
-    col0, col1 = j, (j + 1) % nv
-    corners = (row0 + col0, row1 + col0, row1 + col1, row0 + col1)
-    faces = np.stack(corners, axis=-1).reshape(-1, 4)
-
-    clipped = int(near.sum())
-    if bad.any():
-        keep = ~bad
-        remap = -np.ones(len(verts), dtype=int)
-        remap[keep] = np.arange(int(keep.sum()))
-        verts = verts[keep]
-        face_ok = keep[faces].all(axis=1)
-        faces = remap[faces[face_ok]]
-    return MeshExport(verts, faces, clipped, int(bad.sum()) - clipped)
-
-
-def _obj_chunks(mesh: MeshExport) -> Iterator[str]:
-    verts, faces = mesh.vertices, mesh.faces
-    yield from _format_rows("v ", "%.17g", " ", len(verts), lambda key: verts[key].T)
-    yield from _format_rows("f ", "%d", " ", len(faces), lambda key: (faces[key] + 1).T)
-    if not len(verts) and not len(faces):
-        yield "\n"  # an empty mesh is one empty line
-
-
 def export_obj(
     path,
     points4: np.ndarray,
@@ -277,10 +229,43 @@ def export_obj(
     pole_flip: bool = False,
     drop: np.ndarray | None = None,
 ) -> MeshExport:
-    mesh = mesh_from_grid(points4, grid, pole_flip=pole_flip, drop=drop)
+    """Write the quad mesh of the (N, 4) unit-sphere points of ``grid`` to ``path``.
+
+    Vertices are the :func:`stereographic` images, written row-major; faces
+    wrap across periodic seams.  Vertices at the projection pole are clipped,
+    together with any face touching them; ``drop``, an (N,) mask, marks
+    further vertices to omit (e.g. masked family points).  Vertices, then
+    cells, are written a pass of _ROWS at a time: of the whole grid only the
+    (N,) masks and the running count of kept vertices, a vertex's OBJ number,
+    are held.
+    """
+    (nu, nv), (per_u, per_v) = grid.shape, grid.domain.periodic
+    ncol = nv if per_v else nv - 1  # cells in a row of the grid
+    ncells = (nu if per_u else nu - 1) * ncol
+    near, keep = np.empty(len(grid), bool), np.empty(len(grid), bool)
+    faces = []  # written, per pass
+
+    def vertices(key):
+        proj, near[key] = stereographic(points4[key], pole_flip=pole_flip)
+        keep[key] = ~near[key] if drop is None else ~(near[key] | drop[key])
+        return proj[keep[key]].T
+
+    def cells(key):
+        i, j = divmod(np.arange(*key.indices(ncells)), ncol)
+        row0, row1, col1 = i * nv, (i + 1) % nu * nv, (j + 1) % nv
+        corners = np.stack([row0 + j, row1 + j, row1 + col1, row0 + col1])
+        corners = corners[:, keep[corners].all(axis=0)]
+        faces.append(corners.shape[1])
+        return number[corners]
+
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_obj_chunks(mesh))
-    return mesh
+        fh.writelines(_format_rows("v ", "%.17g", " ", len(grid), vertices))
+        number = np.cumsum(keep)  # the OBJ number of each kept vertex, which cells read
+        fh.writelines(_format_rows("f ", "%d", " ", ncells, cells))
+        if not number[-1]:
+            fh.write("\n")  # an empty mesh is one empty line
+    kept, clipped = int(number[-1]), int(near.sum())
+    return MeshExport(kept, sum(faces), clipped, len(grid) - kept - clipped)
 
 
 def write_fields_csv(path, grid: Grid, columns: dict[str, np.ndarray]) -> None:

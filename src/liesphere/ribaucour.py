@@ -459,7 +459,7 @@ class BlockValues:
 
 def eval_blocks(
     chart: CH.ChartSpec, points: np.ndarray | Grid, taus: list[tuple[E.TauExpr, int]],
-    body: Callable, *, checks=(), contact_tol: float | None = None, order: int = 2,
+    body: Callable, *, contact_tol: float | None = None, order: int = 2,
 ) -> BlockValues:
     """Walk a flat batch of parameter points through ``body``, block by block.
 
@@ -478,12 +478,10 @@ def eval_blocks(
     Once the merged certificate fails :func:`liegeom.judge_frame` at ``contact_tol``
     (None: the chart's default), or a tau raises, later blocks are only lifted
     and evaluated.  After the walk the certificate is judged, then the first tau
-    that failed raises its first error, then the first of ``checks``, ``(peak
-    name, error class, message)``, that flags a point, as in a single pass.
-    Callers judge the rest on the merged peaks, so an error names the point the
-    whole batch would.
+    that failed raises its first error, as in a single pass.  Callers judge the
+    rest on the merged peaks, point checks first, so an error names the point
+    the whole batch would.
     """
-    wrapped = Wrapped(chart.domain, points)
     contact_tol = contact_tol or CH.default_contact_tol(chart)
     size = BLOCK // 2 if order > 2 else BLOCK
     cert, failed, errors, values, peaks = None, False, [None] * len(taus), {}, {}
@@ -516,9 +514,7 @@ def eval_blocks(
     L.judge_frame(cert, contact_tol)
     if any(errors):
         raise next(exc for exc in errors if exc)
-    for name, cls, what in checks:
-        cls.raise_first(peaks.get(name), wrapped, what)
-    return BlockValues(wrapped, cert, values, peaks)
+    return BlockValues(Wrapped(chart.domain, points), cert, values, peaks)
 
 
 # ---------- grid-level runner ----------
@@ -608,10 +604,10 @@ def run_grid(
     run = eval_blocks(
         chart, grid, [(tau_expr, 2)],
         lambda frame, taus, key: _run_block(frame, taus[0], key, det_rel_tol, columns),
-        checks=[("not_finite", DomainErrorJet, "transform is not finite")],
         contact_tol=contact_tol,
     )
     peaks = run.peaks
+    DomainErrorJet.raise_first(peaks["not_finite"], run.points, "transform is not finite")
     if peaks["n_singular"] == len(grid):  # the first point is named
         NotRegular.raise_first(0, run.points, "congruence metric degenerates")
     max_da, argmax = peaks["dalpha"]  # a regular point is left, so argmax is an index

@@ -4,7 +4,8 @@ None of this is used by the engine itself: point-major jet arithmetic, the
 structural kernels built from np.stack and np.moveaxis, 2x2 matrices as rows
 of scalar jets, the hypersurface (shape-operator) route to f_check, the
 diagnostics of a batch with its degenerate points cut out, plaquette
-circulations of a sampled 1-form, an OBJ reader, the product torus written as
+circulations of a sampled 1-form, the quad mesh of a grid built as whole-grid
+arrays with its OBJ text, an OBJ reader, the product torus written as
 custom-chart text, and its principal curvatures.
 """
 
@@ -18,7 +19,7 @@ from liesphere import jets as J
 from liesphere import ribaucour as RB
 from liesphere.charts import CliffordTorus
 from liesphere.errors import LieSphereError, NotRegular
-from liesphere.gridio import Grid
+from liesphere.gridio import Grid, stereographic
 from liesphere.jets import Jet2
 from liesphere.liegeom import LegendreFrame, lie_inner
 
@@ -422,6 +423,55 @@ def _pad_cells(cells: np.ndarray, grid: Grid) -> np.ndarray:
     out = np.full(grid.shape, np.nan)
     out[: cells.shape[0], : cells.shape[1]] = cells
     return out
+
+
+# ---------- the whole-grid mesh ----------
+
+
+def ref_mesh(
+    points4: np.ndarray, grid: Grid, *, pole_flip: bool = False, drop: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """The quad mesh of a grid's (N, 4) sphere points, built as whole-grid arrays:
+    the vertices (V, 3), the zero-based faces (F, 4), the count of vertices
+    clipped at the pole and the count of further vertices ``drop`` left out.
+
+    Vertices are the stereographic images, row-major; faces wrap across periodic
+    seams; a face touching a left-out vertex is left out, and the vertices kept
+    are renumbered in order.
+    """
+    nu, nv = grid.shape
+    proj, near = stereographic(points4.reshape(nu, nv, 4), pole_flip=pole_flip)
+    verts = proj.reshape(-1, 3)
+    bad = near.reshape(-1)
+    if drop is not None:
+        bad = bad | np.asarray(drop, dtype=bool).reshape(-1)
+    per_u, per_v = grid.domain.periodic
+
+    i = np.arange(nu if per_u else nu - 1)[:, None]
+    j = np.arange(nv if per_v else nv - 1)[None, :]
+    row0, row1 = i * nv, (i + 1) % nu * nv
+    col0, col1 = j, (j + 1) % nv
+    corners = (row0 + col0, row1 + col0, row1 + col1, row0 + col1)
+    faces = np.stack(corners, axis=-1).reshape(-1, 4)
+
+    clipped = int(near.sum())
+    if bad.any():
+        keep = ~bad
+        remap = -np.ones(len(verts), dtype=int)
+        remap[keep] = np.arange(int(keep.sum()))
+        verts = verts[keep]
+        face_ok = keep[faces].all(axis=1)
+        faces = remap[faces[face_ok]]
+    return verts, faces, clipped, int(bad.sum()) - clipped
+
+
+def ref_obj_text(verts: np.ndarray, faces: np.ndarray) -> str:
+    """OBJ text of a mesh, every value formatted on its own: ``v`` lines of
+    f"{x:.17g}", then ``f`` lines of one-based indices; an empty mesh is one
+    empty line."""
+    lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in verts]
+    lines += [f"f {a + 1} {b + 1} {c + 1} {d + 1}" for a, b, c, d in faces]
+    return "\n".join(lines) + "\n"
 
 
 # ---------- OBJ reader ----------

@@ -239,6 +239,19 @@ def test_demoulin_needs_an_angle(tmp_path, capsys):
     assert cli.main(["check", "--scene", str(scene), "--out", str(out)]) == 0
 
 
+def test_a_grid_too_large_to_hold_exits_1_and_leaves_no_directory(tmp_path, capsys):
+    # the first column asked for is larger than x86-64's user address space, so
+    # numpy's allocation is refused under every overcommit mode and nothing is held
+    out = tmp_path / "X" / "deeper"
+    argv = ["export", "--scene", str(SCENES / "check_sinu.json"), "--grid", "5000000x5000000"]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verification error: MemoryError: Unable to allocate 182. TiB")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not (tmp_path / "X").exists()
+
+
 def test_export_command(tmp_path):
     scene = _scene(tmp_path, tau="0")
     out = tmp_path / "out"

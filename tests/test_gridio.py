@@ -1,6 +1,7 @@
 """Oracle, grid circulation checks, and exporters."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from liesphere import exprs as E
 from liesphere import gridio as G
 from liesphere import ribaucour as RB
 from liesphere.charts import Domain
-from reference import grid_exterior_derivative, parse_obj
+from reference import grid_exterior_derivative, parse_obj, ref_mesh, ref_obj_text
 
 
 def test_oracle_constant_field_is_exact():
@@ -130,26 +131,28 @@ def test_exterior_derivative_of_area_form():
 def test_obj_counts_and_roundtrip(tmp_path, square_torus):
     grid = G.Grid(8, 8, square_torus.domain)
     frame = CH.eval_chart(square_torus, grid.points().reshape(-1, 2))
-    f4 = frame.f.value[:, :4].reshape(8, 8, 4)
+    f4 = frame.f.value[:, :4]
     mesh = G.export_obj(tmp_path / "a.obj", f4, grid)
     text = (tmp_path / "a.obj").read_text(encoding="utf-8")
     verts, faces = parse_obj(text)
+    assert mesh == G.MeshExport(vertices=64, faces=64, clipped=0, dropped=0)
     assert len(verts) == 64
     assert len(faces) == 64
     assert faces.shape[1] == 4
-    np.testing.assert_array_equal(verts, mesh.vertices)  # bit-identical round trip
+    np.testing.assert_array_equal(verts, G.stereographic(f4)[0])  # bit-identical round trip
     G.export_obj(tmp_path / "b.obj", f4, grid)
     assert (tmp_path / "b.obj").read_text(encoding="utf-8") == text  # deterministic
 
 
-def test_nonperiodic_mesh_face_count():
+def test_nonperiodic_mesh_face_count(tmp_path):
     dom = Domain((0, 1), (0, 1), (False, False))
     grid = G.Grid(5, 7, dom)
-    pts4 = np.zeros((5, 7, 4))
-    pts4[..., 0] = 1.0  # away from the pole
-    mesh = G.mesh_from_grid(pts4, grid)
-    assert len(mesh.vertices) == 35
-    assert len(mesh.faces) == 4 * 6
+    pts4 = np.zeros((35, 4))
+    pts4[:, 0] = 1.0  # away from the pole
+    mesh = G.export_obj(tmp_path / "m.obj", pts4, grid)
+    verts, faces = parse_obj((tmp_path / "m.obj").read_text(encoding="utf-8"))
+    assert mesh.vertices == len(verts) == 35
+    assert mesh.faces == len(faces) == 4 * 6
 
 
 def test_antipodal_projection_identity(square_torus, random_points):
@@ -162,19 +165,20 @@ def test_antipodal_projection_identity(square_torus, random_points):
     np.testing.assert_allclose(proj, expected, atol=1e-14)
 
 
-def test_pole_clip_counts_and_drops_faces(capsys):
+def test_pole_clip_counts_and_drops_faces(tmp_path, capsys):
     dom = Domain((0, 1), (0, 1), (False, False))
     grid = G.Grid(4, 4, dom)
-    pts4 = np.zeros((4, 4, 4))
-    pts4[..., 0] = 1.0
-    pts4[1, 1] = [0.0, 0.0, 0.0, 1.0]  # exactly the pole
-    mesh = G.mesh_from_grid(pts4, grid)
-    # the count is the report; the CLI prints it, the mesh builder writes nothing
+    pts4 = np.zeros((16, 4))
+    pts4[:, 0] = 1.0
+    pts4[5] = [0.0, 0.0, 0.0, 1.0]  # exactly the pole, at (1, 1)
+    mesh = G.export_obj(tmp_path / "m.obj", pts4, grid)
+    # the count is the report; the CLI prints it, the writer prints nothing
     assert capsys.readouterr().err == ""
-    assert mesh.clipped == 1
-    assert len(mesh.vertices) == 15
-    assert len(mesh.faces) == 9 - 4  # four cells touch the clipped vertex
-    assert mesh.faces.max() < 15
+    verts, faces = parse_obj((tmp_path / "m.obj").read_text(encoding="utf-8"))
+    assert mesh.clipped == 1 and mesh.dropped == 0
+    assert mesh.vertices == len(verts) == 15
+    assert mesh.faces == len(faces) == 9 - 4  # four cells touch the clipped vertex
+    assert faces.max() < 15
 
 
 def test_pole_flip_switches_center():
@@ -210,12 +214,6 @@ def test_canonical_json_deterministic(tmp_path):
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-310, 1e300, -1.5, 0.1, 1 / 3]
 
 
-def _ref_obj(mesh):
-    lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices]
-    lines += [f"f {a + 1} {b + 1} {c + 1} {d + 1}" for a, b, c, d in mesh.faces]
-    return "\n".join(lines) + "\n"
-
-
 def _special_values(rng, n):
     vals = rng.standard_normal(n)
     vals[rng.integers(0, n, size=n // 3)] = rng.choice(SPECIAL, size=n // 3)
@@ -225,36 +223,94 @@ def _special_values(rng, n):
 def test_obj_text_matches_per_value_formatting(tmp_path):
     rng = np.random.default_rng(3)
     grid = G.Grid(100, 50, Domain())  # 5000 vertices and faces: more than one block
-    pts4 = np.zeros((100, 50, 4))  # x4 = 0: the projection divides by exactly 1
-    pts4[..., :3] = _special_values(rng, 3 * 5000).reshape(100, 50, 3)
+    pts4 = np.zeros((5000, 4))  # x4 = 0: the projection divides by exactly 1
+    pts4[:, :3] = _special_values(rng, 3 * 5000).reshape(5000, 3)
     mesh = G.export_obj(tmp_path / "f.obj", pts4, grid)
-    np.testing.assert_array_equal(mesh.vertices, pts4[..., :3].reshape(-1, 3))
-    assert (tmp_path / "f.obj").read_text(encoding="utf-8") == _ref_obj(mesh)
+    verts, faces, _, _ = ref_mesh(pts4, grid)
+    np.testing.assert_array_equal(verts, pts4[:, :3])
+    assert mesh.vertices == mesh.faces == 5000
+    assert (tmp_path / "f.obj").read_text(encoding="utf-8") == ref_obj_text(verts, faces)
 
 
 def test_export_obj_writes_obj_text(tmp_path, square_torus):
     grid = G.Grid(70, 66, square_torus.domain)  # 4620 vertices: two blocks
     f4 = CH.eval_chart(square_torus, grid.points().reshape(-1, 2)).f.value[:, :4]
-    mesh = G.export_obj(tmp_path / "f.obj", f4.reshape(70, 66, 4), grid)
-    assert (tmp_path / "f.obj").read_text(encoding="utf-8") == _ref_obj(mesh)
-    clipped = G.export_obj(
-        tmp_path / "none.obj", f4.reshape(70, 66, 4), grid, drop=np.ones((70, 66), bool)
-    )
-    assert len(clipped.vertices) == len(clipped.faces) == 0
+    G.export_obj(tmp_path / "f.obj", f4, grid)
+    text = ref_obj_text(*ref_mesh(f4, grid)[:2])
+    assert (tmp_path / "f.obj").read_text(encoding="utf-8") == text
+    clipped = G.export_obj(tmp_path / "none.obj", f4, grid, drop=np.ones(len(grid), bool))
+    assert clipped == G.MeshExport(vertices=0, faces=0, clipped=0, dropped=len(grid))
     assert (tmp_path / "none.obj").read_text(encoding="utf-8") == "\n"
 
 
 @pytest.mark.parametrize("periodic", [(True, True), (False, True), (False, False)])
-def test_mesh_faces_match_the_cell_loop(periodic):
+def test_mesh_faces_match_the_cell_loop(tmp_path, periodic):
     grid = G.Grid(6, 5, Domain((0, 1), (0, 1), periodic))
-    pts4 = np.zeros((6, 5, 4))
-    pts4[..., 0] = 1.0
+    pts4 = np.zeros((30, 4))
+    pts4[:, 0] = 1.0
     faces = []
     for i in range(6 if periodic[0] else 5):
         for j in range(5 if periodic[1] else 4):
             i1, j1 = (i + 1) % 6, (j + 1) % 5
             faces.append((i * 5 + j, i1 * 5 + j, i1 * 5 + j1, i * 5 + j1))
-    np.testing.assert_array_equal(G.mesh_from_grid(pts4, grid).faces, faces)
+    G.export_obj(tmp_path / "m.obj", pts4, grid)
+    np.testing.assert_array_equal(parse_obj((tmp_path / "m.obj").read_text())[1], faces)
+
+
+@given(
+    shape=st.tuples(st.integers(4, 9), st.integers(4, 9)),
+    periodic=st.tuples(st.booleans(), st.booleans()),
+    pole_flip=st.booleans(),
+    poles=st.lists(st.tuples(st.integers(0, 80), st.sampled_from([1.0, -1.0])), max_size=6),
+    drop_share=st.sampled_from([None, 0.0, 0.1, 0.5, 1.0]),
+    rows=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(deadline=None)  # examples: the tests/conftest.py profiles
+def test_export_obj_matches_the_whole_grid_mesh(
+    shape, periodic, pole_flip, poles, drop_share, rows, seed
+):
+    # passes of a few rows split the grid's rows of vertices and of cells; a
+    # point exactly at either pole is clipped when it is the projection's
+    grid = G.Grid(*shape, Domain((0, 1), (0, 1), periodic))
+    rng = np.random.default_rng(seed)
+    pts4 = rng.standard_normal((len(grid), 4))
+    pts4 /= np.linalg.norm(pts4, axis=1, keepdims=True)
+    for k, x4 in poles:
+        pts4[k % len(grid)] = [0.0, 0.0, 0.0, x4]
+    drop = None if drop_share is None else rng.random(len(grid)) < drop_share
+    verts, faces, clipped, dropped = ref_mesh(pts4, grid, pole_flip=pole_flip, drop=drop)
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(G, "_ROWS", rows)
+        mesh = G.export_obj(Path(tmp) / "m.obj", pts4, grid, pole_flip=pole_flip, drop=drop)
+        text = (Path(tmp) / "m.obj").read_text(encoding="utf-8")
+    assert text == ref_obj_text(verts, faces)
+    assert mesh == G.MeshExport(len(verts), len(faces), clipped, dropped)
+
+
+def _export_obj_peak(tmp_path, n: int) -> int:
+    """tracemalloc's peak of export_obj over what was held before the call, on
+    the unit points of an n x n torus grid with 1% of them dropped."""
+    grid = G.Grid(n, n, Domain())
+    uv = grid[:]
+    pts4 = np.cos(uv[:, [0, 0, 1, 1]] - [0.0, np.pi / 2, 0.0, np.pi / 2]) / np.sqrt(2.0)
+    drop = np.random.default_rng(n).random(len(grid)) < 0.01
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        G.export_obj(tmp_path / f"m{n}.obj", pts4, grid, drop=drop)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_export_obj_memory_does_not_grow_with_the_grid(tmp_path):
+    # the writer holds the (N,) masks and the running count of kept vertices,
+    # no whole-grid projection, face or renumbering array
+    small, large = (_export_obj_peak(tmp_path, n) for n in (128, 512))
+    per_point = (large - small) / (512**2 - 128**2)
+    assert per_point < 32, f"{per_point:.1f} B a grid point"
 
 
 def test_csv_matches_per_value_formatting(tmp_path):
@@ -337,9 +393,10 @@ def test_text_writers_match_per_value_formatting_on_repeating_columns(shape, kin
             for k in range(n)
         ]
         _assert_lines(Path(tmp) / "f.csv", rows)
-        pts4 = np.zeros(shape + (4,))  # x4 = 0: the projection divides by exactly 1
+        pts4 = np.zeros((n, 4))  # x4 = 0: the projection divides by exactly 1
         for j in range(3):
-            pts4[..., j] = list(cols.values())[j % len(cols)].reshape(shape)
+            pts4[:, j] = list(cols.values())[j % len(cols)]
         with np.errstate(invalid="ignore"):  # dividing quiets a signalling NaN, flagged invalid
-            mesh = G.export_obj(Path(tmp) / "f.obj", pts4, grid)
-        _assert_lines(Path(tmp) / "f.obj", _ref_obj(mesh).splitlines())
+            G.export_obj(Path(tmp) / "f.obj", pts4, grid)
+            verts, faces, _, _ = ref_mesh(pts4, grid)
+        _assert_lines(Path(tmp) / "f.obj", ref_obj_text(verts, faces).splitlines())
