@@ -145,10 +145,12 @@ def _eval_lift(spec: ChartSpec, pts: np.ndarray, order: int) -> tuple[Jet2, Jet2
 
 
 def number_from_json(value, key: str) -> float:
-    """A finite scene number as a float, else a :class:`SceneError` naming ``key``."""
+    """A finite JSON number as a float, else a :class:`SceneError` naming ``key``:
+    a bool, a string or any other value is not a number."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
     try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
+        number = float(value) if is_number else np.nan
+    except OverflowError:  # an int beyond the float range
         number = np.nan
     if not np.isfinite(number):
         raise SceneError(f"{key!r} must be a finite number, got {value!r}")
@@ -202,10 +204,9 @@ def _domain_from_json(obj) -> Domain | None:
     if obj is None:
         return None
     try:
-        u = (float(obj["u"][0]), float(obj["u"][1]))
-        v = (float(obj["v"][0]), float(obj["v"][1]))
+        u, v = (tuple(number_from_json(obj[k][i], f"domain.{k}") for i in (0, 1)) for k in "uv")
         per = tuple(obj.get("periodic", (True, True)))
-    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, IndexError) as exc:
         raise SceneError(f"bad 'domain' spec: {obj!r}") from exc
     if len(per) != 2 or not all(isinstance(p, bool) for p in per):
         raise SceneError(f"'periodic' must be two booleans, got {obj['periodic']!r}")

@@ -19,11 +19,17 @@ Reports are canonical JSON; identical scenes produce identical bytes.
 
 from __future__ import annotations
 
+import os
+import sys
+
+# OpenBLAS threads none of the engine's 2x2 products; its idle pool only costs CPU
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import contextlib
 import itertools
 import json
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,7 +82,7 @@ class Tolerances:
             if not hasattr(tol, key):
                 raise SceneError(f"unknown tolerance key {key!r}")
             what = f"tolerances.{key}"
-            if isinstance(val, (bool, str)) or CH.number_from_json(val, what) <= 0:
+            if CH.number_from_json(val, what) <= 0:
                 raise SceneError(f"{what!r} must be a finite number > 0, got {val!r}")
             setattr(tol, key, float(val))
         return tol
@@ -149,7 +155,8 @@ def scene_from_json(obj: dict) -> Scene:
 
 
 def _checked_grid(grid, key: str) -> tuple[int, int]:
-    if not isinstance(grid, (list, tuple)) or not all(isinstance(n, int) for n in grid):
+    # type(n) is int: true and false are ints to isinstance
+    if not isinstance(grid, (list, tuple)) or not all(type(n) is int for n in grid):
         raise SceneError(f"{key!r} must be a list of two integers, got {grid!r}")
     if len(grid) != 2 or grid[0] < 4 or grid[1] < 4:
         raise SceneError(f"{key!r} must be at least 4x4, got {tuple(grid)}")
@@ -455,6 +462,13 @@ def _parse_grid_flag(text: str) -> tuple[int, int]:
     return _checked_grid(grid, "--grid")
 
 
+def _theta_flag(text: str) -> float:
+    try:
+        return CH.number_from_json(float(text), "--theta")
+    except (ValueError, SceneError) as exc:
+        raise SceneError(f"'--theta' must be a finite number, got {text!r}") from exc
+
+
 def _make_out(out: Path, flag: str, made: list[Path]) -> None:
     """Make the directory ``--out`` names, before any walk, one level at a time so
     that no depth of path recurses; ``made`` gets each directory made, deepest first."""
@@ -482,8 +496,7 @@ def main(argv=None) -> int:
             scene.grid = _parse_grid_flag(args.grid)
         if args.command == "demoulin":
             if args.theta is not None:
-                thetas = args.theta.split(",")
-                scene.thetas = tuple(CH.number_from_json(t, "--theta") for t in thetas)
+                scene.thetas = tuple(_theta_flag(t) for t in args.theta.split(","))
             if args.dual:
                 scene.dual = True
             return cmd_demoulin(scene, out, args.json)

@@ -596,6 +596,40 @@ def test_malformed_scene_values_exit_2(tmp_path, capsys, key, overrides):
     assert "Traceback" not in err
 
 
+def _torus_on(domain: dict) -> dict:
+    return {"chart": {"kind": "clifford_torus", "r": SQUARE_R, "domain": domain}}
+
+
+# a scene number, or a grid entry, set to x; the key its error names
+_SCENE_NUMBERS = {
+    "'r'": lambda x: {"chart": {"kind": "clifford_torus", "r": x}},
+    "'c'": lambda x: {"chart": {"kind": "parallel_of", "base": _nested_parallel(0), "c": x}},
+    "'thetas'": lambda x: {"thetas": [0.0, x]},
+    "'domain.u'": lambda x: _torus_on({"u": [x, 6.2], "v": [0.0, 6.2]}),
+    "'domain.v'": lambda x: _torus_on({"u": [0.0, 6.2], "v": [0.0, x]}),
+    "'tolerances.eq6'": lambda x: {"tolerances": {"eq6": x}},
+    "'grid' must be a list of two integers": lambda x: {"grid": [x, 8]},
+}
+
+
+@pytest.mark.parametrize("value", [True, False, "0.5"])
+@pytest.mark.parametrize("key", list(_SCENE_NUMBERS))
+def test_scene_numbers_are_json_numbers(tmp_path, capsys, key, value):
+    # float() takes true, false and "0.5", but none of them is a JSON number
+    scene = _scene(tmp_path, **_SCENE_NUMBERS[key](value))
+    assert cli.main(["check", "--scene", str(scene), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+def test_theta_flag_parses_its_text(tmp_path):
+    scene = _scene(tmp_path, tau1="2", grid=[8, 8])
+    out = tmp_path / "out"
+    assert cli.main(["demoulin", "--scene", str(scene), "--out", str(out), "--theta", "0.5,1"]) == 0
+    members = json.loads((out / "family.json").read_text())["members"]
+    assert [m["theta"] for m in members] == [0.5, 1.0]
+
+
 def test_non_finite_tau_is_a_domain_error(tmp_path, capsys):
     # the chart certifies; tau overflows, which names tau's point, not the frame
     scene = _shipped_scene(
