@@ -368,6 +368,7 @@ def demoulin_tau(frame: L.LegendreFrame, taus, exps, c: float, s: float, eps: fl
     mask = masked | res.metric.singular
     values = {"tau": np.where(mask, np.nan, tau_theta.value)}
     values["f_hat"] = res.f_hat.value[:, :4].copy()  # not a view that keeps all of f_hat
+    del tau_theta, res.tau, res.f_hat, res.a, res.b, res.mu2, res.metric.V  # alpha reads f, f_check
     n_masked = int(np.count_nonzero(masked))
     return values, {
         "max_dalpha": RB.ribaucour_residual(res, mask)[0],
@@ -450,10 +451,9 @@ def _dual_fields(family: DemoulinFamily, points: np.ndarray, order: int = 2) -> 
         dfh0 = RB.corrected_differential(res0.f_hat, ah0)
         flags = {"not_finite0": res0.not_finite, "singular0": res0.metric.singular}
         del res0  # the rest reads only dfh0 and ah0 of it
-        f, xi = (x.truncate(order - 1) for x in (frame.f, frame.xi))
-        res1 = RB.transform(
-            L.LegendreFrame(f, xi, frame.cert), tau1, det_rel_tol=family.det_rel_tol
-        )
+        frame.f, frame.xi = (x.truncate(order - 1) for x in (frame.f, frame.xi))
+        res1 = RB.transform(frame, tau1, det_rel_tol=family.det_rel_tol)
+        res1.f_check = res1.f_check.truncate(0)  # the one reader of alpha takes its value
         num = lie_inner(dfh0, (res1.f_hat + t0).expand(-2))
         den = ((tau1 - tau0) * (res1.a - 1.0)).vec()
         dlog = np.moveaxis((tau1.grad - tau0.grad) / (tau1.value - tau0.value), 0, -1)
@@ -592,24 +592,26 @@ def family_report(
     # the mask threshold is scaled by the grid-wide maxima of e^tau_tilde
     eps = MASK_EPS_REL * sum(float(np.exp(pot.data.max())) for pot in family.tilde)
 
+    v = {}  # each member's values, kept as it is made: none waits in its block for the rest
+
     def body(frame, taus, key):
         exps = [J.exp(family.tilde_jet(k, key)) for k in (0, 1)]
-        values, peaks = {}, {}
+        peaks = {}
         for i, (c, s) in enumerate(trig):
             if s == 0.0 or c == 0.0:  # an endpoint
-                values[f"tau{i}"] = taus[0 if s == 0.0 else 1].value
-                continue
-            block, peaks[f"member{i}"] = demoulin_tau(
-                frame, taus, exps, c, s, eps, family.det_rel_tol, key
-            )
-            values |= {f"{name}{i}": val for name, val in block.items()}
+                block = {"tau": taus[0 if s == 0.0 else 1].value}
+            else:
+                block, peaks[f"member{i}"] = demoulin_tau(frame, taus, exps, c, s, eps,
+                                                          family.det_rel_tol, key)
+            RB.keep(v, {f"{name}{i}": val for name, val in block.items()}, key, len(family.grid))
         f_hats = [fh[key] for fh in family.f_hat]
-        return values, peaks | {"parallel": parallel_sections(frame, taus, exps, f_hats)}
+        frame.f, frame.xi = (x.truncate(1) for x in (frame.f, frame.xi))  # members read Hessians last
+        return {}, peaks | {"parallel": parallel_sections(frame, taus, exps, f_hats)}
 
     taus = [(family.tau0_expr, 2), (family.tau1_expr, 2)]
     # redundant: build_family judged this grid at this tolerance; every walk certifies
     run = RB.eval_blocks(family.chart, family.grid, taus, body, contact_tol=family.contact_tol)
-    v, peaks = run.values, run.peaks
+    peaks = run.peaks
     members = []
     endpoints_ok = True
     for i, (theta, (c, s)) in enumerate(zip(map(float, thetas), trig)):

@@ -240,6 +240,15 @@ class Jet2:
     def __rsub__(self, other):
         return self._zip(other, np.subtract, reflected=True)
 
+    def __iadd__(self, other):
+        """In place, with the bits of ``+``: for a jet whose slots no other reader shares."""
+        other = self._lift(other)
+        x, y = _aligned(self.truncate(other.order), other)
+        for a, b in zip((x.value, x.grad, x.hess, x.third)[: x.order + 1],
+                        (y.value, y.grad, y.hess, y.third)):
+            np.add(a, b, out=a)
+        return x
+
     def __neg__(self):
         return self.map(np.negative)
 

@@ -69,10 +69,10 @@ class MinusMetric:
     """Gram matrix of the congruence metric in the coordinate basis."""
 
     G: np.ndarray  # values (..., 2, 2), for the regularity screen and metric_match
-    Ginv: tuple[Jet2, Jet2, Jet2, Jet2]  # entries 00, 01, 10, 11 of the inverse
+    Ginv: tuple[Jet2, Jet2, Jet2, Jet2] | None  # entries 00, 01, 10, 11 of the inverse
     det: np.ndarray
     singular: np.ndarray  # points failing the screen, and where the transform is not finite
-    V: list[Jet2]  # (-dxi + tau df)(d_i), reused by the transform
+    V: list[Jet2]  # (-dxi + tau df)(d_i); transform drops Ginv, and V's slots above its values
 
 
 @dataclass
@@ -143,19 +143,22 @@ def transform(
     identity; ``not_finite`` marks those points, and they join ``metric.singular``.
     """
     metric = minus_metric(frame, tau, det_rel_tol=det_rel_tol)
-    (i00, i01, i10, i11), (V0, V1) = metric.Ginv, metric.V
     d0, d1 = tau.deriv(0), tau.deriv(1)
-    tg0, tg1 = i00 * d0 + i01 * d1, i10 * d0 + i11 * d1  # components of the metric gradient
-    f_check = tg0.vec() * V0 + tg1.vec() * V1
+    tg0, tg1 = (g0 * d0 + g1 * d1 for g0, g1 in (metric.Ginv[:2], metric.Ginv[2:]))  # grad tau
+    V, metric.Ginv, metric.V = metric.V, None, [v.truncate(0) for v in metric.V]
+    f_check = tg0.vec() * V.pop(0)  # sums build in place: no sum is held beside a product
+    f_check += tg1.vec() * V.pop(0)
     mu2 = tg0 * d0 + tg1 * d1  # d tau (grad tau)
+    del tg0, tg1
 
     t = tau.truncate(mu2.order)  # + mu2 would drop tau's slots above it
-    denom = t * t + mu2 + 1.0
-    a = 1.0 - 2.0 / denom
+    a = 1.0 - 2.0 / (t * t + mu2 + 1.0)
     b = tau * (a - 1.0)
 
     one_minus_a = 1.0 - a
-    f_hat = a.vec() * frame.f + b.vec() * frame.xi + one_minus_a.vec() * f_check
+    f_hat = a.vec() * frame.f  # as ((a f + b xi) + (1 - a) f_check), for the same bits
+    f_hat += b.vec() * frame.xi
+    f_hat += one_minus_a.vec() * f_check
     probe = 1.0 / one_minus_a.value + J.wsum(f_hat.value)
     if f_hat.grad is not None:
         probe = probe + J.wsum(J.wsum(f_hat.grad), 0)
@@ -290,12 +293,15 @@ def pointwise_residuals(result: TransformResult, ah: Jet2) -> dict[str, np.ndarr
     # The congruence section is enveloped by the new frame.
     envelope = L.light_cone_section(f, xi, tau.value) - L.light_cone_section(fh, xh, tau.value)
     pw["envelope"] = np.max(np.abs(envelope), axis=-1)
+    del fourth, envelope
 
-    # eq9: -dxi_hat + tau df_hat = -dxi + tau df + (f - f_hat) dtau.
+    # eq9: -dxi_hat + tau df_hat = -dxi + tau df + (f - f_hat) dtau, summed in place.
     dfh = result.f_hat.grad  # dfh[i] is d_i f_hat
-    Vh = -result.xi_hat.grad + tau.value[..., None] * dfh
-    rhs = V + tau.grad[..., None] * (f - fh)
-    pw["eq9"] = np.max(np.abs(Vh - rhs), axis=(0, -1))
+    Vh = tau.value[..., None] * dfh
+    Vh -= result.xi_hat.grad
+    V += tau.grad[..., None] * (f - fh)  # the right-hand side, from here on
+    pw["eq9"] = np.max(np.abs(np.subtract(Vh, V, out=V), out=V), axis=(0, -1))
+    del V
 
     # The transformed frame induces the same congruence metric.
     rows = np.moveaxis(Vh, 0, -2)  # row i is Vh[i], the layout of L.pairing
@@ -334,11 +340,12 @@ def reconstruct(result: TransformResult, det_rel_tol: float) -> dict:
     component identity f_check_hat = f_check + mu^2 (f - f_hat), the length
     check |f_check_hat| = mu, the transformed frame's certificate ``hat_cert``
     (:func:`liegeom.frame_residuals` over the regular points), and the masks
-    ``back_not_finite`` and ``back_singular`` of regular points where the
-    reverse transform is not finite, or degenerates under the regularity screen
-    at ``det_rel_tol`` (the former among them).  Nothing is
-    judged here: :func:`judge_reconstruction` raises on the diagnostics, once
-    those of every block are merged.
+    ``hat_not_finite``, ``back_not_finite`` and ``back_singular`` of regular
+    points where xi_hat's value or gradient is not finite, where the reverse
+    transform is not finite, or where it degenerates under the regularity
+    screen at ``det_rel_tol`` (the second among them).  Nothing is judged
+    here: :func:`judge_reconstruction` raises on the diagnostics, once those
+    of every block are merged.
     """
     frame, singular = result.frame, result.metric.singular
     f_hat, xi_hat = result.f_hat, result.xi_hat
@@ -347,11 +354,13 @@ def reconstruct(result: TransformResult, det_rel_tol: float) -> dict:
     inv_f = _vmax(_nan_at(singular, back.f_hat.value - frame.f.value))
     inv_xi = _vmax(_nan_at(singular, back.xi_hat.value - frame.xi.value))
     mu_check = lie_inner(back.f_check, back.f_check).value
+    probe = J.wsum(xi_hat.value) + J.wsum(J.wsum(xi_hat.grad), 0)  # as transform's for f_hat
     return {
         "involution": max(inv_f, inv_xi),
         "eq10": _vmax(_nan_at(singular, back.f_check.value - f_check_hat(result).value)),
         "mu_match": _vmax(_nan_at(singular, mu_check - result.mu2.value)),
         "hat_cert": hat_frame.cert,
+        "hat_not_finite": ~np.isfinite(probe) & ~singular,
         "back_not_finite": back.not_finite & ~singular,
         "back_singular": back.metric.singular & ~singular,
     }
@@ -360,13 +369,14 @@ def reconstruct(result: TransformResult, det_rel_tol: float) -> dict:
 def judge_reconstruction(diag: dict, points, *, tol: float = 1e-8) -> None:
     """Raise on :func:`reconstruct` diagnostics, in the order they arise.
 
-    The transformed frame must certify at 1e-8, the reverse transform must be
-    finite (:class:`DomainErrorJet`) and regular (:class:`NotRegular`), each
-    naming the first point of ``points``, the batch that was transformed, that
-    ``back_not_finite`` or ``back_singular`` flags (see
+    The transformed frame must be finite (:class:`DomainErrorJet`) and certify
+    at 1e-8, the reverse transform must be finite (:class:`DomainErrorJet`)
+    and regular (:class:`NotRegular`), each point check naming the first point
+    of ``points``, the batch that was transformed, that its mask flags (see
     :meth:`PointError.raise_first`), and the frame discrepancy must stay
     within ``tol`` (:class:`InvolutionFailure`).
     """
+    DomainErrorJet.raise_first(diag["hat_not_finite"], points, "xi_hat is not finite")
     L.judge_frame(diag["hat_cert"], 1e-8)
     DomainErrorJet.raise_first(diag["back_not_finite"], points, "reverse transform is not finite")
     NotRegular.raise_first(diag["back_singular"], points, "congruence metric degenerates")
@@ -407,7 +417,7 @@ def _kept_heap():
         yield
         return
     _LIBC.mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD: above any array a block allocates
-    _LIBC.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: above a block's transient heap
+    _LIBC.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: above a block's transient heap (~6 MB)
     try:
         yield
     finally:
@@ -457,6 +467,15 @@ class BlockValues:
     peaks: dict  # the bodies' peaks, merged
 
 
+def keep(values: dict, block: dict, key: slice, size: int) -> None:
+    """Write each array of ``block`` at ``key`` of its whole-batch array in ``values``,
+    of ``size`` points, made on first write; the block's own copy is freed at once."""
+    for k in list(block):
+        if k not in values:
+            values[k] = np.empty((size,) + block[k].shape[1:], block[k].dtype)
+        values[k][key] = block.pop(k)
+
+
 def eval_blocks(
     chart: CH.ChartSpec, points: np.ndarray | Grid, taus: list[tuple[E.TauExpr, int]],
     body: Callable, *, contact_tol: float | None = None, order: int = 2,
@@ -504,10 +523,7 @@ def eval_blocks(
             if not (failed or any(errors)):
                 with np.errstate(all="ignore"):
                     block, block_peaks = body(frame, tau_jets, key)
-                for k in list(block):
-                    if k not in values:
-                        values[k] = np.empty((len(points),) + block[k].shape[1:], block[k].dtype)
-                    values[k][key] = block.pop(k)  # the block's own copy is freed at once
+                keep(values, block, key, len(points))
                 peaks = merge_peaks(peaks, block_peaks)
             del frame, tau_jets  # their jets would otherwise live through the next block's
 
@@ -550,11 +566,13 @@ def _run_block(
     The block is transformed once.  Degenerate points (a curvature-sphere
     crossing of tau) stay in it, masked by the transform's singular mask: every
     diagnostic leaves them out, and the report carries regular=False when any
-    exist.  Returns ``columns(res, pw)`` of the caller, if given, and the
-    block's peaks: its verdicts, min |det G| (NaN left out), and the residuals
-    where a point is regular.
+    exist.  The block owns its frame, and drops each jet slot once its last
+    reader is done.  Returns ``columns(res, pw)`` of the caller, if given, and
+    the block's peaks: its verdicts, min |det G| (NaN left out), and the
+    residuals where a point is regular.
     """
     res = transform(frame, tau, det_rel_tol=det_rel_tol)
+    frame.xi = frame.xi.truncate(1)  # minus_metric read its Hessian last
     reg = ~res.metric.singular
     det = np.abs(res.metric.det[~np.isnan(res.metric.det)])
     peaks = {
@@ -566,16 +584,17 @@ def _run_block(
         cols = columns(res, pointwise_residuals(res, alpha_hat(res))) if columns else {}
         return cols, peaks
     max_da, arg = ribaucour_residual(res)
+    frame.f, res.f_check = frame.f.truncate(1), res.f_check.truncate(0)  # alpha read these last
     peaks["dalpha"] = (max_da, key.start + arg[0])
     peaks["max_alpha"] = max_abs_alpha(res)
     ah = alpha_hat(res)
     pw = pointwise_residuals(res, ah)
     peaks["suite"] = residual_suite(pw)
-    peaks["curvature"] = curvature_identity(res, ah)
     values = columns(res, pw) if columns else {}
-    del pw, ah  # would otherwise stay live through reconstruct's peak
+    del pw, res.metric.V  # their last readers are done; what columns keeps of pw aside
+    peaks["curvature"] = curvature_identity(res, ah)
     peaks["reconstruction"] = reconstruct(res, det_rel_tol)
-    for check in ("back_not_finite", "back_singular"):
+    for check in ("hat_not_finite", "back_not_finite", "back_singular"):
         peaks[check] = first_flagged(peaks["reconstruction"].pop(check), key)
     return values, peaks
 
@@ -612,7 +631,7 @@ def run_grid(
         NotRegular.raise_first(0, run.points, "congruence metric degenerates")
     max_da, argmax = peaks["dalpha"]  # a regular point is left, so argmax is an index
     suite, recon = peaks["suite"], peaks["reconstruction"]
-    back = {check: peaks.get(check) for check in ("back_not_finite", "back_singular")}
+    back = {k: peaks.get(k) for k in ("hat_not_finite", "back_not_finite", "back_singular")}
     judge_reconstruction(recon | back, run.points, tol=involution_tol)
     supporting = {k: suite[k] for k in _SUPPORTING} | {"mu_match": recon["mu_match"]}
     report = {

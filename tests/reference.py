@@ -338,9 +338,9 @@ def subset_route(frame: LegendreFrame, tau: Jet2, det_rel_tol: float = RB.DET_RE
     The regular points of the batch's transform are transformed a second time
     on their own (``Jet2.batch``), and the identity suite, the curvature
     identity and the reconstruction read that second transform.  Returns
-    ``suite``, ``curvature``, ``reconstruction`` (``back_not_finite`` and
-    ``back_singular`` scattered onto the batch) and the ``res_eq*`` columns,
-    NaN off the regular points.
+    ``suite``, ``curvature``, ``reconstruction`` (``hat_not_finite``,
+    ``back_not_finite`` and ``back_singular`` scattered onto the batch) and the
+    ``res_eq*`` columns, NaN off the regular points.
     """
     reg = ~RB.transform(frame, tau, det_rel_tol=det_rel_tol).metric.singular
     regular = LegendreFrame(frame.f.batch(reg), frame.xi.batch(reg), frame.cert)
@@ -349,7 +349,7 @@ def subset_route(frame: LegendreFrame, tau: Jet2, det_rel_tol: float = RB.DET_RE
     pw = RB.pointwise_residuals(clean, ah)
     recon = RB.reconstruct(clean, det_rel_tol)
     back = {}
-    for check in ("back_not_finite", "back_singular"):
+    for check in ("hat_not_finite", "back_not_finite", "back_singular"):
         back[check] = np.zeros(reg.shape, bool)
         back[check][reg] = recon[check]
     columns = {}

@@ -671,3 +671,25 @@ def test_number_operands_match_the_constant_jet_route(order, components):
         q = x / 0.0  # a multiply by 1/0.0 = inf
     for slot in (q.value, q.grad, q.hess, q.third)[: x.order + 1]:
         assert not np.isfinite(slot).any()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_in_place_sum_has_the_bits_of_the_sum(order):
+    """``x += y`` writes over the slots of x, a fresh product, at the lower order of
+    the two, with the bits of ``x + y``; a number is added as its lifted constant."""
+    (u, v), _ = _seeded(order)
+    w, z = _operands(u, v)
+    vec = J.stack([u, v, w, z, J.sin(w), J.exp(z)])
+    lower = (z * u).truncate(max(order - 1, 0)).vec() * vec
+    for x, y in [(lambda: w * z, J.sin(w)), (lambda: w.vec() * vec, z.vec() * vec),
+                 (lambda: w.vec() * vec, lower), (lambda: w * z, 2.5)]:
+        x = x()
+        want = x + (Jet2.constant(y, 2, x.order) if isinstance(y, float) else y)
+        slots = (x.value, x.grad, x.hess, x.third)
+        x += y
+        assert x.order == want.order
+        for k, name in enumerate(("value", "grad", "hess", "third")):
+            a, b = getattr(x, name), getattr(want, name)
+            assert (a is None) == (b is None), name
+            if b is not None:
+                assert a is slots[k] and a.tobytes() == b.tobytes(), name

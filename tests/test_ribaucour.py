@@ -180,8 +180,12 @@ def test_jet_orders_through_the_transform(square_torus, torus_frame_16):
     tau = E.eval_at(E.parse_tau("0.3*sin(u)"), _flat_points(square_torus, grid))
     res = RB.transform(frame, tau)
     assert res.alpha.order == 1 and res.alpha.grad is not None
-    assert res.f_hat.order == 1 and all(x.order == 1 for x in res.metric.Ginv)
+    assert res.f_hat.order == 1 and all(x.order == 1 for x in RB.minus_metric(frame, tau).Ginv)
     assert RB.alpha_hat(res).grad is None
+    # transform reads G^-1 and V's gradients last, and drops them; the frame it
+    # was handed keeps every slot, for its owner to drop
+    assert res.metric.Ginv is None and all(v.order == 0 for v in res.metric.V)
+    assert frame.f.order == frame.xi.order == 2
 
 
 # ---------- slots and fields a reader needs ----------
@@ -346,7 +350,7 @@ def test_vector_and_matrix_jets_keep_the_batch_axis_innermost(square_torus, rand
         "stack of rows": J.stack([J.stack([u, v]), J.stack([v, u * v])], axis=-2),
         "spatial_vector": L.spatial_vector([u, v, u * v, v - u]),
         "f": frame.f, "xi": frame.xi, "f_hat": res.f_hat, "f_check": res.f_check,
-    } | {f"V{i}": V for i, V in enumerate(res.metric.V)}
+    } | {f"V{i}": V for i, V in enumerate(RB.minus_metric(frame, tau).V)}
     for name, jet in jets.items():
         assert jet.order > 0
         for k, slot in enumerate(_SLOTS[: jet.order + 1]):
@@ -370,8 +374,9 @@ def test_layout_never_moves_bits(square_torus, src):
     got, want = RB.transform(c_frame, tau), RB.transform(frame, tau)
 
     def jets(r):
+        metric = RB.minus_metric(r.frame, r.tau)  # with the jets transform drops once read
         return [r.f_hat, r.f_check, r.xi_hat, r.alpha, r.a, r.b, r.mu2,
-                *r.metric.Ginv, *r.metric.V, RB.alpha_hat(r)]
+                *metric.Ginv, *metric.V, *r.metric.V, RB.alpha_hat(r)]
 
     for x, y in zip(jets(got), jets(want)):
         for slot in _SLOTS:
@@ -650,7 +655,7 @@ def test_masked_degenerate_points_match_the_regular_subset_route(block, monkeypa
     assert _bits(peaks["suite"]) == _bits(ref["suite"])
     assert _bits({"curvature": peaks["curvature"]}) == _bits({"curvature": ref["curvature"]})
     recon, ref_recon = dict(peaks["reconstruction"]), dict(ref["reconstruction"])
-    for check in ("back_not_finite", "back_singular"):
+    for check in ("hat_not_finite", "back_not_finite", "back_singular"):
         assert peaks.get(check) is None and not ref_recon.pop(check).any()
     assert _bits(recon) == _bits(ref_recon)
     for key, column in ref["columns"].items():
@@ -702,6 +707,32 @@ def test_reverse_transform_that_is_not_finite_names_its_grid_index(monkeypatch):
     exc = info.value
     assert len(calls) == 8 and exc.index == (2345,)
     np.testing.assert_array_equal(scene.chart.domain.wrap(grid[2345:2346])[0], exc.point)
+
+
+def test_xi_hat_that_is_not_finite_names_its_grid_index(monkeypatch):
+    # check_sinu's 64 x 64 in blocks of 1024: the third block's xi_hat is given
+    # an infinite gradient at its point 100, grid point 2148, where f_hat stays
+    # finite; the run names that point instead of failing the transformed
+    # frame's certificate, which names none
+    reconstruct, diags = RB.reconstruct, []
+
+    def plant_inf(result, det_rel_tol):
+        if len(diags) == 2:
+            result.xi_hat.grad[1, 100, 0] = np.inf
+        diags.append(reconstruct(result, det_rel_tol))
+        return diags[-1]
+
+    monkeypatch.setattr(RB, "BLOCK", 1024)
+    monkeypatch.setattr(RB, "reconstruct", plant_inf)
+    scene = _scene("check_sinu.json")
+    grid = Grid(64, 64, scene.chart.domain)
+    with pytest.raises(DomainErrorJet, match="^xi_hat is not finite at") as info:
+        RB.run_grid(scene.chart, scene.tau, grid)
+    exc = info.value
+    assert len(diags) == 4 and exc.index == (2148,)
+    np.testing.assert_array_equal(scene.chart.domain.wrap(grid[2148:2149])[0], exc.point)
+    with pytest.raises(ContactViolation, match="not finite"):  # what named no point
+        L.judge_frame(diags[2]["hat_cert"], 1e-8)
 
 
 def _with_chart(name, overrides):
@@ -1044,6 +1075,20 @@ def test_check_memory_is_flat_in_the_grid(tmp_path):
     small = _command_peak("check", "check_sinu.json", 64, tmp_path)
     for n in (192, 384):
         assert _command_peak("check", "check_sinu.json", n, tmp_path) < 1.25 * small
+
+
+def test_run_grid_block_keeps_only_what_a_later_reader_needs():
+    # one full block of check_sinu: each jet slot goes once its last reader is
+    # done, so the block peaks at about 5.6 MiB traced (9.2 MiB when every slot
+    # lived to the block's end); a block that regrows its working set fails here
+    scene = _scene("check_sinu.json")
+    tracemalloc.start()
+    try:
+        RB.run_grid(scene.chart, scene.tau, Grid(64, 64, scene.chart.domain))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 5.56 * 2**20
 
 
 def _check_minor_faults(n, tmp_path):
